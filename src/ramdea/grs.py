@@ -344,11 +344,15 @@ def oracle_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
 
 def minimum_face(dataset: dea.Dataset, grs: GrsResult,
                  rank_tol: float = 1e-7) -> MinimumFace:
-    """Affine dimension of the face spanned by the GRS members."""
+    """Affine dimension of the face spanned by the GRS members.
+
+    An empty GRS (possible under "crs", where the origin itself can be
+    the projection) spans the cone's apex: no vertices, dimension 0.
+    """
     members = grs.members
-    points = np.vstack([dataset.inputs[:, members], dataset.outputs[:, members]])
-    if len(members) == 1:
+    if len(members) <= 1:
         return MinimumFace(members, 0)
+    points = np.vstack([dataset.inputs[:, members], dataset.outputs[:, members]])
     deltas = points[:, 1:] - points[:, :1]
     singular = np.linalg.svd(deltas, compute_uv=False)
     cutoff = rank_tol * max(1.0, float(singular[0]))

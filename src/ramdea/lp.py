@@ -16,6 +16,12 @@ Bland's rule once a run of degenerate pivots is detected; DEA-style
 instances are routinely degenerate.  Feasibility is established by a
 phase-1 subproblem over signed artificial columns (no big-M terms).
 
+Every pivot factors the basis afresh with numpy's LAPACK solver: one
+batched solve over the basis and its transpose gives the basic values
+and the row duals, and one more gives the entering column.  A singular
+basis or a non-finite solve raises ``LpError`` rather than carrying NaN
+into the result.
+
 A ``LinearProgram`` is immutable after construction and safe to share
 across concurrent solves; each ``solve`` call owns all of its state.
 """
@@ -25,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 __all__ = [
     "OPTIMAL",
@@ -66,15 +71,12 @@ class SolverSettings:
     feas_tol: float = 1e-9
     opt_tol: float = 1e-9
     max_iterations: int | None = None
-    anti_cycling: str = "bland_fallback"
 
     def __post_init__(self) -> None:
         if self.feas_tol <= 0.0 or self.opt_tol <= 0.0:
             raise ValueError("tolerances must be strictly positive")
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.anti_cycling != "bland_fallback":
-            raise ValueError(f"unknown anti_cycling mode: {self.anti_cycling!r}")
 
 
 class LinearProgram:
@@ -163,7 +165,9 @@ class _SimplexState:
     """One solve's worth of mutable simplex state.
 
     Variable states: -1 basic, 0 nonbasic at lower bound, 1 nonbasic at
-    upper bound, 2 nonbasic free (resting at zero).
+    upper bound, 2 nonbasic free (resting at zero).  ``x_off`` holds the
+    resting value of every nonbasic variable and zero for the basics;
+    ``x_basic`` holds the basic values in basis order.
     """
 
     def __init__(self, lp: LinearProgram, settings: SolverSettings):
@@ -178,13 +182,16 @@ class _SimplexState:
         resid = lp.rhs - lp.constraint_matrix @ x0
         sg = np.where(resid >= 0.0, 1.0, -1.0)
         self.A = np.hstack([lp.constraint_matrix, np.diag(sg)])
-        self.b = lp.rhs.copy()
         self.lo = np.concatenate([lo, np.zeros(p)])
         self.hi = np.concatenate([hi, np.full(p, np.inf)])
-        self.x = np.concatenate([x0, np.abs(resid)])
+        self.x_off = np.concatenate([x0, np.zeros(p)])
+        self.x_basic = np.abs(resid)
         struct_state = np.where(np.isfinite(lo), 0, np.where(np.isfinite(hi), 1, 2))
         self.state = np.concatenate([struct_state, np.full(p, -1)]).astype(np.int64)
         self.basis = np.arange(q, q + p, dtype=np.int64)
+        # the basis matrix and its transpose, factored by one batched solve
+        self.pair = np.empty((2, p, p))
+        self.pair_rhs = np.empty((2, p, 1))
         self.iterations = 0
         self.consec_degenerate = 0
         self.bland = False
@@ -196,8 +203,8 @@ class _SimplexState:
         status = self._minimize(phase1_cost)
         if status != OPTIMAL:
             raise LpError("phase-1 subproblem reported unbounded")  # cost >= 0 always
-        infeas = float(phase1_cost @ self.x)
-        if infeas > self.settings.feas_tol * (p + float(np.abs(self.b).sum())):
+        infeas = float(phase1_cost @ self._primal())
+        if infeas > self.settings.feas_tol * (p + float(np.abs(self.lp.rhs).sum())):
             return LpSolution(INFEASIBLE, iterations=self.iterations)
         self._evict_artificials()
         self.lo[q:] = 0.0
@@ -207,7 +214,7 @@ class _SimplexState:
         status = self._minimize(phase2_cost)
         if status == UNBOUNDED:
             return LpSolution(UNBOUNDED, iterations=self.iterations)
-        x = self.x[:q].copy()
+        x = self._primal()[:q]
         self._verify(x)
         return LpSolution(
             OPTIMAL,
@@ -219,11 +226,22 @@ class _SimplexState:
     # -- simplex core -------------------------------------------------
 
     def _minimize(self, cost: np.ndarray) -> str:
+        # bounds change only between phases; variables pinned by equal
+        # bounds never price, and a free one may move either way
+        self.movable = self.hi > self.lo
+        st = self.state
+        self.can_inc = self.movable & ((st == 0) | (st == 2))
+        self.can_dec = self.movable & ((st == 1) | (st == 2))
+        A, pair, pair_rhs = self.A, self.pair, self.pair_rhs
         while True:
-            lu = lu_factor(self.A[:, self.basis], check_finite=False)
-            self._recompute_basics(lu)
-            y = lu_solve(lu, cost[self.basis], trans=1, check_finite=False)
-            reduced = cost - y @ self.A
+            basic_cols = A[:, self.basis]
+            pair[0] = basic_cols
+            pair[1] = basic_cols.T
+            pair_rhs[0, :, 0] = self.lp.rhs - A @ self.x_off
+            pair_rhs[1, :, 0] = cost[self.basis]
+            solved = _checked_solve(pair, pair_rhs)
+            self.x_basic = solved[0, :, 0]
+            reduced = cost - solved[1, :, 0] @ A
             chosen = self._entering(reduced)
             if chosen is None:
                 return OPTIMAL
@@ -232,70 +250,54 @@ class _SimplexState:
                     f"no conclusion within {self.max_iter} pivots"
                 )
             j, sigma = chosen
-            w = lu_solve(lu, self.A[:, j], check_finite=False)
+            w = _checked_solve(pair[0], A[:, j])
             step, pos, hits_upper = self._ratio_test(j, sigma, w)
             if step is None:
                 return UNBOUNDED
-            self._pivot(j, sigma, w, step, pos, hits_upper)
+            self._pivot(j, step, pos, hits_upper)
             self.iterations += 1
 
-    def _recompute_basics(self, lu) -> None:
-        off_basis = self.x.copy()
-        off_basis[self.basis] = 0.0
-        self.x[self.basis] = lu_solve(
-            lu, self.b - self.A @ off_basis, check_finite=False
-        )
-
     def _entering(self, reduced: np.ndarray):
-        tol = self.settings.opt_tol
-        st = self.state
-        movable = self.hi > self.lo  # variables pinned by equal bounds never price
-        eligible = np.flatnonzero(
-            movable & (
-                ((st == 0) & (reduced < -tol))
-                | ((st == 1) & (reduced > tol))
-                | ((st == 2) & (np.abs(reduced) > tol))
-            )
-        )
-        if eligible.size == 0:
-            return None
+        # gain: how fast the objective falls per unit step of a variable
+        # moving in a direction its state allows; -inf where none is
+        gain = np.maximum(np.where(self.can_inc, -reduced, -np.inf),
+                          np.where(self.can_dec, reduced, -np.inf))
         if self.bland:
-            j = int(eligible[0])
+            j = int(np.argmax(gain > self.settings.opt_tol))
         else:
-            j = int(eligible[np.argmax(np.abs(reduced[eligible]))])
-        if st[j] == 0 or (st[j] == 2 and reduced[j] < 0.0):
-            sigma = 1.0
-        else:
-            sigma = -1.0
-        return j, sigma
+            j = int(np.argmax(gain))  # Dantzig: steepest, first on ties
+        if not gain[j] > self.settings.opt_tol:
+            return None
+        return j, 1.0 if reduced[j] < 0.0 else -1.0
 
     def _ratio_test(self, j: int, sigma: float, w: np.ndarray):
         bi = self.basis
-        xb = self.x[bi]
-        lb = self.lo[bi]
-        ub = self.hi[bi]
+        xb = self.x_basic
         move = sigma * w  # basics change by -move * step
+        # an infinite bound gives an infinite limit, so it never binds
         limits = np.full(self.p, np.inf)
-        dec = (move > _PIVOT_TOL) & np.isfinite(lb)
-        inc = (move < -_PIVOT_TOL) & np.isfinite(ub)
-        limits[dec] = (xb[dec] - lb[dec]) / move[dec]
-        limits[inc] = (ub[inc] - xb[inc]) / -move[inc]
+        np.divide(xb - self.lo[bi], move, out=limits, where=move > _PIVOT_TOL)
+        np.divide(self.hi[bi] - xb, -move, out=limits, where=move < -_PIVOT_TOL)
         np.maximum(limits, 0.0, out=limits)
-        own_range = self.hi[j] - self.lo[j]
+        own_range = float(self.hi[j] - self.lo[j])
         basic_limit = float(limits.min())
         step = min(own_range, basic_limit)
-        if not np.isfinite(step):
+        if step == np.inf:
             return None, None, None
         if own_range <= basic_limit:
             return step, None, None  # bound-to-bound flip, basis unchanged
-        ties = np.flatnonzero(limits <= basic_limit * (1.0 + 1e-12) + 1e-15)
+        ties = limits <= basic_limit * (1.0 + 1e-12) + 1e-15
         if self.bland:
-            pos = int(ties[np.argmin(bi[ties])])
+            tied = np.flatnonzero(ties)
+            pos = int(tied[np.argmin(bi[tied])])
         else:
-            pos = int(ties[np.argmax(np.abs(move[ties]))])
+            # the largest pivot element among the ties, first on ties
+            pos = int(np.argmax(np.where(ties, np.abs(move), -1.0)))
         return step, pos, bool(move[pos] < 0.0)
 
-    def _pivot(self, j, sigma, w, step, pos, hits_upper) -> None:
+    def _pivot(self, j, step, pos, hits_upper) -> None:
+        # basic values are recomputed from a fresh factorization at the
+        # top of the next iteration, so only nonbasic values move here
         if step <= self.settings.feas_tol:
             self.consec_degenerate += 1
             if self.consec_degenerate >= self.p + self.q:
@@ -303,22 +305,32 @@ class _SimplexState:
         else:
             self.consec_degenerate = 0
             self.bland = False
-        self.x[self.basis] -= sigma * step * w
         if pos is None:
             # entering variable flips to its opposite bound
-            self.state[j] = 1 - self.state[j]
-            self.x[j] = self.hi[j] if self.state[j] == 1 else self.lo[j]
-            return
-        self.x[j] = self.x[j] + sigma * step
-        leaving = int(self.basis[pos])
-        if hits_upper:
-            self.state[leaving] = 1
-            self.x[leaving] = self.hi[leaving]
+            self._rest(j, self.state[j] == 0)
         else:
-            self.state[leaving] = 0
-            self.x[leaving] = self.lo[leaving]
+            self._swap(pos, j, hits_upper)
+
+    def _rest(self, k: int, at_upper: bool) -> None:
+        """Make variable ``k`` nonbasic at its upper or lower bound."""
+        self.state[k] = 1 if at_upper else 0
+        self.x_off[k] = self.hi[k] if at_upper else self.lo[k]
+        self.can_inc[k] = self.movable[k] and not at_upper
+        self.can_dec[k] = self.movable[k] and at_upper
+
+    def _swap(self, pos: int, j: int, leaves_at_upper: bool) -> None:
+        """Variable ``j`` takes basis position ``pos``; its occupant leaves."""
+        leaving = int(self.basis[pos])
         self.basis[pos] = j
         self.state[j] = -1
+        self.x_off[j] = 0.0
+        self.can_inc[j] = self.can_dec[j] = False
+        self._rest(leaving, leaves_at_upper)
+
+    def _primal(self) -> np.ndarray:
+        x = self.x_off.copy()
+        x[self.basis] = self.x_basic
+        return x
 
     def _evict_artificials(self) -> None:
         # Degenerate pivots that swap leftover artificials for structural
@@ -327,27 +339,35 @@ class _SimplexState:
         for pos in range(self.p):
             if self.basis[pos] < q:
                 continue
-            lu = lu_factor(self.A[:, self.basis], check_finite=False)
             unit = np.zeros(self.p)
             unit[pos] = 1.0
-            row = lu_solve(lu, unit, trans=1, check_finite=False) @ self.A[:, :q]
+            row = _checked_solve(self.A[:, self.basis].T, unit) @ self.A[:, :q]
             nonbasic = np.flatnonzero(self.state[:q] != -1)
             if nonbasic.size == 0:
                 continue
             best = int(nonbasic[np.argmax(np.abs(row[nonbasic]))])
             if abs(row[best]) <= 1e-9:
                 continue
-            j = best
-            leaving = int(self.basis[pos])
-            self.basis[pos] = j
-            self.state[j] = -1
-            self.state[leaving] = 0
-            self.x[leaving] = 0.0
+            self._swap(pos, best, False)
 
     def _verify(self, x: np.ndarray) -> None:
+        # phrased so that a NaN anywhere fails every check
         lp, tol = self.lp, self.settings.feas_tol
-        if np.any(x < lp.lower_bounds - tol) or np.any(x > lp.upper_bounds + tol):
+        if not np.all(np.isfinite(x)):
+            raise LpError("non-finite value at claimed optimum")
+        if not np.all((x >= lp.lower_bounds - tol) & (x <= lp.upper_bounds + tol)):
             raise LpError("variable bound violated at claimed optimum")
         resid = np.abs(lp.constraint_matrix @ x - lp.rhs)
-        if np.any(resid > tol * (1.0 + np.abs(lp.rhs))):
+        if not np.all(resid <= tol * (1.0 + np.abs(lp.rhs))):
             raise LpError("equality row violated at claimed optimum")
+
+
+def _checked_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` that raises ``LpError`` instead of returning NaN."""
+    try:
+        solved = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        raise LpError("singular basis matrix") from None
+    if not np.isfinite(solved).all():
+        raise LpError("basis solve gave non-finite values")
+    return solved

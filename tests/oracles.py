@@ -51,6 +51,17 @@ def best_vertex_objective(program):
     return best
 
 
+def lp_optimum_highs(program):
+    """Optimal objective of a ``LinearProgram`` via scipy's HiGHS solver."""
+    sign = -1.0 if program.sense == "maximize" else 1.0
+    bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+              for lo, hi in zip(program.lower_bounds, program.upper_bounds)]
+    res = linprog(sign * program.objective, A_eq=program.constraint_matrix,
+                  b_eq=program.rhs, bounds=bounds, method="highs")
+    assert res.status == 0, f"reference solver failed with status {res.status}"
+    return sign * res.fun
+
+
 def ram_score_linprog(dataset, o, regime="vrs"):
     """Range-adjusted efficiency of unit ``o`` via scipy's HiGHS solver."""
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
