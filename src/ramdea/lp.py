@@ -16,11 +16,11 @@ Bland's rule once a run of degenerate pivots is detected; DEA-style
 instances are routinely degenerate.  Feasibility is established by a
 phase-1 subproblem over signed artificial columns (no big-M terms).
 
-Every pivot factors the basis afresh with numpy's LAPACK solver: one
-batched solve over the basis and its transpose gives the basic values
-and the row duals, and one more gives the entering column.  A singular
-basis or a non-finite solve raises ``LpError`` rather than carrying NaN
-into the result.
+Every pivot factors the basis afresh with numpy's LAPACK solver: a
+solve with the transposed basis gives the row duals for pricing, and one
+solve with the basis itself gives the basic values and the entering
+column together.  A singular basis or a non-finite solve raises
+``LpError`` rather than carrying NaN into the result.
 
 A ``LinearProgram`` is immutable after construction and safe to share
 across concurrent solves; each ``solve`` call owns all of its state.
@@ -189,9 +189,8 @@ class _SimplexState:
         struct_state = np.where(np.isfinite(lo), 0, np.where(np.isfinite(hi), 1, 2))
         self.state = np.concatenate([struct_state, np.full(p, -1)]).astype(np.int64)
         self.basis = np.arange(q, q + p, dtype=np.int64)
-        # the basis matrix and its transpose, factored by one batched solve
-        self.pair = np.empty((2, p, p))
-        self.pair_rhs = np.empty((2, p, 1))
+        # right-hand sides of the primal solve: basic values, entering column
+        self.primal_rhs = np.empty((p, 2))
         self.iterations = 0
         self.consec_degenerate = 0
         self.bland = False
@@ -227,31 +226,27 @@ class _SimplexState:
 
     def _minimize(self, cost: np.ndarray) -> str:
         # bounds change only between phases; variables pinned by equal
-        # bounds never price, and a free one may move either way
+        # bounds never price
         self.movable = self.hi > self.lo
-        st = self.state
-        self.can_inc = self.movable & ((st == 0) | (st == 2))
-        self.can_dec = self.movable & ((st == 1) | (st == 2))
-        A, pair, pair_rhs = self.A, self.pair, self.pair_rhs
+        A, rhs = self.A, self.primal_rhs
         while True:
             basic_cols = A[:, self.basis]
-            pair[0] = basic_cols
-            pair[1] = basic_cols.T
-            pair_rhs[0, :, 0] = self.lp.rhs - A @ self.x_off
-            pair_rhs[1, :, 0] = cost[self.basis]
-            solved = _checked_solve(pair, pair_rhs)
-            self.x_basic = solved[0, :, 0]
-            reduced = cost - solved[1, :, 0] @ A
+            y = _checked_solve(basic_cols.T, cost[self.basis])
+            reduced = cost - y @ A
+            rhs[:, 0] = self.lp.rhs - A @ self.x_off
             chosen = self._entering(reduced)
             if chosen is None:
+                self.x_basic = _checked_solve(basic_cols, rhs[:, 0])
                 return OPTIMAL
             if self.iterations >= self.max_iter:
                 raise IterationLimitError(
                     f"no conclusion within {self.max_iter} pivots"
                 )
             j, sigma = chosen
-            w = _checked_solve(pair[0], A[:, j])
-            step, pos, hits_upper = self._ratio_test(j, sigma, w)
+            rhs[:, 1] = A[:, j]
+            solved = _checked_solve(basic_cols, rhs)
+            self.x_basic = solved[:, 0]
+            step, pos, hits_upper = self._ratio_test(j, sigma, solved[:, 1])
             if step is None:
                 return UNBOUNDED
             self._pivot(j, step, pos, hits_upper)
@@ -259,9 +254,13 @@ class _SimplexState:
 
     def _entering(self, reduced: np.ndarray):
         # gain: how fast the objective falls per unit step of a variable
-        # moving in a direction its state allows; -inf where none is
-        gain = np.maximum(np.where(self.can_inc, -reduced, -np.inf),
-                          np.where(self.can_dec, reduced, -np.inf))
+        # moving in a direction its state allows; -inf where none is.
+        # A free variable (state 2) may move either way.
+        st = self.state
+        can_inc = self.movable & ((st == 0) | (st == 2))
+        can_dec = self.movable & (st >= 1)
+        gain = np.maximum(np.where(can_inc, -reduced, -np.inf),
+                          np.where(can_dec, reduced, -np.inf))
         if self.bland:
             j = int(np.argmax(gain > self.settings.opt_tol))
         else:
@@ -296,8 +295,8 @@ class _SimplexState:
         return step, pos, bool(move[pos] < 0.0)
 
     def _pivot(self, j, step, pos, hits_upper) -> None:
-        # basic values are recomputed from a fresh factorization at the
-        # top of the next iteration, so only nonbasic values move here
+        # basic values come afresh from the next solve with the basis,
+        # so only nonbasic values move here
         if step <= self.settings.feas_tol:
             self.consec_degenerate += 1
             if self.consec_degenerate >= self.p + self.q:
@@ -315,8 +314,6 @@ class _SimplexState:
         """Make variable ``k`` nonbasic at its upper or lower bound."""
         self.state[k] = 1 if at_upper else 0
         self.x_off[k] = self.hi[k] if at_upper else self.lo[k]
-        self.can_inc[k] = self.movable[k] and not at_upper
-        self.can_dec[k] = self.movable[k] and at_upper
 
     def _swap(self, pos: int, j: int, leaves_at_upper: bool) -> None:
         """Variable ``j`` takes basis position ``pos``; its occupant leaves."""
@@ -324,7 +321,6 @@ class _SimplexState:
         self.basis[pos] = j
         self.state[j] = -1
         self.x_off[j] = 0.0
-        self.can_inc[j] = self.can_dec[j] = False
         self._rest(leaving, leaves_at_upper)
 
     def _primal(self) -> np.ndarray:
