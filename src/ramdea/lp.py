@@ -142,12 +142,19 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Outcome of one solve; ``primal``/``objective_value`` only when optimal."""
+    """Outcome of one solve; ``primal``/``objective_value``/``duals`` only when optimal.
+
+    ``duals`` holds one multiplier per equality row in the caller's
+    sense: the objective's rate of change per unit of that row's
+    right-hand side, so ``objective - duals @ constraint_matrix`` are the
+    reduced costs of the optimal basis.
+    """
 
     status: str
     primal: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
+    duals: np.ndarray | None = None
 
 
 def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSolution:
@@ -220,6 +227,7 @@ class _SimplexState:
             primal=x,
             objective_value=float(self.lp.objective @ x),
             iterations=self.iterations,
+            duals=sign * self.duals,
         )
 
     # -- simplex core -------------------------------------------------
@@ -237,6 +245,7 @@ class _SimplexState:
             chosen = self._entering(reduced)
             if chosen is None:
                 self.x_basic = _checked_solve(basic_cols, rhs[:, 0])
+                self.duals = y
                 return OPTIMAL
             if self.iterations >= self.max_iter:
                 raise IterationLimitError(

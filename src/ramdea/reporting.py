@@ -299,8 +299,14 @@ def _render_json(reports) -> str:
     return json.dumps(objects, indent=2) + "\n"
 
 
+def _fixed(value: float) -> str:
+    """Three decimals; a value that rounds to zero prints without a sign."""
+    text = f"{value:.3f}"
+    return "0.000" if text == "-0.000" else text
+
+
 def _grs_cell(members) -> str:
-    return ";".join(f"{name}:{weight:.3f}" for name, weight in members)
+    return ";".join(f"{name}:{_fixed(weight)}" for name, weight in members)
 
 
 def _render_csv(reports) -> str:
@@ -323,16 +329,16 @@ def _render_csv(reports) -> str:
     for report in reports:
         row = [report.name]
         if has_eff:
-            row += [f"{report.rho:.3f}", "true" if report.efficient else "false"]
+            row += [_fixed(report.rho), "true" if report.efficient else "false"]
         if has_grs:
             row += [_grs_cell(report.grs_members), str(report.minimum_face_dimension)]
-            row += [f"{v:.3f}" for v in report.projection_inputs.values()]
-            row += [f"{v:.3f}" for v in report.projection_outputs.values()]
+            row += [_fixed(v) for v in report.projection_inputs.values()]
+            row += [_fixed(v) for v in report.projection_outputs.values()]
         if has_rts:
             row += [
                 _RTS_SHORT[report.rts_class],
-                f"{report.omega_min:.3f}",
-                f"{report.omega_max:.3f}",
+                _fixed(report.omega_min),
+                _fixed(report.omega_max),
             ]
         writer.writerow(row)
     return buffer.getvalue()
@@ -354,19 +360,19 @@ def _render_table(reports) -> str:
     for report in reports:
         row = [report.name]
         if has_eff:
-            row += [f"{report.rho:.3f}", "yes" if report.efficient else "no"]
+            row += [_fixed(report.rho), "yes" if report.efficient else "no"]
         if has_grs:
-            proj_in = ", ".join(f"{v:.3f}" for v in report.projection_inputs.values())
-            proj_out = ", ".join(f"{v:.3f}" for v in report.projection_outputs.values())
+            proj_in = ", ".join(_fixed(v) for v in report.projection_inputs.values())
+            proj_out = ", ".join(_fixed(v) for v in report.projection_outputs.values())
             row += [
-                " ".join(f"{name}:{w:.3f}" for name, w in report.grs_members),
+                " ".join(f"{name}:{_fixed(w)}" for name, w in report.grs_members),
                 f"({proj_in} -> {proj_out})",
                 str(report.minimum_face_dimension),
             ]
         if has_rts:
             row += [
                 _RTS_SHORT[report.rts_class],
-                f"[{report.omega_min:.3f}, {report.omega_max:.3f}]",
+                f"[{_fixed(report.omega_min)}, {_fixed(report.omega_max)}]",
             ]
         table.append(row)
 

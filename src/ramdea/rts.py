@@ -9,12 +9,24 @@ returns.  Classifying at a point strictly inside a unit's minimum face
 makes the verdict independent of which optimal projection the slack
 model happened to return.
 
-Each endpoint of the interval comes from one LP over multipliers
-normalised by  v . x_anchor = 1.  Finite endpoints are reported exactly
-and may fall outside the clamp; an unbounded endpoint is substituted by
-the matching clamp value (+clamp or -clamp), pushed just far enough to
-never cross the finite endpoint.  Either way the sign information, and
-hence the classification, is preserved.
+Each endpoint of the interval is the optimum of an LP over multipliers
+normalised by  v . x_anchor = 1,  with one row per unit.  It is solved
+in its dual, envelopment form (Banker & Thrall 1992; Banker, Cooper,
+Seiford, Thrall & Zhu 2004): one row per input and output plus one for
+the intercept, over a free radial factor theta, a free alpha and one
+intensity  pi_j <= 0  per unit, maximising theta.  With a right-hand
+side of +1 on the intercept row, max theta is the smallest intercept;
+with -1, -max theta is the largest.  An infeasible dual means that
+endpoint is unbounded; an unbounded dual means no supporting hyperplane
+passes through the anchor.  When both duals are infeasible, the dual
+with a zero right-hand side tells the two apart.
+
+Finite endpoints are reported exactly and may fall outside the clamp;
+an unbounded endpoint is substituted by the matching clamp value (+clamp
+or -clamp), pushed just far enough to never cross the finite endpoint.
+Either way the sign information, and hence the classification, is
+preserved.  The witness hyperplanes of ``extreme_hyperplanes`` are the
+row duals of the same program with the intercept boxed by the clamp.
 """
 
 from __future__ import annotations
@@ -85,33 +97,63 @@ def _anchor(point):
     return x_hat, y_hat
 
 
-def _hyperplane_program(dataset, x_hat, y_hat, sense, omega_lo, omega_hi):
-    """LP over [u | v | omega | support slacks] anchored at (x_hat, y_hat)."""
+def _envelopment_program(dataset, x_hat, y_hat, omega_rhs, clamp=None):
+    """LP dual of the intercept program at (x_hat, y_hat), and its row scales.
+
+    Maximises theta over [theta | alpha | pi_1..pi_n | (rho, sigma) |
+    s+m slacks] subject to
+
+        alpha y_hat + sum_j pi_j y_j + slack_out = 0        (s rows, dual u)
+        (theta - alpha) x_hat - sum_j pi_j x_j + slack_in = 0 (m rows, dual v)
+        -alpha - sum_j pi_j (+ rho + sigma) = omega_rhs       (1 row, dual w)
+
+    with theta and alpha free and pi_j <= 0.  A right-hand side of +1 is
+    the dual of min w, -1 the dual of max w, and 0 the dual of the bare
+    feasibility question.  With ``clamp`` the columns rho >= 0 and
+    sigma <= 0, costed -clamp and +clamp, are the duals of the box
+    -clamp <= w <= clamp.  Each multiplier row is divided by its largest
+    entry, an exact change of variables that keeps the pi of translated
+    data at the scale of the rows; ``row_scale`` holds the divisors, so
+    the multipliers are the row duals divided by it.
+    """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    q = s + m + 1 + n
-    omega_col = s + m
-    rows = 2 + n
-    A = np.zeros((rows, q))
-    rhs = np.zeros(rows)
-    # multiplier normalisation at the anchor
-    A[0, s:s + m] = x_hat
-    rhs[0] = 1.0
-    # the hyperplane is binding at the anchor
-    A[1, :s] = y_hat
-    A[1, s:s + m] = -x_hat
-    A[1, omega_col] = -1.0
-    # and weakly dominates every observed unit
-    A[2:, :s] = dataset.outputs.T
-    A[2:, s:s + m] = -dataset.inputs.T
-    A[2:, omega_col] = -1.0
-    A[2:, omega_col + 1:] = np.eye(n)
-    lower = np.zeros(q)
-    lower[omega_col] = omega_lo
-    upper = np.full(q, np.inf)
-    upper[omega_col] = omega_hi
+    boxed = 0 if clamp is None else 2
+    core = 2 + n
+    q = core + boxed + s + m
+    A = np.zeros((s + m + 1, q))
+    A[:s, 1] = y_hat
+    A[:s, 2:core] = dataset.outputs
+    A[s:s + m, 0] = x_hat
+    A[s:s + m, 1] = -x_hat
+    A[s:s + m, 2:core] = -dataset.inputs
+    row_scale = np.abs(A[:s + m, :core]).max(axis=1)
+    row_scale[row_scale == 0.0] = 1.0
+    A[:s + m, :core] /= row_scale[:, None]
+    A[:s + m, core + boxed:] = np.eye(s + m)
+    A[-1, 1:core] = -1.0
+    rhs = np.zeros(s + m + 1)
+    rhs[-1] = omega_rhs
     cost = np.zeros(q)
-    cost[omega_col] = 1.0
-    return LinearProgram(sense, cost, A, rhs, lower_bounds=lower, upper_bounds=upper)
+    cost[0] = 1.0
+    lower = np.zeros(q)
+    upper = np.full(q, np.inf)
+    lower[:core] = -np.inf
+    upper[2:core] = 0.0
+    if clamp is not None:
+        A[-1, core:core + 2] = 1.0
+        cost[core:core + 2] = (-clamp, clamp)
+        lower[core + 1] = -np.inf
+        upper[core + 1] = 0.0
+    program = LinearProgram("maximize", cost, A, rhs,
+                            lower_bounds=lower, upper_bounds=upper)
+    return program, row_scale
+
+
+def _off_frontier() -> NotOnFrontierError:
+    return NotOnFrontierError(
+        "no supporting hyperplane passes through the anchor; "
+        "it does not lie on the efficient frontier"
+    )
 
 
 def intercept_bounds(dataset: dea.Dataset, point,
@@ -136,22 +178,26 @@ def intercept_bounds(dataset: dea.Dataset, point,
     if clamp <= 0.0:
         raise ValueError("clamp must be strictly positive")
     bounds = []
-    unbounded = []
-    for sense in ("minimize", "maximize"):
-        lp = _hyperplane_program(dataset, x_hat, y_hat, sense, -np.inf, np.inf)
-        sol = solve(lp, settings)
-        if sol.status == INFEASIBLE:
-            raise NotOnFrontierError(
-                "no supporting hyperplane passes through the anchor; "
-                "it does not lie on the efficient frontier"
-            )
-        unbounded.append(sol.status == UNBOUNDED)
-        bounds.append(None if sol.status == UNBOUNDED else float(sol.objective_value))
+    for omega_rhs in (1.0, -1.0):
+        program, _ = _envelopment_program(dataset, x_hat, y_hat, omega_rhs)
+        sol = solve(program, settings)
+        if sol.status == UNBOUNDED:
+            raise _off_frontier()
+        # an infeasible dual leaves this endpoint of the intercept unbounded
+        bounds.append(None if sol.status == INFEASIBLE
+                      else omega_rhs * float(sol.objective_value))
     omega_min, omega_max = bounds
+    if omega_min is None and omega_max is None:
+        # both ends unbounded, or no supporting hyperplane at all: the
+        # dual with a zero right-hand side is feasible at the origin and
+        # unbounded exactly in the second case
+        program, _ = _envelopment_program(dataset, x_hat, y_hat, 0.0)
+        if solve(program, settings).status == UNBOUNDED:
+            raise _off_frontier()
     # a substituted endpoint must never cross the finite one
-    if unbounded[0]:
+    if omega_min is None:
         omega_min = -clamp if omega_max is None else min(-clamp, omega_max)
-    if unbounded[1]:
+    if omega_max is None:
         omega_max = max(clamp, omega_min)
     return omega_min, omega_max
 
@@ -161,29 +207,31 @@ def extreme_hyperplanes(dataset: dea.Dataset, point,
                         clamp: float = 1.0):
     """Witness hyperplanes attaining the clamped intercept extremes.
 
-    Unlike ``intercept_bounds`` the intercept variable is boxed into
+    Unlike ``intercept_bounds`` the intercept is boxed into
     [-clamp, clamp] here, so both solves are bounded and each returns a
-    concrete supporting hyperplane; the clamp must therefore contain at
-    least one admissible intercept for the anchor.
+    concrete supporting hyperplane, read off the row duals; the clamp
+    must therefore contain at least one admissible intercept for the
+    anchor.
     """
     x_hat, y_hat = _anchor(point)
     if float(x_hat.max()) <= 0.0:
         raise NormalizationUnattainableError(
             "anchor inputs are all non-positive; no multiplier normalisation exists"
         )
-    s, m = dataset.n_outputs, dataset.n_inputs
+    s = dataset.n_outputs
     planes = []
-    for sense in ("minimize", "maximize"):
-        lp = _hyperplane_program(dataset, x_hat, y_hat, sense, -clamp, clamp)
-        sol = solve(lp, settings)
+    for omega_rhs in (1.0, -1.0):
+        program, row_scale = _envelopment_program(dataset, x_hat, y_hat, omega_rhs, clamp)
+        sol = solve(program, settings)
         if sol.status != OPTIMAL:
             raise NotOnFrontierError(
                 f"clamped supporting-hyperplane program ended {sol.status}"
             )
+        multipliers = np.maximum(sol.duals[:-1] / row_scale, 0.0)
         planes.append(SupportingHyperplane(
-            output_multipliers=np.maximum(sol.primal[:s], 0.0),
-            input_multipliers=np.maximum(sol.primal[s:s + m], 0.0),
-            intercept=float(sol.primal[s + m]),
+            output_multipliers=multipliers[:s],
+            input_multipliers=multipliers[s:],
+            intercept=float(sol.duals[-1]),
         ))
     return planes[0], planes[1]
 

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own simplex kernel:
 scores come from scipy's HiGHS solver, optima of small box-constrained
 LPs from exhaustive basic-solution enumeration, and maximal support
-sizes from feasibility tests over explicit support patterns.
+sizes from feasibility tests over explicit support patterns.  The
+supporting-intercept program is built here in its primal, multiplier
+form, one row per unit, as the cross-check of the package's envelopment
+form.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from ramdea.lp import LinearProgram
 
 
 def best_vertex_objective(program):
@@ -52,14 +57,76 @@ def best_vertex_objective(program):
 
 
 def lp_optimum_highs(program):
-    """Optimal objective of a ``LinearProgram`` via scipy's HiGHS solver."""
+    """Optimal objective and row duals of a ``LinearProgram`` via scipy's HiGHS.
+
+    The duals are in the program's own sense: the objective's rate of
+    change per unit of each right-hand side.
+    """
     sign = -1.0 if program.sense == "maximize" else 1.0
     bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
               for lo, hi in zip(program.lower_bounds, program.upper_bounds)]
     res = linprog(sign * program.objective, A_eq=program.constraint_matrix,
                   b_eq=program.rhs, bounds=bounds, method="highs")
     assert res.status == 0, f"reference solver failed with status {res.status}"
-    return sign * res.fun
+    return sign * res.fun, sign * res.eqlin.marginals
+
+
+def hyperplane_program(dataset, x_hat, y_hat, sense):
+    """Intercept LP over [u | v | omega | support slacks] anchored at (x_hat, y_hat).
+
+    Optimises omega over hyperplanes u.y - v.x = omega with u, v >= 0,
+    normalised by v . x_hat = 1, binding at the anchor and weakly above
+    every observed unit.
+    """
+    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
+    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
+    y_hat = np.atleast_1d(np.asarray(y_hat, dtype=float))
+    q = s + m + 1 + n
+    omega_col = s + m
+    rows = 2 + n
+    A = np.zeros((rows, q))
+    rhs = np.zeros(rows)
+    # multiplier normalisation at the anchor
+    A[0, s:s + m] = x_hat
+    rhs[0] = 1.0
+    # the hyperplane is binding at the anchor
+    A[1, :s] = y_hat
+    A[1, s:s + m] = -x_hat
+    A[1, omega_col] = -1.0
+    # and weakly dominates every observed unit
+    A[2:, :s] = dataset.outputs.T
+    A[2:, s:s + m] = -dataset.inputs.T
+    A[2:, omega_col] = -1.0
+    A[2:, omega_col + 1:] = np.eye(n)
+    lower = np.zeros(q)
+    lower[omega_col] = -np.inf
+    cost = np.zeros(q)
+    cost[omega_col] = 1.0
+    return LinearProgram(sense, cost, A, rhs, lower_bounds=lower)
+
+
+def intercept_interval_highs(dataset, x_hat, y_hat):
+    """(min omega, max omega) of ``hyperplane_program`` via HiGHS.
+
+    An unbounded endpoint is returned as -inf / +inf; None when no
+    supporting hyperplane passes through the anchor.
+    """
+    ends = []
+    for sense in ("minimize", "maximize"):
+        program = hyperplane_program(dataset, x_hat, y_hat, sense)
+        sign = -1.0 if sense == "maximize" else 1.0
+        problem = dict(A_eq=program.constraint_matrix, b_eq=program.rhs,
+                       bounds=list(zip(program.lower_bounds, program.upper_bounds)),
+                       method="highs")
+        res = linprog(sign * program.objective, **problem)
+        if res.status == 2:
+            # presolve may call an unbounded problem infeasible
+            res = linprog(sign * program.objective, options={"presolve": False}, **problem)
+        if res.status == 2:
+            return None
+        assert res.status in (0, 3), f"reference solver failed with status {res.status}"
+        ends.append(-sign * np.inf if res.status == 3 else sign * res.fun)
+    return ends[0], ends[1]
 
 
 def ram_score_linprog(dataset, o, regime="vrs"):

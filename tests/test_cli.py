@@ -326,3 +326,17 @@ def test_empty_reference_set_has_the_apex_as_its_face(tmp_path, capsys):
         for value in (*reports[name]["projection"]["inputs"].values(),
                       *reports[name]["projection"]["outputs"].values()):
             assert value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_values_that_round_to_zero_print_unsigned(tmp_path, capsys):
+    # on this data U004's rho and the apex projections of U006 and U008
+    # come out as -0.0 or a few ulps below zero
+    path = tmp_path / "apex.csv"
+    path.write_text(NONPOSITIVE_OUTPUTS, encoding="utf-8")
+    for output_format in ("table", "csv"):
+        argv = ["report", "--data", str(path), "--format", output_format,
+                "--scheme", "bam", "--regime", "crs"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "0.000" in out
+        assert "-0.000" not in out

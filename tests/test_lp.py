@@ -197,10 +197,23 @@ def test_matches_highs_on_mixed_bounds():
         program = random_mixed_lp(rng, degenerate=trial % 3 == 0)
         sol = lp.solve(program)
         assert sol.status == lp.OPTIMAL
-        best = oracles.lp_optimum_highs(program)
+        best, duals = oracles.lp_optimum_highs(program)
         assert sol.objective_value == pytest.approx(best, rel=1e-7, abs=1e-7)
-        assert np.all(sol.primal >= program.lower_bounds - 1e-9)
-        assert np.all(sol.primal <= program.upper_bounds + 1e-9)
+        x, lo, hi = sol.primal, program.lower_bounds, program.upper_bounds
+        assert np.all(x >= lo - 1e-9)
+        assert np.all(x <= hi + 1e-9)
+        # the duals prove optimality: every reduced cost, in the sense of
+        # minimisation, has the sign the bound its variable rests on allows
+        sign = 1.0 if program.sense == "minimize" else -1.0
+        reduced = sign * (program.objective - sol.duals @ program.constraint_matrix)
+        at_lo, at_hi = x <= lo + 1e-9, x >= hi - 1e-9
+        assert np.all(at_lo | (reduced <= 1e-9))
+        assert np.all(at_hi | (reduced >= -1e-9))
+        # and are the only duals when the columns strictly between their
+        # bounds span the rows
+        between = program.constraint_matrix[:, ~(at_lo | at_hi)]
+        if np.linalg.matrix_rank(between) == program.rows:
+            assert sol.duals == pytest.approx(duals, rel=1e-7, abs=1e-7)
 
 
 def test_import_does_not_load_scipy():

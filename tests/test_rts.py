@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ramdea import dea, grs, rts
+import oracles
+from ramdea import dea, grs, lp, reporting, rts
 
 # classes for the 8-unit example, in dataset order
 EIGHT_CLASSES = (
@@ -153,3 +155,136 @@ def test_negative_output_makes_lower_side_clamp():
     omega_min, omega_max = rts.intercept_bounds(ds, ([1.0], [-1.0]), clamp=0.5)
     assert omega_min <= omega_max
     assert rts.classify_rts((omega_min, omega_max)) == rts.INCREASING
+
+
+def test_intercepts_unbounded_both_ways_clamp_both_ends():
+    # the first output is negative: with v = 1 the intercept at unit a is
+    # -u1 + u2 - 1, and unit b stays below every such hyperplane
+    ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[-1.0, -2.0], [1.0, 0.5]])
+    assert oracles.intercept_interval_highs(ds, [1.0], [-1.0, 1.0]) == (-np.inf, np.inf)
+    assert rts.intercept_bounds(ds, ([1.0], [-1.0, 1.0])) == (-1.0, 1.0)
+    assert rts.intercept_bounds(ds, ([1.0], [-1.0, 1.0]), clamp=3.0) == (-3.0, 3.0)
+
+
+def test_anchor_off_frontier_with_both_endpoint_duals_infeasible_is_rejected():
+    # unit a has the same outputs for less input, so no hyperplane with
+    # v . x = 1 supports the anchor, yet both endpoint duals are
+    # infeasible rather than unbounded: only the zero right-hand side
+    # tells this case from the one above
+    ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[-1.0, -2.0], [1.0, 0.5]])
+    assert oracles.intercept_interval_highs(ds, [2.0], [-1.0, 1.0]) is None
+    with pytest.raises(rts.NotOnFrontierError):
+        rts.intercept_bounds(ds, ([2.0], [-1.0, 1.0]))
+
+
+# additive/vrs data translated by 1e4; the multiplier-form program solved
+# by the package's kernel put U002's smallest intercept at -0.800042
+TRANSLATED = """dmu,in:x1,in:x2,out:y1
+U000,10007.331895981572,10003.60690761211,10008.61814197711
+U001,10001.84100399179,10005.738120640866,10007.960143879805
+U002,10009.541787495175,10003.153475422554,10007.137171618277
+U003,10004.86354087389,10002.127221600289,10004.077215054449
+U004,10007.354493680972,10002.19624295908,10006.898923612023
+U005,10002.726801364914,10009.475290598712,10004.486603235857
+U006,10004.89396127779,10006.151274433969,10005.83462723695
+U007,10004.219408415105,10007.558958684209,10005.271497995422
+U008,10008.363374769106,10004.872792177002,10006.039525808528
+U009,10006.143457737724,10008.28451239492,10007.218460321
+U010,10004.882817113983,10003.228725608307,10008.656525973098
+U011,10003.922479689798,10002.488262859632,10002.787438191484
+U012,10001.425839004358,10007.49078590445,10002.32661259787
+U013,10002.622241776548,10008.19376511625,10009.697590097854
+U014,10004.65095798538,10005.787131830592,10002.033864044013
+"""
+
+
+def test_translated_data_endpoints_match_highs():
+    ds = reporting.parse_dataset(TRANSLATED)
+    o = ds.index("U002")
+    result = dea.evaluate(ds, o, "additive")
+    reference = grs.identify_grs(ds, o, result, "additive")
+    anchor = (reference.interior_projection_inputs,
+              reference.interior_projection_outputs)
+    expected = oracles.intercept_interval_highs(ds, *anchor)
+    assert expected[0] == pytest.approx(-0.806014, abs=1e-6)
+    assert rts.intercept_bounds(ds, anchor) == pytest.approx(expected, abs=1e-6)
+
+
+VARIANTS = ("plain", "translated", "rescaled", "negative")
+
+
+def random_instance(rng, variant):
+    """Random data of one variant, with frontier anchors mapped along.
+
+    The anchors are the vrs ram projections of every unit, found on the
+    untransformed data and carried through the same translation or
+    rescaling, so they lie on the frontier of the transformed data.
+    """
+    n, m, s = int(rng.integers(4, 13)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    X = rng.uniform(1.0, 10.0, (m, n))
+    Y = rng.uniform(-5.0 if variant == "negative" else 1.0, 10.0, (s, n))
+    names = [f"u{j}" for j in range(n)]
+    base = dea.Dataset(names, X, Y)
+    anchors = [(r.projection_inputs, r.projection_outputs)
+               for r in (dea.evaluate(base, o) for o in range(n))]
+    shift, scale_in, scale_out = 0.0, np.ones(m), np.ones(s)
+    if variant == "translated":
+        shift = 1e4
+    elif variant == "rescaled":
+        scale_in = 10.0 ** rng.uniform(-5.0, 5.0, m)
+        scale_out = 10.0 ** rng.uniform(-5.0, 5.0, s)
+    moved = dea.Dataset(names, (X + shift) * scale_in[:, None],
+                        (Y + shift) * scale_out[:, None])
+    return moved, [((x + shift) * scale_in, (y + shift) * scale_out) for x, y in anchors]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_intercepts_match_the_primal_program(variant):
+    # a clamp far beyond every finite intercept here tells a substituted
+    # endpoint from an attained one
+    clamp = 1e3
+    rng = np.random.default_rng([17, VARIANTS.index(variant)])
+    for _ in range(8):
+        ds, anchors = random_instance(rng, variant)
+        for anchor in anchors:
+            expected = oracles.intercept_interval_highs(ds, *anchor)
+            got = rts.intercept_bounds(ds, anchor, clamp=clamp)
+            for end, reference, side in zip(got, expected, (-1.0, 1.0)):
+                if np.isinf(reference):
+                    assert side * end >= clamp
+                else:
+                    assert end == pytest.approx(reference, rel=1e-6, abs=1e-12)
+            if variant in ("plain", "negative"):
+                # the kernel on the primal program itself, where its
+                # rows are well scaled
+                for sense, end, reference in zip(("minimize", "maximize"), got, expected):
+                    sol = lp.solve(oracles.hyperplane_program(ds, *anchor, sense))
+                    if np.isinf(reference):
+                        assert sol.status == lp.UNBOUNDED
+                    else:
+                        assert sol.objective_value == pytest.approx(end, rel=1e-6, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_interval_is_invariant_to_unit_order_and_row_scale(data):
+    n = data.draw(st.integers(3, 8))
+    m = data.draw(st.integers(1, 3))
+    s = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(1.0, 10.0, (m, n))
+    Y = rng.uniform(1.0, 10.0, (s, n))
+    names = [f"u{j}" for j in range(n)]
+    ds = dea.Dataset(names, X, Y)
+    result = dea.evaluate(ds, data.draw(st.integers(0, n - 1)))
+    x_hat, y_hat = result.projection_inputs, result.projection_outputs
+    order = data.draw(st.permutations(range(n)))
+    exponent = st.floats(-3.0, 3.0)
+    scale_in = 10.0 ** np.array(data.draw(st.lists(exponent, min_size=m, max_size=m)))
+    scale_out = 10.0 ** np.array(data.draw(st.lists(exponent, min_size=s, max_size=s)))
+    moved = dea.Dataset([names[j] for j in order], X[:, order] * scale_in[:, None],
+                        Y[:, order] * scale_out[:, None])
+    before = rts.intercept_bounds(ds, (x_hat, y_hat))
+    after = rts.intercept_bounds(moved, (x_hat * scale_in, y_hat * scale_out))
+    assert after == pytest.approx(before, rel=1e-6, abs=1e-9)
+    assert rts.classify_rts(after) == rts.classify_rts(before)
