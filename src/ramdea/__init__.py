@@ -24,13 +24,9 @@ from .grs import (
     DegenerateNormalizerError,
     GrsResult,
     MinimumFace,
-    OmegaSystem,
-    build_grs_program,
-    build_omega_system,
     identify_grs,
     max_support_solution,
     minimum_face,
-    oracle_grs,
 )
 from .lp import (
     INFEASIBLE,
@@ -40,6 +36,7 @@ from .lp import (
     LinearProgram,
     LpError,
     LpSolution,
+    RamdeaError,
     SolverSettings,
     solve,
 )
@@ -58,12 +55,10 @@ from .rts import (
     RTS_TOL,
     NormalizationUnattainableError,
     NotOnFrontierError,
-    RtsClassification,
     SupportingHyperplane,
     classify_rts,
     extreme_hyperplanes,
     intercept_bounds,
-    rts_of_dmu,
 )
 
 __version__ = "0.1.0"
@@ -88,19 +83,16 @@ __all__ = [
     "NormalizationUnattainableError",
     "NotOnFrontierError",
     "OPTIMAL",
-    "OmegaSystem",
     "REGIMES",
     "RTS_TOL",
     "RamResult",
+    "RamdeaError",
     "Ranges",
-    "RtsClassification",
     "SCHEMES",
     "SUPPORT_TOL",
     "SolverSettings",
     "SupportingHyperplane",
     "UNBOUNDED",
-    "build_grs_program",
-    "build_omega_system",
     "classify_rts",
     "compute_ranges",
     "efficient_set",
@@ -110,10 +102,8 @@ __all__ = [
     "intercept_bounds",
     "max_support_solution",
     "minimum_face",
-    "oracle_grs",
     "parse_dataset",
     "render_report",
-    "rts_of_dmu",
     "run_analysis",
     "slack_weights",
     "solve",

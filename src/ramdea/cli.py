@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from .dea import REGIMES, SCHEMES
-from .grs import DegenerateNormalizerError
-from .lp import LpError
+from .lp import RamdeaError
 from .reporting import (
     OUTPUT_FORMATS,
     AnalysisConfig,
@@ -22,7 +21,6 @@ from .reporting import (
     render_report,
     run_analysis,
 )
-from .rts import NormalizationUnattainableError, NotOnFrontierError
 
 _STAGES = {
     "efficiency": "efficiency",
@@ -30,13 +28,6 @@ _STAGES = {
     "rts": "all",
     "report": "all",
 }
-
-_SOLVER_ERRORS = (
-    LpError,
-    DegenerateNormalizerError,
-    NotOnFrontierError,
-    NormalizationUnattainableError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +99,6 @@ def main(argv=None) -> int:
         eff_tol=args.tol_eff,
         support_tol=args.tol_support,
         rts_tol=args.tol_rts,
-        output_format=args.output_format,
         dmu_filter=tuple(args.dmu) if args.dmu else None,
     )
     try:
@@ -117,7 +107,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _SOLVER_ERRORS as exc:
+    except RamdeaError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

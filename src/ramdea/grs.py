@@ -4,17 +4,23 @@ A scored unit may admit many optimal slack patterns and therefore many
 frontier projections.  The global reference set (GRS) is the set of
 efficient units that can carry positive intensity in *some* optimal
 combination; its convex hull is the smallest face of the technology
-containing every projection.  One maximal-support solve recovers the
-whole set at once, together with a projection that lies strictly inside
-that face (every member carries strictly positive weight).
+containing every projection.
 
-The maximal-support primitive itself is generic: given a feasible
-system  A u + B v = d  with nonnegative blocks, it returns a solution
-whose u-block has the largest possible number of positive components.
-The homogeneous case (d = 0) attaches a boxed companion variable to
-every u column and maximises their total; the non-homogeneous case
-additionally homogenises d into a normalising column whose optimal
-value rescales the solution back onto A u + B v = d.
+``max_support_solution`` is the one maximal-support primitive: given a
+feasible system  A u + B v = d  over nonnegative u and v, it returns a
+solution whose u-block has the largest possible number of positive
+components.  It attaches a companion variable boxed into [0, 1] to
+every u column and maximises their total; a non-zero d is homogenised
+into a normalising column whose optimal value rescales the solution
+back onto A u + B v = d.
+
+``identify_grs`` states unit o's optimal slack patterns as such a
+system and makes one call.  The u-block holds the efficient units'
+columns, the v-block the slacks whose budget weight is non-zero, and d
+is the unit's own data, 1 on the convexity row under "vrs", and the
+stage-1 optimal weighted slack total on the budget row.  The maximal
+support is the whole GRS, and the solution is a projection strictly
+inside the minimum face (every member carries positive weight).
 """
 
 from __future__ import annotations
@@ -24,19 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dea
-from .lp import OPTIMAL, UNBOUNDED, LinearProgram, LpError, SolverSettings, solve
+from .lp import OPTIMAL, LinearProgram, LpError, RamdeaError, SolverSettings, solve
 
 __all__ = [
     "SUPPORT_TOL",
     "DegenerateNormalizerError",
-    "OmegaSystem",
     "GrsResult",
     "MinimumFace",
     "max_support_solution",
-    "build_omega_system",
-    "build_grs_program",
     "identify_grs",
-    "oracle_grs",
     "minimum_face",
 ]
 
@@ -45,35 +47,16 @@ __all__ = [
 # absolute cutoff is meaningful.
 SUPPORT_TOL = 1e-7
 
+# Relative cutoff on singular values when counting face directions.
+_RANK_TOL = 1e-7
 
-class DegenerateNormalizerError(RuntimeError):
+
+class DegenerateNormalizerError(RamdeaError):
     """The normalising column vanished at the optimum.
 
-    This contradicts feasibility of the target system and signals either
-    an infeasible system handed in by the caller or inconsistent inputs.
+    For a feasible system this is a numerical breakdown of the solve;
+    otherwise the caller handed in an infeasible system.
     """
-
-
-@dataclass(frozen=True, eq=False)
-class OmegaSystem:
-    """Linear description of all optimal slack patterns of one unit.
-
-    Rows: one per input, one per output, a convexity row under "vrs",
-    and a budget row pinning the weighted slack total at the stage-1
-    optimum ``slack_budget``.  ``budget_in``/``budget_out`` carry the
-    budget-row coefficients (zero where the matching slack is pinned).
-    """
-
-    o: int
-    efficient_indices: tuple[int, ...]
-    member_inputs: np.ndarray
-    member_outputs: np.ndarray
-    target_inputs: np.ndarray
-    target_outputs: np.ndarray
-    budget_in: np.ndarray
-    budget_out: np.ndarray
-    slack_budget: float
-    convexity: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,99 +125,13 @@ def max_support_solution(A, B=None, d=None,
     scale = combined[-1]
     if scale <= support_tol:
         raise DegenerateNormalizerError(
-            f"normalising column ended at {scale:.3e}; target system is infeasible"
+            f"normalising column ended at {scale:.3e}; the system is infeasible "
+            "or the solve broke down numerically"
         )
     return (
         np.maximum(combined[:q1] / scale, 0.0),
         np.maximum(v / scale, 0.0),
     )
-
-
-def build_omega_system(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
-                       scheme: str = "ram", regime: str = "vrs",
-                       efficient_indices=None,
-                       settings: SolverSettings | None = None,
-                       eff_tol: float = dea.EFF_TOL) -> OmegaSystem:
-    """Assemble the optimal-pattern system for unit ``o``.
-
-    ``ram_result`` must come from ``dea.evaluate`` for the same unit,
-    scheme and regime; its exact ``slack_sum`` becomes the budget.  Pass
-    ``efficient_indices`` to reuse an already-computed efficient set.
-    """
-    if ram_result.dmu_index != o:
-        raise ValueError(f"ram_result is for unit {ram_result.dmu_index}, not {o}")
-    if efficient_indices is None:
-        efficient_indices = dea.efficient_set(dataset, scheme, regime, settings, eff_tol)
-    members = tuple(int(j) for j in efficient_indices)
-    if not members:
-        raise LpError("no efficient units found; cannot form the optimal-pattern system")
-    m, s = dataset.n_inputs, dataset.n_outputs
-    w_in, w_out = dea.slack_weights(dataset, scheme, o)
-    x_o, y_o = dataset.unit(o)
-    return OmegaSystem(
-        o=o,
-        efficient_indices=members,
-        member_inputs=dataset.inputs[:, members].copy(),
-        member_outputs=dataset.outputs[:, members].copy(),
-        target_inputs=x_o,
-        target_outputs=y_o,
-        budget_in=(m + s) * w_in,
-        budget_out=(m + s) * w_out,
-        slack_budget=float(ram_result.slack_sum),
-        convexity=regime == "vrs",
-    )
-
-
-def _program_from_omega(omega: OmegaSystem) -> LinearProgram:
-    """Homogenised maximal-support program over one OmegaSystem.
-
-    Variable layout: [lam (t+1) | mu (t+1) | s_in (m) | s_out (s)] where
-    index t carries the evaluated unit's negated column and every mu is
-    boxed into [0, 1].  All rows have zero right-hand side.
-    """
-    t = len(omega.efficient_indices)
-    m = omega.member_inputs.shape[0]
-    s = omega.member_outputs.shape[0]
-    rows = m + s + (1 if omega.convexity else 0) + 1
-    budget_row = rows - 1
-
-    # one column per intensity: the t members, then the negated target
-    intensity = np.zeros((rows, t + 1))
-    intensity[:m, :t] = omega.member_inputs
-    intensity[m:m + s, :t] = omega.member_outputs
-    intensity[:m, t] = -omega.target_inputs
-    intensity[m:m + s, t] = -omega.target_outputs
-    if omega.convexity:
-        intensity[m + s, :t] = 1.0
-        intensity[m + s, t] = -1.0
-    intensity[budget_row, t] = -omega.slack_budget
-
-    slack_cols = np.zeros((rows, m + s))
-    slack_cols[:m, :m] = np.eye(m)
-    slack_cols[m:m + s, m:] = -np.eye(s)
-    slack_cols[budget_row, :m] = omega.budget_in
-    slack_cols[budget_row, m:] = omega.budget_out
-
-    matrix = np.hstack([intensity, intensity, slack_cols])
-    q = matrix.shape[1]
-    cost = np.zeros(q)
-    cost[t + 1:2 * (t + 1)] = 1.0
-    upper = np.full(q, np.inf)
-    upper[t + 1:2 * (t + 1)] = 1.0
-    upper[2 * (t + 1):2 * (t + 1) + m][omega.budget_in == 0.0] = 0.0
-    upper[2 * (t + 1) + m:][omega.budget_out == 0.0] = 0.0
-    return LinearProgram("maximize", cost, matrix, np.zeros(rows), upper_bounds=upper)
-
-
-def build_grs_program(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
-                      scheme: str = "ram", regime: str = "vrs",
-                      efficient_indices=None,
-                      settings: SolverSettings | None = None,
-                      eff_tol: float = dea.EFF_TOL) -> LinearProgram:
-    """The single LP whose optimum exposes the whole GRS of unit ``o``."""
-    omega = build_omega_system(dataset, o, ram_result, scheme, regime,
-                               efficient_indices, settings, eff_tol)
-    return _program_from_omega(omega)
 
 
 def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
@@ -245,105 +142,58 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
                  eff_tol: float = dea.EFF_TOL) -> GrsResult:
     """Identify unit ``o``'s global reference set with one solve.
 
-    The returned weights are rescaled by the normalising column, so they
-    sum to one over the efficient set under "vrs"; members are exactly
-    the indices whose weight exceeds ``support_tol``.  The interior
-    projection is the matching frontier point, strictly inside the
-    minimum face.
+    ``ram_result`` must come from ``dea.evaluate`` for the same unit,
+    scheme and regime; its exact ``slack_sum`` becomes the budget.  Pass
+    ``efficient_indices`` to reuse an already-computed efficient set.
+    The returned weights sum to one over the efficient set under "vrs";
+    members are exactly the indices whose weight exceeds
+    ``support_tol``.  The interior projection is the matching frontier
+    point, strictly inside the minimum face.
     """
-    omega = build_omega_system(dataset, o, ram_result, scheme, regime,
-                               efficient_indices, settings, eff_tol)
-    sol = solve(_program_from_omega(omega), settings)
-    if sol.status != OPTIMAL:
-        raise LpError(f"GRS program for unit {o} ended {sol.status}")
-
-    t = len(omega.efficient_indices)
+    if ram_result.dmu_index != o:
+        raise ValueError(f"ram_result is for unit {ram_result.dmu_index}, not {o}")
+    if efficient_indices is None:
+        efficient_indices = dea.efficient_set(dataset, scheme, regime, settings, eff_tol)
+    frontier = tuple(int(j) for j in efficient_indices)
+    if not frontier:
+        raise LpError("no efficient units found; cannot form the optimal-pattern system")
     m, s = dataset.n_inputs, dataset.n_outputs
-    lam = sol.primal[:t + 1]
-    mu = sol.primal[t + 1:2 * (t + 1)]
-    s_in = sol.primal[2 * (t + 1):2 * (t + 1) + m]
-    s_out = sol.primal[2 * (t + 1) + m:]
-    scale = lam[t] + mu[t]
-    if scale <= support_tol:
-        raise DegenerateNormalizerError(
-            f"normalising column for unit {o} ended at {scale:.3e}"
-        )
-    weights = np.maximum((lam[:t] + mu[:t]) / scale, 0.0)
-    s_in = np.maximum(s_in / scale, 0.0)
-    s_out = np.maximum(s_out / scale, 0.0)
-    members = tuple(
-        j for k, j in enumerate(omega.efficient_indices) if weights[k] > support_tol
-    )
+    convexity = regime == "vrs"
+    rows = m + s + (1 if convexity else 0) + 1
+    x_o, y_o = dataset.unit(o)
+
+    # A: member columns, the convexity row under "vrs", a zero budget row
+    A = np.zeros((rows, len(frontier)))
+    A[:m] = dataset.inputs[:, frontier]
+    A[m:m + s] = dataset.outputs[:, frontier]
+    if convexity:
+        A[m + s] = 1.0
+    # B: the slack columns whose budget weight is non-zero; the others
+    # are pinned at zero and get no column
+    budget = (m + s) * np.concatenate(dea.slack_weights(dataset, scheme, o))
+    slack_cols = np.zeros((rows, m + s))
+    slack_cols[:m, :m] = np.eye(m)
+    slack_cols[m:m + s, m:] = -np.eye(s)
+    slack_cols[-1] = budget
+    free = budget != 0.0
+    d = np.concatenate([x_o, y_o, [1.0] if convexity else [], [ram_result.slack_sum]])
+
+    weights, v = max_support_solution(A, slack_cols[:, free], d, settings, support_tol)
+    slacks = np.zeros(m + s)
+    slacks[free] = v
     return GrsResult(
         o=o,
-        efficient_indices=omega.efficient_indices,
+        efficient_indices=frontier,
         weights=weights,
-        members=members,
-        input_slacks=s_in,
-        output_slacks=s_out,
-        interior_projection_inputs=omega.target_inputs - s_in,
-        interior_projection_outputs=omega.target_outputs + s_out,
+        members=tuple(j for k, j in enumerate(frontier) if weights[k] > support_tol),
+        input_slacks=slacks[:m],
+        output_slacks=slacks[m:],
+        interior_projection_inputs=x_o - slacks[:m],
+        interior_projection_outputs=y_o + slacks[m:],
     )
 
 
-def oracle_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
-               scheme: str = "ram", regime: str = "vrs",
-               efficient_indices=None,
-               settings: SolverSettings | None = None,
-               support_tol: float = SUPPORT_TOL,
-               eff_tol: float = dea.EFF_TOL) -> tuple[int, ...]:
-    """Reference implementation: one solve per efficient unit.
-
-    Maximises each member intensity separately over the optimal-pattern
-    system; a unit belongs to the GRS iff its maximum exceeds
-    ``support_tol``.  One solve per efficient unit instead of one solve
-    total, so this is the cross-check, not the fast path.
-    """
-    omega = build_omega_system(dataset, o, ram_result, scheme, regime,
-                               efficient_indices, settings, eff_tol)
-    t = len(omega.efficient_indices)
-    m, s = dataset.n_inputs, dataset.n_outputs
-    rows = m + s + (1 if omega.convexity else 0) + 1
-    budget_row = rows - 1
-
-    A = np.zeros((rows, t + m + s))
-    A[:m, :t] = omega.member_inputs
-    A[m:m + s, :t] = omega.member_outputs
-    A[:m, t:t + m] = np.eye(m)
-    A[m:m + s, t + m:] = -np.eye(s)
-    if omega.convexity:
-        A[m + s, :t] = 1.0
-    A[budget_row, t:t + m] = omega.budget_in
-    A[budget_row, t + m:] = omega.budget_out
-    rhs = np.concatenate([
-        omega.target_inputs,
-        omega.target_outputs,
-        [1.0] if omega.convexity else [],
-        [omega.slack_budget],
-    ])
-    upper = np.full(t + m + s, np.inf)
-    upper[t:t + m][omega.budget_in == 0.0] = 0.0
-    upper[t + m:][omega.budget_out == 0.0] = 0.0
-
-    members = []
-    for k, j in enumerate(omega.efficient_indices):
-        cost = np.zeros(t + m + s)
-        cost[k] = 1.0
-        sol = solve(LinearProgram("maximize", cost, A, rhs, upper_bounds=upper), settings)
-        if sol.status == UNBOUNDED:
-            members.append(j)
-        elif sol.status == OPTIMAL:
-            if sol.objective_value > support_tol:
-                members.append(j)
-        else:
-            raise LpError(
-                f"optimal-pattern system for unit {o} is numerically infeasible"
-            )
-    return tuple(members)
-
-
-def minimum_face(dataset: dea.Dataset, grs: GrsResult,
-                 rank_tol: float = 1e-7) -> MinimumFace:
+def minimum_face(dataset: dea.Dataset, grs: GrsResult) -> MinimumFace:
     """Affine dimension of the face spanned by the GRS members.
 
     An empty GRS (possible under "crs", where the origin itself can be
@@ -355,5 +205,5 @@ def minimum_face(dataset: dea.Dataset, grs: GrsResult,
     points = np.vstack([dataset.inputs[:, members], dataset.outputs[:, members]])
     deltas = points[:, 1:] - points[:, :1]
     singular = np.linalg.svd(deltas, compute_uv=False)
-    cutoff = rank_tol * max(1.0, float(singular[0]))
+    cutoff = _RANK_TOL * max(1.0, float(singular[0]))
     return MinimumFace(members, int(np.sum(singular > cutoff)))

@@ -36,6 +36,7 @@ __all__ = [
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
+    "RamdeaError",
     "LpError",
     "IterationLimitError",
     "SolverSettings",
@@ -50,9 +51,15 @@ UNBOUNDED = "unbounded"
 
 # Smallest magnitude accepted as a pivot / ratio-test denominator.
 _PIVOT_TOL = 1e-10
+# Smallest objective gain per unit step that counts as an improvement.
+_OPT_TOL = 1e-9
 
 
-class LpError(Exception):
+class RamdeaError(Exception):
+    """Base of every error the package raises about its data or its solves."""
+
+
+class LpError(RamdeaError):
     """Numerical failure inside the simplex kernel."""
 
 
@@ -69,12 +76,11 @@ class SolverSettings:
     """
 
     feas_tol: float = 1e-9
-    opt_tol: float = 1e-9
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if self.feas_tol <= 0.0 or self.opt_tol <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (np.isfinite(self.feas_tol) and self.feas_tol > 0.0):
+            raise ValueError("feas_tol must be finite and strictly positive")
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -271,10 +277,10 @@ class _SimplexState:
         gain = np.maximum(np.where(can_inc, -reduced, -np.inf),
                           np.where(can_dec, reduced, -np.inf))
         if self.bland:
-            j = int(np.argmax(gain > self.settings.opt_tol))
+            j = int(np.argmax(gain > _OPT_TOL))
         else:
             j = int(np.argmax(gain))  # Dantzig: steepest, first on ties
-        if not gain[j] > self.settings.opt_tol:
+        if not gain[j] > _OPT_TOL:
             return None
         return j, 1.0 if reduced[j] < 0.0 else -1.0
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import dea, grs, rts
-from .lp import LpError, SolverSettings
+from .lp import RamdeaError, SolverSettings
 
 __all__ = [
     "DataFormatError",
@@ -33,15 +35,8 @@ OUTPUT_FORMATS = ("json", "csv", "table")
 
 _RTS_SHORT = {rts.INCREASING: "IRS", rts.CONSTANT: "CRS", rts.DECREASING: "DRS"}
 
-_PIPELINE_ERRORS = (
-    LpError,
-    grs.DegenerateNormalizerError,
-    rts.NotOnFrontierError,
-    rts.NormalizationUnattainableError,
-)
 
-
-class DataFormatError(ValueError):
+class DataFormatError(RamdeaError):
     """Malformed input data or configuration."""
 
 
@@ -55,7 +50,6 @@ class AnalysisConfig:
     eff_tol: float = dea.EFF_TOL
     support_tol: float = grs.SUPPORT_TOL
     rts_tol: float = rts.RTS_TOL
-    output_format: str = "table"
     dmu_filter: tuple[str, ...] | None = None
 
 
@@ -154,19 +148,25 @@ def _validate_config(config: AnalysisConfig, dataset: dea.Dataset) -> None:
         raise DataFormatError(f"unknown scheme {config.scheme!r}")
     if config.regime not in dea.REGIMES:
         raise DataFormatError(f"unknown regime {config.regime!r}")
-    if config.output_format not in OUTPUT_FORMATS:
-        raise DataFormatError(f"unknown output format {config.output_format!r}")
     for field in ("feas_tol", "eff_tol", "support_tol", "rts_tol"):
-        if getattr(config, field) <= 0.0:
-            raise DataFormatError(f"{field} must be strictly positive")
+        value = getattr(config, field)
+        if not (math.isfinite(value) and value > 0.0):
+            raise DataFormatError(
+                f"{field} must be finite and strictly positive, got {value}"
+            )
     if config.dmu_filter:
         unknown = [name for name in config.dmu_filter if name not in dataset.names]
         if unknown:
             raise DataFormatError(f"unknown DMU name(s) in filter: {', '.join(unknown)}")
 
 
-def _annotated(name: str, exc: Exception) -> Exception:
-    return exc.__class__(f"{name}: {exc}")
+@contextmanager
+def _stage(name: str, stage: str):
+    """Re-raise a package error with the unit and the stage in its message."""
+    try:
+        yield
+    except RamdeaError as exc:
+        raise exc.__class__(f"{name} [{stage}]: {exc}") from exc
 
 
 def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
@@ -189,12 +189,10 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
 
     results = []
     for j, name in enumerate(dataset.names):
-        try:
+        with _stage(name, "scoring"):
             results.append(dea.evaluate(
                 dataset, j, config.scheme, config.regime, settings, config.eff_tol
             ))
-        except _PIPELINE_ERRORS as exc:
-            raise _annotated(name, exc) from exc
 
     reports = {}
     for j in selected:
@@ -209,14 +207,12 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     frontier = [j for j in range(dataset.n_dmus) if results[j].efficient]
     for j in selected:
         name = dataset.names[j]
-        try:
+        with _stage(name, "grs"):
             reference = grs.identify_grs(
                 dataset, j, results[j], config.scheme, config.regime,
                 frontier, settings, config.support_tol, config.eff_tol,
             )
             face = grs.minimum_face(dataset, reference)
-        except _PIPELINE_ERRORS as exc:
-            raise _annotated(name, exc) from exc
         report = reports[j]
         report.grs_members = [
             (dataset.names[member], float(reference.weights[k]))
@@ -236,10 +232,8 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
         if stages == "all" and config.regime == "vrs":
             anchor = (reference.interior_projection_inputs,
                       reference.interior_projection_outputs)
-            try:
+            with _stage(name, "rts"):
                 omega_min, omega_max = rts.intercept_bounds(dataset, anchor, settings)
-            except _PIPELINE_ERRORS as exc:
-                raise _annotated(name, exc) from exc
             report.rts_class = rts.classify_rts(
                 (omega_min, omega_max), config.rts_tol
             )

@@ -35,8 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dea, grs
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpError, SolverSettings, solve
+from . import dea
+from .lp import (
+    INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, RamdeaError, SolverSettings, solve,
+)
 
 __all__ = [
     "INCREASING",
@@ -46,11 +48,9 @@ __all__ = [
     "NotOnFrontierError",
     "NormalizationUnattainableError",
     "SupportingHyperplane",
-    "RtsClassification",
     "intercept_bounds",
     "extreme_hyperplanes",
     "classify_rts",
-    "rts_of_dmu",
 ]
 
 INCREASING = "increasing"
@@ -61,11 +61,11 @@ DECREASING = "decreasing"
 RTS_TOL = 1e-6
 
 
-class NotOnFrontierError(RuntimeError):
+class NotOnFrontierError(RamdeaError):
     """No supporting hyperplane passes through the anchor point."""
 
 
-class NormalizationUnattainableError(ValueError):
+class NormalizationUnattainableError(RamdeaError):
     """The anchor's inputs admit no v >= 0 with v . x = 1 (all non-positive)."""
 
 
@@ -80,15 +80,6 @@ class SupportingHyperplane:
     output_multipliers: np.ndarray
     input_multipliers: np.ndarray
     intercept: float
-
-
-@dataclass(frozen=True)
-class RtsClassification:
-    """Intercept interval at the anchor and the class it implies."""
-
-    omega_min: float
-    omega_max: float
-    rts_class: str
 
 
 def _anchor(point):
@@ -248,29 +239,3 @@ def classify_rts(bounds: tuple[float, float], rts_tol: float = RTS_TOL) -> str:
     if omega_min > rts_tol:
         return DECREASING
     return INCREASING
-
-
-def rts_of_dmu(dataset: dea.Dataset, o: int, scheme: str = "ram",
-               settings: SolverSettings | None = None,
-               efficient_indices=None,
-               eff_tol: float = dea.EFF_TOL,
-               support_tol: float = grs.SUPPORT_TOL,
-               rts_tol: float = RTS_TOL,
-               clamp: float = 1.0) -> RtsClassification:
-    """Scale class of unit ``o`` under the convex ("vrs") technology.
-
-    Scores the unit, anchors at its GRS interior projection, and reads
-    the class off the supporting-intercept interval there.  The verdict
-    does not depend on which relative-interior point was returned.
-    """
-    result = dea.evaluate(dataset, o, scheme, "vrs", settings, eff_tol)
-    reference = grs.identify_grs(
-        dataset, o, result, scheme, "vrs", efficient_indices, settings,
-        support_tol, eff_tol,
-    )
-    anchor = (reference.interior_projection_inputs,
-              reference.interior_projection_outputs)
-    omega_min, omega_max = intercept_bounds(dataset, anchor, settings, clamp)
-    return RtsClassification(
-        omega_min, omega_max, classify_rts((omega_min, omega_max), rts_tol)
-    )

@@ -1,12 +1,12 @@
 """Independent reference computations used to cross-check the package.
 
 Everything here deliberately avoids the package's own simplex kernel:
-scores come from scipy's HiGHS solver, optima of small box-constrained
-LPs from exhaustive basic-solution enumeration, and maximal support
-sizes from feasibility tests over explicit support patterns.  The
-supporting-intercept program is built here in its primal, multiplier
-form, one row per unit, as the cross-check of the package's envelopment
-form.
+scores and global reference sets come from scipy's HiGHS solver, optima
+of small box-constrained LPs from exhaustive basic-solution enumeration,
+and maximal support sizes from feasibility tests over explicit support
+patterns.  The supporting-intercept program is built here in its primal,
+multiplier form, one row per unit, as the cross-check of the package's
+envelopment form.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from ramdea import dea
+from ramdea.grs import SUPPORT_TOL
 from ramdea.lp import LinearProgram
 
 
@@ -155,6 +157,51 @@ def ram_score_linprog(dataset, o, regime="vrs"):
     res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     assert res.status == 0, f"reference solver failed with status {res.status}"
     return 1.0 + res.fun
+
+
+def oracle_grs(dataset, o, ram_result, efficient_indices, scheme="ram", regime="vrs",
+               support_tol=SUPPORT_TOL):
+    """Global reference set of unit ``o``, one HiGHS solve per efficient unit.
+
+    Maximises each efficient unit's intensity separately over the
+    optimal-pattern system, built here from the raw data: input and
+    output rows, the convexity row under "vrs", and the budget row
+    pinning the weighted slack total at ``ram_result.slack_sum``, with
+    zero-weight slacks pinned at zero.  A unit belongs to the GRS iff
+    its maximum exceeds ``support_tol`` (or is unbounded).  One solve
+    per efficient unit instead of one solve total, so this is the
+    cross-check, not the fast path.
+    """
+    frontier = list(efficient_indices)
+    t, m, s = len(frontier), dataset.n_inputs, dataset.n_outputs
+    w_in, w_out = dea.slack_weights(dataset, scheme, o)
+    rows = [
+        np.hstack([dataset.inputs[:, frontier], np.eye(m), np.zeros((m, s))]),
+        np.hstack([dataset.outputs[:, frontier], np.zeros((s, m)), -np.eye(s)]),
+    ]
+    rhs = [dataset.inputs[:, o], dataset.outputs[:, o]]
+    if regime == "vrs":
+        rows.append(np.concatenate([np.ones(t), np.zeros(m + s)])[None, :])
+        rhs.append([1.0])
+    rows.append(np.concatenate([np.zeros(t), (m + s) * w_in, (m + s) * w_out])[None, :])
+    rhs.append([ram_result.slack_sum])
+    problem = dict(A_eq=np.vstack(rows), b_eq=np.concatenate(rhs),
+                   bounds=[(0, None)] * t
+                   + [(0, 0 if w == 0 else None) for w in np.concatenate([w_in, w_out])],
+                   method="highs")
+
+    members = []
+    for k, j in enumerate(frontier):
+        cost = np.zeros(t + m + s)
+        cost[k] = -1.0  # linprog minimises
+        res = linprog(cost, **problem)
+        if res.status == 2:
+            # presolve may call an unbounded problem infeasible
+            res = linprog(cost, options={"presolve": False}, **problem)
+        assert res.status in (0, 3), f"reference solver failed with status {res.status}"
+        if res.status == 3 or -res.fun > support_tol:
+            members.append(j)
+    return tuple(members)
 
 
 def support_pattern_attainable(A, B, d, subset, tol=1e-7):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ramdea import cli, dea, grs, rts
+from ramdea import cli, dea, grs, reporting, rts
 
 EIGHT_SCORES = (1.0, 1.0, 1.0, 1.0, 0.786, 0.714, 0.786, 0.643)
 EIGHT_MEMBERS = (
@@ -101,12 +101,9 @@ def test_criterion_4_minimum_faces(eight):
 
 def test_criterion_5_scale_classes_and_intercepts(eight):
     with criterion(5, "returns-to-scale classes and intercept spot checks"):
-        ds, frontier, _, _ = eight
-        classes = [
-            rts.rts_of_dmu(ds, o, efficient_indices=frontier).rts_class
-            for o in range(8)
-        ]
-        assert tuple(classes) == EIGHT_CLASSES
+        ds, _, _, _ = eight
+        reports = reporting.run_analysis(reporting.AnalysisConfig(), ds)
+        assert tuple(report.rts_class for report in reports) == EIGHT_CLASSES
         omega_min, _ = rts.intercept_bounds(ds, ([5.0], [8.0]))
         assert omega_min == pytest.approx(0.600, abs=1e-6)
         _, omega_max = rts.intercept_bounds(ds, ([2.0], [5.0]))
@@ -134,8 +131,8 @@ def test_criterion_6_oracle_equivalence_on_random_instances():
             o = int(rng.integers(n))
             reference = grs.identify_grs(ds, o, results[o],
                                          efficient_indices=frontier)
-            oracle = grs.oracle_grs(ds, o, results[o],
-                                    efficient_indices=frontier)
+            oracle = oracles.oracle_grs(ds, o, results[o],
+                                        efficient_indices=frontier)
             assert reference.members == oracle
             support = {j for j in range(n)
                        if results[o].lambdas[j] > grs.SUPPORT_TOL}

@@ -129,7 +129,7 @@ def test_bad_config_rejected(frontier8_csv):
     with pytest.raises(reporting.DataFormatError):
         analyse(frontier8_csv, eff_tol=0.0)
     with pytest.raises(reporting.DataFormatError):
-        analyse(frontier8_csv, output_format="xml")
+        reporting.render_report(analyse(frontier8_csv), "xml")
 
 
 # -- rendering ---------------------------------------------------------
@@ -233,6 +233,21 @@ def test_cli_is_byte_identical_across_runs(data_file, capsys):
     assert capsys.readouterr().out == first
 
 
+# NaN and infinity pass a plain "<= 0" check; unchecked, these flags
+# give a wrong report with exit 0 (or, for --tol-feas, a solver error)
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-rts", "nan"),
+    ("--tol-support", "nan"),
+    ("--tol-eff", "inf"),
+    ("--tol-feas", "nan"),
+])
+def test_non_finite_tolerance_exits_1(data_file, capsys, flag, value):
+    assert cli.main(["report", "--data", str(data_file), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite and strictly positive" in captured.err
+
+
 def test_missing_file_exits_1(capsys):
     assert cli.main(["report", "--data", "/nonexistent.csv"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -252,8 +267,8 @@ def test_undefined_scale_class_exits_2(tmp_path, capsys):
     assert cli.main(["report", "--data", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("solver error:")
-    # the failing unit is named in the diagnostic
-    assert re.search(r"\b[ab]\b", err)
+    # the failing unit and the stage are named in the diagnostic
+    assert re.search(r"\b[ab] \[rts\]: ", err)
     # the same data is fine when the scale stage is not requested
     assert cli.main(["grs", "--data", str(path)]) == 0
 

@@ -86,9 +86,24 @@ def test_support_size_matches_bruteforce():
 # -- GRS program construction ----------------------------------------
 
 
-def test_program_shape(eight):
+def captured_program(monkeypatch, *args, **kwargs):
+    """Run ``identify_grs`` and return the one LP it handed to the kernel."""
+    programs = []
+
+    def spy(program, settings=None):
+        programs.append(program)
+        return lp.solve(program, settings)
+
+    monkeypatch.setattr(grs, "solve", spy)
+    reference = grs.identify_grs(*args, **kwargs)
+    (program,) = programs
+    return program, reference
+
+
+def test_program_shape(eight, monkeypatch):
     ds, frontier, results = eight
-    program = grs.build_grs_program(ds, 6, results[6], efficient_indices=frontier)
+    program, _ = captured_program(monkeypatch, ds, 6, results[6],
+                                  efficient_indices=frontier)
     # 4 members + target, doubled, plus one slack per input and output
     assert program.cols == 2 * 5 + 2
     assert program.rows == 4
@@ -99,13 +114,45 @@ def test_program_shape(eight):
     assert np.all(program.rhs == 0.0)
 
 
-def test_program_shape_without_convexity(eight):
+def test_program_shape_without_convexity(eight, monkeypatch):
     ds, _, _ = eight
     result = dea.evaluate(ds, 6, regime="crs")
     frontier = dea.efficient_set(ds, regime="crs")
-    program = grs.build_grs_program(ds, 6, result, regime="crs",
-                                    efficient_indices=frontier)
+    program, _ = captured_program(monkeypatch, ds, 6, result, regime="crs",
+                                  efficient_indices=frontier)
     assert program.rows == 3  # input, output, budget
+
+
+def test_pinned_slack_has_no_column(eight, monkeypatch):
+    # under bam, DMU5 has the largest output, so its output slack has
+    # zero budget weight and is left out of the program
+    ds, _, _ = eight
+    frontier = dea.efficient_set(ds, scheme="bam")
+    result = dea.evaluate(ds, 4, scheme="bam")
+    program, reference = captured_program(monkeypatch, ds, 4, result, scheme="bam",
+                                          efficient_indices=frontier)
+    t = len(frontier)
+    assert program.cols == 2 * (t + 1) + 1  # the input slack only
+    assert np.all(reference.output_slacks == 0.0)
+    assert reference.members == oracles.oracle_grs(ds, 4, result, scheme="bam",
+                                                   efficient_indices=frontier)
+
+
+def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
+    # unit z sits at the origin: under crs its target system has d = 0,
+    # and only the units at the origin can carry weight
+    ds = dea.Dataset(["a", "b", "z", "z2"],
+                     [[1.0, 2.0, 0.0, 0.0]], [[2.0, 3.0, 0.0, 0.0]])
+    frontier = dea.efficient_set(ds, regime="crs")
+    result = dea.evaluate(ds, 2, regime="crs")
+    assert result.slack_sum == 0.0
+    reference = grs.identify_grs(ds, 2, result, regime="crs",
+                                 efficient_indices=frontier)
+    assert reference.members == (2, 3)
+    assert reference.members == oracles.oracle_grs(ds, 2, result, regime="crs",
+                                                   efficient_indices=frontier)
+    assert np.all(reference.interior_projection_inputs == 0.0)
+    assert np.all(reference.interior_projection_outputs == 0.0)
 
 
 def test_efficient_unit_budget_pins_slacks(eight):
@@ -123,7 +170,7 @@ def test_members_match_known_sets_and_oracle(eight):
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
         assert reference.members == EIGHT_MEMBERS[o]
-        assert grs.oracle_grs(ds, o, results[o], efficient_indices=frontier) \
+        assert oracles.oracle_grs(ds, o, results[o], efficient_indices=frontier) \
             == EIGHT_MEMBERS[o]
 
 
@@ -217,8 +264,8 @@ def test_identification_under_crs(eight):
     reference = grs.identify_grs(ds, 2, result, regime="crs",
                                  efficient_indices=frontier)
     assert reference.members == (1,)
-    assert reference.members == grs.oracle_grs(ds, 2, result, regime="crs",
-                                               efficient_indices=frontier)
+    assert reference.members == oracles.oracle_grs(ds, 2, result, regime="crs",
+                                                   efficient_indices=frontier)
     # conical weights need not sum to one: the projection is 1.5x unit 2
     assert reference.weights[frontier.index(1)] == pytest.approx(1.5, abs=1e-9)
 
@@ -232,8 +279,8 @@ def test_identify_equals_oracle_on_random_data():
         o = int(rng.integers(ds.n_dmus))
         result = dea.evaluate(ds, o)
         reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
-        assert reference.members == grs.oracle_grs(ds, o, result,
-                                                   efficient_indices=frontier)
+        assert reference.members == oracles.oracle_grs(ds, o, result,
+                                                       efficient_indices=frontier)
         resid = oracles.optimal_pattern_residuals(ds, result, reference)
         assert np.all(np.abs(resid) <= 1e-8)
 
@@ -246,7 +293,7 @@ def test_identify_equals_oracle_for_other_schemes(eight):
             result = dea.evaluate(ds, o, scheme=scheme)
             reference = grs.identify_grs(ds, o, result, scheme=scheme,
                                          efficient_indices=frontier)
-            assert reference.members == grs.oracle_grs(
+            assert reference.members == oracles.oracle_grs(
                 ds, o, result, scheme=scheme, efficient_indices=frontier
             )
 
@@ -254,7 +301,7 @@ def test_identify_equals_oracle_for_other_schemes(eight):
 def test_mismatched_result_rejected(eight):
     ds, frontier, results = eight
     with pytest.raises(ValueError):
-        grs.build_omega_system(ds, 3, results[2], efficient_indices=frontier)
+        grs.identify_grs(ds, 3, results[2], efficient_indices=frontier)
 
 
 # -- minimum face ------------------------------------------------------

@@ -77,8 +77,9 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0],
                          lower_bounds=[2.0], upper_bounds=[1.0])
-    with pytest.raises(ValueError):
-        lp.SolverSettings(feas_tol=0.0)
+    for feas_tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            lp.SolverSettings(feas_tol=feas_tol)
 
 
 def test_iteration_limit_raises():

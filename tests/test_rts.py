@@ -74,11 +74,11 @@ def test_classification_rule():
 
 
 def test_classes_of_all_eight_units(eight):
-    ds, frontier = eight
-    for o, expected in enumerate(EIGHT_CLASSES):
-        verdict = rts.rts_of_dmu(ds, o, efficient_indices=frontier)
-        assert verdict.rts_class == expected, ds.names[o]
-        assert verdict.omega_min <= verdict.omega_max + 1e-9
+    ds, _ = eight
+    reports = reporting.run_analysis(reporting.AnalysisConfig(), ds)
+    for report, expected in zip(reports, EIGHT_CLASSES):
+        assert report.rts_class == expected, report.name
+        assert report.omega_min <= report.omega_max + 1e-9
 
 
 def test_extreme_hyperplanes_bind_and_support(eight):
@@ -104,9 +104,13 @@ def test_extreme_hyperplanes_bind_and_support(eight):
 def test_clamp_choice_never_changes_the_class(eight):
     ds, frontier = eight
     for o in range(ds.n_dmus):
-        wide = rts.rts_of_dmu(ds, o, efficient_indices=frontier, clamp=1.0)
-        narrow = rts.rts_of_dmu(ds, o, efficient_indices=frontier, clamp=0.9)
-        assert wide.rts_class == narrow.rts_class
+        reference = grs.identify_grs(ds, o, dea.evaluate(ds, o),
+                                     efficient_indices=frontier)
+        anchor = (reference.interior_projection_inputs,
+                  reference.interior_projection_outputs)
+        wide = rts.intercept_bounds(ds, anchor, clamp=1.0)
+        narrow = rts.intercept_bounds(ds, anchor, clamp=0.9)
+        assert rts.classify_rts(wide) == rts.classify_rts(narrow)
 
 
 def test_class_is_anchor_independent(eight):
