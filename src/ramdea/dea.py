@@ -17,6 +17,13 @@ Weight schemes:
 
 Whenever a weight's divisor is zero the weight is defined as zero and
 the corresponding slack is pinned to zero in any model built from it.
+
+The scoring LP starts from a feasible basis, so the kernel never runs
+phase 1 on it: the unit under evaluation alone is a feasible
+combination (lambda_o = 1 with every slack at zero).  Its basis is
+lambda_o plus the m+s slacks, less under "crs" (no convexity row) the
+slack of the row where the unit is largest.  Pinned slacks may sit in
+that basis at zero.
 """
 
 from __future__ import annotations
@@ -184,8 +191,9 @@ def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
              eff_tol: float = EFF_TOL) -> RamResult:
     """Score unit ``o`` and return one optimal slack pattern.
 
-    Cannot be infeasible under "vrs" (the unit itself is a feasible
-    combination), so a non-optimal solver status is raised as LpError.
+    Cannot be infeasible (the unit itself is a feasible combination,
+    and the solve starts from it), so a non-optimal solver status is
+    raised as LpError.
     """
     _check_scheme(scheme)
     _check_regime(regime)
@@ -212,8 +220,18 @@ def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
     upper[n + m:][w_out == 0.0] = 0.0
     cost = np.concatenate([np.zeros(n), w_in, w_out])
 
+    # lambda_o and the slacks; under "crs" lambda_o takes the place of
+    # the slack of the row where the unit is largest, and an all-zero
+    # unit keeps the slack basis alone (b = 0)
+    slacks = np.arange(n, q)
+    if convexity:
+        basis = np.append(o, slacks)
+    elif np.any(rhs):
+        basis = np.append(o, np.delete(slacks, np.argmax(np.abs(rhs))))
+    else:
+        basis = slacks
     lp = LinearProgram("maximize", cost, A, rhs, upper_bounds=upper)
-    sol = solve(lp, settings)
+    sol = solve(lp, settings, basis=basis)
     if sol.status != OPTIMAL:
         raise LpError(f"slack model for unit {o} ended {sol.status}")
 

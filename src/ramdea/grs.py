@@ -12,7 +12,9 @@ solution whose u-block has the largest possible number of positive
 components.  It attaches a companion variable boxed into [0, 1] to
 every u column and maximises their total; a non-zero d is homogenised
 into a normalising column whose optimal value rescales the solution
-back onto A u + B v = d.
+back onto A u + B v = d.  The program's right-hand side is therefore
+zero, so its start with every variable at zero is already feasible and
+the kernel skips phase 1.
 
 ``identify_grs`` states unit o's optimal slack patterns as such a
 system and makes one call.  The u-block holds the efficient units'

@@ -13,8 +13,21 @@ Callers that need inequality rows add their own slack variables.
 
 Pricing is Dantzig's rule with an automatic and reversible fallback to
 Bland's rule once a run of degenerate pivots is detected; DEA-style
-instances are routinely degenerate.  Feasibility is established by a
-phase-1 subproblem over signed artificial columns (no big-M terms).
+instances are routinely degenerate.
+
+A solve starts from one basis and runs phase 1 only when that start is
+infeasible.  By default the start is one signed artificial column per
+row, with every structural variable resting on a bound; it is feasible
+when the residual ``b - A x0`` of that resting point is all zero, as for
+a zero right-hand side.  A caller that knows a feasible point may pass
+``basis``, one structural column index per row (a crash basis).  The
+kernel factors it once and takes the basic values with every other
+variable at its resting bound; if the basis is non-singular and those
+values lie within their bounds to ``feas_tol``, the artificials are
+pinned at zero and the solve goes straight to phase 2.  Otherwise the
+hint is dropped for the artificial start.  Phase 1 is a subproblem over
+the artificial columns (no big-M terms); basic artificials left at zero
+are swapped out by degenerate pivots before phase 2.
 
 Every pivot factors the basis afresh with numpy's LAPACK solver: a
 solve with the transposed basis gives the row duals for pricing, and one
@@ -161,17 +174,25 @@ class LpSolution:
     objective_value: float | None = None
     iterations: int = 0
     duals: np.ndarray | None = None
+    phase1_iterations: int = 0
 
 
-def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSolution:
+def solve(lp: LinearProgram, settings: SolverSettings | None = None,
+          basis=None) -> LpSolution:
     """Run the two-phase bounded-variable simplex on ``lp``.
 
+    ``basis``, if given, is a starting basis of ``lp.rows`` distinct
+    structural column indices (``ValueError`` otherwise); it is used
+    only when it is non-singular and feasible, and otherwise ignored.
+
     Returns an ``LpSolution`` whose status is one of ``optimal``,
-    ``infeasible`` or ``unbounded``.  Raises ``IterationLimitError`` when
-    the pivot budget runs out, which signals numerical trouble rather
-    than a property of the problem.
+    ``infeasible`` or ``unbounded``.  ``iterations`` counts every pivot
+    and bound flip, ``phase1_iterations`` those spent finding a feasible
+    basis.  Raises ``IterationLimitError`` when the pivot budget runs
+    out, which signals numerical trouble rather than a property of the
+    problem.
     """
-    return _SimplexState(lp, settings or SolverSettings()).run()
+    return _SimplexState(lp, settings or SolverSettings(), basis).run()
 
 
 class _SimplexState:
@@ -183,7 +204,7 @@ class _SimplexState:
     ``x_basic`` holds the basic values in basis order.
     """
 
-    def __init__(self, lp: LinearProgram, settings: SolverSettings):
+    def __init__(self, lp: LinearProgram, settings: SolverSettings, basis=None):
         self.lp = lp
         self.settings = settings
         p, q = lp.rows, lp.cols
@@ -205,19 +226,49 @@ class _SimplexState:
         # right-hand sides of the primal solve: basic values, entering column
         self.primal_rhs = np.empty((p, 2))
         self.iterations = 0
+        self.phase1_iterations = 0
         self.consec_degenerate = 0
         self.bland = False
+        if basis is not None:
+            self._crash(basis)
+
+    def _crash(self, basis) -> None:
+        """Start from the caller's structural basis if it is feasible."""
+        p, q = self.p, self.q
+        basis = np.array(basis, dtype=np.int64, ndmin=1)
+        if (basis.shape != (p,) or np.unique(basis).size != p
+                or basis.min() < 0 or basis.max() >= q):
+            raise ValueError(f"basis must hold {p} distinct column indices below {q}")
+        x_off = self.x_off.copy()
+        x_off[basis] = 0.0
+        A = self.lp.constraint_matrix
+        try:
+            x_basic = _checked_solve(A[:, basis], self.lp.rhs - A @ x_off[:q])
+        except LpError:
+            return  # singular: keep the artificial start
+        tol = self.settings.feas_tol
+        if not np.all((x_basic >= self.lo[basis] - tol) & (x_basic <= self.hi[basis] + tol)):
+            return  # infeasible: keep the artificial start
+        self.basis = basis
+        self.x_basic = x_basic
+        self.x_off = x_off
+        self.state[basis] = -1
+        self.state[q:] = 0  # every artificial nonbasic at zero
 
     def run(self) -> LpSolution:
         p, q = self.p, self.q
-        phase1_cost = np.zeros(q + p)
-        phase1_cost[q:] = 1.0
-        status = self._minimize(phase1_cost)
-        if status != OPTIMAL:
-            raise LpError("phase-1 subproblem reported unbounded")  # cost >= 0 always
-        infeas = float(phase1_cost @ self._primal())
-        if infeas > self.settings.feas_tol * (p + float(np.abs(self.lp.rhs).sum())):
-            return LpSolution(INFEASIBLE, iterations=self.iterations)
+        # phase 1 runs only when the start leaves an artificial non-zero
+        if np.any(self.x_basic[self.basis >= q]):
+            phase1_cost = np.zeros(q + p)
+            phase1_cost[q:] = 1.0
+            status = self._minimize(phase1_cost)
+            if status != OPTIMAL:
+                raise LpError("phase-1 subproblem reported unbounded")  # cost >= 0 always
+            self.phase1_iterations = self.iterations
+            infeas = float(phase1_cost @ self._primal())
+            if infeas > self.settings.feas_tol * (p + float(np.abs(self.lp.rhs).sum())):
+                return LpSolution(INFEASIBLE, iterations=self.iterations,
+                                  phase1_iterations=self.phase1_iterations)
         self._evict_artificials()
         self.lo[q:] = 0.0
         self.hi[q:] = 0.0  # artificials stay pinned at zero from here on
@@ -225,7 +276,8 @@ class _SimplexState:
         phase2_cost = np.concatenate([sign * self.lp.objective, np.zeros(p)])
         status = self._minimize(phase2_cost)
         if status == UNBOUNDED:
-            return LpSolution(UNBOUNDED, iterations=self.iterations)
+            return LpSolution(UNBOUNDED, iterations=self.iterations,
+                              phase1_iterations=self.phase1_iterations)
         x = self._primal()[:q]
         self._verify(x)
         return LpSolution(
@@ -234,6 +286,7 @@ class _SimplexState:
             objective_value=float(self.lp.objective @ x),
             iterations=self.iterations,
             duals=sign * self.duals,
+            phase1_iterations=self.phase1_iterations,
         )
 
     # -- simplex core -------------------------------------------------

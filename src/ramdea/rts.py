@@ -37,7 +37,8 @@ import numpy as np
 
 from . import dea
 from .lp import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, RamdeaError, SolverSettings, solve,
+    INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpError, RamdeaError, SolverSettings,
+    solve,
 )
 
 __all__ = [
@@ -156,7 +157,8 @@ def intercept_bounds(dataset: dea.Dataset, point,
     frontier of the convex technology, e.g. a GRS interior projection.
     An unbounded endpoint is replaced by -clamp / +clamp (or by the
     finite endpoint when that lies beyond the clamp, so the interval
-    stays ordered).
+    stays ordered).  Finite ends that cross by rounding are both
+    reported as omega_min; a wider crossing raises ``LpError``.
     """
     x_hat, y_hat = _anchor(point)
     if x_hat.shape[0] != dataset.n_inputs or y_hat.shape[0] != dataset.n_outputs:
@@ -185,6 +187,14 @@ def intercept_bounds(dataset: dea.Dataset, point,
         program, _ = _envelopment_program(dataset, x_hat, y_hat, 0.0)
         if solve(program, settings).status == UNBOUNDED:
             raise _off_frontier()
+    if None not in bounds and omega_min > omega_max:
+        # two finite ends of one interval cross only by rounding, when
+        # the interval is a single point
+        gap = omega_min - omega_max
+        tol = (settings or SolverSettings()).feas_tol
+        if gap > tol * max(1.0, abs(omega_min)):
+            raise LpError(f"intercept interval ends cross by {gap:.3e}")
+        omega_max = omega_min
     # a substituted endpoint must never cross the finite one
     if omega_min is None:
         omega_min = -clamp if omega_max is None else min(-clamp, omega_max)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ramdea import dea
+from ramdea import dea, lp
 
 # known scores for the 8-unit example: four frontier units, then
 # 11/14, 5/7, 11/14 and 9/14 for the dominated ones
@@ -211,3 +211,44 @@ def test_bad_arguments():
         dea.evaluate(ds, 0, regime="nirs")
     with pytest.raises(ValueError):
         dea.slack_weights(ds, "bam")
+
+
+def crash_start_datasets(frontier8):
+    rng = np.random.default_rng(37)
+    # unit 0 sits at the origin
+    inputs, outputs = rng.uniform(1.0, 10.0, (2, 7)), rng.uniform(1.0, 10.0, (2, 7))
+    inputs[:, 0] = outputs[:, 0] = 0.0
+    origin = dea.Dataset([f"u{k}" for k in range(7)], inputs, outputs)
+    # the second input has no spread, so its ram slack is pinned
+    inputs = rng.uniform(1.0, 10.0, (2, 6))
+    inputs[1] = 5.0
+    flat = dea.Dataset([f"u{k}" for k in range(6)], inputs, rng.uniform(1.0, 10.0, (2, 6)))
+    negative = dea.Dataset([f"u{k}" for k in range(8)], rng.uniform(1.0, 10.0, (2, 8)),
+                           rng.uniform(-5.0, 10.0, (3, 8)))
+    return {"eight": frontier8, "origin": origin, "flat": flat, "negative": negative}
+
+
+@pytest.mark.parametrize("regime", dea.REGIMES)
+@pytest.mark.parametrize("scheme", dea.SCHEMES)
+def test_scoring_starts_feasible(frontier8, monkeypatch, scheme, regime):
+    solves = []
+
+    def spy(program, settings=None, basis=None):
+        sol = lp.solve(program, settings, basis=basis)
+        solves.append((program, sol))
+        return sol
+
+    monkeypatch.setattr(dea, "solve", spy)
+    for name, ds in crash_start_datasets(frontier8).items():
+        for o in range(ds.n_dmus):
+            result = dea.evaluate(ds, o, scheme, regime)
+            program, sol = solves[-1]
+            assert sol.phase1_iterations == 0, (name, o)
+            # the same optimum as the artificial start and as HiGHS
+            assert sol.objective_value == pytest.approx(
+                lp.solve(program).objective_value, abs=1e-9)
+            best, _ = oracles.lp_optimum_highs(program)
+            assert sol.objective_value == pytest.approx(best, abs=1e-9)
+            if scheme == "ram":
+                assert result.rho == pytest.approx(
+                    oracles.ram_score_linprog(ds, o, regime=regime), abs=1e-9)

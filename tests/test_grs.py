@@ -155,6 +155,18 @@ def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
     assert np.all(reference.interior_projection_outputs == 0.0)
 
 
+def test_grs_program_starts_feasible(eight, monkeypatch):
+    # the program's right-hand side is zero, so its resting point x = 0
+    # is feasible and phase 1 never runs
+    ds, frontier, results = eight
+    for o in range(ds.n_dmus):
+        program, _ = captured_program(monkeypatch, ds, o, results[o],
+                                      efficient_indices=frontier)
+        sol = lp.solve(program)
+        assert sol.phase1_iterations == 0
+        assert sol.iterations > 0
+
+
 def test_efficient_unit_budget_pins_slacks(eight):
     ds, frontier, results = eight
     reference = grs.identify_grs(ds, 1, results[1], efficient_indices=frontier)

@@ -99,6 +99,7 @@ def test_bound_flips_count_as_iterations():
     sol = lp.solve(program)
     assert sol.status == lp.OPTIMAL
     assert sol.iterations == 3
+    assert sol.phase1_iterations == 3
     assert sol.primal == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
 
@@ -215,6 +216,67 @@ def test_matches_highs_on_mixed_bounds():
         between = program.constraint_matrix[:, ~(at_lo | at_hi)]
         if np.linalg.matrix_rank(between) == program.rows:
             assert sol.duals == pytest.approx(duals, rel=1e-7, abs=1e-7)
+
+
+def lp_with_feasible_basis(rng):
+    """Random boxed LP and a basis built to be feasible for it.
+
+    The basic values are drawn inside their bounds and every other
+    variable rests on its lower bound, so the right-hand side
+    ``B x_B + N x_N`` makes that basis a feasible start.
+    """
+    p = int(rng.integers(1, 6))
+    q = int(rng.integers(p + 1, 11))
+    A = rng.uniform(-2.0, 2.0, (p, q))
+    lo = rng.uniform(-2.0, 1.0, q)
+    hi = lo + np.where(rng.random(q) < 0.15, 0.0, rng.uniform(0.5, 3.0, q))
+    basis = rng.choice(q, p, replace=False)
+    x = lo.copy()
+    x[basis] = rng.uniform(lo[basis], hi[basis])
+    sense = "maximize" if rng.integers(2) else "minimize"
+    program = lp.LinearProgram(sense, rng.uniform(-1.0, 1.0, q), A, A @ x,
+                               lower_bounds=lo, upper_bounds=hi)
+    return program, basis
+
+
+def test_feasible_basis_skips_phase_one():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        program, basis = lp_with_feasible_basis(rng)
+        sol = lp.solve(program, basis=basis)
+        assert sol.status == lp.OPTIMAL
+        assert sol.phase1_iterations == 0
+        best, _ = oracles.lp_optimum_highs(program)
+        assert sol.objective_value == pytest.approx(best, rel=1e-7, abs=1e-7)
+
+
+def test_unusable_basis_falls_back_to_phase_one():
+    # x3 = 2 x1, so {x1, x3} is singular; {x1, x2} puts x2 at -1 < 0
+    A = [[1.0, 1.0, 2.0, 0.0], [1.0, -1.0, 2.0, 1.0]]
+    program = lp.LinearProgram("maximize", [1.0, 2.0, 1.0, -1.0], A, [1.0, 3.0],
+                               upper_bounds=[4.0, 4.0, 4.0, 4.0])
+    cold = lp.solve(program)
+    assert cold.status == lp.OPTIMAL and cold.phase1_iterations > 0
+    for basis in ([0, 2], [0, 1]):
+        sol = lp.solve(program, basis=basis)
+        assert sol.phase1_iterations > 0
+        assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+    for basis in ([0], [0, 0], [0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            lp.solve(program, basis=basis)
+
+
+def test_zero_right_hand_side_skips_phase_one():
+    # max x2 + x3 over x1 - x2 - x3 = 0, x2 - x3 = 0 with x1 in [0, 2]:
+    # the resting point x = 0 is already feasible
+    program = lp.LinearProgram("maximize", [0.0, 1.0, 1.0],
+                               [[1.0, -1.0, -1.0], [0.0, 1.0, -1.0]], [0.0, 0.0],
+                               upper_bounds=[2.0, np.inf, np.inf])
+    sol = lp.solve(program)
+    assert sol.status == lp.OPTIMAL
+    assert sol.phase1_iterations == 0
+    assert sol.iterations > 0
+    assert sol.primal == pytest.approx([2.0, 1.0, 1.0], abs=1e-12)
 
 
 def test_import_does_not_load_scipy():

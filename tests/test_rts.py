@@ -145,6 +145,28 @@ def test_clamp_substitute_never_crosses_a_finite_endpoint():
     assert rts.classify_rts((omega_min, omega_max)) == rts.DECREASING
 
 
+def test_single_point_interval_stays_ordered():
+    # the README's three units: C lies on the segment AB, so its interval
+    # is the single point -2/9, whose two solves differ by rounding
+    ds = dea.Dataset(["A", "B", "C"], [[2.0, 4.0, 3.0]], [[2.0, 5.0, 3.5]])
+    reference = grs.identify_grs(ds, 2, dea.evaluate(ds, 2))
+    omega_min, omega_max = rts.intercept_bounds(
+        ds, (reference.interior_projection_inputs, reference.interior_projection_outputs))
+    assert omega_min <= omega_max
+    assert omega_min == pytest.approx(-2.0 / 9.0, abs=1e-12)
+    assert omega_max == pytest.approx(-2.0 / 9.0, abs=1e-12)
+
+
+def test_ends_crossing_beyond_rounding_are_an_error(eight, monkeypatch):
+    ds, _ = eight
+    # the solves claim omega_min = 0.5 and omega_max = 0.4
+    objectives = iter([0.5, -0.4])
+    monkeypatch.setattr(rts, "solve", lambda program, settings=None: lp.LpSolution(
+        lp.OPTIMAL, objective_value=next(objectives)))
+    with pytest.raises(lp.LpError, match="cross"):
+        rts.intercept_bounds(ds, ([3.0], [6.0]))
+
+
 def test_negative_output_makes_lower_side_clamp():
     # anchoring at the unit with the largest (negative) output leaves the
     # output multiplier uncapped, so the intercept falls without bound;

@@ -1,0 +1,144 @@
+"""Run the CLI over benchmark-generated datasets and compare two sweeps.
+
+Usage (from the repository root):
+
+    python3 tools/sweep.py --workload many-small --seeds 0-99 --out new.json
+    python3 tools/sweep.py --workload robustness --seeds 1-3 --format json \\
+        --src OTHER_CHECKOUT/src --out old.json
+    python3 tools/sweep.py --workload many-small --seeds 0-99 --out new.json \\
+        --against old.json
+
+Datasets come from the generators in ``bench/workloads.py``, each run with
+its own scheme, regime and command through ``ramdea.cli.main`` in this
+process.  ``--format`` overrides the output format (default: each
+dataset's own).  ``--src`` imports ``ramdea`` from another checkout, so
+two versions of the program can be swept with the same script.  The
+result is a JSON object ``{dataset: [exit code, stdout, stderr]}``.
+With ``--against`` the new sweep is compared with an earlier one on the
+datasets both hold, and the counts of identical outputs (same exit code
+and stdout), outputs equal within 1e-6 (same text apart from numbers
+that agree to 1e-6, absolute or relative), other differences, newly
+aborting and newly passing datasets are printed, followed by the names of the
+datasets in the last three groups.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS, dataset  # noqa: E402
+
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity")
+
+
+def seed_range(text: str) -> list[int]:
+    """Seeds from "3", "0-99" or "1,4,7-9"."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def sweep(workloads, seeds, output_format=None) -> dict[str, list]:
+    import ramdea.cli as cli
+
+    results = {}
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "data.csv"
+        for name in workloads:
+            workload = WORKLOADS[name]
+            for seed in seeds:
+                for k in range(workload.count):
+                    data = dataset(workload, seed, k)
+                    path.write_text(data.csv_text(), encoding="utf-8")
+                    argv = data.argv(path)
+                    if output_format is not None:
+                        argv[argv.index("--format") + 1] = output_format
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    results[f"{name} s{seed} {data.name}"] = [code, out.getvalue(),
+                                                              err.getvalue()]
+    return results
+
+
+def close(old: str, new: str, tol: float = 1e-6) -> bool:
+    """Same text apart from numbers that agree to ``tol``."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return False
+    for x, y in zip(_NUMBER.findall(old), _NUMBER.findall(new)):
+        if x == y:
+            continue
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
+        if abs(x - y) > tol * max(1.0, abs(x), abs(y)):
+            return False
+    return True
+
+
+def compare(old: dict, new: dict) -> dict[str, list[str]]:
+    """Datasets of both sweeps, grouped by how the new output differs."""
+    groups = {key: [] for key in ("identical", "within 1e-6", "different",
+                                  "newly aborting", "newly passing", "aborting in both")}
+    for name in sorted(old.keys() & new.keys()):
+        (old_code, old_out, _), (new_code, new_out, _) = old[name], new[name]
+        if old_code == new_code and old_out == new_out:
+            group = "identical" if new_code == 0 else "aborting in both"
+        elif old_code == 0 and new_code != 0:
+            group = "newly aborting"
+        elif old_code != 0 and new_code == 0:
+            group = "newly passing"
+        elif old_code == new_code and close(old_out, new_out):
+            group = "within 1e-6"
+        else:
+            group = "different"
+        groups[group].append(name)
+    return groups
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append", required=True,
+                        choices=sorted(WORKLOADS), help="repeatable")
+    parser.add_argument("--seeds", type=seed_range, required=True,
+                        help='e.g. "11", "0-99" or "1,3,5-7"')
+    parser.add_argument("--format", choices=("table", "csv", "json"), default=None,
+                        dest="output_format")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the ramdea package to sweep")
+    parser.add_argument("--out", required=True, help="where to write the sweep JSON")
+    parser.add_argument("--against", help="an earlier sweep to compare with")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, args.src)
+    results = sweep(args.workload, args.seeds, args.output_format)
+    Path(args.out).write_text(json.dumps(results, indent=0), encoding="utf-8")
+    aborted = sum(code != 0 for code, _, _ in results.values())
+    print(f"{len(results)} datasets, {aborted} aborted")
+    if args.against:
+        old = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        groups = compare(old, results)
+        for group, names in groups.items():
+            print(f"{group}: {len(names)}")
+        for group, names in groups.items():
+            if group in ("different", "newly aborting", "newly passing"):
+                for name in names:
+                    print(f"  {group}: {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
