@@ -55,9 +55,7 @@ from .rts import (
     RTS_TOL,
     NormalizationUnattainableError,
     NotOnFrontierError,
-    SupportingHyperplane,
     classify_rts,
-    extreme_hyperplanes,
     intercept_bounds,
 )
 
@@ -91,13 +89,11 @@ __all__ = [
     "SCHEMES",
     "SUPPORT_TOL",
     "SolverSettings",
-    "SupportingHyperplane",
     "UNBOUNDED",
     "classify_rts",
     "compute_ranges",
     "efficient_set",
     "evaluate",
-    "extreme_hyperplanes",
     "identify_grs",
     "intercept_bounds",
     "max_support_solution",

@@ -42,13 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="output_format", help="output format (default: table)")
     common.add_argument("--dmu", action="append", metavar="NAME",
                         help="restrict to the named unit(s); repeatable")
-    common.add_argument("--tol-feas", type=float, default=1e-9,
+    defaults = AnalysisConfig()
+    common.add_argument("--tol-feas", type=float, default=defaults.feas_tol,
                         help="solver feasibility tolerance")
-    common.add_argument("--tol-eff", type=float, default=1e-7,
+    common.add_argument("--tol-eff", type=float, default=defaults.eff_tol,
                         help="efficiency cutoff on the total normalised slack")
-    common.add_argument("--tol-support", type=float, default=1e-7,
+    common.add_argument("--tol-support", type=float, default=defaults.support_tol,
                         help="membership cutoff on normalised reference weights")
-    common.add_argument("--tol-rts", type=float, default=1e-6,
+    common.add_argument("--tol-rts", type=float, default=defaults.rts_tol,
                         help="zero-attainability cutoff on the intercept interval")
 
     parser = argparse.ArgumentParser(

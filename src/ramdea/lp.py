@@ -66,6 +66,8 @@ UNBOUNDED = "unbounded"
 _PIVOT_TOL = 1e-10
 # Smallest objective gain per unit step that counts as an improvement.
 _OPT_TOL = 1e-9
+# Pivot budget of one solve, per row and column of its program.
+_PIVOTS_PER_DIMENSION = 50
 
 
 class RamdeaError(Exception):
@@ -82,20 +84,13 @@ class IterationLimitError(LpError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and limits shared by every solve.
-
-    ``max_iterations`` of ``None`` means 50 * (rows + columns) of the
-    problem being solved.
-    """
+    """Feasibility tolerance shared by every solve."""
 
     feas_tol: float = 1e-9
-    max_iterations: int | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.feas_tol) and self.feas_tol > 0.0):
             raise ValueError("feas_tol must be finite and strictly positive")
-        if self.max_iterations is not None and self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
 
 
 class LinearProgram:
@@ -188,9 +183,9 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None,
     Returns an ``LpSolution`` whose status is one of ``optimal``,
     ``infeasible`` or ``unbounded``.  ``iterations`` counts every pivot
     and bound flip, ``phase1_iterations`` those spent finding a feasible
-    basis.  Raises ``IterationLimitError`` when the pivot budget runs
-    out, which signals numerical trouble rather than a property of the
-    problem.
+    basis.  Raises ``IterationLimitError`` when the pivot budget of
+    50 * (rows + columns) runs out, which signals numerical trouble
+    rather than a property of the problem.
     """
     return _SimplexState(lp, settings or SolverSettings(), basis).run()
 
@@ -210,7 +205,7 @@ class _SimplexState:
         p, q = lp.rows, lp.cols
         self.p = p
         self.q = q
-        self.max_iter = settings.max_iterations or 50 * (p + q)
+        self.max_iter = _PIVOTS_PER_DIMENSION * (p + q)
         lo, hi = lp.lower_bounds, lp.upper_bounds
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         resid = lp.rhs - lp.constraint_matrix @ x0

@@ -46,7 +46,7 @@ class AnalysisConfig:
 
     scheme: str = "ram"
     regime: str = "vrs"
-    feas_tol: float = 1e-9
+    feas_tol: float = SolverSettings.feas_tol
     eff_tol: float = dea.EFF_TOL
     support_tol: float = grs.SUPPORT_TOL
     rts_tol: float = rts.RTS_TOL
@@ -73,8 +73,8 @@ def parse_dataset(source: str) -> dea.Dataset:
     """Parse CSV text into a Dataset, preserving column order.
 
     Raises DataFormatError with the offending line (and column, where it
-    applies) for malformed headers, duplicate names, non-numeric cells
-    and ragged rows.
+    applies) for malformed headers, duplicate labels within a role,
+    duplicate names, non-numeric cells and ragged rows.
     """
     rows = []
     for lineno, line in enumerate(source.splitlines(), 1):
@@ -95,14 +95,19 @@ def parse_dataset(source: str) -> dea.Dataset:
     out_cols: list[tuple[int, str]] = []
     for pos, cell in enumerate(header[1:], start=2):
         if cell.startswith("in:") and len(cell) > 3:
-            in_cols.append((pos, cell[3:]))
+            role, cols, label = "input", in_cols, cell[3:]
         elif cell.startswith("out:") and len(cell) > 4:
-            out_cols.append((pos, cell[4:]))
+            role, cols, label = "output", out_cols, cell[4:]
         else:
             raise DataFormatError(
                 f"line {header_line}, column {pos}: expected 'in:<label>' or "
                 f"'out:<label>', got {cell!r}"
             )
+        if any(label == seen for _, seen in cols):
+            raise DataFormatError(
+                f"line {header_line}, column {pos}: duplicate {role} label {label!r}"
+            )
+        cols.append((pos, label))
     if not in_cols or not out_cols:
         raise DataFormatError(
             f"line {header_line}: need at least one 'in:' and one 'out:' column"

@@ -25,20 +25,16 @@ Finite endpoints are reported exactly and may fall outside the clamp;
 an unbounded endpoint is substituted by the matching clamp value (+clamp
 or -clamp), pushed just far enough to never cross the finite endpoint.
 Either way the sign information, and hence the classification, is
-preserved.  The witness hyperplanes of ``extreme_hyperplanes`` are the
-row duals of the same program with the intercept boxed by the clamp.
+preserved.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dea
 from .lp import (
-    INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpError, RamdeaError, SolverSettings,
-    solve,
+    INFEASIBLE, UNBOUNDED, LinearProgram, LpError, RamdeaError, SolverSettings, solve,
 )
 
 __all__ = [
@@ -48,9 +44,7 @@ __all__ = [
     "RTS_TOL",
     "NotOnFrontierError",
     "NormalizationUnattainableError",
-    "SupportingHyperplane",
     "intercept_bounds",
-    "extreme_hyperplanes",
     "classify_rts",
 ]
 
@@ -70,48 +64,25 @@ class NormalizationUnattainableError(RamdeaError):
     """The anchor's inputs admit no v >= 0 with v . x = 1 (all non-positive)."""
 
 
-@dataclass(frozen=True, eq=False)
-class SupportingHyperplane:
-    """Multipliers (u, v) and intercept w of u.y - v.x = w.
+def _envelopment_program(dataset, x_hat, y_hat, omega_rhs):
+    """LP dual of the intercept program at (x_hat, y_hat).
 
-    Supporting means u.y_j - v.x_j <= w for every observed unit, with
-    equality at the anchor; v is normalised so that v . x_anchor = 1.
-    """
+    Maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
+    subject to
 
-    output_multipliers: np.ndarray
-    input_multipliers: np.ndarray
-    intercept: float
-
-
-def _anchor(point):
-    x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
-    y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
-    return x_hat, y_hat
-
-
-def _envelopment_program(dataset, x_hat, y_hat, omega_rhs, clamp=None):
-    """LP dual of the intercept program at (x_hat, y_hat), and its row scales.
-
-    Maximises theta over [theta | alpha | pi_1..pi_n | (rho, sigma) |
-    s+m slacks] subject to
-
-        alpha y_hat + sum_j pi_j y_j + slack_out = 0        (s rows, dual u)
+        alpha y_hat + sum_j pi_j y_j + slack_out = 0          (s rows, dual u)
         (theta - alpha) x_hat - sum_j pi_j x_j + slack_in = 0 (m rows, dual v)
-        -alpha - sum_j pi_j (+ rho + sigma) = omega_rhs       (1 row, dual w)
+        -alpha - sum_j pi_j = omega_rhs                       (1 row, dual w)
 
     with theta and alpha free and pi_j <= 0.  A right-hand side of +1 is
     the dual of min w, -1 the dual of max w, and 0 the dual of the bare
-    feasibility question.  With ``clamp`` the columns rho >= 0 and
-    sigma <= 0, costed -clamp and +clamp, are the duals of the box
-    -clamp <= w <= clamp.  Each multiplier row is divided by its largest
+    feasibility question.  Each multiplier row is divided by its largest
     entry, an exact change of variables that keeps the pi of translated
-    data at the scale of the rows; ``row_scale`` holds the divisors, so
-    the multipliers are the row duals divided by it.
+    data at the scale of the rows.
     """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    boxed = 0 if clamp is None else 2
     core = 2 + n
-    q = core + boxed + s + m
+    q = core + s + m
     A = np.zeros((s + m + 1, q))
     A[:s, 1] = y_hat
     A[:s, 2:core] = dataset.outputs
@@ -121,7 +92,7 @@ def _envelopment_program(dataset, x_hat, y_hat, omega_rhs, clamp=None):
     row_scale = np.abs(A[:s + m, :core]).max(axis=1)
     row_scale[row_scale == 0.0] = 1.0
     A[:s + m, :core] /= row_scale[:, None]
-    A[:s + m, core + boxed:] = np.eye(s + m)
+    A[:s + m, core:] = np.eye(s + m)
     A[-1, 1:core] = -1.0
     rhs = np.zeros(s + m + 1)
     rhs[-1] = omega_rhs
@@ -131,14 +102,8 @@ def _envelopment_program(dataset, x_hat, y_hat, omega_rhs, clamp=None):
     upper = np.full(q, np.inf)
     lower[:core] = -np.inf
     upper[2:core] = 0.0
-    if clamp is not None:
-        A[-1, core:core + 2] = 1.0
-        cost[core:core + 2] = (-clamp, clamp)
-        lower[core + 1] = -np.inf
-        upper[core + 1] = 0.0
-    program = LinearProgram("maximize", cost, A, rhs,
-                            lower_bounds=lower, upper_bounds=upper)
-    return program, row_scale
+    return LinearProgram("maximize", cost, A, rhs,
+                         lower_bounds=lower, upper_bounds=upper)
 
 
 def _off_frontier() -> NotOnFrontierError:
@@ -160,7 +125,8 @@ def intercept_bounds(dataset: dea.Dataset, point,
     stays ordered).  Finite ends that cross by rounding are both
     reported as omega_min; a wider crossing raises ``LpError``.
     """
-    x_hat, y_hat = _anchor(point)
+    x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
+    y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
     if x_hat.shape[0] != dataset.n_inputs or y_hat.shape[0] != dataset.n_outputs:
         raise ValueError("anchor point does not match the dataset's dimensions")
     if float(x_hat.max()) <= 0.0:
@@ -168,11 +134,11 @@ def intercept_bounds(dataset: dea.Dataset, point,
             "anchor inputs are all non-positive; the multiplier normalisation "
             "v . x = 1 is unattainable and the scale class is undefined here"
         )
-    if clamp <= 0.0:
-        raise ValueError("clamp must be strictly positive")
+    if not (np.isfinite(clamp) and clamp > 0.0):
+        raise ValueError("clamp must be finite and strictly positive")
     bounds = []
     for omega_rhs in (1.0, -1.0):
-        program, _ = _envelopment_program(dataset, x_hat, y_hat, omega_rhs)
+        program = _envelopment_program(dataset, x_hat, y_hat, omega_rhs)
         sol = solve(program, settings)
         if sol.status == UNBOUNDED:
             raise _off_frontier()
@@ -184,7 +150,7 @@ def intercept_bounds(dataset: dea.Dataset, point,
         # both ends unbounded, or no supporting hyperplane at all: the
         # dual with a zero right-hand side is feasible at the origin and
         # unbounded exactly in the second case
-        program, _ = _envelopment_program(dataset, x_hat, y_hat, 0.0)
+        program = _envelopment_program(dataset, x_hat, y_hat, 0.0)
         if solve(program, settings).status == UNBOUNDED:
             raise _off_frontier()
     if None not in bounds and omega_min > omega_max:
@@ -203,46 +169,14 @@ def intercept_bounds(dataset: dea.Dataset, point,
     return omega_min, omega_max
 
 
-def extreme_hyperplanes(dataset: dea.Dataset, point,
-                        settings: SolverSettings | None = None,
-                        clamp: float = 1.0):
-    """Witness hyperplanes attaining the clamped intercept extremes.
-
-    Unlike ``intercept_bounds`` the intercept is boxed into
-    [-clamp, clamp] here, so both solves are bounded and each returns a
-    concrete supporting hyperplane, read off the row duals; the clamp
-    must therefore contain at least one admissible intercept for the
-    anchor.
-    """
-    x_hat, y_hat = _anchor(point)
-    if float(x_hat.max()) <= 0.0:
-        raise NormalizationUnattainableError(
-            "anchor inputs are all non-positive; no multiplier normalisation exists"
-        )
-    s = dataset.n_outputs
-    planes = []
-    for omega_rhs in (1.0, -1.0):
-        program, row_scale = _envelopment_program(dataset, x_hat, y_hat, omega_rhs, clamp)
-        sol = solve(program, settings)
-        if sol.status != OPTIMAL:
-            raise NotOnFrontierError(
-                f"clamped supporting-hyperplane program ended {sol.status}"
-            )
-        multipliers = np.maximum(sol.duals[:-1] / row_scale, 0.0)
-        planes.append(SupportingHyperplane(
-            output_multipliers=multipliers[:s],
-            input_multipliers=multipliers[s:],
-            intercept=float(sol.duals[-1]),
-        ))
-    return planes[0], planes[1]
-
-
 def classify_rts(bounds: tuple[float, float], rts_tol: float = RTS_TOL) -> str:
     """Scale class implied by an intercept interval.
 
     Constant when zero is attainable, decreasing when the whole interval
     is positive, increasing when it is negative.
     """
+    if not (np.isfinite(rts_tol) and rts_tol > 0.0):
+        raise ValueError("rts_tol must be finite and strictly positive")
     omega_min, omega_max = bounds
     if omega_min <= rts_tol and omega_max >= -rts_tol:
         return CONSTANT

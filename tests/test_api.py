@@ -23,3 +23,8 @@ def test_no_test_oracle_is_exported():
     assert not own & set(ramdea.__all__)
     assert not any(hasattr(module, name) for name in own
                    for module in (ramdea, ramdea.grs, ramdea.rts))
+
+
+def test_package_exports_every_module_export():
+    modules = (ramdea.lp, ramdea.dea, ramdea.grs, ramdea.rts, ramdea.reporting)
+    assert set(ramdea.__all__) == set().union(*(module.__all__ for module in modules))

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ramdea import cli, dea, reporting
+from ramdea import cli, lp, reporting
 
 
 def analyse(csv_text, stages="all", **config_kwargs):
@@ -62,6 +62,22 @@ def test_parse_rejects_header_only():
 def test_parse_rejects_duplicate_name():
     with pytest.raises(reporting.DataFormatError, match="line 3.*duplicate"):
         reporting.parse_dataset("dmu,in:x,out:y\nu1,1,2\nu1,3,4\n")
+
+
+def test_parse_rejects_duplicate_label_within_a_role(tmp_path, capsys):
+    with pytest.raises(reporting.DataFormatError, match="line 1, column 3.*duplicate"):
+        reporting.parse_dataset("dmu,in:x,in:x,out:y\nu1,1,2,3\n")
+    with pytest.raises(reporting.DataFormatError, match="line 1, column 4.*duplicate"):
+        reporting.parse_dataset("dmu,in:x,out:y,out:y\nu1,1,2,3\n")
+    # one label may still name an input and an output
+    ds = reporting.parse_dataset("dmu,in:x,out:x\nu1,1,2\n")
+    assert ds.input_labels == ds.output_labels == ("x",)
+    path = tmp_path / "dup.csv"
+    path.write_text("dmu,in:x,in:x,out:y\na,1,2,3\nb,2,1,3\n", encoding="utf-8")
+    assert cli.main(["report", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate input label 'x'" in captured.err
 
 
 def test_parse_rejects_non_numeric_cell():
@@ -246,6 +262,14 @@ def test_non_finite_tolerance_exits_1(data_file, capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite and strictly positive" in captured.err
+
+
+def test_tolerance_flags_default_to_the_config():
+    args = cli.build_parser().parse_args(["report", "--data", "d.csv"])
+    defaults = reporting.AnalysisConfig()
+    assert (args.tol_feas, args.tol_eff, args.tol_support, args.tol_rts) == (
+        defaults.feas_tol, defaults.eff_tol, defaults.support_tol, defaults.rts_tol)
+    assert defaults.feas_tol == lp.SolverSettings().feas_tol
 
 
 def test_missing_file_exits_1(capsys):

@@ -82,11 +82,14 @@ def test_invalid_inputs_rejected():
             lp.SolverSettings(feas_tol=feas_tol)
 
 
-def test_iteration_limit_raises():
+def test_iteration_limit_raises(monkeypatch):
     program = lp.LinearProgram("minimize", [0.0, 0.0],
                                [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    with pytest.raises(lp.IterationLimitError):
-        lp.solve(program, lp.SolverSettings(max_iterations=1))
+    with monkeypatch.context() as patch:
+        # a budget of one pivot for this 2 x 2 program
+        patch.setattr(lp, "_PIVOTS_PER_DIMENSION", 1 / 4)
+        with pytest.raises(lp.IterationLimitError):
+            lp.solve(program)
     # both artificials must be pivoted out, one iteration each
     assert lp.solve(program).iterations == 2
 

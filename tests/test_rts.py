@@ -81,24 +81,34 @@ def test_classes_of_all_eight_units(eight):
         assert report.omega_min <= report.omega_max + 1e-9
 
 
-def test_extreme_hyperplanes_bind_and_support(eight):
-    ds, frontier = eight
-    anchors = [([1.0], [2.0]), ([2.0], [5.0]), ([3.0], [6.0]), ([5.0], [8.0])]
-    reference = grs.identify_grs(ds, 7, dea.evaluate(ds, 7),
-                                 efficient_indices=frontier)
-    anchors.append((reference.interior_projection_inputs,
-                    reference.interior_projection_outputs))
-    for x_hat, y_hat in anchors:
-        for plane in rts.extreme_hyperplanes(ds, (x_hat, y_hat)):
-            x_hat = np.asarray(x_hat, dtype=float)
-            y_hat = np.asarray(y_hat, dtype=float)
-            u, v, w = (plane.output_multipliers, plane.input_multipliers,
-                       plane.intercept)
-            assert v @ x_hat == pytest.approx(1.0, abs=1e-9)
-            assert u @ y_hat - v @ x_hat - w == pytest.approx(0.0, abs=1e-9)
-            margins = u @ ds.outputs - v @ ds.inputs - w
-            assert np.all(margins <= 1e-9)
-            assert np.all(u >= 0.0) and np.all(v >= 0.0)
+def test_program_shape(eight, monkeypatch):
+    # each endpoint is one envelopment LP: an s + m + 1 row basis over
+    # theta, alpha, one pi per unit and one slack per output and input
+    ds, _ = eight
+    programs = []
+
+    def spy(program, settings=None):
+        programs.append(program)
+        return lp.solve(program, settings)
+
+    monkeypatch.setattr(rts, "solve", spy)
+    rts.intercept_bounds(ds, ([5.0], [8.0]))
+    n, m, s = ds.n_dmus, ds.n_inputs, ds.n_outputs
+    assert [program.rhs[-1] for program in programs] == [1.0, -1.0]
+    for program in programs:
+        assert program.sense == "maximize"
+        assert program.rows == m + s + 1
+        assert program.cols == n + m + s + 2
+
+
+def test_non_finite_clamp_and_tolerance_are_rejected(eight):
+    ds, _ = eight
+    for clamp in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="clamp"):
+            rts.intercept_bounds(ds, ([5.0], [8.0]), clamp=clamp)
+    for rts_tol in (np.nan, np.inf, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="rts_tol"):
+            rts.classify_rts((0.6, 1.0), rts_tol)
 
 
 def test_clamp_choice_never_changes_the_class(eight):
