@@ -139,7 +139,9 @@ class RamResult:
     exactly as the solver produced it; for the ram scheme it equals the
     total of the range-normalised slacks and rho = 1 - slack_sum/(m+s).
     For the additive and bam schemes ``rho`` holds the raw weighted
-    optimum instead of a score in [0, 1].
+    optimum instead of a score in [0, 1].  ``duals`` are the scoring
+    LP's optimal row duals (inputs, outputs, then the convexity row
+    under "vrs"), as ``LpSolution.duals`` gives them.
     """
 
     dmu_index: int
@@ -151,6 +153,7 @@ class RamResult:
     projection_outputs: np.ndarray
     slack_sum: float
     efficient: bool
+    duals: np.ndarray
 
 
 def compute_ranges(dataset: Dataset) -> Ranges:
@@ -251,6 +254,7 @@ def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
         projection_outputs=y_o + s_out,
         slack_sum=slack_sum,
         efficient=bool(slack_sum <= eff_tol),
+        duals=sol.duals,
     )
 
 

@@ -23,6 +23,20 @@ is the unit's own data, 1 on the convexity row under "vrs", and the
 stage-1 optimal weighted slack total on the budget row.  The maximal
 support is the whole GRS, and the solution is a projection strictly
 inside the minimum face (every member carries positive weight).
+
+The u-block is screened with the scoring LP's optimal row duals y,
+which ``dea.evaluate`` hands over in ``RamResult.duals``.  By
+complementary slackness every optimal solution of the scoring LP is
+zero wherever y leaves a non-zero reduced cost, so the GRS lies among
+the efficient units whose reduced cost -(y . a_j) is zero, a_j being
+unit j's column of the scoring LP (its inputs, its outputs and 1 under
+"vrs").  A unit stays when that reduced cost, divided by
+max(1, |y| |a_j|), is at least -1e-5: a kept extra column costs only
+pivots, a dropped member would be a wrong answer.  The weights of the
+screened-out units are zero, so ``GrsResult`` still spans the whole
+efficient set; when the screen keeps no unit (the crs apex, where the
+origin is the only projection), the whole efficient set stays.  The
+slack columns are never screened.
 """
 
 from __future__ import annotations
@@ -51,6 +65,10 @@ SUPPORT_TOL = 1e-7
 
 # Relative cutoff on singular values when counting face directions.
 _RANK_TOL = 1e-7
+
+# Scaled scoring reduced cost below which an efficient unit is screened
+# out of the GRS program (see the module docstring).
+_SCREEN_TOL = 1e-5
 
 
 class DegenerateNormalizerError(RamdeaError):
@@ -145,7 +163,8 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     """Identify unit ``o``'s global reference set with one solve.
 
     ``ram_result`` must come from ``dea.evaluate`` for the same unit,
-    scheme and regime; its exact ``slack_sum`` becomes the budget.  Pass
+    scheme and regime; its exact ``slack_sum`` becomes the budget and its
+    ``duals`` screen the candidate units (see the module docstring).  Pass
     ``efficient_indices`` to reuse an already-computed efficient set.
     The returned weights sum to one over the efficient set under "vrs";
     members are exactly the indices whose weight exceeds
@@ -164,12 +183,19 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     rows = m + s + (1 if convexity else 0) + 1
     x_o, y_o = dataset.unit(o)
 
-    # A: member columns, the convexity row under "vrs", a zero budget row
+    # A: the efficient units' columns, the convexity row under "vrs", a
+    # zero budget row; above the budget row these are the units' columns
+    # in the scoring LP, which its duals price for the screen
     A = np.zeros((rows, len(frontier)))
     A[:m] = dataset.inputs[:, frontier]
     A[m:m + s] = dataset.outputs[:, frontier]
     if convexity:
         A[m + s] = 1.0
+    y = ram_result.duals
+    scale = np.maximum(1.0, np.linalg.norm(y) * np.linalg.norm(A[:-1], axis=0))
+    kept = -(y @ A[:-1]) / scale >= -_SCREEN_TOL
+    if not kept.any():
+        kept[:] = True
     # B: the slack columns whose budget weight is non-zero; the others
     # are pinned at zero and get no column
     budget = (m + s) * np.concatenate(dea.slack_weights(dataset, scheme, o))
@@ -180,7 +206,9 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     free = budget != 0.0
     d = np.concatenate([x_o, y_o, [1.0] if convexity else [], [ram_result.slack_sum]])
 
-    weights, v = max_support_solution(A, slack_cols[:, free], d, settings, support_tol)
+    weights = np.zeros(len(frontier))
+    weights[kept], v = max_support_solution(A[:, kept], slack_cols[:, free], d,
+                                            settings, support_tol)
     slacks = np.zeros(m + s)
     slacks[free] = v
     return GrsResult(

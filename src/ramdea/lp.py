@@ -15,6 +15,21 @@ Pricing is Dantzig's rule with an automatic and reversible fallback to
 Bland's rule once a run of degenerate pivots is detected; DEA-style
 instances are routinely degenerate.
 
+The ratio test is Harris's two-pass test (Harris 1973, "Pivot selection
+methods of the Devex LP code").  Pass 1 finds the longest step along
+the entering direction with every basic bound relaxed by ``feas_tol``.
+Pass 2 takes, among the rows whose exact ratio lies within that step,
+the one with the largest pivot element (under Bland's rule, the lowest
+variable index) and moves by its exact ratio, never by less than zero;
+a bounded entering variable whose range fits within the pass-1 step
+flips to its other bound instead.
+A near-tie between a noise entry and a real pivot thus goes to the real
+pivot, at the price of leaving other basic values up to ``feas_tol``
+outside their bounds, which ``_verify`` accepts.  An entry of the
+entering column counts as a pivot only above ``_PIVOT_TOL`` times the
+larger of 1 and the column's largest magnitude, so the tolerance
+follows the column's scale.
+
 A solve starts from one basis and runs phase 1 only when that start is
 infeasible.  By default the start is one signed artificial column per
 row, with every structural variable resting on a bound; it is feasible
@@ -62,7 +77,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Smallest magnitude accepted as a pivot / ratio-test denominator.
+# Smallest magnitude accepted as a pivot / ratio-test denominator,
+# relative to the entering column's largest entry when that exceeds 1.
 _PIVOT_TOL = 1e-10
 # Smallest objective gain per unit step that counts as an improvement.
 _OPT_TOL = 1e-9
@@ -336,26 +352,30 @@ class _SimplexState:
         bi = self.basis
         xb = self.x_basic
         move = sigma * w  # basics change by -move * step
-        # an infinite bound gives an infinite limit, so it never binds
-        limits = np.full(self.p, np.inf)
-        np.divide(xb - self.lo[bi], move, out=limits, where=move > _PIVOT_TOL)
-        np.divide(self.hi[bi] - xb, -move, out=limits, where=move < -_PIVOT_TOL)
-        np.maximum(limits, 0.0, out=limits)
+        size = np.abs(move)
+        pivot_tol = _PIVOT_TOL * max(1.0, float(size.max()))
+        # exact step to each basic's bound; an infinite bound, or an entry
+        # too small to pivot on, gives an infinite limit that never binds
+        exact = np.full(self.p, np.inf)
+        np.divide(xb - self.lo[bi], move, out=exact, where=move > pivot_tol)
+        np.divide(self.hi[bi] - xb, -move, out=exact, where=move < -pivot_tol)
+        # pass 1: the longest step with every basic bound relaxed by feas_tol
+        longest = float((exact + self.settings.feas_tol
+                         / np.maximum(size, pivot_tol)).min())
         own_range = float(self.hi[j] - self.lo[j])
-        basic_limit = float(limits.min())
-        step = min(own_range, basic_limit)
-        if step == np.inf:
-            return None, None, None
-        if own_range <= basic_limit:
-            return step, None, None  # bound-to-bound flip, basis unchanged
-        ties = limits <= basic_limit * (1.0 + 1e-12) + 1e-15
+        if own_range <= longest:
+            if own_range == np.inf:
+                return None, None, None
+            return own_range, None, None  # bound-to-bound flip, basis unchanged
+        # pass 2: among the rows that bind within that step, the largest
+        # pivot element (Bland: the lowest variable index), first on ties
+        within = exact <= longest
         if self.bland:
-            tied = np.flatnonzero(ties)
-            pos = int(tied[np.argmin(bi[tied])])
+            rows = np.flatnonzero(within)
+            pos = int(rows[np.argmin(bi[rows])])
         else:
-            # the largest pivot element among the ties, first on ties
-            pos = int(np.argmax(np.where(ties, np.abs(move), -1.0)))
-        return step, pos, bool(move[pos] < 0.0)
+            pos = int(np.argmax(np.where(within, size, -1.0)))
+        return max(float(exact[pos]), 0.0), pos, bool(move[pos] < 0.0)
 
     def _pivot(self, j, step, pos, hits_upper) -> None:
         # basic values come afresh from the next solve with the basis,

@@ -21,6 +21,15 @@ endpoint is unbounded; an unbounded dual means no supporting hyperplane
 passes through the anchor.  When both duals are infeasible, the dual
 with a zero right-hand side tells the two apart.
 
+The min-end dual starts from a known feasible basis whenever y_hat >= 0:
+theta = alpha = -1 with every pi_j = 0 leaves the output slacks at the
+row-scaled y_hat and every input slack at zero.  Its basis holds theta,
+alpha, the s output slacks and every input slack but the one on the row
+where x_hat is largest, so that solve runs no phase 1.  A negative
+output would make its slack negative, so then no basis is passed.  The
+max-end dual may be infeasible, which is its answer, and starts from
+the artificial basis.
+
 Finite endpoints are reported exactly and may fall outside the clamp;
 an unbounded endpoint is substituted by the matching clamp value (+clamp
 or -clamp), pushed just far enough to never cross the finite endpoint.
@@ -136,10 +145,16 @@ def intercept_bounds(dataset: dea.Dataset, point,
         )
     if not (np.isfinite(clamp) and clamp > 0.0):
         raise ValueError("clamp must be finite and strictly positive")
+    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
+    # the min end's feasible start (see the module docstring)
+    min_start = None
+    if y_hat.min() >= 0.0:
+        slacks = np.arange(n + 2, n + 2 + s + m)
+        min_start = np.concatenate([[0, 1], np.delete(slacks, s + int(np.argmax(x_hat)))])
     bounds = []
-    for omega_rhs in (1.0, -1.0):
+    for omega_rhs, basis in ((1.0, min_start), (-1.0, None)):
         program = _envelopment_program(dataset, x_hat, y_hat, omega_rhs)
-        sol = solve(program, settings)
+        sol = solve(program, settings, basis)
         if sol.status == UNBOUNDED:
             raise _off_frontier()
         # an infeasible dual leaves this endpoint of the intercept unbounded
@@ -173,11 +188,14 @@ def classify_rts(bounds: tuple[float, float], rts_tol: float = RTS_TOL) -> str:
     """Scale class implied by an intercept interval.
 
     Constant when zero is attainable, decreasing when the whole interval
-    is positive, increasing when it is negative.
+    is positive, increasing when it is negative.  A NaN bound raises
+    ``ValueError``.
     """
     if not (np.isfinite(rts_tol) and rts_tol > 0.0):
         raise ValueError("rts_tol must be finite and strictly positive")
     omega_min, omega_max = bounds
+    if np.isnan(omega_min) or np.isnan(omega_max):
+        raise ValueError("intercept bounds must not be NaN")
     if omega_min <= rts_tol and omega_max >= -rts_tol:
         return CONSTANT
     if omega_min > rts_tol:

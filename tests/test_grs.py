@@ -86,6 +86,16 @@ def test_support_size_matches_bruteforce():
 # -- GRS program construction ----------------------------------------
 
 
+def screened_units(ds, result, frontier, regime="vrs"):
+    """Efficient units whose scoring reduced cost, scaled, is about zero."""
+    columns = np.vstack([ds.inputs[:, frontier], ds.outputs[:, frontier]]
+                        + ([np.ones((1, len(frontier)))] if regime == "vrs" else []))
+    reduced = -(result.duals @ columns)
+    scale = np.maximum(1.0, np.linalg.norm(result.duals)
+                       * np.linalg.norm(columns, axis=0))
+    return [j for j, r in zip(frontier, reduced / scale) if r >= -1e-5]
+
+
 def captured_program(monkeypatch, *args, **kwargs):
     """Run ``identify_grs`` and return the one LP it handed to the kernel."""
     programs = []
@@ -102,15 +112,20 @@ def captured_program(monkeypatch, *args, **kwargs):
 
 def test_program_shape(eight, monkeypatch):
     ds, frontier, results = eight
-    program, _ = captured_program(monkeypatch, ds, 6, results[6],
-                                  efficient_indices=frontier)
-    # 4 members + target, doubled, plus one slack per input and output
-    assert program.cols == 2 * 5 + 2
+    program, reference = captured_program(monkeypatch, ds, 6, results[6],
+                                          efficient_indices=frontier)
+    units = screened_units(ds, results[6], frontier)
+    k = len(units)
+    assert set(reference.members) <= set(units)
+    # k candidate units + target, doubled, plus one slack per input and output
+    assert program.cols == 2 * (k + 1) + 2
+    assert np.array_equal(program.constraint_matrix[:2, :k],
+                          np.vstack([ds.inputs[:, units], ds.outputs[:, units]]))
     assert program.rows == 4
     assert program.sense == "maximize"
     # companion block is boxed into [0, 1]
-    assert np.all(program.upper_bounds[5:10] == 1.0)
-    assert np.all(program.objective[5:10] == 1.0)
+    assert np.all(program.upper_bounds[k + 1:2 * (k + 1)] == 1.0)
+    assert np.all(program.objective[k + 1:2 * (k + 1)] == 1.0)
     assert np.all(program.rhs == 0.0)
 
 
@@ -131,7 +146,7 @@ def test_pinned_slack_has_no_column(eight, monkeypatch):
     result = dea.evaluate(ds, 4, scheme="bam")
     program, reference = captured_program(monkeypatch, ds, 4, result, scheme="bam",
                                           efficient_indices=frontier)
-    t = len(frontier)
+    t = len(screened_units(ds, result, frontier))
     assert program.cols == 2 * (t + 1) + 1  # the input slack only
     assert np.all(reference.output_slacks == 0.0)
     assert reference.members == oracles.oracle_grs(ds, 4, result, scheme="bam",
@@ -308,6 +323,70 @@ def test_identify_equals_oracle_for_other_schemes(eight):
             assert reference.members == oracles.oracle_grs(
                 ds, o, result, scheme=scheme, efficient_indices=frontier
             )
+
+
+def test_screen_keeps_every_optimal_projection(eight, monkeypatch):
+    # DMU7 (3, 3) reaches the facet y = x + 3 through DMU2 (2, 5) alone and
+    # through DMU3 (3, 6) alone, each at the optimal slack total: two
+    # optimal projections with different members, so both must stay
+    ds, frontier, results = eight
+    result = results[6]
+    w_in, w_out = dea.slack_weights(ds)
+    for j in (1, 2):
+        s_in = ds.inputs[0, 6] - ds.inputs[0, j]
+        s_out = ds.outputs[0, j] - ds.outputs[0, 6]
+        assert s_in >= 0.0 and s_out >= 0.0
+        assert 2 * (w_in[0] * s_in + w_out[0] * s_out) == pytest.approx(result.slack_sum)
+    program, reference = captured_program(monkeypatch, ds, 6, result,
+                                          efficient_indices=frontier)
+    held = {tuple(column) for column in program.constraint_matrix[:2].T}
+    assert {(2.0, 5.0), (3.0, 6.0)} <= held
+    assert {1, 2} <= set(reference.members)
+
+
+def test_empty_screen_falls_back_to_the_efficient_set(monkeypatch):
+    # under bam/crs the origin is z's only optimal projection, so the
+    # scoring duals price every efficient unit strictly below zero
+    ds = dea.Dataset(["a", "b", "c", "z"], [[3.8, 2.3, 7.1, 5.6]],
+                     [[2.1, 4.7, -4.7, -2.7], [5.8, -3.6, -2.0, -3.3]])
+    frontier = dea.efficient_set(ds, scheme="bam", regime="crs")
+    result = dea.evaluate(ds, 3, scheme="bam", regime="crs")
+    assert screened_units(ds, result, frontier, regime="crs") == []
+    program, reference = captured_program(monkeypatch, ds, 3, result, scheme="bam",
+                                          regime="crs", efficient_indices=frontier)
+    assert program.cols == 2 * (len(frontier) + 1) + 3
+    assert reference.members == ()
+    assert reference.members == oracles.oracle_grs(ds, 3, result, scheme="bam",
+                                                   regime="crs",
+                                                   efficient_indices=frontier)
+    assert reference.weights.shape == (len(frontier),)
+
+
+def test_screened_identification_equals_oracle_on_random_data():
+    # larger n than above, so that the screen drops units.  bam/crs is
+    # left out: there an optimal projection can lean on a unit that is
+    # inefficient under its own bam weights, so the optimal-pattern system
+    # over the efficient set can be infeasible, for HiGHS as for the kernel
+    rng = np.random.default_rng(43)
+    pairs = [(scheme, regime) for regime in dea.REGIMES for scheme in dea.SCHEMES
+             if (scheme, regime) != ("bam", "crs")]
+    dropped = 0
+    for trial in range(20):
+        scheme, regime = pairs[trial % len(pairs)]
+        n, m, s = int(rng.integers(8, 20)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        ds = dea.Dataset([f"u{k}" for k in range(n)], rng.uniform(1.0, 10.0, (m, n)),
+                         rng.uniform(1.0, 10.0, (s, n)))
+        frontier = dea.efficient_set(ds, scheme, regime)
+        for o in rng.choice(n, 3, replace=False):
+            o = int(o)
+            result = dea.evaluate(ds, o, scheme, regime)
+            dropped += len(frontier) - len(screened_units(ds, result, frontier, regime))
+            reference = grs.identify_grs(ds, o, result, scheme, regime,
+                                         efficient_indices=frontier)
+            assert reference.members == oracles.oracle_grs(
+                ds, o, result, scheme=scheme, regime=regime, efficient_indices=frontier)
+            assert reference.weights.shape == (len(frontier),)
+    assert dropped > 0
 
 
 def test_mismatched_result_rejected(eight):

@@ -282,6 +282,22 @@ def test_zero_right_hand_side_skips_phase_one():
     assert sol.primal == pytest.approx([2.0, 1.0, 1.0], abs=1e-12)
 
 
+def test_ratio_test_passes_over_a_noise_pivot():
+    # x2 enters with column (1e-9, 1): the 1e-9 is noise, yet its row
+    # binds first, at step 0 against 1e-10 for the row below it.  Both
+    # steps lie within feas_tol of each other, so the Harris passes take
+    # the large pivot of row 1.
+    program = lp.LinearProgram("maximize", [0.0, 0.0, 1.0],
+                               [[1.0, 0.0, 1e-9], [0.0, 1.0, 1.0]], [0.0, 1e-10])
+    state = lp._SimplexState(program, lp.SolverSettings(), basis=[0, 1])
+    step, pos, hits_upper = state._ratio_test(2, 1.0, np.array([1e-9, 1.0]))
+    assert (pos, hits_upper) == (1, False)
+    assert step == pytest.approx(1e-10, abs=1e-20)
+    sol = lp.solve(program, basis=[0, 1])
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
+
+
 def test_import_does_not_load_scipy():
     # scipy backs only the test oracles; importing it would triple start-up
     src = Path(lp.__file__).resolve().parents[1]

@@ -87,9 +87,9 @@ def test_program_shape(eight, monkeypatch):
     ds, _ = eight
     programs = []
 
-    def spy(program, settings=None):
+    def spy(program, settings=None, basis=None):
         programs.append(program)
-        return lp.solve(program, settings)
+        return lp.solve(program, settings, basis)
 
     monkeypatch.setattr(rts, "solve", spy)
     rts.intercept_bounds(ds, ([5.0], [8.0]))
@@ -99,6 +99,57 @@ def test_program_shape(eight, monkeypatch):
         assert program.sense == "maximize"
         assert program.rows == m + s + 1
         assert program.cols == n + m + s + 2
+
+
+def recorded_solves(monkeypatch):
+    """Route ``rts.solve`` through a spy; returns its (basis, solution) list."""
+    calls = []
+
+    def spy(program, settings=None, basis=None):
+        sol = lp.solve(program, settings, basis)
+        calls.append((basis, sol))
+        return sol
+
+    monkeypatch.setattr(rts, "solve", spy)
+    return calls
+
+
+def test_min_end_starts_feasible_for_nonnegative_outputs(monkeypatch):
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        ds, anchors = random_instance(rng, "plain")
+        for anchor in anchors:
+            calls = recorded_solves(monkeypatch)
+            got = rts.intercept_bounds(ds, anchor, clamp=1e3)
+            (min_basis, min_end), (max_basis, _) = calls[:2]
+            assert min_basis is not None and max_basis is None
+            assert min_end.status == lp.OPTIMAL
+            assert min_end.phase1_iterations == 0
+            expected = oracles.intercept_interval_highs(ds, *anchor)
+            assert got[0] == pytest.approx(expected[0], rel=1e-6, abs=1e-12)
+
+
+def test_min_end_with_negative_outputs_gets_no_start(monkeypatch):
+    # at the anchor with a negative output, theta = alpha = -1 would give
+    # a negative output slack, so that min end starts from the artificial
+    # basis; the other anchors of the same data still get the start
+    ds = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 4.0]], [[-1.0, 2.0, 3.0]])
+    for anchor in (([2.0], [2.0]), ([1.0], [-1.0]), ([3.0], [2.5])):
+        calls = recorded_solves(monkeypatch)
+        got = rts.intercept_bounds(ds, anchor, clamp=1e3)
+        assert (calls[0][0] is None) == (anchor[1][0] < 0.0)
+        expected = oracles.intercept_interval_highs(ds, *anchor)
+        for end, reference, side in zip(got, expected, (-1.0, 1.0)):
+            if np.isinf(reference):
+                assert side * end >= 1e3
+            else:
+                assert end == pytest.approx(reference, rel=1e-6, abs=1e-12)
+
+
+def test_nan_bounds_are_rejected():
+    for bounds in ((np.nan, np.nan), (np.nan, 1.0), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            rts.classify_rts(bounds)
 
 
 def test_non_finite_clamp_and_tolerance_are_rejected(eight):
@@ -171,8 +222,8 @@ def test_ends_crossing_beyond_rounding_are_an_error(eight, monkeypatch):
     ds, _ = eight
     # the solves claim omega_min = 0.5 and omega_max = 0.4
     objectives = iter([0.5, -0.4])
-    monkeypatch.setattr(rts, "solve", lambda program, settings=None: lp.LpSolution(
-        lp.OPTIMAL, objective_value=next(objectives)))
+    monkeypatch.setattr(rts, "solve", lambda program, settings=None, basis=None:
+                        lp.LpSolution(lp.OPTIMAL, objective_value=next(objectives)))
     with pytest.raises(lp.LpError, match="cross"):
         rts.intercept_bounds(ds, ([3.0], [6.0]))
 

@@ -19,7 +19,9 @@ datasets both hold, and the counts of identical outputs (same exit code
 and stdout), outputs equal within 1e-6 (same text apart from numbers
 that agree to 1e-6, absolute or relative), other differences, newly
 aborting and newly passing datasets are printed, followed by the names of the
-datasets in the last three groups.
+datasets in the last three groups; a newly aborting or newly passing name
+carries the first stderr line of the side that aborts, which names the unit,
+the stage and the cause.
 """
 
 from __future__ import annotations
@@ -133,10 +135,15 @@ def main(argv=None) -> int:
         groups = compare(old, results)
         for group, names in groups.items():
             print(f"{group}: {len(names)}")
-        for group, names in groups.items():
-            if group in ("different", "newly aborting", "newly passing"):
-                for name in names:
-                    print(f"  {group}: {name}")
+        # the side whose run aborted, whose stderr gives the cause
+        aborted_in = {"newly aborting": results, "newly passing": old}
+        for group in ("different", "newly aborting", "newly passing"):
+            for name in groups[group]:
+                line = f"  {group}: {name}"
+                if group in aborted_in:
+                    cause = aborted_in[group][name][2].partition("\n")[0]
+                    line += f"  ({cause})"
+                print(line)
     return 0
 
 
