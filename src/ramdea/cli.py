@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = Path(args.data).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.data}: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,9 @@ Weight schemes:
             under evaluation
 
 Whenever a weight's divisor is zero the weight is defined as zero and
-the corresponding slack is pinned to zero in any model built from it.
+the corresponding slack is pinned to zero.  ``scoring_program`` is the
+one place that lays the slack model out; the GRS step builds its
+system from it.
 
 The scoring LP starts from a feasible basis, so the kernel never runs
 phase 1 on it: the unit under evaluation alone is a feasible
@@ -43,6 +45,7 @@ __all__ = [
     "RamResult",
     "compute_ranges",
     "slack_weights",
+    "scoring_program",
     "evaluate",
     "efficient_set",
 ]
@@ -98,6 +101,8 @@ class Dataset:
         labels = tuple(str(v) for v in labels)
         if len(labels) != count:
             raise ValueError(f"expected {count} labels, got {len(labels)}")
+        if len(set(labels)) != count:
+            raise ValueError(f"labels must be pairwise distinct, got {labels}")
         return labels
 
     @property
@@ -139,9 +144,9 @@ class RamResult:
     exactly as the solver produced it; for the ram scheme it equals the
     total of the range-normalised slacks and rho = 1 - slack_sum/(m+s).
     For the additive and bam schemes ``rho`` holds the raw weighted
-    optimum instead of a score in [0, 1].  ``duals`` are the scoring
-    LP's optimal row duals (inputs, outputs, then the convexity row
-    under "vrs"), as ``LpSolution.duals`` gives them.
+    optimum instead of a score in [0, 1].  ``duals`` are the optimal
+    row duals of ``scoring_program``, as ``LpSolution.duals`` gives
+    them; ``scheme`` and ``regime`` are the ones it was built with.
     """
 
     dmu_index: int
@@ -154,6 +159,8 @@ class RamResult:
     slack_sum: float
     efficient: bool
     duals: np.ndarray
+    scheme: str
+    regime: str
 
 
 def compute_ranges(dataset: Dataset) -> Ranges:
@@ -169,7 +176,7 @@ def slack_weights(dataset: Dataset, scheme: str = "ram", o: int | None = None):
 
     ``o`` is only consulted by the bam scheme, whose one-sided spreads
     are anchored at the evaluated unit.  Zero divisors yield zero
-    weights (the matching slacks get pinned by the model builders).
+    weights (the matching slacks get pinned by ``scoring_program``).
     """
     _check_scheme(scheme)
     m, s = dataset.n_inputs, dataset.n_outputs
@@ -189,6 +196,40 @@ def slack_weights(dataset: Dataset, scheme: str = "ram", o: int | None = None):
     return w_in, w_out
 
 
+def scoring_program(dataset: Dataset, o: int, scheme: str = "ram",
+                    regime: str = "vrs") -> LinearProgram:
+    """The slack model that scores unit ``o``.
+
+    Columns: the n intensities, the m input slacks, the s output slacks.
+    Rows: the inputs, the outputs, then the convexity row under "vrs",
+    with unit ``o``'s own data (and 1) on the right-hand side.  The cost
+    is the slack weights; a zero-weight slack is pinned by an upper
+    bound of 0.
+    """
+    _check_scheme(scheme)
+    _check_regime(regime)
+    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
+    if not 0 <= o < n:
+        raise IndexError(f"unit index {o} out of range for {n} units")
+    w_in, w_out = slack_weights(dataset, scheme, o)
+    convexity = regime == "vrs"
+    q = n + m + s
+    A = np.zeros((m + s + (1 if convexity else 0), q))
+    A[:m, :n] = dataset.inputs
+    A[:m, n:n + m] = np.eye(m)
+    A[m:m + s, :n] = dataset.outputs
+    A[m:m + s, n + m:] = -np.eye(s)
+    rhs = np.concatenate([dataset.inputs[:, o], dataset.outputs[:, o]])
+    if convexity:
+        A[-1, :n] = 1.0
+        rhs = np.concatenate([rhs, [1.0]])
+    upper = np.full(q, np.inf)
+    upper[n:n + m][w_in == 0.0] = 0.0
+    upper[n + m:][w_out == 0.0] = 0.0
+    cost = np.concatenate([np.zeros(n), w_in, w_out])
+    return LinearProgram("maximize", cost, A, rhs, upper_bounds=upper)
+
+
 def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
              settings: SolverSettings | None = None,
              eff_tol: float = EFF_TOL) -> RamResult:
@@ -198,43 +239,21 @@ def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
     and the solve starts from it), so a non-optimal solver status is
     raised as LpError.
     """
-    _check_scheme(scheme)
-    _check_regime(regime)
+    program = scoring_program(dataset, o, scheme, regime)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    if not 0 <= o < n:
-        raise IndexError(f"unit index {o} out of range for {n} units")
-    x_o, y_o = dataset.unit(o)
-    w_in, w_out = slack_weights(dataset, scheme, o)
-
-    convexity = regime == "vrs"
-    rows = m + s + (1 if convexity else 0)
-    q = n + m + s
-    A = np.zeros((rows, q))
-    A[:m, :n] = dataset.inputs
-    A[:m, n:n + m] = np.eye(m)
-    A[m:m + s, :n] = dataset.outputs
-    A[m:m + s, n + m:] = -np.eye(s)
-    rhs = np.concatenate([x_o, y_o])
-    if convexity:
-        A[-1, :n] = 1.0
-        rhs = np.concatenate([rhs, [1.0]])
-    upper = np.full(q, np.inf)
-    upper[n:n + m][w_in == 0.0] = 0.0
-    upper[n + m:][w_out == 0.0] = 0.0
-    cost = np.concatenate([np.zeros(n), w_in, w_out])
+    rhs = program.rhs
 
     # lambda_o and the slacks; under "crs" lambda_o takes the place of
     # the slack of the row where the unit is largest, and an all-zero
     # unit keeps the slack basis alone (b = 0)
-    slacks = np.arange(n, q)
-    if convexity:
+    slacks = np.arange(n, n + m + s)
+    if regime == "vrs":
         basis = np.append(o, slacks)
     elif np.any(rhs):
         basis = np.append(o, np.delete(slacks, np.argmax(np.abs(rhs))))
     else:
         basis = slacks
-    lp = LinearProgram("maximize", cost, A, rhs, upper_bounds=upper)
-    sol = solve(lp, settings, basis=basis)
+    sol = solve(program, settings, basis=basis)
     if sol.status != OPTIMAL:
         raise LpError(f"slack model for unit {o} ended {sol.status}")
 
@@ -250,11 +269,13 @@ def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
         input_slacks=s_in,
         output_slacks=s_out,
         lambdas=lambdas,
-        projection_inputs=x_o - s_in,
-        projection_outputs=y_o + s_out,
+        projection_inputs=rhs[:m] - s_in,
+        projection_outputs=rhs[m:m + s] + s_out,
         slack_sum=slack_sum,
         efficient=bool(slack_sum <= eff_tol),
         duals=sol.duals,
+        scheme=scheme,
+        regime=regime,
     )
 
 

@@ -17,20 +17,24 @@ zero, so its start with every variable at zero is already feasible and
 the kernel skips phase 1.
 
 ``identify_grs`` states unit o's optimal slack patterns as such a
-system and makes one call.  The u-block holds the efficient units'
-columns, the v-block the slacks whose budget weight is non-zero, and d
-is the unit's own data, 1 on the convexity row under "vrs", and the
-stage-1 optimal weighted slack total on the budget row.  The maximal
-support is the whole GRS, and the solution is a projection strictly
-inside the minimum face (every member carries positive weight).
+system and makes one call.  The system is the scoring program that
+``dea.scoring_program`` lays out, with one more row, the budget row,
+that holds its objective at the optimum: the weighted slack total
+equals the ``slack_sum`` of the scoring result.  The u-block holds the
+efficient units' columns, the v-block the slack columns whose budget
+weight is non-zero, and d is the scoring right-hand side (the unit's
+own data, and 1 on the convexity row under "vrs") followed by that
+total.  The maximal support is the whole GRS, and the solution is a
+projection strictly inside the minimum face (every member carries
+positive weight).
 
 The u-block is screened with the scoring LP's optimal row duals y,
 which ``dea.evaluate`` hands over in ``RamResult.duals``.  By
 complementary slackness every optimal solution of the scoring LP is
 zero wherever y leaves a non-zero reduced cost, so the GRS lies among
 the efficient units whose reduced cost -(y . a_j) is zero, a_j being
-unit j's column of the scoring LP (its inputs, its outputs and 1 under
-"vrs").  A unit stays when that reduced cost, divided by
+unit j's column of the scoring LP (the system's column above the
+budget row).  A unit stays when that reduced cost, divided by
 max(1, |y| |a_j|), is at least -1e-5: a kept extra column costs only
 pivots, a dropped member would be a wrong answer.  The weights of the
 screened-out units are zero, so ``GrsResult`` still spans the whole
@@ -155,42 +159,37 @@ def max_support_solution(A, B=None, d=None,
 
 
 def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
-                 scheme: str = "ram", regime: str = "vrs",
-                 efficient_indices=None,
+                 efficient_indices,
                  settings: SolverSettings | None = None,
-                 support_tol: float = SUPPORT_TOL,
-                 eff_tol: float = dea.EFF_TOL) -> GrsResult:
+                 support_tol: float = SUPPORT_TOL) -> GrsResult:
     """Identify unit ``o``'s global reference set with one solve.
 
-    ``ram_result`` must come from ``dea.evaluate`` for the same unit,
-    scheme and regime; its exact ``slack_sum`` becomes the budget and its
-    ``duals`` screen the candidate units (see the module docstring).  Pass
-    ``efficient_indices`` to reuse an already-computed efficient set.
-    The returned weights sum to one over the efficient set under "vrs";
-    members are exactly the indices whose weight exceeds
-    ``support_tol``.  The interior projection is the matching frontier
-    point, strictly inside the minimum face.
+    ``ram_result`` must come from ``dea.evaluate`` for the same unit, and
+    ``efficient_indices`` must be the efficient set under its scheme and
+    regime.  The result's scheme and regime fix the scoring program, its
+    exact ``slack_sum`` becomes the budget and its ``duals`` screen the
+    candidate units (see the module docstring).  The returned weights
+    sum to one over the efficient set under "vrs"; members are exactly
+    the indices whose weight exceeds ``support_tol``.  The interior
+    projection is the matching frontier point, strictly inside the
+    minimum face.
     """
     if ram_result.dmu_index != o:
         raise ValueError(f"ram_result is for unit {ram_result.dmu_index}, not {o}")
-    if efficient_indices is None:
-        efficient_indices = dea.efficient_set(dataset, scheme, regime, settings, eff_tol)
     frontier = tuple(int(j) for j in efficient_indices)
     if not frontier:
         raise LpError("no efficient units found; cannot form the optimal-pattern system")
-    m, s = dataset.n_inputs, dataset.n_outputs
-    convexity = regime == "vrs"
-    rows = m + s + (1 if convexity else 0) + 1
-    x_o, y_o = dataset.unit(o)
+    program = dea.scoring_program(dataset, o, ram_result.scheme, ram_result.regime)
+    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
+    # the scoring rows, then the budget row holding the objective at its
+    # optimum (scaled by m+s, as slack_sum is)
+    system = np.vstack([program.constraint_matrix, (m + s) * program.objective])
+    d = np.append(program.rhs, ram_result.slack_sum)
 
-    # A: the efficient units' columns, the convexity row under "vrs", a
-    # zero budget row; above the budget row these are the units' columns
-    # in the scoring LP, which its duals price for the screen
-    A = np.zeros((rows, len(frontier)))
-    A[:m] = dataset.inputs[:, frontier]
-    A[m:m + s] = dataset.outputs[:, frontier]
-    if convexity:
-        A[m + s] = 1.0
+    # A: the efficient units' columns, whose budget entry is zero; above
+    # the budget row they are the scoring LP's columns, which its duals
+    # price for the screen
+    A = system[:, frontier]
     y = ram_result.duals
     scale = np.maximum(1.0, np.linalg.norm(y) * np.linalg.norm(A[:-1], axis=0))
     kept = -(y @ A[:-1]) / scale >= -_SCREEN_TOL
@@ -198,13 +197,8 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
         kept[:] = True
     # B: the slack columns whose budget weight is non-zero; the others
     # are pinned at zero and get no column
-    budget = (m + s) * np.concatenate(dea.slack_weights(dataset, scheme, o))
-    slack_cols = np.zeros((rows, m + s))
-    slack_cols[:m, :m] = np.eye(m)
-    slack_cols[m:m + s, m:] = -np.eye(s)
-    slack_cols[-1] = budget
-    free = budget != 0.0
-    d = np.concatenate([x_o, y_o, [1.0] if convexity else [], [ram_result.slack_sum]])
+    slack_cols = system[:, n:]
+    free = slack_cols[-1] != 0.0
 
     weights = np.zeros(len(frontier))
     weights[kept], v = max_support_solution(A[:, kept], slack_cols[:, free], d,
@@ -218,8 +212,8 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
         members=tuple(j for k, j in enumerate(frontier) if weights[k] > support_tol),
         input_slacks=slacks[:m],
         output_slacks=slacks[m:],
-        interior_projection_inputs=x_o - slacks[:m],
-        interior_projection_outputs=y_o + slacks[m:],
+        interior_projection_inputs=program.rhs[:m] - slacks[:m],
+        interior_projection_outputs=program.rhs[m:m + s] + slacks[m:],
     )
 
 

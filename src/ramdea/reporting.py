@@ -214,8 +214,7 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
         name = dataset.names[j]
         with _stage(name, "grs"):
             reference = grs.identify_grs(
-                dataset, j, results[j], config.scheme, config.regime,
-                frontier, settings, config.support_tol, config.eff_tol,
+                dataset, j, results[j], frontier, settings, config.support_tol
             )
             face = grs.minimum_face(dataset, reference)
         report = reports[j]

@@ -277,6 +277,15 @@ def test_missing_file_exits_1(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_undecodable_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("dmu,in:x,out:y\nM\u00fcller,1,2\n".encode("latin-1"))
+    assert cli.main(["report", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+
+
 def test_malformed_data_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("dmu,in:x,out:y\nu1,1,oops\n", encoding="utf-8")

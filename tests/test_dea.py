@@ -31,6 +31,19 @@ def test_dataset_validation():
         dea.Dataset([], [[]], [[]])
 
 
+def test_dataset_rejects_a_label_repeated_within_a_role():
+    with pytest.raises(ValueError, match="distinct"):
+        dea.Dataset(["a", "b"], [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0]],
+                    input_labels=["x", "x"])
+    with pytest.raises(ValueError, match="distinct"):
+        dea.Dataset(["a", "b"], [[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]],
+                    output_labels=["y", "y"])
+    # one label may still name an input and an output
+    ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[1.0, 2.0]],
+                     input_labels=["x"], output_labels=["x"])
+    assert ds.input_labels == ds.output_labels == ("x",)
+
+
 def test_dataset_is_immutable(frontier8):
     with pytest.raises(ValueError):
         frontier8.inputs[0, 0] = 99.0
@@ -203,14 +216,59 @@ def test_all_zero_spreads_pin_every_slack():
 
 def test_bad_arguments():
     ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[1.0, 2.0]])
-    with pytest.raises(IndexError):
-        dea.evaluate(ds, 5)
-    with pytest.raises(ValueError):
-        dea.evaluate(ds, 0, scheme="sbm")
-    with pytest.raises(ValueError):
-        dea.evaluate(ds, 0, regime="nirs")
+    for build in (dea.evaluate, dea.scoring_program):
+        with pytest.raises(IndexError):
+            build(ds, 5)
+        with pytest.raises(ValueError):
+            build(ds, 0, scheme="sbm")
+        with pytest.raises(ValueError):
+            build(ds, 0, regime="nirs")
     with pytest.raises(ValueError):
         dea.slack_weights(ds, "bam")
+
+
+@pytest.mark.parametrize("regime", dea.REGIMES)
+def test_scoring_program_layout(regime):
+    # three units, two inputs (the second without spread, so its ram
+    # slack is pinned), one output
+    inputs = [[1.0, 4.0, 2.0], [5.0, 5.0, 5.0]]
+    outputs = [[3.0, 6.0, 2.0]]
+    ds = dea.Dataset(["a", "b", "c"], inputs, outputs)
+    program = dea.scoring_program(ds, 2, "ram", regime)
+    vrs = regime == "vrs"
+    assert program.sense == "maximize"
+    assert (program.rows, program.cols) == (3 + vrs, 3 + 2 + 1)
+    A = program.constraint_matrix
+    # columns: intensities, input slacks, output slacks; rows: inputs,
+    # outputs, then the convexity row under vrs
+    assert np.array_equal(A[:2], np.hstack([inputs, np.eye(2), np.zeros((2, 1))]))
+    assert np.array_equal(A[2:3], np.hstack([outputs, np.zeros((1, 2)), -np.eye(1)]))
+    if vrs:
+        assert np.array_equal(A[3], [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(program.rhs, [2.0, 5.0, 2.0] + [1.0] * vrs)
+    assert np.array_equal(program.objective, [0.0, 0.0, 0.0, 1 / 9, 0.0, 1 / 12])
+    assert np.array_equal(program.upper_bounds, [np.inf] * 4 + [0.0, np.inf])
+    assert np.all(program.lower_bounds == 0.0)
+
+
+@pytest.mark.parametrize("regime", dea.REGIMES)
+@pytest.mark.parametrize("scheme", dea.SCHEMES)
+def test_evaluate_solves_the_scoring_program(frontier8, monkeypatch, scheme, regime):
+    programs = []
+
+    def spy(program, settings=None, basis=None):
+        programs.append(program)
+        return lp.solve(program, settings, basis=basis)
+
+    monkeypatch.setattr(dea, "solve", spy)
+    result = dea.evaluate(frontier8, 6, scheme, regime)
+    (solved,) = programs
+    expected = dea.scoring_program(frontier8, 6, scheme, regime)
+    assert solved.sense == expected.sense
+    for field in ("objective", "constraint_matrix", "rhs",
+                  "lower_bounds", "upper_bounds"):
+        assert np.array_equal(getattr(solved, field), getattr(expected, field)), field
+    assert (result.scheme, result.regime) == (scheme, regime)
 
 
 def crash_start_datasets(frontier8):

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
-from ramdea import dea, grs, lp
+from ramdea import dea, grs, lp, reporting
 
 # reference sets for the 8-unit example, 0-based: the three units whose
 # projections are not unique all share {DMU2, DMU3, DMU4}
@@ -16,6 +18,12 @@ def eight(frontier8):
     frontier = dea.efficient_set(frontier8)
     results = [dea.evaluate(frontier8, o) for o in range(frontier8.n_dmus)]
     return frontier8, frontier, results
+
+
+@pytest.fixture(scope="module")
+def demo8():
+    demo = Path(__file__).resolve().parents[1] / "data" / "demo8.csv"
+    return reporting.parse_dataset(demo.read_text(encoding="utf-8"))
 
 
 def random_dataset(rng, low=1.0, high=10.0):
@@ -133,7 +141,7 @@ def test_program_shape_without_convexity(eight, monkeypatch):
     ds, _, _ = eight
     result = dea.evaluate(ds, 6, regime="crs")
     frontier = dea.efficient_set(ds, regime="crs")
-    program, _ = captured_program(monkeypatch, ds, 6, result, regime="crs",
+    program, _ = captured_program(monkeypatch, ds, 6, result,
                                   efficient_indices=frontier)
     assert program.rows == 3  # input, output, budget
 
@@ -144,7 +152,7 @@ def test_pinned_slack_has_no_column(eight, monkeypatch):
     ds, _, _ = eight
     frontier = dea.efficient_set(ds, scheme="bam")
     result = dea.evaluate(ds, 4, scheme="bam")
-    program, reference = captured_program(monkeypatch, ds, 4, result, scheme="bam",
+    program, reference = captured_program(monkeypatch, ds, 4, result,
                                           efficient_indices=frontier)
     t = len(screened_units(ds, result, frontier))
     assert program.cols == 2 * (t + 1) + 1  # the input slack only
@@ -161,8 +169,7 @@ def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
     frontier = dea.efficient_set(ds, regime="crs")
     result = dea.evaluate(ds, 2, regime="crs")
     assert result.slack_sum == 0.0
-    reference = grs.identify_grs(ds, 2, result, regime="crs",
-                                 efficient_indices=frontier)
+    reference = grs.identify_grs(ds, 2, result, efficient_indices=frontier)
     assert reference.members == (2, 3)
     assert reference.members == oracles.oracle_grs(ds, 2, result, regime="crs",
                                                    efficient_indices=frontier)
@@ -288,8 +295,7 @@ def test_identification_under_crs(eight):
     ds, _, _ = eight
     frontier = dea.efficient_set(ds, regime="crs")
     result = dea.evaluate(ds, 2, regime="crs")
-    reference = grs.identify_grs(ds, 2, result, regime="crs",
-                                 efficient_indices=frontier)
+    reference = grs.identify_grs(ds, 2, result, efficient_indices=frontier)
     assert reference.members == (1,)
     assert reference.members == oracles.oracle_grs(ds, 2, result, regime="crs",
                                                    efficient_indices=frontier)
@@ -318,11 +324,23 @@ def test_identify_equals_oracle_for_other_schemes(eight):
         frontier = dea.efficient_set(ds, scheme=scheme)
         for o in range(ds.n_dmus):
             result = dea.evaluate(ds, o, scheme=scheme)
-            reference = grs.identify_grs(ds, o, result, scheme=scheme,
-                                         efficient_indices=frontier)
+            reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
             assert reference.members == oracles.oracle_grs(
                 ds, o, result, scheme=scheme, efficient_indices=frontier
             )
+
+
+@pytest.mark.parametrize("regime", dea.REGIMES)
+@pytest.mark.parametrize("scheme", dea.SCHEMES)
+def test_result_fixes_the_scheme_and_regime(demo8, scheme, regime):
+    # the scoring result carries its scheme and regime, so its GRS needs
+    # neither restated
+    frontier = dea.efficient_set(demo8, scheme, regime)
+    for o in range(demo8.n_dmus):
+        result = dea.evaluate(demo8, o, scheme, regime)
+        reference = grs.identify_grs(demo8, o, result, efficient_indices=frontier)
+        assert reference.members == oracles.oracle_grs(
+            demo8, o, result, frontier, scheme=scheme, regime=regime)
 
 
 def test_screen_keeps_every_optimal_projection(eight, monkeypatch):
@@ -352,8 +370,8 @@ def test_empty_screen_falls_back_to_the_efficient_set(monkeypatch):
     frontier = dea.efficient_set(ds, scheme="bam", regime="crs")
     result = dea.evaluate(ds, 3, scheme="bam", regime="crs")
     assert screened_units(ds, result, frontier, regime="crs") == []
-    program, reference = captured_program(monkeypatch, ds, 3, result, scheme="bam",
-                                          regime="crs", efficient_indices=frontier)
+    program, reference = captured_program(monkeypatch, ds, 3, result,
+                                          efficient_indices=frontier)
     assert program.cols == 2 * (len(frontier) + 1) + 3
     assert reference.members == ()
     assert reference.members == oracles.oracle_grs(ds, 3, result, scheme="bam",
@@ -381,8 +399,7 @@ def test_screened_identification_equals_oracle_on_random_data():
             o = int(o)
             result = dea.evaluate(ds, o, scheme, regime)
             dropped += len(frontier) - len(screened_units(ds, result, frontier, regime))
-            reference = grs.identify_grs(ds, o, result, scheme, regime,
-                                         efficient_indices=frontier)
+            reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
             assert reference.members == oracles.oracle_grs(
                 ds, o, result, scheme=scheme, regime=regime, efficient_indices=frontier)
             assert reference.weights.shape == (len(frontier),)

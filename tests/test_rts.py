@@ -210,7 +210,7 @@ def test_single_point_interval_stays_ordered():
     # the README's three units: C lies on the segment AB, so its interval
     # is the single point -2/9, whose two solves differ by rounding
     ds = dea.Dataset(["A", "B", "C"], [[2.0, 4.0, 3.0]], [[2.0, 5.0, 3.5]])
-    reference = grs.identify_grs(ds, 2, dea.evaluate(ds, 2))
+    reference = grs.identify_grs(ds, 2, dea.evaluate(ds, 2), dea.efficient_set(ds))
     omega_min, omega_max = rts.intercept_bounds(
         ds, (reference.interior_projection_inputs, reference.interior_projection_outputs))
     assert omega_min <= omega_max
@@ -289,7 +289,7 @@ def test_translated_data_endpoints_match_highs():
     ds = reporting.parse_dataset(TRANSLATED)
     o = ds.index("U002")
     result = dea.evaluate(ds, o, "additive")
-    reference = grs.identify_grs(ds, o, result, "additive")
+    reference = grs.identify_grs(ds, o, result, dea.efficient_set(ds, "additive"))
     anchor = (reference.interior_projection_inputs,
               reference.interior_projection_outputs)
     expected = oracles.intercept_interval_highs(ds, *anchor)

@@ -21,7 +21,9 @@ that agree to 1e-6, absolute or relative), other differences, newly
 aborting and newly passing datasets are printed, followed by the names of the
 datasets in the last three groups; a newly aborting or newly passing name
 carries the first stderr line of the side that aborts, which names the unit,
-the stage and the cause.
+the stage and the cause.  The exit status is then 1 when any dataset is
+different or newly aborting, and 0 otherwise, so an identity gate is the
+command's exit status.
 """
 
 from __future__ import annotations
@@ -144,6 +146,8 @@ def main(argv=None) -> int:
                     cause = aborted_in[group][name][2].partition("\n")[0]
                     line += f"  ({cause})"
                 print(line)
+        if groups["different"] or groups["newly aborting"]:
+            return 1
     return 0
 
 
