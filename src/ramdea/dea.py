@@ -123,10 +123,6 @@ class Dataset:
         except ValueError:
             raise KeyError(f"unknown unit name: {name!r}") from None
 
-    def unit(self, o: int):
-        """Input and output column of unit ``o``."""
-        return self.inputs[:, o].copy(), self.outputs[:, o].copy()
-
 
 @dataclass(frozen=True, eq=False)
 class Ranges:

@@ -41,6 +41,17 @@ screened-out units are zero, so ``GrsResult`` still spans the whole
 efficient set; when the screen keeps no unit (the crs apex, where the
 origin is the only projection), the whole efficient set stays.  The
 slack columns are never screened.
+
+The common case needs no solve at all.  Under "vrs", when the screen
+keeps exactly one unit k, the GRS lies inside {k} and the convexity row
+forces lambda_k = 1, so the only optimal pattern is k itself: weight 1
+on k, input slacks x_o - x_k, output slacks y_k - y_o, and the minimum
+face is the vertex (x_k, y_k), which becomes the interior projection
+bitwise.  The scoring solution, already verified by the kernel, must
+agree (lambda_k within ``support_tol`` of 1, the other intensities
+summing to at most ``support_tol``) before this is taken; otherwise,
+and always under "crs", where the weight of k is not fixed, the program
+above is solved.
 """
 
 from __future__ import annotations
@@ -162,13 +173,14 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
                  efficient_indices,
                  settings: SolverSettings | None = None,
                  support_tol: float = SUPPORT_TOL) -> GrsResult:
-    """Identify unit ``o``'s global reference set with one solve.
+    """Identify unit ``o``'s global reference set with at most one solve.
 
     ``ram_result`` must come from ``dea.evaluate`` for the same unit, and
     ``efficient_indices`` must be the efficient set under its scheme and
     regime.  The result's scheme and regime fix the scoring program, its
     exact ``slack_sum`` becomes the budget and its ``duals`` screen the
-    candidate units (see the module docstring).  The returned weights
+    candidate units; a single kept unit under "vrs" is the GRS without a
+    solve (see the module docstring).  The returned weights
     sum to one over the efficient set under "vrs"; members are exactly
     the indices whose weight exceeds ``support_tol``.  The interior
     projection is the matching frontier point, strictly inside the
@@ -195,25 +207,39 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     kept = -(y @ A[:-1]) / scale >= -_SCREEN_TOL
     if not kept.any():
         kept[:] = True
-    # B: the slack columns whose budget weight is non-zero; the others
-    # are pinned at zero and get no column
-    slack_cols = system[:, n:]
-    free = slack_cols[-1] != 0.0
 
     weights = np.zeros(len(frontier))
-    weights[kept], v = max_support_solution(A[:, kept], slack_cols[:, free], d,
-                                            settings, support_tol)
-    slacks = np.zeros(m + s)
-    slacks[free] = v
+    lambdas = ram_result.lambdas
+    vertex = frontier[int(np.argmax(kept))]
+    if (ram_result.regime == "vrs" and kept.sum() == 1
+            and abs(lambdas[vertex] - 1.0) <= support_tol
+            and lambdas.sum() - lambdas[vertex] <= support_tol):
+        # the vertex case: the convexity row fixes the one kept unit's
+        # weight at 1 (see the module docstring)
+        weights[kept] = 1.0
+        x_hat = dataset.inputs[:, vertex].copy()
+        y_hat = dataset.outputs[:, vertex].copy()
+        s_in, s_out = program.rhs[:m] - x_hat, y_hat - program.rhs[m:m + s]
+    else:
+        # B: the slack columns whose budget weight is non-zero; the
+        # others are pinned at zero and get no column
+        slack_cols = system[:, n:]
+        free = slack_cols[-1] != 0.0
+        weights[kept], v = max_support_solution(A[:, kept], slack_cols[:, free], d,
+                                                settings, support_tol)
+        slacks = np.zeros(m + s)
+        slacks[free] = v
+        s_in, s_out = slacks[:m], slacks[m:]
+        x_hat, y_hat = program.rhs[:m] - s_in, program.rhs[m:m + s] + s_out
     return GrsResult(
         o=o,
         efficient_indices=frontier,
         weights=weights,
         members=tuple(j for k, j in enumerate(frontier) if weights[k] > support_tol),
-        input_slacks=slacks[:m],
-        output_slacks=slacks[m:],
-        interior_projection_inputs=program.rhs[:m] - slacks[:m],
-        interior_projection_outputs=program.rhs[m:m + s] + slacks[m:],
+        input_slacks=s_in,
+        output_slacks=s_out,
+        interior_projection_inputs=x_hat,
+        interior_projection_outputs=y_hat,
     )
 
 

@@ -181,6 +181,10 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     ``stages`` limits the work: "efficiency" stops after scoring, "grs"
     adds reference sets and faces, "all" adds the scale classification
     (skipped under the "crs" regime, whose class is constant everywhere).
+    The intercept interval depends on the anchor alone, so it is solved
+    once per distinct anchor: every unit whose GRS is the single vertex
+    k anchors at k's own data, as k itself usually does, and shares
+    its interval.
     """
     if stages not in ("efficiency", "grs", "all"):
         raise ValueError(f"unknown stages {stages!r}")
@@ -210,6 +214,8 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
         return [reports[j] for j in selected]
 
     frontier = [j for j in range(dataset.n_dmus) if results[j].efficient]
+    # intercept intervals by the exact bytes of their anchor
+    intervals = {}
     for j in selected:
         name = dataset.names[j]
         with _stage(name, "grs"):
@@ -236,8 +242,11 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
         if stages == "all" and config.regime == "vrs":
             anchor = (reference.interior_projection_inputs,
                       reference.interior_projection_outputs)
-            with _stage(name, "rts"):
-                omega_min, omega_max = rts.intercept_bounds(dataset, anchor, settings)
+            key = (anchor[0].tobytes(), anchor[1].tobytes())
+            if key not in intervals:
+                with _stage(name, "rts"):
+                    intervals[key] = rts.intercept_bounds(dataset, anchor, settings)
+            omega_min, omega_max = intervals[key]
             report.rts_class = rts.classify_rts(
                 (omega_min, omega_max), config.rts_tol
             )

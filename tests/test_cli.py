@@ -1,9 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from ramdea import cli, lp, reporting
+from ramdea import cli, lp, reporting, rts
 
 
 def analyse(csv_text, stages="all", **config_kwargs):
@@ -201,6 +202,42 @@ def test_rendering_is_deterministic(frontier8_csv):
     for fmt in ("json", "csv", "table"):
         assert reporting.render_report(first, fmt) \
             == reporting.render_report(second, fmt)
+
+
+# one input, one output: D, E and F project onto the vertex B
+CORNER_CSV = "dmu,in:x,out:y\nA,1,1\nB,2,4\nC,4,5\nD,3,4\nE,3,3.5\nF,2.5,2\n"
+
+
+def test_intercept_interval_is_solved_once_per_anchor(tmp_path, capsys, monkeypatch):
+    direct = rts.intercept_bounds
+    anchors = []
+
+    def spy(dataset, point, settings=None):
+        anchors.append((point[0].tobytes(), point[1].tobytes()))
+        return direct(dataset, point, settings)
+
+    monkeypatch.setattr(rts, "intercept_bounds", spy)
+    reports = analyse(CORNER_CSV)
+    points = [(np.array(list(r.projection_inputs.values())),
+               np.array(list(r.projection_outputs.values()))) for r in reports]
+    # every distinct anchor solved exactly once: A, C, and B for B, D, E and F
+    assert sorted(anchors) == sorted({(x.tobytes(), y.tobytes()) for x, y in points})
+    assert len(anchors) == 3
+
+    dataset = reporting.parse_dataset(CORNER_CSV)
+    for report, point in zip(reports, points):
+        assert (report.omega_min, report.omega_max) == direct(dataset, point)
+
+    path = tmp_path / "corner.csv"
+    path.write_text(CORNER_CSV, encoding="utf-8")
+    assert cli.main(["report", "--data", str(path), "--format", "json",
+                     "--dmu", "E", "--dmu", "C"]) == 0
+    kept = {obj["name"]: obj["rts"] for obj in json.loads(capsys.readouterr().out)}
+    assert sorted(kept) == ["C", "E"]
+    for report in reports:
+        if report.name in kept:
+            assert kept[report.name]["omega_min"] == report.omega_min
+            assert kept[report.name]["omega_max"] == report.omega_max
 
 
 # -- command line ------------------------------------------------------

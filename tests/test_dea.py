@@ -193,7 +193,7 @@ def test_returned_solution_is_feasible(frontier8):
     tol = 1e-9
     for o in range(frontier8.n_dmus):
         result = dea.evaluate(frontier8, o)
-        x_o, y_o = frontier8.unit(o)
+        x_o, y_o = frontier8.inputs[:, o], frontier8.outputs[:, o]
         r_in = frontier8.inputs @ result.lambdas + result.input_slacks - x_o
         r_out = frontier8.outputs @ result.lambdas - result.output_slacks - y_o
         assert np.all(np.abs(r_in) <= tol * (1.0 + np.abs(x_o)))

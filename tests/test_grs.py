@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,92 @@ def test_screened_identification_equals_oracle_on_random_data():
                 ds, o, result, scheme=scheme, regime=regime, efficient_indices=frontier)
             assert reference.weights.shape == (len(frontier),)
     assert dropped > 0
+
+
+# -- vertex faces ------------------------------------------------------
+
+# one input, one output: A, B and C are efficient, and D, E and F
+# project under ram onto the vertex B alone
+CORNER = dea.Dataset(["A", "B", "C", "D", "E", "F"],
+                     [[1.0, 2.0, 4.0, 3.0, 3.0, 2.5]],
+                     [[1.0, 4.0, 5.0, 4.0, 3.5, 2.0]])
+
+
+@pytest.mark.parametrize("scheme, units", [("ram", (1, 3, 4, 5)), ("bam", (5, 6, 7))])
+def test_vertex_face_takes_no_solve(eight, monkeypatch, scheme, units):
+    # under ram on CORNER and under bam on the 8-unit example, the screen
+    # of each of these units keeps one efficient unit
+    ds = CORNER if scheme == "ram" else eight[0]
+    frontier = dea.efficient_set(ds, scheme)
+
+    def spy(program, settings=None):
+        raise AssertionError("a vertex GRS must not reach the kernel")
+
+    monkeypatch.setattr(grs, "solve", spy)
+    for o in units:
+        result = dea.evaluate(ds, o, scheme)
+        assert len(screened_units(ds, result, frontier)) == 1
+        reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
+        assert reference.members == oracles.oracle_grs(ds, o, result, frontier,
+                                                       scheme=scheme)
+        (k,) = reference.members
+        assert reference.interior_projection_inputs.tobytes() \
+            == ds.inputs[:, k].tobytes()
+        assert reference.interior_projection_outputs.tobytes() \
+            == ds.outputs[:, k].tobytes()
+        assert np.array_equal(reference.weights, np.eye(len(frontier))[frontier.index(k)])
+        assert np.array_equal(reference.input_slacks, ds.inputs[:, o] - ds.inputs[:, k])
+        assert np.array_equal(reference.output_slacks, ds.outputs[:, k] - ds.outputs[:, o])
+        if scheme == "ram":
+            resid = oracles.optimal_pattern_residuals(ds, result, reference)
+            assert np.all(np.abs(resid) <= 1e-12)
+
+
+def test_one_kept_unit_under_crs_still_solves(eight, monkeypatch):
+    # the crs frontier is DMU2 alone, which scores itself at intensity 1,
+    # yet without a convexity row its GRS weight is not fixed at 1
+    ds, _, _ = eight
+    frontier = dea.efficient_set(ds, regime="crs")
+    assert frontier == [1]
+    for o in range(ds.n_dmus):
+        result = dea.evaluate(ds, o, regime="crs")
+        if o == 1:
+            assert result.lambdas[1] == pytest.approx(1.0, abs=1e-12)
+        _, reference = captured_program(monkeypatch, ds, o, result,
+                                        efficient_indices=frontier)
+        assert reference.members == oracles.oracle_grs(ds, o, result, frontier,
+                                                       regime="crs")
+
+
+def test_two_kept_units_still_solve(eight, monkeypatch):
+    # under ram every unit of the 8-unit example keeps two or more units,
+    # also DMU5, whose GRS is the vertex DMU4
+    ds, frontier, results = eight
+    for o in range(ds.n_dmus):
+        assert len(screened_units(ds, results[o], frontier)) >= 2
+        _, reference = captured_program(monkeypatch, ds, o, results[o],
+                                        efficient_indices=frontier)
+        assert reference.members == EIGHT_MEMBERS[o]
+        assert reference.members == oracles.oracle_grs(ds, o, results[o], frontier)
+
+
+@pytest.mark.parametrize("lambdas", [
+    # the kept unit's intensity too far below 1
+    {1: 1.0 - 2 * grs.SUPPORT_TOL},
+    # the others summing above the tolerance, each of them below it
+    {0: 0.6 * grs.SUPPORT_TOL, 1: 1.0, 2: 0.6 * grs.SUPPORT_TOL},
+])
+def test_disagreeing_intensities_still_solve(monkeypatch, lambdas):
+    frontier = dea.efficient_set(CORNER)
+    result = dea.evaluate(CORNER, 3)
+    assert screened_units(CORNER, result, frontier) == [1]
+    disagreeing = np.zeros(CORNER.n_dmus)
+    disagreeing[list(lambdas)] = list(lambdas.values())
+    result = dataclasses.replace(result, lambdas=disagreeing)
+    _, reference = captured_program(monkeypatch, CORNER, 3, result,
+                                    efficient_indices=frontier)
+    assert reference.members == (1,)
+    assert reference.members == oracles.oracle_grs(CORNER, 3, result, frontier)
 
 
 def test_mismatched_result_rejected(eight):
