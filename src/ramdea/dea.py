@@ -41,9 +41,7 @@ __all__ = [
     "REGIMES",
     "EFF_TOL",
     "Dataset",
-    "Ranges",
     "RamResult",
-    "compute_ranges",
     "slack_weights",
     "scoring_program",
     "evaluate",
@@ -125,14 +123,6 @@ class Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class Ranges:
-    """Observed spread (max minus min) of every input and output row."""
-
-    input_ranges: np.ndarray
-    output_ranges: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RamResult:
     """One unit's score, optimal slacks, intensities and projection.
 
@@ -159,14 +149,6 @@ class RamResult:
     regime: str
 
 
-def compute_ranges(dataset: Dataset) -> Ranges:
-    """Per-row spread between the largest and smallest observation."""
-    return Ranges(
-        np.ptp(dataset.inputs, axis=1),
-        np.ptp(dataset.outputs, axis=1),
-    )
-
-
 def slack_weights(dataset: Dataset, scheme: str = "ram", o: int | None = None):
     """Objective weights (w_in, w_out) for the slack variables.
 
@@ -179,9 +161,8 @@ def slack_weights(dataset: Dataset, scheme: str = "ram", o: int | None = None):
     if scheme == "additive":
         return np.ones(m), np.ones(s)
     if scheme == "ram":
-        spread = compute_ranges(dataset)
-        den_in = (m + s) * spread.input_ranges
-        den_out = (m + s) * spread.output_ranges
+        den_in = (m + s) * np.ptp(dataset.inputs, axis=1)
+        den_out = (m + s) * np.ptp(dataset.outputs, axis=1)
     else:  # bam
         if o is None:
             raise ValueError("the bam scheme needs the evaluated unit index")

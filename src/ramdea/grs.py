@@ -67,7 +67,6 @@ __all__ = [
     "SUPPORT_TOL",
     "DegenerateNormalizerError",
     "GrsResult",
-    "MinimumFace",
     "max_support_solution",
     "identify_grs",
     "minimum_face",
@@ -106,14 +105,6 @@ class GrsResult:
     output_slacks: np.ndarray
     interior_projection_inputs: np.ndarray
     interior_projection_outputs: np.ndarray
-
-
-@dataclass(frozen=True)
-class MinimumFace:
-    """Vertices spanning the minimum face and its affine dimension."""
-
-    vertex_indices: tuple[int, ...]
-    dimension: int
 
 
 def max_support_solution(A, B=None, d=None,
@@ -243,17 +234,17 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     )
 
 
-def minimum_face(dataset: dea.Dataset, grs: GrsResult) -> MinimumFace:
-    """Affine dimension of the face spanned by the GRS members.
+def minimum_face(dataset: dea.Dataset, grs: GrsResult) -> int:
+    """Affine dimension of the minimum face, the hull of ``grs.members``.
 
     An empty GRS (possible under "crs", where the origin itself can be
-    the projection) spans the cone's apex: no vertices, dimension 0.
+    the projection) spans the cone's apex: dimension 0.
     """
     members = grs.members
     if len(members) <= 1:
-        return MinimumFace(members, 0)
+        return 0
     points = np.vstack([dataset.inputs[:, members], dataset.outputs[:, members]])
     deltas = points[:, 1:] - points[:, :1]
     singular = np.linalg.svd(deltas, compute_uv=False)
     cutoff = _RANK_TOL * max(1.0, float(singular[0]))
-    return MinimumFace(members, int(np.sum(singular > cutoff)))
+    return int(np.sum(singular > cutoff))

@@ -41,8 +41,10 @@ variable at its resting bound; if the basis is non-singular and those
 values lie within their bounds to ``feas_tol``, the artificials are
 pinned at zero and the solve goes straight to phase 2.  Otherwise the
 hint is dropped for the artificial start.  Phase 1 is a subproblem over
-the artificial columns (no big-M terms); basic artificials left at zero
-are swapped out by degenerate pivots before phase 2.
+the artificial columns (no big-M terms).  Phase 2 pins every artificial
+at zero, so one still basic there leaves through the ratio test, by a
+degenerate pivot, once an entering column would move it; one on a
+redundant row stays basic at zero.
 
 Every pivot factors the basis afresh with numpy's LAPACK solver: a
 solve with the transposed basis gives the row duals for pricing, and one
@@ -280,7 +282,6 @@ class _SimplexState:
             if infeas > self.settings.feas_tol * (p + float(np.abs(self.lp.rhs).sum())):
                 return LpSolution(INFEASIBLE, iterations=self.iterations,
                                   phase1_iterations=self.phase1_iterations)
-        self._evict_artificials()
         self.lo[q:] = 0.0
         self.hi[q:] = 0.0  # artificials stay pinned at zero from here on
         sign = 1.0 if self.lp.sense == "minimize" else -1.0
@@ -410,24 +411,6 @@ class _SimplexState:
         x = self.x_off.copy()
         x[self.basis] = self.x_basic
         return x
-
-    def _evict_artificials(self) -> None:
-        # Degenerate pivots that swap leftover artificials for structural
-        # columns; redundant rows keep their artificial, pinned at zero.
-        q = self.q
-        for pos in range(self.p):
-            if self.basis[pos] < q:
-                continue
-            unit = np.zeros(self.p)
-            unit[pos] = 1.0
-            row = _checked_solve(self.A[:, self.basis].T, unit) @ self.A[:, :q]
-            nonbasic = np.flatnonzero(self.state[:q] != -1)
-            if nonbasic.size == 0:
-                continue
-            best = int(nonbasic[np.argmax(np.abs(row[nonbasic]))])
-            if abs(row[best]) <= 1e-9:
-                continue
-            self._swap(pos, best, False)
 
     def _verify(self, x: np.ndarray) -> None:
         # phrased so that a NaN anywhere fails every check

@@ -222,7 +222,7 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
             reference = grs.identify_grs(
                 dataset, j, results[j], frontier, settings, config.support_tol
             )
-            face = grs.minimum_face(dataset, reference)
+            dimension = grs.minimum_face(dataset, reference)
         report = reports[j]
         report.grs_members = [
             (dataset.names[member], float(reference.weights[k]))
@@ -237,7 +237,7 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
             dataset.output_labels,
             (float(v) for v in reference.interior_projection_outputs),
         ))
-        report.minimum_face_dimension = face.dimension
+        report.minimum_face_dimension = dimension
 
         if stages == "all" and config.regime == "vrs":
             anchor = (reference.interior_projection_inputs,

@@ -30,11 +30,10 @@ output would make its slack negative, so then no basis is passed.  The
 max-end dual may be infeasible, which is its answer, and starts from
 the artificial basis.
 
-Finite endpoints are reported exactly and may fall outside the clamp;
-an unbounded endpoint is substituted by the matching clamp value (+clamp
-or -clamp), pushed just far enough to never cross the finite endpoint.
-Either way the sign information, and hence the classification, is
-preserved.
+Finite endpoints are reported exactly and may fall outside [-1, 1];
+an unbounded endpoint is substituted by -1 or +1, pushed just far
+enough to never cross the finite endpoint.  Either way the sign
+information, and hence the classification, is preserved.
 """
 
 from __future__ import annotations
@@ -63,6 +62,9 @@ DECREASING = "decreasing"
 
 # Attainability of a zero intercept is an LP-tolerance-dominated call.
 RTS_TOL = 1e-6
+
+# Magnitude reported for an unbounded end of the intercept interval.
+_CLAMP = 1.0
 
 
 class NotOnFrontierError(RamdeaError):
@@ -123,16 +125,15 @@ def _off_frontier() -> NotOnFrontierError:
 
 
 def intercept_bounds(dataset: dea.Dataset, point,
-                     settings: SolverSettings | None = None,
-                     clamp: float = 1.0) -> tuple[float, float]:
+                     settings: SolverSettings | None = None) -> tuple[float, float]:
     """Smallest and largest supporting intercept at ``point``.
 
     ``point`` is an (inputs, outputs) pair lying on the efficient
     frontier of the convex technology, e.g. a GRS interior projection.
-    An unbounded endpoint is replaced by -clamp / +clamp (or by the
-    finite endpoint when that lies beyond the clamp, so the interval
-    stays ordered).  Finite ends that cross by rounding are both
-    reported as omega_min; a wider crossing raises ``LpError``.
+    An unbounded endpoint is replaced by -1 / +1 (or by the finite
+    endpoint when that lies beyond, so the interval stays ordered).
+    Finite ends that cross by rounding are both reported as omega_min;
+    a wider crossing raises ``LpError``.
     """
     x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
     y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
@@ -143,8 +144,6 @@ def intercept_bounds(dataset: dea.Dataset, point,
             "anchor inputs are all non-positive; the multiplier normalisation "
             "v . x = 1 is unattainable and the scale class is undefined here"
         )
-    if not (np.isfinite(clamp) and clamp > 0.0):
-        raise ValueError("clamp must be finite and strictly positive")
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
     # the min end's feasible start (see the module docstring)
     min_start = None
@@ -178,9 +177,9 @@ def intercept_bounds(dataset: dea.Dataset, point,
         omega_max = omega_min
     # a substituted endpoint must never cross the finite one
     if omega_min is None:
-        omega_min = -clamp if omega_max is None else min(-clamp, omega_max)
+        omega_min = -_CLAMP if omega_max is None else min(-_CLAMP, omega_max)
     if omega_max is None:
-        omega_max = max(clamp, omega_min)
+        omega_max = max(_CLAMP, omega_min)
     return omega_min, omega_max
 
 

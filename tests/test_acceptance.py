@@ -92,11 +92,10 @@ def test_criterion_4_minimum_faces(eight):
     with criterion(4, "minimum-face geometry"):
         ds, _, _, references = eight
         for o in (6, 7):
-            face = grs.minimum_face(ds, references[o])
-            assert set(face.vertex_indices) == {1, 2, 3}
-            assert face.dimension == 1
+            assert set(references[o].members) == {1, 2, 3}
+            assert grs.minimum_face(ds, references[o]) == 1
         for o in (4, 5):
-            assert grs.minimum_face(ds, references[o]).dimension == 0
+            assert grs.minimum_face(ds, references[o]) == 0
 
 
 def test_criterion_5_scale_classes_and_intercepts(eight):

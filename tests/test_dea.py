@@ -50,21 +50,26 @@ def test_dataset_is_immutable(frontier8):
 
 
 def test_ranges_eight_units(frontier8):
-    spread = dea.compute_ranges(frontier8)
-    assert spread.input_ranges == pytest.approx([7.0])
-    assert spread.output_ranges == pytest.approx([7.0])
+    # both rows spread over 7, whichever unit is scored
+    for o in range(frontier8.n_dmus):
+        w_in, w_out = dea.slack_weights(frontier8, "ram", o)
+        assert w_in == pytest.approx([1 / (2 * 7.0)])
+        assert w_out == pytest.approx([1 / (2 * 7.0)])
 
 
 def test_ranges_single_unit():
+    # a single unit spreads over nothing, so every ram weight is zero
     lone = dea.Dataset(["only"], [[4.0], [2.0]], [[3.0]])
-    spread = dea.compute_ranges(lone)
-    assert np.all(spread.input_ranges == 0.0)
-    assert np.all(spread.output_ranges == 0.0)
+    w_in, w_out = dea.slack_weights(lone, "ram")
+    assert np.all(w_in == 0.0)
+    assert np.all(w_out == 0.0)
 
 
 def test_ranges_negative_data():
+    # the input row spreads from -1 to 3, over 4
     ds = dea.Dataset(["a", "b"], [[3.0, -1.0]], [[1.0, 2.0]])
-    assert dea.compute_ranges(ds).input_ranges == pytest.approx([4.0])
+    w_in, _ = dea.slack_weights(ds, "ram")
+    assert w_in == pytest.approx([1 / (2 * 4.0)])
 
 
 def test_ram_weights(frontier8):
@@ -163,7 +168,7 @@ def test_score_stays_in_unit_interval_on_positive_spreads():
     rng = np.random.default_rng(29)
     for _ in range(15):
         ds = random_dataset(rng, n=int(rng.integers(3, 10)))
-        if np.any(dea.compute_ranges(ds).input_ranges == 0.0):
+        if np.any(np.ptp(ds.inputs, axis=1) == 0.0):
             continue
         for o in range(ds.n_dmus):
             result = dea.evaluate(ds, o)

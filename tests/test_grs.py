@@ -283,11 +283,10 @@ def test_stage_one_projection_lies_in_member_hull(eight):
 
 def test_budget_row_exactness(eight):
     ds, frontier, results = eight
-    spread = dea.compute_ranges(ds)
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
-        total = (reference.input_slacks / spread.input_ranges).sum() \
-            + (reference.output_slacks / spread.output_ranges).sum()
+        total = (reference.input_slacks / np.ptp(ds.inputs, axis=1)).sum() \
+            + (reference.output_slacks / np.ptp(ds.outputs, axis=1)).sum()
         budget = results[o].slack_sum
         assert abs(total - budget) <= 1e-9 * (1.0 + budget)
 
@@ -407,6 +406,37 @@ def test_screened_identification_equals_oracle_on_random_data():
     assert dropped > 0
 
 
+# additive/crs data shifted by 1e4: U000's GRS program used to cycle
+# with period 2 until the pivot budget ran out
+SHIFTED = dea.Dataset(
+    [f"U{j:03d}" for j in range(9)],
+    [[10008.632802295268, 10007.289364609614, 10005.173094272071, 10002.013112583409,
+      10006.288696919333, 10005.216442684066, 10005.96712956929, 10003.090624829649,
+      10002.344506933838],
+     [10006.520973182915, 10006.078039016953, 10009.434538591788, 10006.2142636866,
+      10005.580801697472, 10005.57271443008, 10003.403171425289, 10001.139645320864,
+      10005.427776610415]],
+    [[10007.080641937147, 10008.75843500573, 10004.967961915172, 10003.632451125384,
+      10001.486396295217, 10008.129609527528, 10003.595951037556, 10002.655222776419,
+      10003.313149190917],
+     [10005.600804380949, 10001.778505772476, 10004.704409301221, 10001.22734767324,
+      10004.872439948156, 10001.71067591398, 10005.3723966574, 10004.151516658509,
+      10006.50650346486]],
+)
+
+
+def test_shifted_crs_grs_program_concludes():
+    config = reporting.AnalysisConfig(scheme="additive", regime="crs")
+    reports = reporting.run_analysis(config, SHIFTED)
+    assert [r.name for r in reports] == list(SHIFTED.names)
+    frontier = dea.efficient_set(SHIFTED, "additive", "crs")
+    result = dea.evaluate(SHIFTED, 0, "additive", "crs")
+    expected = oracles.oracle_grs(SHIFTED, 0, result, frontier,
+                                  scheme="additive", regime="crs")
+    assert [name for name, _ in reports[0].grs_members] == \
+        [SHIFTED.names[j] for j in expected]
+
+
 # -- vertex faces ------------------------------------------------------
 
 # one input, one output: A, B and C are efficient, and D, E and F
@@ -506,17 +536,15 @@ def test_face_of_collinear_members_is_a_segment(eight):
     ds, frontier, results = eight
     for o in (6, 7):
         reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
-        face = grs.minimum_face(ds, reference)
-        assert face.vertex_indices == (1, 2, 3)
-        assert face.dimension == 1
+        assert reference.members == (1, 2, 3)
+        assert grs.minimum_face(ds, reference) == 1
 
 
 def test_face_of_singleton_is_a_point(eight):
     ds, frontier, results = eight
     reference = grs.identify_grs(ds, 4, results[4], efficient_indices=frontier)
-    face = grs.minimum_face(ds, reference)
-    assert face.vertex_indices == (3,)
-    assert face.dimension == 0
+    assert reference.members == (3,)
+    assert grs.minimum_face(ds, reference) == 0
 
 
 def test_face_dimension_counts_independent_directions():
@@ -531,4 +559,4 @@ def test_face_dimension_counts_independent_directions():
         interior_projection_inputs=np.ones(1),
         interior_projection_outputs=np.zeros(3),
     )
-    assert grs.minimum_face(ds, fake).dimension == 2
+    assert grs.minimum_face(ds, fake) == 2

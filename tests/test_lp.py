@@ -196,10 +196,33 @@ def random_mixed_lp(rng, degenerate):
                             lower_bounds=lo, upper_bounds=hi)
 
 
+def random_support_lp(rng):
+    """Random program boxed like the GRS step's maximal-support program.
+
+    Over [cols | companions | slacks] with ``cols`` the unit columns and
+    a normalising column -d, it maximises the companions' total, each
+    companion boxed into [0, 1], subject to ``cols (x + z) + B v = 0``.
+    The right-hand side is zero, so phase 2 starts at once, with every
+    artificial basic at zero.  Small integer entries make ties common.
+    """
+    p = int(rng.integers(2, 6))
+    k = int(rng.integers(1, 7))
+    A = rng.integers(-2, 4, (p, k)).astype(float)
+    B = np.hstack([np.eye(p), -np.eye(p)])[:, rng.random(2 * p) < 0.5]
+    d = A @ rng.integers(0, 3, k) + B @ rng.integers(0, 2, B.shape[1])
+    cols = np.hstack([A, -d[:, None]])
+    q = cols.shape[1]
+    cost = np.concatenate([np.zeros(q), np.ones(q), np.zeros(B.shape[1])])
+    upper = np.concatenate([np.full(q, np.inf), np.ones(q), np.full(B.shape[1], np.inf)])
+    return lp.LinearProgram("maximize", cost, np.hstack([cols, cols, B]), np.zeros(p),
+                            upper_bounds=upper)
+
+
 def test_matches_highs_on_mixed_bounds():
     rng = np.random.default_rng(29)
-    for trial in range(240):
-        program = random_mixed_lp(rng, degenerate=trial % 3 == 0)
+    programs = [random_mixed_lp(rng, degenerate=trial % 3 == 0) for trial in range(240)]
+    programs += [random_support_lp(rng) for _ in range(120)]
+    for program in programs:
         sol = lp.solve(program)
         assert sol.status == lp.OPTIMAL
         best, duals = oracles.lp_optimum_highs(program)

@@ -29,8 +29,6 @@ def test_intercepts_at_flat_end_clamp_the_unbounded_side(eight):
     omega_min, omega_max = rts.intercept_bounds(ds, ([5.0], [8.0]))
     assert omega_min == pytest.approx(0.6, abs=1e-6)
     assert omega_max == 1.0  # sup is infinite, reported as the clamp
-    omega_min, omega_max = rts.intercept_bounds(ds, ([5.0], [8.0]), clamp=0.9)
-    assert omega_max == 0.9
 
 
 def test_intercepts_at_kink_exceed_the_nominal_clamp(eight):
@@ -101,6 +99,16 @@ def test_program_shape(eight, monkeypatch):
         assert program.cols == n + m + s + 2
 
 
+def assert_ends_match(got, expected):
+    """Each end equals the reference's; where that is unbounded, it equals
+    the substitute, 1.0 in magnitude or pushed past the other end."""
+    for end, other, reference, side in zip(got, got[::-1], expected, (-1.0, 1.0)):
+        if np.isinf(reference):
+            assert side * end == max(1.0, side * other)
+        else:
+            assert end == pytest.approx(reference, rel=1e-6, abs=1e-12)
+
+
 def recorded_solves(monkeypatch):
     """Route ``rts.solve`` through a spy; returns its (basis, solution) list."""
     calls = []
@@ -120,7 +128,7 @@ def test_min_end_starts_feasible_for_nonnegative_outputs(monkeypatch):
         ds, anchors = random_instance(rng, "plain")
         for anchor in anchors:
             calls = recorded_solves(monkeypatch)
-            got = rts.intercept_bounds(ds, anchor, clamp=1e3)
+            got = rts.intercept_bounds(ds, anchor)
             (min_basis, min_end), (max_basis, _) = calls[:2]
             assert min_basis is not None and max_basis is None
             assert min_end.status == lp.OPTIMAL
@@ -136,14 +144,9 @@ def test_min_end_with_negative_outputs_gets_no_start(monkeypatch):
     ds = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 4.0]], [[-1.0, 2.0, 3.0]])
     for anchor in (([2.0], [2.0]), ([1.0], [-1.0]), ([3.0], [2.5])):
         calls = recorded_solves(monkeypatch)
-        got = rts.intercept_bounds(ds, anchor, clamp=1e3)
+        got = rts.intercept_bounds(ds, anchor)
         assert (calls[0][0] is None) == (anchor[1][0] < 0.0)
-        expected = oracles.intercept_interval_highs(ds, *anchor)
-        for end, reference, side in zip(got, expected, (-1.0, 1.0)):
-            if np.isinf(reference):
-                assert side * end >= 1e3
-            else:
-                assert end == pytest.approx(reference, rel=1e-6, abs=1e-12)
+        assert_ends_match(got, oracles.intercept_interval_highs(ds, *anchor))
 
 
 def test_nan_bounds_are_rejected():
@@ -152,26 +155,10 @@ def test_nan_bounds_are_rejected():
             rts.classify_rts(bounds)
 
 
-def test_non_finite_clamp_and_tolerance_are_rejected(eight):
-    ds, _ = eight
-    for clamp in (np.nan, np.inf, 0.0):
-        with pytest.raises(ValueError, match="clamp"):
-            rts.intercept_bounds(ds, ([5.0], [8.0]), clamp=clamp)
+def test_non_finite_tolerance_is_rejected():
     for rts_tol in (np.nan, np.inf, 0.0, -1e-6):
         with pytest.raises(ValueError, match="rts_tol"):
             rts.classify_rts((0.6, 1.0), rts_tol)
-
-
-def test_clamp_choice_never_changes_the_class(eight):
-    ds, frontier = eight
-    for o in range(ds.n_dmus):
-        reference = grs.identify_grs(ds, o, dea.evaluate(ds, o),
-                                     efficient_indices=frontier)
-        anchor = (reference.interior_projection_inputs,
-                  reference.interior_projection_outputs)
-        wide = rts.intercept_bounds(ds, anchor, clamp=1.0)
-        narrow = rts.intercept_bounds(ds, anchor, clamp=0.9)
-        assert rts.classify_rts(wide) == rts.classify_rts(narrow)
 
 
 def test_class_is_anchor_independent(eight):
@@ -231,16 +218,11 @@ def test_ends_crossing_beyond_rounding_are_an_error(eight, monkeypatch):
 def test_negative_output_makes_lower_side_clamp():
     # anchoring at the unit with the largest (negative) output leaves the
     # output multiplier uncapped, so the intercept falls without bound;
-    # here the largest intercept is -1, so the substituted minimum is
-    # -clamp when that stays below -1 and -1 otherwise
+    # here the largest intercept is -1, so the substituted minimum is -1
     ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[-1.0, -3.0]])
     omega_min, omega_max = rts.intercept_bounds(ds, ([1.0], [-1.0]))
     assert omega_max == pytest.approx(-1.0, abs=1e-9)
     assert omega_min == -1.0
-    omega_min, _ = rts.intercept_bounds(ds, ([1.0], [-1.0]), clamp=2.0)
-    assert omega_min == -2.0
-    omega_min, omega_max = rts.intercept_bounds(ds, ([1.0], [-1.0]), clamp=0.5)
-    assert omega_min <= omega_max
     assert rts.classify_rts((omega_min, omega_max)) == rts.INCREASING
 
 
@@ -250,7 +232,6 @@ def test_intercepts_unbounded_both_ways_clamp_both_ends():
     ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[-1.0, -2.0], [1.0, 0.5]])
     assert oracles.intercept_interval_highs(ds, [1.0], [-1.0, 1.0]) == (-np.inf, np.inf)
     assert rts.intercept_bounds(ds, ([1.0], [-1.0, 1.0])) == (-1.0, 1.0)
-    assert rts.intercept_bounds(ds, ([1.0], [-1.0, 1.0]), clamp=3.0) == (-3.0, 3.0)
 
 
 def test_anchor_off_frontier_with_both_endpoint_duals_infeasible_is_rejected():
@@ -327,20 +308,13 @@ def random_instance(rng, variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_intercepts_match_the_primal_program(variant):
-    # a clamp far beyond every finite intercept here tells a substituted
-    # endpoint from an attained one
-    clamp = 1e3
     rng = np.random.default_rng([17, VARIANTS.index(variant)])
     for _ in range(8):
         ds, anchors = random_instance(rng, variant)
         for anchor in anchors:
             expected = oracles.intercept_interval_highs(ds, *anchor)
-            got = rts.intercept_bounds(ds, anchor, clamp=clamp)
-            for end, reference, side in zip(got, expected, (-1.0, 1.0)):
-                if np.isinf(reference):
-                    assert side * end >= clamp
-                else:
-                    assert end == pytest.approx(reference, rel=1e-6, abs=1e-12)
+            got = rts.intercept_bounds(ds, anchor)
+            assert_ends_match(got, expected)
             if variant in ("plain", "negative"):
                 # the kernel on the primal program itself, where its
                 # rows are well scaled

@@ -21,9 +21,13 @@ that agree to 1e-6, absolute or relative), other differences, newly
 aborting and newly passing datasets are printed, followed by the names of the
 datasets in the last three groups; a newly aborting or newly passing name
 carries the first stderr line of the side that aborts, which names the unit,
-the stage and the cause.  The exit status is then 1 when any dataset is
-different or newly aborting, and 0 otherwise, so an identity gate is the
-command's exit status.
+the stage and the cause.  For the "different" datasets whose output is
+json on both sides, a contract breakdown follows: how many keep the same
+exit code, efficient flags, GRS member names, face dimensions and RTS
+classes, and rho within 1e-6, how many keep all of these, and the largest
+change of an omega end (relative, as for 1e-6 above).  The exit status
+is then 1 when any dataset is different or newly aborting, and 0
+otherwise, so an identity gate is the command's exit status.
 """
 
 from __future__ import annotations
@@ -78,6 +82,10 @@ def sweep(workloads, seeds, output_format=None) -> dict[str, list]:
     return results
 
 
+def _scaled(x: float, y: float) -> float:
+    return abs(x - y) / max(1.0, abs(x), abs(y))
+
+
 def close(old: str, new: str, tol: float = 1e-6) -> bool:
     """Same text apart from numbers that agree to ``tol``."""
     if _NUMBER.split(old) != _NUMBER.split(new):
@@ -88,7 +96,7 @@ def close(old: str, new: str, tol: float = 1e-6) -> bool:
         x, y = float(x), float(y)
         if not (math.isfinite(x) and math.isfinite(y)):
             return False
-        if abs(x - y) > tol * max(1.0, abs(x), abs(y)):
+        if _scaled(x, y) > tol:
             return False
     return True
 
@@ -111,6 +119,52 @@ def compare(old: dict, new: dict) -> dict[str, list[str]]:
             group = "different"
         groups[group].append(name)
     return groups
+
+
+def _units(output: str):
+    try:
+        return json.loads(output)
+    except ValueError:
+        return None
+
+
+# the fields the paper fixes, each read off one unit's json report
+CONTRACT = {
+    "efficient flags": lambda unit: unit.get("efficient"),
+    "GRS members": lambda unit: [member["name"] for member in unit.get("grs", [])],
+    "face dimensions": lambda unit: unit.get("minimum_face_dimension"),
+    "RTS classes": lambda unit: unit.get("rts", {}).get("class"),
+}
+
+
+def contract_breakdown(old: dict, new: dict, names) -> str:
+    """How many of the json outputs among ``names`` keep each contract field."""
+    kept = dict.fromkeys(["exit code", *CONTRACT, "rho within 1e-6", "all of these"], 0)
+    count, omega = 0, 0.0
+    for name in names:
+        (old_code, old_out, _), (new_code, new_out, _) = old[name], new[name]
+        before, after = _units(old_out), _units(new_out)
+        if before is None or after is None:
+            continue
+        count += 1
+        same = {"exit code": old_code == new_code}
+        pairs = list(zip(before, after))
+        same_units = len(before) == len(after) and \
+            all(a["name"] == b["name"] for a, b in pairs)
+        for field, read in CONTRACT.items():
+            same[field] = same_units and all(read(a) == read(b) for a, b in pairs)
+        same["rho within 1e-6"] = same_units and all(
+            _scaled(a["rho"], b["rho"]) <= 1e-6 for a, b in pairs if "rho" in a)
+        same["all of these"] = all(same.values())
+        for field, kept_here in same.items():
+            kept[field] += kept_here
+        if same_units:
+            omega = max([omega] + [_scaled(a["rts"][end], b["rts"][end])
+                                   for a, b in pairs if "rts" in a and "rts" in b
+                                   for end in ("omega_min", "omega_max")])
+    fields = ", ".join(f"{field} {n}" for field, n in kept.items())
+    return f"different json outputs: {count}; keeping {fields}; " \
+        f"largest omega change {omega:.2g}"
 
 
 def main(argv=None) -> int:
@@ -137,6 +191,7 @@ def main(argv=None) -> int:
         groups = compare(old, results)
         for group, names in groups.items():
             print(f"{group}: {len(names)}")
+        print(contract_breakdown(old, results, groups["different"]))
         # the side whose run aborted, whose stderr gives the cause
         aborted_in = {"newly aborting": results, "newly passing": old}
         for group in ("different", "newly aborting", "newly passing"):
