@@ -45,7 +45,6 @@ __all__ = [
     "slack_weights",
     "scoring_program",
     "evaluate",
-    "efficient_set",
 ]
 
 SCHEMES = ("ram", "additive", "bam")
@@ -254,16 +253,6 @@ def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
         scheme=scheme,
         regime=regime,
     )
-
-
-def efficient_set(dataset: Dataset, scheme: str = "ram", regime: str = "vrs",
-                  settings: SolverSettings | None = None,
-                  eff_tol: float = EFF_TOL) -> list[int]:
-    """Ascending indices of all units whose optimal slacks vanish."""
-    return [
-        o for o in range(dataset.n_dmus)
-        if evaluate(dataset, o, scheme, regime, settings, eff_tol).efficient
-    ]
 
 
 def _check_scheme(scheme: str) -> None:

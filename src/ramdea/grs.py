@@ -2,9 +2,12 @@
 
 A scored unit may admit many optimal slack patterns and therefore many
 frontier projections.  The global reference set (GRS) is the set of
-efficient units that can carry positive intensity in *some* optimal
-combination; its convex hull is the smallest face of the technology
-containing every projection.
+units that can carry positive intensity in *some* optimal combination;
+its convex hull is the smallest face of the technology containing every
+projection.  Under the bam scheme with the "crs" regime such a unit
+need not be efficient under its own weights: bam anchors each unit's
+weights at that unit, so a slack that costs nothing for unit o can cost
+something for a unit o leans on.
 
 ``max_support_solution`` is the one maximal-support primitive: given a
 feasible system  A u + B v = d  over nonnegative u and v, it returns a
@@ -20,27 +23,27 @@ the kernel skips phase 1.
 system and makes one call.  The system is the scoring program that
 ``dea.scoring_program`` lays out, with one more row, the budget row,
 that holds its objective at the optimum: the weighted slack total
-equals the ``slack_sum`` of the scoring result.  The u-block holds the
-efficient units' columns, the v-block the slack columns whose budget
-weight is non-zero, and d is the scoring right-hand side (the unit's
-own data, and 1 on the convexity row under "vrs") followed by that
-total.  The maximal support is the whole GRS, and the solution is a
-projection strictly inside the minimum face (every member carries
-positive weight).
+equals the ``slack_sum`` of the scoring result.  The u-block holds
+every unit's column, the v-block the slack columns whose budget weight
+is non-zero, and d is the scoring right-hand side (the unit's own data,
+and 1 on the convexity row under "vrs") followed by that total.  The
+maximal support is the whole GRS, and the solution is a projection
+strictly inside the minimum face (every member carries positive
+weight).
 
 The u-block is screened with the scoring LP's optimal row duals y,
 which ``dea.evaluate`` hands over in ``RamResult.duals``.  By
 complementary slackness every optimal solution of the scoring LP is
 zero wherever y leaves a non-zero reduced cost, so the GRS lies among
-the efficient units whose reduced cost -(y . a_j) is zero, a_j being
-unit j's column of the scoring LP (the system's column above the
-budget row).  A unit stays when that reduced cost, divided by
-max(1, |y| |a_j|), is at least -1e-5: a kept extra column costs only
-pivots, a dropped member would be a wrong answer.  The weights of the
-screened-out units are zero, so ``GrsResult`` still spans the whole
-efficient set; when the screen keeps no unit (the crs apex, where the
-origin is the only projection), the whole efficient set stays.  The
-slack columns are never screened.
+the units whose reduced cost -(y . a_j) is zero, a_j being unit j's
+column of the scoring LP (the system's column above the budget row).
+A unit stays when that reduced cost, divided by max(1, |y| |a_j|), is
+at least -1e-5: a kept extra column costs only pivots, a dropped member
+would be a wrong answer.  The weights of the
+screened-out units are zero, so ``GrsResult`` still spans every unit;
+when the screen keeps no unit (the crs apex, where the origin is the
+only projection), every unit stays.  The slack columns are never
+screened.
 
 The common case needs no solve at all.  Under "vrs", when the screen
 keeps exactly one unit k, the GRS lies inside {k} and the convexity row
@@ -80,8 +83,8 @@ SUPPORT_TOL = 1e-7
 # Relative cutoff on singular values when counting face directions.
 _RANK_TOL = 1e-7
 
-# Scaled scoring reduced cost below which an efficient unit is screened
-# out of the GRS program (see the module docstring).
+# Scaled scoring reduced cost below which a unit is screened out of
+# the GRS program (see the module docstring).
 _SCREEN_TOL = 1e-5
 
 
@@ -95,10 +98,12 @@ class DegenerateNormalizerError(RamdeaError):
 
 @dataclass(frozen=True, eq=False)
 class GrsResult:
-    """GRS membership with strictly positive weights and the interior projection."""
+    """GRS membership with strictly positive weights and the interior projection.
+
+    ``weights`` has one entry per unit of the dataset.
+    """
 
     o: int
-    efficient_indices: tuple[int, ...]
     weights: np.ndarray
     members: tuple[int, ...]
     input_slacks: np.ndarray
@@ -161,27 +166,21 @@ def max_support_solution(A, B=None, d=None,
 
 
 def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
-                 efficient_indices,
                  settings: SolverSettings | None = None,
                  support_tol: float = SUPPORT_TOL) -> GrsResult:
     """Identify unit ``o``'s global reference set with at most one solve.
 
-    ``ram_result`` must come from ``dea.evaluate`` for the same unit, and
-    ``efficient_indices`` must be the efficient set under its scheme and
-    regime.  The result's scheme and regime fix the scoring program, its
-    exact ``slack_sum`` becomes the budget and its ``duals`` screen the
-    candidate units; a single kept unit under "vrs" is the GRS without a
-    solve (see the module docstring).  The returned weights
-    sum to one over the efficient set under "vrs"; members are exactly
-    the indices whose weight exceeds ``support_tol``.  The interior
-    projection is the matching frontier point, strictly inside the
-    minimum face.
+    ``ram_result`` must come from ``dea.evaluate`` for the same unit.
+    Its scheme and regime fix the scoring program, its exact
+    ``slack_sum`` becomes the budget and its ``duals`` screen the units;
+    a single kept unit under "vrs" is the GRS without a solve (see the
+    module docstring).  The returned weights are indexed by unit and sum
+    to one under "vrs"; members are exactly the units whose weight
+    exceeds ``support_tol``.  The interior projection is the matching
+    frontier point, strictly inside the minimum face.
     """
     if ram_result.dmu_index != o:
         raise ValueError(f"ram_result is for unit {ram_result.dmu_index}, not {o}")
-    frontier = tuple(int(j) for j in efficient_indices)
-    if not frontier:
-        raise LpError("no efficient units found; cannot form the optimal-pattern system")
     program = dea.scoring_program(dataset, o, ram_result.scheme, ram_result.regime)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
     # the scoring rows, then the budget row holding the objective at its
@@ -189,25 +188,25 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     system = np.vstack([program.constraint_matrix, (m + s) * program.objective])
     d = np.append(program.rhs, ram_result.slack_sum)
 
-    # A: the efficient units' columns, whose budget entry is zero; above
-    # the budget row they are the scoring LP's columns, which its duals
-    # price for the screen
-    A = system[:, frontier]
+    # A: the units' columns, whose budget entry is zero; above the budget
+    # row they are the scoring LP's columns, which its duals price for
+    # the screen
+    A = system[:, :n]
     y = ram_result.duals
     scale = np.maximum(1.0, np.linalg.norm(y) * np.linalg.norm(A[:-1], axis=0))
     kept = -(y @ A[:-1]) / scale >= -_SCREEN_TOL
     if not kept.any():
         kept[:] = True
 
-    weights = np.zeros(len(frontier))
+    weights = np.zeros(n)
     lambdas = ram_result.lambdas
-    vertex = frontier[int(np.argmax(kept))]
+    vertex = int(np.argmax(kept))
     if (ram_result.regime == "vrs" and kept.sum() == 1
             and abs(lambdas[vertex] - 1.0) <= support_tol
             and lambdas.sum() - lambdas[vertex] <= support_tol):
         # the vertex case: the convexity row fixes the one kept unit's
         # weight at 1 (see the module docstring)
-        weights[kept] = 1.0
+        weights[vertex] = 1.0
         x_hat = dataset.inputs[:, vertex].copy()
         y_hat = dataset.outputs[:, vertex].copy()
         s_in, s_out = program.rhs[:m] - x_hat, y_hat - program.rhs[m:m + s]
@@ -224,9 +223,8 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
         x_hat, y_hat = program.rhs[:m] - s_in, program.rhs[m:m + s] + s_out
     return GrsResult(
         o=o,
-        efficient_indices=frontier,
         weights=weights,
-        members=tuple(j for k, j in enumerate(frontier) if weights[k] > support_tol),
+        members=tuple(j for j in range(n) if weights[j] > support_tol),
         input_slacks=s_in,
         output_slacks=s_out,
         interior_projection_inputs=x_hat,

@@ -181,53 +181,43 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     ``stages`` limits the work: "efficiency" stops after scoring, "grs"
     adds reference sets and faces, "all" adds the scale classification
     (skipped under the "crs" regime, whose class is constant everywhere).
-    The intercept interval depends on the anchor alone, so it is solved
-    once per distinct anchor: every unit whose GRS is the single vertex
-    k anchors at k's own data, as k itself usually does, and shares
-    its interval.
+    One loop runs every stage for a unit before the next unit starts, so
+    only the reported units are scored, and a run stops at the first
+    unit, in dataset order, whose scoring, GRS or RTS stage fails.  The
+    intercept interval depends on the anchor alone, so it is solved once
+    per distinct anchor: every unit whose GRS is the single vertex k
+    anchors at k's own data, as k itself usually does, and shares its
+    interval.
     """
     if stages not in ("efficiency", "grs", "all"):
         raise ValueError(f"unknown stages {stages!r}")
     _validate_config(config, dataset)
     settings = SolverSettings(feas_tol=config.feas_tol)
     wanted = set(config.dmu_filter) if config.dmu_filter else None
-    selected = [
-        j for j, name in enumerate(dataset.names)
-        if wanted is None or name in wanted
-    ]
 
-    results = []
-    for j, name in enumerate(dataset.names):
-        with _stage(name, "scoring"):
-            results.append(dea.evaluate(
-                dataset, j, config.scheme, config.regime, settings, config.eff_tol
-            ))
-
-    reports = {}
-    for j in selected:
-        reports[j] = DmuReport(
-            name=dataset.names[j],
-            rho=float(results[j].rho),
-            efficient=bool(results[j].efficient),
-        )
-    if stages == "efficiency":
-        return [reports[j] for j in selected]
-
-    frontier = [j for j in range(dataset.n_dmus) if results[j].efficient]
+    reports = []
     # intercept intervals by the exact bytes of their anchor
     intervals = {}
-    for j in selected:
-        name = dataset.names[j]
-        with _stage(name, "grs"):
-            reference = grs.identify_grs(
-                dataset, j, results[j], frontier, settings, config.support_tol
+    for j, name in enumerate(dataset.names):
+        if wanted is not None and name not in wanted:
+            continue
+        with _stage(name, "scoring"):
+            result = dea.evaluate(
+                dataset, j, config.scheme, config.regime, settings, config.eff_tol
             )
+        report = DmuReport(name=name, rho=float(result.rho),
+                           efficient=bool(result.efficient))
+        reports.append(report)
+        if stages == "efficiency":
+            continue
+
+        with _stage(name, "grs"):
+            reference = grs.identify_grs(dataset, j, result, settings,
+                                         config.support_tol)
             dimension = grs.minimum_face(dataset, reference)
-        report = reports[j]
         report.grs_members = [
-            (dataset.names[member], float(reference.weights[k]))
-            for k, member in enumerate(reference.efficient_indices)
-            if member in reference.members
+            (dataset.names[member], float(reference.weights[member]))
+            for member in reference.members
         ]
         report.projection_inputs = dict(zip(
             dataset.input_labels,
@@ -252,7 +242,7 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
             )
             report.omega_min = omega_min
             report.omega_max = omega_max
-    return [reports[j] for j in selected]
+    return reports
 
 
 def render_report(reports: list[DmuReport], output_format: str) -> str:

@@ -159,41 +159,41 @@ def ram_score_linprog(dataset, o, regime="vrs"):
     return 1.0 + res.fun
 
 
-def oracle_grs(dataset, o, ram_result, efficient_indices, scheme="ram", regime="vrs",
-               support_tol=SUPPORT_TOL):
-    """Global reference set of unit ``o``, one HiGHS solve per efficient unit.
+def oracle_grs(dataset, o, ram_result, support_tol=SUPPORT_TOL):
+    """Global reference set of unit ``o``, one HiGHS solve per unit.
 
-    Maximises each efficient unit's intensity separately over the
-    optimal-pattern system, built here from the raw data: input and
-    output rows, the convexity row under "vrs", and the budget row
-    pinning the weighted slack total at ``ram_result.slack_sum``, with
-    zero-weight slacks pinned at zero.  A unit belongs to the GRS iff
-    its maximum exceeds ``support_tol`` (or is unbounded).  One solve
-    per efficient unit instead of one solve total, so this is the
-    cross-check, not the fast path.
+    Maximises each unit's intensity separately over the optimal-pattern
+    system, built here from the raw data under the scheme and regime of
+    ``ram_result``: input and output rows, the convexity row under
+    "vrs", and the budget row pinning the weighted slack total at
+    ``ram_result.slack_sum``, with zero-weight slacks pinned at zero.
+    Every unit is a candidate, as the GRS is the union of the supports
+    of all optimal solutions.  A unit belongs to the GRS iff its maximum
+    exceeds ``support_tol`` (or is unbounded).  One solve per unit
+    instead of one solve total, so this is the cross-check, not the
+    fast path.
     """
-    frontier = list(efficient_indices)
-    t, m, s = len(frontier), dataset.n_inputs, dataset.n_outputs
-    w_in, w_out = dea.slack_weights(dataset, scheme, o)
+    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
+    w_in, w_out = dea.slack_weights(dataset, ram_result.scheme, o)
     rows = [
-        np.hstack([dataset.inputs[:, frontier], np.eye(m), np.zeros((m, s))]),
-        np.hstack([dataset.outputs[:, frontier], np.zeros((s, m)), -np.eye(s)]),
+        np.hstack([dataset.inputs, np.eye(m), np.zeros((m, s))]),
+        np.hstack([dataset.outputs, np.zeros((s, m)), -np.eye(s)]),
     ]
     rhs = [dataset.inputs[:, o], dataset.outputs[:, o]]
-    if regime == "vrs":
-        rows.append(np.concatenate([np.ones(t), np.zeros(m + s)])[None, :])
+    if ram_result.regime == "vrs":
+        rows.append(np.concatenate([np.ones(n), np.zeros(m + s)])[None, :])
         rhs.append([1.0])
-    rows.append(np.concatenate([np.zeros(t), (m + s) * w_in, (m + s) * w_out])[None, :])
+    rows.append(np.concatenate([np.zeros(n), (m + s) * w_in, (m + s) * w_out])[None, :])
     rhs.append([ram_result.slack_sum])
     problem = dict(A_eq=np.vstack(rows), b_eq=np.concatenate(rhs),
-                   bounds=[(0, None)] * t
+                   bounds=[(0, None)] * n
                    + [(0, 0 if w == 0 else None) for w in np.concatenate([w_in, w_out])],
                    method="highs")
 
     members = []
-    for k, j in enumerate(frontier):
-        cost = np.zeros(t + m + s)
-        cost[k] = -1.0  # linprog minimises
+    for j in range(n):
+        cost = np.zeros(n + m + s)
+        cost[j] = -1.0  # linprog minimises
         res = linprog(cost, **problem)
         if res.status == 2:
             # presolve may call an unbounded problem infeasible
@@ -242,21 +242,20 @@ def max_support_size_bruteforce(A, B, d):
     return 0
 
 
-def optimal_pattern_residuals(dataset, ram_result, grs_result, regime="vrs"):
+def optimal_pattern_residuals(dataset, ram_result, grs_result):
     """Row residuals of the optimal-pattern system at an identified GRS.
 
     Re-derives every row from the raw data (range-adjusted weighting):
-    input rows, output rows, the convexity row under "vrs", and the
-    budget row pinning the weighted slack total at the stage-1 optimum.
+    input rows, output rows, the convexity row when ``ram_result`` was
+    scored under "vrs", and the budget row pinning the weighted slack
+    total at the stage-1 optimum.
     """
     o = grs_result.o
-    members = list(grs_result.efficient_indices)
-    lam = np.zeros(dataset.n_dmus)
-    lam[members] = grs_result.weights
+    lam = grs_result.weights
     r_in = dataset.inputs @ lam + grs_result.input_slacks - dataset.inputs[:, o]
     r_out = dataset.outputs @ lam - grs_result.output_slacks - dataset.outputs[:, o]
     rows = [r_in, r_out]
-    if regime == "vrs":
+    if ram_result.regime == "vrs":
         rows.append(np.array([lam.sum() - 1.0]))
     spread_in = np.ptp(dataset.inputs, axis=1)
     spread_out = np.ptp(dataset.outputs, axis=1)

@@ -36,13 +36,11 @@ def criterion(number, label):
 
 @pytest.fixture(scope="module")
 def eight(frontier8):
-    frontier = dea.efficient_set(frontier8)
     results = [dea.evaluate(frontier8, o) for o in range(frontier8.n_dmus)]
     references = [
-        grs.identify_grs(frontier8, o, results[o], efficient_indices=frontier)
-        for o in range(frontier8.n_dmus)
+        grs.identify_grs(frontier8, o, results[o]) for o in range(frontier8.n_dmus)
     ]
-    return frontier8, frontier, results, references
+    return frontier8, results, references
 
 
 def test_criterion_1_efficiency_scores(frontier8):
@@ -56,15 +54,11 @@ def test_criterion_1_efficiency_scores(frontier8):
 
 def test_criterion_2_reference_sets(eight):
     with criterion(2, "global reference sets"):
-        ds, _, results, references = eight
+        ds, results, references = eight
         for o in range(8):
             reference = references[o]
             assert reference.members == EIGHT_MEMBERS[o]
-            member_weights = [
-                reference.weights[k]
-                for k, j in enumerate(reference.efficient_indices)
-                if j in reference.members
-            ]
+            member_weights = [reference.weights[j] for j in reference.members]
             assert all(w > 1e-7 for w in member_weights)
             assert reference.weights.sum() == pytest.approx(1.0, abs=1e-9)
             resid = oracles.optimal_pattern_residuals(ds, results[o], reference)
@@ -73,7 +67,7 @@ def test_criterion_2_reference_sets(eight):
 
 def test_criterion_3_interior_projection(eight):
     with criterion(3, "interior projection of the most inefficient unit"):
-        _, _, _, references = eight
+        _, _, references = eight
         point = np.array([
             references[7].interior_projection_inputs[0],
             references[7].interior_projection_outputs[0],
@@ -90,7 +84,7 @@ def test_criterion_3_interior_projection(eight):
 
 def test_criterion_4_minimum_faces(eight):
     with criterion(4, "minimum-face geometry"):
-        ds, _, _, references = eight
+        ds, _, references = eight
         for o in (6, 7):
             assert set(references[o].members) == {1, 2, 3}
             assert grs.minimum_face(ds, references[o]) == 1
@@ -100,7 +94,7 @@ def test_criterion_4_minimum_faces(eight):
 
 def test_criterion_5_scale_classes_and_intercepts(eight):
     with criterion(5, "returns-to-scale classes and intercept spot checks"):
-        ds, _, _, _ = eight
+        ds, _, _ = eight
         reports = reporting.run_analysis(reporting.AnalysisConfig(), ds)
         assert tuple(report.rts_class for report in reports) == EIGHT_CLASSES
         omega_min, _ = rts.intercept_bounds(ds, ([5.0], [8.0]))
@@ -125,16 +119,11 @@ def test_criterion_6_oracle_equivalence_on_random_instances():
                 rng.uniform(low, high, (m, n)),
                 rng.uniform(low, high, (s, n)),
             )
-            results = [dea.evaluate(ds, j) for j in range(n)]
-            frontier = [j for j in range(n) if results[j].efficient]
             o = int(rng.integers(n))
-            reference = grs.identify_grs(ds, o, results[o],
-                                         efficient_indices=frontier)
-            oracle = oracles.oracle_grs(ds, o, results[o],
-                                        efficient_indices=frontier)
-            assert reference.members == oracle
-            support = {j for j in range(n)
-                       if results[o].lambdas[j] > grs.SUPPORT_TOL}
+            result = dea.evaluate(ds, o)
+            reference = grs.identify_grs(ds, o, result)
+            assert reference.members == oracles.oracle_grs(ds, o, result)
+            support = {j for j in range(n) if result.lambdas[j] > grs.SUPPORT_TOL}
             assert support <= set(reference.members)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"120 instances took {elapsed:.1f}s"
@@ -162,7 +151,7 @@ def test_criterion_7_maximal_support_kernel():
 
 def test_criterion_8_anchor_independence(eight):
     with criterion(8, "classification is anchor-independent on the minimum face"):
-        ds, _, _, references = eight
+        ds, _, references = eight
         rng = np.random.default_rng(101)
         for o in (4, 5, 6, 7):
             members = list(references[o].members)

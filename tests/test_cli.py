@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ramdea import cli, lp, reporting, rts
+from ramdea import cli, dea, lp, reporting, rts
 
 
 def analyse(csv_text, stages="all", **config_kwargs):
@@ -277,6 +277,23 @@ def test_dmu_flag(data_file, capsys):
                      "--dmu", "DMU8"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert [obj["name"] for obj in parsed] == ["DMU8"]
+
+
+def test_dmu_flag_scores_only_the_reported_unit(data_file, capsys, monkeypatch):
+    assert cli.main(["report", "--data", data_file, "--format", "json"]) == 0
+    unfiltered = json.loads(capsys.readouterr().out)
+    scored = []
+
+    def spy(dataset, o, *args):
+        scored.append(dataset.names[o])
+        return evaluate(dataset, o, *args)
+
+    evaluate = dea.evaluate
+    monkeypatch.setattr(dea, "evaluate", spy)
+    assert cli.main(["report", "--data", data_file, "--format", "json",
+                     "--dmu", "DMU8"]) == 0
+    assert scored == ["DMU8"]
+    assert json.loads(capsys.readouterr().out) == [unfiltered[7]]
 
 
 def test_cli_is_byte_identical_across_runs(data_file, capsys):

@@ -16,9 +16,8 @@ EIGHT_MEMBERS = (
 
 @pytest.fixture(scope="module")
 def eight(frontier8):
-    frontier = dea.efficient_set(frontier8)
     results = [dea.evaluate(frontier8, o) for o in range(frontier8.n_dmus)]
-    return frontier8, frontier, results
+    return frontier8, results
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +94,14 @@ def test_support_size_matches_bruteforce():
 # -- GRS program construction ----------------------------------------
 
 
-def screened_units(ds, result, frontier, regime="vrs"):
-    """Efficient units whose scoring reduced cost, scaled, is about zero."""
-    columns = np.vstack([ds.inputs[:, frontier], ds.outputs[:, frontier]]
-                        + ([np.ones((1, len(frontier)))] if regime == "vrs" else []))
+def screened_units(ds, result):
+    """Units whose scoring reduced cost, scaled, is about zero."""
+    columns = np.vstack([ds.inputs, ds.outputs]
+                        + ([np.ones((1, ds.n_dmus))] if result.regime == "vrs" else []))
     reduced = -(result.duals @ columns)
     scale = np.maximum(1.0, np.linalg.norm(result.duals)
                        * np.linalg.norm(columns, axis=0))
-    return [j for j, r in zip(frontier, reduced / scale) if r >= -1e-5]
+    return [j for j, r in enumerate(reduced / scale) if r >= -1e-5]
 
 
 def captured_program(monkeypatch, *args, **kwargs):
@@ -120,10 +119,9 @@ def captured_program(monkeypatch, *args, **kwargs):
 
 
 def test_program_shape(eight, monkeypatch):
-    ds, frontier, results = eight
-    program, reference = captured_program(monkeypatch, ds, 6, results[6],
-                                          efficient_indices=frontier)
-    units = screened_units(ds, results[6], frontier)
+    ds, results = eight
+    program, reference = captured_program(monkeypatch, ds, 6, results[6])
+    units = screened_units(ds, results[6])
     k = len(units)
     assert set(reference.members) <= set(units)
     # k candidate units + target, doubled, plus one slack per input and output
@@ -139,27 +137,22 @@ def test_program_shape(eight, monkeypatch):
 
 
 def test_program_shape_without_convexity(eight, monkeypatch):
-    ds, _, _ = eight
+    ds, _ = eight
     result = dea.evaluate(ds, 6, regime="crs")
-    frontier = dea.efficient_set(ds, regime="crs")
-    program, _ = captured_program(monkeypatch, ds, 6, result,
-                                  efficient_indices=frontier)
+    program, _ = captured_program(monkeypatch, ds, 6, result)
     assert program.rows == 3  # input, output, budget
 
 
 def test_pinned_slack_has_no_column(eight, monkeypatch):
     # under bam, DMU5 has the largest output, so its output slack has
     # zero budget weight and is left out of the program
-    ds, _, _ = eight
-    frontier = dea.efficient_set(ds, scheme="bam")
+    ds, _ = eight
     result = dea.evaluate(ds, 4, scheme="bam")
-    program, reference = captured_program(monkeypatch, ds, 4, result,
-                                          efficient_indices=frontier)
-    t = len(screened_units(ds, result, frontier))
+    program, reference = captured_program(monkeypatch, ds, 4, result)
+    t = len(screened_units(ds, result))
     assert program.cols == 2 * (t + 1) + 1  # the input slack only
     assert np.all(reference.output_slacks == 0.0)
-    assert reference.members == oracles.oracle_grs(ds, 4, result, scheme="bam",
-                                                   efficient_indices=frontier)
+    assert reference.members == oracles.oracle_grs(ds, 4, result)
 
 
 def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
@@ -167,13 +160,11 @@ def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
     # and only the units at the origin can carry weight
     ds = dea.Dataset(["a", "b", "z", "z2"],
                      [[1.0, 2.0, 0.0, 0.0]], [[2.0, 3.0, 0.0, 0.0]])
-    frontier = dea.efficient_set(ds, regime="crs")
     result = dea.evaluate(ds, 2, regime="crs")
     assert result.slack_sum == 0.0
-    reference = grs.identify_grs(ds, 2, result, efficient_indices=frontier)
+    reference = grs.identify_grs(ds, 2, result)
     assert reference.members == (2, 3)
-    assert reference.members == oracles.oracle_grs(ds, 2, result, regime="crs",
-                                                   efficient_indices=frontier)
+    assert reference.members == oracles.oracle_grs(ds, 2, result)
     assert np.all(reference.interior_projection_inputs == 0.0)
     assert np.all(reference.interior_projection_outputs == 0.0)
 
@@ -181,18 +172,17 @@ def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
 def test_grs_program_starts_feasible(eight, monkeypatch):
     # the program's right-hand side is zero, so its resting point x = 0
     # is feasible and phase 1 never runs
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        program, _ = captured_program(monkeypatch, ds, o, results[o],
-                                      efficient_indices=frontier)
+        program, _ = captured_program(monkeypatch, ds, o, results[o])
         sol = lp.solve(program)
         assert sol.phase1_iterations == 0
         assert sol.iterations > 0
 
 
 def test_efficient_unit_budget_pins_slacks(eight):
-    ds, frontier, results = eight
-    reference = grs.identify_grs(ds, 1, results[1], efficient_indices=frontier)
+    ds, results = eight
+    reference = grs.identify_grs(ds, 1, results[1])
     assert np.all(np.abs(reference.input_slacks) <= 1e-10)
     assert np.all(np.abs(reference.output_slacks) <= 1e-10)
 
@@ -201,38 +191,38 @@ def test_efficient_unit_budget_pins_slacks(eight):
 
 
 def test_members_match_known_sets_and_oracle(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         assert reference.members == EIGHT_MEMBERS[o]
-        assert oracles.oracle_grs(ds, o, results[o], efficient_indices=frontier) \
-            == EIGHT_MEMBERS[o]
+        assert oracles.oracle_grs(ds, o, results[o]) == EIGHT_MEMBERS[o]
 
 
 def test_weights_are_a_strict_convex_combination(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         assert reference.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        for k, j in enumerate(reference.efficient_indices):
+        assert reference.weights.shape == (ds.n_dmus,)
+        for j in range(ds.n_dmus):
             if j in reference.members:
-                assert reference.weights[k] > grs.SUPPORT_TOL
+                assert reference.weights[j] > grs.SUPPORT_TOL
             else:
-                assert reference.weights[k] <= grs.SUPPORT_TOL
+                assert reference.weights[j] <= grs.SUPPORT_TOL
 
 
 def test_optimal_pattern_rows_hold(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         resid = oracles.optimal_pattern_residuals(ds, results[o], reference)
         assert np.all(np.abs(resid) <= 1e-9)
 
 
 def test_interior_projection_of_units_with_unique_projection(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o, expected_x, expected_y in ((0, 1.0, 2.0), (4, 5.0, 8.0)):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         assert reference.interior_projection_inputs == pytest.approx(
             [expected_x], abs=1e-9
         )
@@ -242,32 +232,31 @@ def test_interior_projection_of_units_with_unique_projection(eight):
 
 
 def test_interior_projection_strictly_inside_segment(eight):
-    ds, frontier, results = eight
-    reference = grs.identify_grs(ds, 7, results[7], efficient_indices=frontier)
+    ds, results = eight
+    reference = grs.identify_grs(ds, 7, results[7])
     x_hat = reference.interior_projection_inputs[0]
     y_hat = reference.interior_projection_outputs[0]
     assert y_hat - x_hat == pytest.approx(3.0, abs=1e-9)  # on the facet line
     assert x_hat > 2.0 + 1e-7 and x_hat < 5.0 - 1e-7
     # reconstruction from the weights gives the same point
-    lam = np.zeros(ds.n_dmus)
-    lam[list(reference.efficient_indices)] = reference.weights
+    lam = reference.weights
     assert ds.inputs @ lam == pytest.approx([x_hat], abs=1e-9)
     assert ds.outputs @ lam == pytest.approx([y_hat], abs=1e-9)
 
 
 def test_stage_one_support_is_dominated(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         support = {j for j in range(ds.n_dmus)
                    if results[o].lambdas[j] > grs.SUPPORT_TOL}
         assert support <= set(reference.members)
 
 
 def test_stage_one_projection_lies_in_member_hull(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         members = list(reference.members)
         point = np.concatenate([results[o].projection_inputs,
                                 results[o].projection_outputs])
@@ -282,9 +271,9 @@ def test_stage_one_projection_lies_in_member_hull(eight):
 
 
 def test_budget_row_exactness(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         total = (reference.input_slacks / np.ptp(ds.inputs, axis=1)).sum() \
             + (reference.output_slacks / np.ptp(ds.outputs, axis=1)).sum()
         budget = results[o].slack_sum
@@ -292,15 +281,13 @@ def test_budget_row_exactness(eight):
 
 
 def test_identification_under_crs(eight):
-    ds, _, _ = eight
-    frontier = dea.efficient_set(ds, regime="crs")
+    ds, _ = eight
     result = dea.evaluate(ds, 2, regime="crs")
-    reference = grs.identify_grs(ds, 2, result, efficient_indices=frontier)
+    reference = grs.identify_grs(ds, 2, result)
     assert reference.members == (1,)
-    assert reference.members == oracles.oracle_grs(ds, 2, result, regime="crs",
-                                                   efficient_indices=frontier)
+    assert reference.members == oracles.oracle_grs(ds, 2, result)
     # conical weights need not sum to one: the projection is 1.5x unit 2
-    assert reference.weights[frontier.index(1)] == pytest.approx(1.5, abs=1e-9)
+    assert reference.weights[1] == pytest.approx(1.5, abs=1e-9)
 
 
 def test_identify_equals_oracle_on_random_data():
@@ -308,26 +295,21 @@ def test_identify_equals_oracle_on_random_data():
     for trial in range(20):
         low = -5.0 if trial % 4 == 0 else 1.0
         ds = random_dataset(rng, low=low)
-        frontier = dea.efficient_set(ds)
         o = int(rng.integers(ds.n_dmus))
         result = dea.evaluate(ds, o)
-        reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
-        assert reference.members == oracles.oracle_grs(ds, o, result,
-                                                       efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, result)
+        assert reference.members == oracles.oracle_grs(ds, o, result)
         resid = oracles.optimal_pattern_residuals(ds, result, reference)
         assert np.all(np.abs(resid) <= 1e-8)
 
 
 def test_identify_equals_oracle_for_other_schemes(eight):
-    ds, _, _ = eight
+    ds, _ = eight
     for scheme in ("additive", "bam"):
-        frontier = dea.efficient_set(ds, scheme=scheme)
         for o in range(ds.n_dmus):
             result = dea.evaluate(ds, o, scheme=scheme)
-            reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
-            assert reference.members == oracles.oracle_grs(
-                ds, o, result, scheme=scheme, efficient_indices=frontier
-            )
+            reference = grs.identify_grs(ds, o, result)
+            assert reference.members == oracles.oracle_grs(ds, o, result)
 
 
 @pytest.mark.parametrize("regime", dea.REGIMES)
@@ -335,19 +317,17 @@ def test_identify_equals_oracle_for_other_schemes(eight):
 def test_result_fixes_the_scheme_and_regime(demo8, scheme, regime):
     # the scoring result carries its scheme and regime, so its GRS needs
     # neither restated
-    frontier = dea.efficient_set(demo8, scheme, regime)
     for o in range(demo8.n_dmus):
         result = dea.evaluate(demo8, o, scheme, regime)
-        reference = grs.identify_grs(demo8, o, result, efficient_indices=frontier)
-        assert reference.members == oracles.oracle_grs(
-            demo8, o, result, frontier, scheme=scheme, regime=regime)
+        reference = grs.identify_grs(demo8, o, result)
+        assert reference.members == oracles.oracle_grs(demo8, o, result)
 
 
 def test_screen_keeps_every_optimal_projection(eight, monkeypatch):
     # DMU7 (3, 3) reaches the facet y = x + 3 through DMU2 (2, 5) alone and
     # through DMU3 (3, 6) alone, each at the optimal slack total: two
     # optimal projections with different members, so both must stay
-    ds, frontier, results = eight
+    ds, results = eight
     result = results[6]
     w_in, w_out = dea.slack_weights(ds)
     for j in (1, 2):
@@ -355,55 +335,147 @@ def test_screen_keeps_every_optimal_projection(eight, monkeypatch):
         s_out = ds.outputs[0, j] - ds.outputs[0, 6]
         assert s_in >= 0.0 and s_out >= 0.0
         assert 2 * (w_in[0] * s_in + w_out[0] * s_out) == pytest.approx(result.slack_sum)
-    program, reference = captured_program(monkeypatch, ds, 6, result,
-                                          efficient_indices=frontier)
+    program, reference = captured_program(monkeypatch, ds, 6, result)
     held = {tuple(column) for column in program.constraint_matrix[:2].T}
     assert {(2.0, 5.0), (3.0, 6.0)} <= held
     assert {1, 2} <= set(reference.members)
 
 
-def test_empty_screen_falls_back_to_the_efficient_set(monkeypatch):
+def test_empty_screen_falls_back_to_every_unit(monkeypatch):
     # under bam/crs the origin is z's only optimal projection, so the
-    # scoring duals price every efficient unit strictly below zero
+    # scoring duals price every unit strictly below zero
     ds = dea.Dataset(["a", "b", "c", "z"], [[3.8, 2.3, 7.1, 5.6]],
                      [[2.1, 4.7, -4.7, -2.7], [5.8, -3.6, -2.0, -3.3]])
-    frontier = dea.efficient_set(ds, scheme="bam", regime="crs")
     result = dea.evaluate(ds, 3, scheme="bam", regime="crs")
-    assert screened_units(ds, result, frontier, regime="crs") == []
-    program, reference = captured_program(monkeypatch, ds, 3, result,
-                                          efficient_indices=frontier)
-    assert program.cols == 2 * (len(frontier) + 1) + 3
+    assert screened_units(ds, result) == []
+    program, reference = captured_program(monkeypatch, ds, 3, result)
+    assert program.cols == 2 * (ds.n_dmus + 1) + 3
     assert reference.members == ()
-    assert reference.members == oracles.oracle_grs(ds, 3, result, scheme="bam",
-                                                   regime="crs",
-                                                   efficient_indices=frontier)
-    assert reference.weights.shape == (len(frontier),)
+    assert reference.members == oracles.oracle_grs(ds, 3, result)
+    assert reference.weights.shape == (ds.n_dmus,)
 
 
 def test_screened_identification_equals_oracle_on_random_data():
-    # larger n than above, so that the screen drops units.  bam/crs is
-    # left out: there an optimal projection can lean on a unit that is
-    # inefficient under its own bam weights, so the optimal-pattern system
-    # over the efficient set can be infeasible, for HiGHS as for the kernel
+    # larger n than above, so that the screen drops efficient units
     rng = np.random.default_rng(43)
-    pairs = [(scheme, regime) for regime in dea.REGIMES for scheme in dea.SCHEMES
-             if (scheme, regime) != ("bam", "crs")]
+    pairs = [(scheme, regime) for regime in dea.REGIMES for scheme in dea.SCHEMES]
     dropped = 0
     for trial in range(20):
         scheme, regime = pairs[trial % len(pairs)]
         n, m, s = int(rng.integers(8, 20)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         ds = dea.Dataset([f"u{k}" for k in range(n)], rng.uniform(1.0, 10.0, (m, n)),
                          rng.uniform(1.0, 10.0, (s, n)))
-        frontier = dea.efficient_set(ds, scheme, regime)
+        efficient = {j for j in range(n) if dea.evaluate(ds, j, scheme, regime).efficient}
         for o in rng.choice(n, 3, replace=False):
             o = int(o)
             result = dea.evaluate(ds, o, scheme, regime)
-            dropped += len(frontier) - len(screened_units(ds, result, frontier, regime))
-            reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
-            assert reference.members == oracles.oracle_grs(
-                ds, o, result, scheme=scheme, regime=regime, efficient_indices=frontier)
-            assert reference.weights.shape == (len(frontier),)
+            dropped += len(efficient - set(screened_units(ds, result)))
+            reference = grs.identify_grs(ds, o, result)
+            assert reference.members == oracles.oracle_grs(ds, o, result)
+            assert reference.weights.shape == (n,)
     assert dropped > 0
+
+
+# -- every unit is a candidate ----------------------------------------
+
+# bam/crs with negative outputs: U002's only optimal projection leans on
+# U004, which is inefficient under its own bam weights
+BAM_CRS = """dmu,in:x1,in:x2,in:x3,out:y1
+U000,6.992665917182186,1.8189352563936296,3.847382933211552,9.26252979924862
+U001,6.765140188720641,2.5627045017695558,7.501921878146536,9.646055444550296
+U002,7.137467578425708,8.650943683818534,1.4642181136374575,-1.1166811813371798
+U003,2.9228448741342774,6.587496830426332,7.185873153995152,-2.7240324010010712
+U004,4.071505282482169,3.6791972164351345,9.76400283101046,3.7533930459387186
+U005,2.7536466477141377,6.377358203386985,9.574751078327521,-1.348039817950601
+U006,9.915096211580643,4.9656079464156395,9.838890309021712,0.8077078098510171
+U007,6.879592922464641,1.9209411567543535,3.9092468174825177,6.969425170391702
+U008,1.9093335660867128,5.779039331468029,8.564913046550421,-3.966033868673563
+U009,1.7817048011127294,7.038236944429608,2.1381226766936727,6.3403611130672
+U010,7.917244905424953,5.335208058507246,9.459795758170344,2.231437535157533
+U011,7.689426915015879,2.90461505434997,2.538422868007778,3.725653331899551
+U012,2.7395918223647375,9.58190040149354,7.7518171731543335,1.9663297574549823
+U013,5.775790306561547,3.8400438558367753,7.048214900572981,4.083294626370618
+U014,7.568802193797899,5.898819358662845,3.904854159493356,2.8904651900353215
+U015,1.9884236655207626,3.564326125046259,3.53872457631537,-0.622191498528549
+"""
+
+
+def test_bam_crs_member_can_be_inefficient():
+    ds = reporting.parse_dataset(BAM_CRS)
+    config = reporting.AnalysisConfig(scheme="bam", regime="crs")
+    reports = {report.name: report for report in reporting.run_analysis(config, ds)}
+    o = ds.index("U002")
+    expected = [ds.names[j]
+                for j in oracles.oracle_grs(ds, o, dea.evaluate(ds, o, "bam", "crs"))]
+    members = [name for name, _ in reports["U002"].grs_members]
+    assert members == expected
+    assert any(not reports[name].efficient for name in members)
+
+
+PAIRS = [(scheme, regime) for regime in dea.REGIMES for scheme in dea.SCHEMES]
+
+
+@pytest.mark.parametrize("scheme, regime", [pair for pair in PAIRS if pair != ("bam", "crs")])
+def test_members_are_efficient_outside_bam_crs(scheme, regime):
+    """Every GRS member is efficient, except under bam/crs.
+
+    Take a unit o and a row where o's bam weight is zero, say x_o = min x.
+    Under "vrs" the input row  sum_j lambda_j x_j + s = x_o  with
+    sum lambda = 1 and s >= 0 forces every active unit to x_j = min x, so
+    that unit's own bam weight on the row is zero too.  On every row where
+    o's weight is positive, optimality rules out a dominated member.  The
+    ram and additive weights are positive on every row with a spread,
+    under either regime.  Only bam under "crs" escapes this: there the
+    active units need not sit at the row's minimum.
+    """
+    rng = np.random.default_rng([59, PAIRS.index((scheme, regime))])
+    for _ in range(8):
+        n, m, s = int(rng.integers(6, 15)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        ds = dea.Dataset([f"u{k}" for k in range(n)], rng.uniform(1.0, 10.0, (m, n)),
+                         rng.uniform(1.0, 10.0, (s, n)))
+        config = reporting.AnalysisConfig(scheme=scheme, regime=regime)
+        reports = reporting.run_analysis(config, ds, stages="grs")
+        efficient = {report.name for report in reports if report.efficient}
+        for report in reports:
+            assert {name for name, _ in report.grs_members} <= efficient
+
+
+def members_and_classes(ds, scheme, regime):
+    """Each unit's GRS member names and RTS class, by unit name."""
+    config = reporting.AnalysisConfig(scheme=scheme, regime=regime)
+    return {report.name: ({name for name, _ in report.grs_members}, report.rts_class)
+            for report in reporting.run_analysis(config, ds)}
+
+
+@pytest.mark.parametrize("scheme, regime", PAIRS)
+def test_permuting_units_permutes_members_and_classes(scheme, regime):
+    rng = np.random.default_rng([61, PAIRS.index((scheme, regime))])
+    for _ in range(6):
+        ds = random_dataset(rng)
+        order = rng.permutation(ds.n_dmus)
+        moved = dea.Dataset([ds.names[j] for j in order],
+                            ds.inputs[:, order], ds.outputs[:, order])
+        assert members_and_classes(moved, scheme, regime) \
+            == members_and_classes(ds, scheme, regime)
+
+
+@pytest.mark.parametrize("scheme, regime", PAIRS)
+def test_duplicate_joins_exactly_the_sets_of_its_original(scheme, regime):
+    rng = np.random.default_rng([67, PAIRS.index((scheme, regime))])
+    for _ in range(6):
+        ds = random_dataset(rng)
+        k = int(rng.integers(ds.n_dmus))
+        original = ds.names[k]
+        twinned = dea.Dataset(ds.names + ("twin",),
+                              np.hstack([ds.inputs, ds.inputs[:, [k]]]),
+                              np.hstack([ds.outputs, ds.outputs[:, [k]]]))
+        before = members_and_classes(ds, scheme, regime)
+        after = members_and_classes(twinned, scheme, regime)
+        for name, (members, rts_class) in before.items():
+            if original in members:
+                members = members | {"twin"}
+            assert after[name] == (members, rts_class)
+        assert after["twin"] == after[original]
 
 
 # additive/crs data shifted by 1e4: U000's GRS program used to cycle
@@ -429,10 +501,8 @@ def test_shifted_crs_grs_program_concludes():
     config = reporting.AnalysisConfig(scheme="additive", regime="crs")
     reports = reporting.run_analysis(config, SHIFTED)
     assert [r.name for r in reports] == list(SHIFTED.names)
-    frontier = dea.efficient_set(SHIFTED, "additive", "crs")
     result = dea.evaluate(SHIFTED, 0, "additive", "crs")
-    expected = oracles.oracle_grs(SHIFTED, 0, result, frontier,
-                                  scheme="additive", regime="crs")
+    expected = oracles.oracle_grs(SHIFTED, 0, result)
     assert [name for name, _ in reports[0].grs_members] == \
         [SHIFTED.names[j] for j in expected]
 
@@ -449,9 +519,8 @@ CORNER = dea.Dataset(["A", "B", "C", "D", "E", "F"],
 @pytest.mark.parametrize("scheme, units", [("ram", (1, 3, 4, 5)), ("bam", (5, 6, 7))])
 def test_vertex_face_takes_no_solve(eight, monkeypatch, scheme, units):
     # under ram on CORNER and under bam on the 8-unit example, the screen
-    # of each of these units keeps one efficient unit
+    # of each of these units keeps one unit
     ds = CORNER if scheme == "ram" else eight[0]
-    frontier = dea.efficient_set(ds, scheme)
 
     def spy(program, settings=None):
         raise AssertionError("a vertex GRS must not reach the kernel")
@@ -459,16 +528,15 @@ def test_vertex_face_takes_no_solve(eight, monkeypatch, scheme, units):
     monkeypatch.setattr(grs, "solve", spy)
     for o in units:
         result = dea.evaluate(ds, o, scheme)
-        assert len(screened_units(ds, result, frontier)) == 1
-        reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
-        assert reference.members == oracles.oracle_grs(ds, o, result, frontier,
-                                                       scheme=scheme)
+        assert len(screened_units(ds, result)) == 1
+        reference = grs.identify_grs(ds, o, result)
+        assert reference.members == oracles.oracle_grs(ds, o, result)
         (k,) = reference.members
         assert reference.interior_projection_inputs.tobytes() \
             == ds.inputs[:, k].tobytes()
         assert reference.interior_projection_outputs.tobytes() \
             == ds.outputs[:, k].tobytes()
-        assert np.array_equal(reference.weights, np.eye(len(frontier))[frontier.index(k)])
+        assert np.array_equal(reference.weights, np.eye(ds.n_dmus)[k])
         assert np.array_equal(reference.input_slacks, ds.inputs[:, o] - ds.inputs[:, k])
         assert np.array_equal(reference.output_slacks, ds.outputs[:, k] - ds.outputs[:, o])
         if scheme == "ram":
@@ -479,29 +547,24 @@ def test_vertex_face_takes_no_solve(eight, monkeypatch, scheme, units):
 def test_one_kept_unit_under_crs_still_solves(eight, monkeypatch):
     # the crs frontier is DMU2 alone, which scores itself at intensity 1,
     # yet without a convexity row its GRS weight is not fixed at 1
-    ds, _, _ = eight
-    frontier = dea.efficient_set(ds, regime="crs")
-    assert frontier == [1]
-    for o in range(ds.n_dmus):
-        result = dea.evaluate(ds, o, regime="crs")
-        if o == 1:
-            assert result.lambdas[1] == pytest.approx(1.0, abs=1e-12)
-        _, reference = captured_program(monkeypatch, ds, o, result,
-                                        efficient_indices=frontier)
-        assert reference.members == oracles.oracle_grs(ds, o, result, frontier,
-                                                       regime="crs")
+    ds, _ = eight
+    results = [dea.evaluate(ds, o, regime="crs") for o in range(ds.n_dmus)]
+    assert [o for o, result in enumerate(results) if result.efficient] == [1]
+    assert results[1].lambdas[1] == pytest.approx(1.0, abs=1e-12)
+    for o, result in enumerate(results):
+        _, reference = captured_program(monkeypatch, ds, o, result)
+        assert reference.members == oracles.oracle_grs(ds, o, result)
 
 
 def test_two_kept_units_still_solve(eight, monkeypatch):
     # under ram every unit of the 8-unit example keeps two or more units,
     # also DMU5, whose GRS is the vertex DMU4
-    ds, frontier, results = eight
+    ds, results = eight
     for o in range(ds.n_dmus):
-        assert len(screened_units(ds, results[o], frontier)) >= 2
-        _, reference = captured_program(monkeypatch, ds, o, results[o],
-                                        efficient_indices=frontier)
+        assert len(screened_units(ds, results[o])) >= 2
+        _, reference = captured_program(monkeypatch, ds, o, results[o])
         assert reference.members == EIGHT_MEMBERS[o]
-        assert reference.members == oracles.oracle_grs(ds, o, results[o], frontier)
+        assert reference.members == oracles.oracle_grs(ds, o, results[o])
 
 
 @pytest.mark.parametrize("lambdas", [
@@ -511,38 +574,36 @@ def test_two_kept_units_still_solve(eight, monkeypatch):
     {0: 0.6 * grs.SUPPORT_TOL, 1: 1.0, 2: 0.6 * grs.SUPPORT_TOL},
 ])
 def test_disagreeing_intensities_still_solve(monkeypatch, lambdas):
-    frontier = dea.efficient_set(CORNER)
     result = dea.evaluate(CORNER, 3)
-    assert screened_units(CORNER, result, frontier) == [1]
+    assert screened_units(CORNER, result) == [1]
     disagreeing = np.zeros(CORNER.n_dmus)
     disagreeing[list(lambdas)] = list(lambdas.values())
     result = dataclasses.replace(result, lambdas=disagreeing)
-    _, reference = captured_program(monkeypatch, CORNER, 3, result,
-                                    efficient_indices=frontier)
+    _, reference = captured_program(monkeypatch, CORNER, 3, result)
     assert reference.members == (1,)
-    assert reference.members == oracles.oracle_grs(CORNER, 3, result, frontier)
+    assert reference.members == oracles.oracle_grs(CORNER, 3, result)
 
 
 def test_mismatched_result_rejected(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     with pytest.raises(ValueError):
-        grs.identify_grs(ds, 3, results[2], efficient_indices=frontier)
+        grs.identify_grs(ds, 3, results[2])
 
 
 # -- minimum face ------------------------------------------------------
 
 
 def test_face_of_collinear_members_is_a_segment(eight):
-    ds, frontier, results = eight
+    ds, results = eight
     for o in (6, 7):
-        reference = grs.identify_grs(ds, o, results[o], efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, results[o])
         assert reference.members == (1, 2, 3)
         assert grs.minimum_face(ds, reference) == 1
 
 
 def test_face_of_singleton_is_a_point(eight):
-    ds, frontier, results = eight
-    reference = grs.identify_grs(ds, 4, results[4], efficient_indices=frontier)
+    ds, results = eight
+    reference = grs.identify_grs(ds, 4, results[4])
     assert reference.members == (3,)
     assert grs.minimum_face(ds, reference) == 0
 
@@ -554,7 +615,7 @@ def test_face_dimension_counts_independent_directions():
         [[2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 5.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
     )
     fake = grs.GrsResult(
-        o=0, efficient_indices=(0, 1, 2), weights=np.array([0.4, 0.3, 0.3]),
+        o=0, weights=np.array([0.4, 0.3, 0.3, 0.0]),
         members=(0, 1, 2), input_slacks=np.zeros(1), output_slacks=np.zeros(3),
         interior_projection_inputs=np.ones(1),
         interior_projection_outputs=np.zeros(3),

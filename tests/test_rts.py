@@ -12,48 +12,43 @@ EIGHT_CLASSES = (
 )
 
 
-@pytest.fixture(scope="module")
-def eight(frontier8):
-    return frontier8, dea.efficient_set(frontier8)
-
-
-def test_intercepts_at_steepest_vertex(eight):
-    ds, _ = eight
+def test_intercepts_at_steepest_vertex(frontier8):
+    ds = frontier8
     omega_min, omega_max = rts.intercept_bounds(ds, ([1.0], [2.0]))
     assert omega_max == pytest.approx(-1.0 / 3.0, abs=1e-7)
     assert omega_min == pytest.approx(-1.0, abs=1e-9)  # attained, not clamped
 
 
-def test_intercepts_at_flat_end_clamp_the_unbounded_side(eight):
-    ds, _ = eight
+def test_intercepts_at_flat_end_clamp_the_unbounded_side(frontier8):
+    ds = frontier8
     omega_min, omega_max = rts.intercept_bounds(ds, ([5.0], [8.0]))
     assert omega_min == pytest.approx(0.6, abs=1e-6)
     assert omega_max == 1.0  # sup is infinite, reported as the clamp
 
 
-def test_intercepts_at_kink_exceed_the_nominal_clamp(eight):
-    ds, _ = eight
+def test_intercepts_at_kink_exceed_the_nominal_clamp(frontier8):
+    ds = frontier8
     omega_min, omega_max = rts.intercept_bounds(ds, ([2.0], [5.0]))
     assert omega_max == pytest.approx(1.5, abs=1e-6)
     assert omega_min == pytest.approx(-1.0 / 6.0, abs=1e-6)
     assert omega_min <= 0.0 <= omega_max
 
 
-def test_intercepts_at_non_vertex_frontier_point(eight):
-    ds, _ = eight
+def test_intercepts_at_non_vertex_frontier_point(frontier8):
+    ds = frontier8
     omega_min, omega_max = rts.intercept_bounds(ds, ([3.0], [6.0]))
     assert omega_min == pytest.approx(1.0, abs=1e-7)
     assert omega_max == pytest.approx(1.0, abs=1e-7)
 
 
-def test_interior_point_is_rejected(eight):
-    ds, _ = eight
+def test_interior_point_is_rejected(frontier8):
+    ds = frontier8
     with pytest.raises(rts.NotOnFrontierError):
         rts.intercept_bounds(ds, ([4.0], [5.0]))
 
 
-def test_nonpositive_inputs_are_rejected(eight):
-    ds, _ = eight
+def test_nonpositive_inputs_are_rejected(frontier8):
+    ds = frontier8
     with pytest.raises(rts.NormalizationUnattainableError):
         rts.intercept_bounds(ds, ([-1.0], [2.0]))
     with pytest.raises(rts.NormalizationUnattainableError):
@@ -71,18 +66,18 @@ def test_classification_rule():
     assert rts.classify_rts((-1.0, -1e-5)) == rts.INCREASING
 
 
-def test_classes_of_all_eight_units(eight):
-    ds, _ = eight
+def test_classes_of_all_eight_units(frontier8):
+    ds = frontier8
     reports = reporting.run_analysis(reporting.AnalysisConfig(), ds)
     for report, expected in zip(reports, EIGHT_CLASSES):
         assert report.rts_class == expected, report.name
         assert report.omega_min <= report.omega_max + 1e-9
 
 
-def test_program_shape(eight, monkeypatch):
+def test_program_shape(frontier8, monkeypatch):
     # each endpoint is one envelopment LP: an s + m + 1 row basis over
     # theta, alpha, one pi per unit and one slack per output and input
-    ds, _ = eight
+    ds = frontier8
     programs = []
 
     def spy(program, settings=None, basis=None):
@@ -161,14 +156,14 @@ def test_non_finite_tolerance_is_rejected():
             rts.classify_rts((0.6, 1.0), rts_tol)
 
 
-def test_class_is_anchor_independent(eight):
+def test_class_is_anchor_independent(frontier8):
     # any strictly positive reweighting of the same reference set must
     # classify identically
-    ds, frontier = eight
+    ds = frontier8
     rng = np.random.default_rng(41)
     for o in (4, 5, 6, 7):
         result = dea.evaluate(ds, o)
-        reference = grs.identify_grs(ds, o, result, efficient_indices=frontier)
+        reference = grs.identify_grs(ds, o, result)
         members = list(reference.members)
         points_in = ds.inputs[:, members]
         points_out = ds.outputs[:, members]
@@ -197,7 +192,7 @@ def test_single_point_interval_stays_ordered():
     # the README's three units: C lies on the segment AB, so its interval
     # is the single point -2/9, whose two solves differ by rounding
     ds = dea.Dataset(["A", "B", "C"], [[2.0, 4.0, 3.0]], [[2.0, 5.0, 3.5]])
-    reference = grs.identify_grs(ds, 2, dea.evaluate(ds, 2), dea.efficient_set(ds))
+    reference = grs.identify_grs(ds, 2, dea.evaluate(ds, 2))
     omega_min, omega_max = rts.intercept_bounds(
         ds, (reference.interior_projection_inputs, reference.interior_projection_outputs))
     assert omega_min <= omega_max
@@ -205,8 +200,8 @@ def test_single_point_interval_stays_ordered():
     assert omega_max == pytest.approx(-2.0 / 9.0, abs=1e-12)
 
 
-def test_ends_crossing_beyond_rounding_are_an_error(eight, monkeypatch):
-    ds, _ = eight
+def test_ends_crossing_beyond_rounding_are_an_error(frontier8, monkeypatch):
+    ds = frontier8
     # the solves claim omega_min = 0.5 and omega_max = 0.4
     objectives = iter([0.5, -0.4])
     monkeypatch.setattr(rts, "solve", lambda program, settings=None, basis=None:
@@ -270,7 +265,7 @@ def test_translated_data_endpoints_match_highs():
     ds = reporting.parse_dataset(TRANSLATED)
     o = ds.index("U002")
     result = dea.evaluate(ds, o, "additive")
-    reference = grs.identify_grs(ds, o, result, dea.efficient_set(ds, "additive"))
+    reference = grs.identify_grs(ds, o, result)
     anchor = (reference.interior_projection_inputs,
               reference.interior_projection_outputs)
     expected = oracles.intercept_interval_highs(ds, *anchor)

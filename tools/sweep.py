@@ -25,14 +25,19 @@ the stage and the cause.  For the "different" datasets whose output is
 json on both sides, a contract breakdown follows: how many keep the same
 exit code, efficient flags, GRS member names, face dimensions and RTS
 classes, and rho within 1e-6, how many keep all of these, and the largest
-change of an omega end (relative, as for 1e-6 above).  The exit status
-is then 1 when any dataset is different or newly aborting, and 0
-otherwise, so an identity gate is the command's exit status.
+change of an omega end (relative, as for 1e-6 above).  Last come the
+abort counts of each side per cause, the text after the "[stage]: " tag
+of the first stderr line, and the datasets that abort on both sides with
+a different first stderr line, which names another unit, stage or cause.
+The exit status is then 1 when any dataset is different or newly
+aborting, and 0 otherwise, so an identity gate is the command's exit
+status.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -48,6 +53,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS, dataset  # noqa: E402
 
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity")
+_STAGE_TAG = re.compile(r"\[\w+\]: ")
 
 
 def seed_range(text: str) -> list[int]:
@@ -167,6 +173,38 @@ def contract_breakdown(old: dict, new: dict, names) -> str:
         f"largest omega change {omega:.2g}"
 
 
+def _first_line(run) -> str:
+    return run[2].partition("\n")[0]
+
+
+def abort_causes(runs) -> collections.Counter:
+    """Aborted runs per cause, the first stderr line after its stage tag."""
+    causes = collections.Counter()
+    for run in runs:
+        if run[0] != 0:
+            line = _first_line(run)
+            tag = _STAGE_TAG.search(line)
+            causes[line[tag.end():] if tag else line] += 1
+    return causes
+
+
+def abort_report(old: dict, new: dict) -> list[str]:
+    """Each side's aborts per cause, then the both-side aborts that changed."""
+    names = sorted(old.keys() & new.keys())
+    before = abort_causes(old[name] for name in names)
+    after = abort_causes(new[name] for name in names)
+    causes = sorted(before.keys() | after.keys())
+    lines = ["aborts per cause (earlier / new):" + ("" if causes else " none")]
+    for cause in causes:
+        lines.append(f"  {before[cause]} / {after[cause]}: {cause}")
+    for name in names:
+        if old[name][0] != 0 and new[name][0] != 0 \
+                and _first_line(old[name]) != _first_line(new[name]):
+            lines.append(f"  aborting in both, changed: {name}  "
+                         f"({_first_line(old[name])} -> {_first_line(new[name])})")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", required=True,
@@ -201,6 +239,7 @@ def main(argv=None) -> int:
                     cause = aborted_in[group][name][2].partition("\n")[0]
                     line += f"  ({cause})"
                 print(line)
+        print("\n".join(abort_report(old, results)))
         if groups["different"] or groups["newly aborting"]:
             return 1
     return 0
