@@ -26,6 +26,14 @@ combination (lambda_o = 1 with every slack at zero).  Its basis is
 lambda_o plus the m+s slacks, less under "crs" (no convexity row) the
 slack of the row where the unit is largest.  Pinned slacks may sit in
 that basis at zero.
+
+``evaluate_many`` scores a list of units with one call of the kernel,
+``lp.solve_many``, which advances their programs in lockstep.  Only the
+right-hand side, and under bam the cost and the pinned slacks, depend
+on the unit, so the programs share one constraint matrix.  A unit whose
+solve fails gets its error in place of its result, and the others'
+results come back as if each had been scored alone; ``evaluate`` is
+the call for one unit, and raises that error.
 """
 
 from __future__ import annotations
@@ -34,7 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import OPTIMAL, LinearProgram, LpError, SolverSettings, solve
+# ``solve`` stays bound here, as in ``grs`` and ``rts``, for wrappers that
+# trace the kernel per calling module (bench/tracing.py)
+from .lp import (  # noqa: F401
+    OPTIMAL, LinearProgram, LpError, SolverSettings, solve, solve_many, unwrap,
+)
 
 __all__ = [
     "SCHEMES",
@@ -45,6 +57,7 @@ __all__ = [
     "slack_weights",
     "scoring_program",
     "evaluate",
+    "evaluate_many",
 ]
 
 SCHEMES = ("ram", "additive", "bam")
@@ -182,12 +195,24 @@ def scoring_program(dataset: Dataset, o: int, scheme: str = "ram",
     is the slack weights; a zero-weight slack is pinned by an upper
     bound of 0.
     """
+    (program,) = _scoring_programs(dataset, [o], scheme, regime)
+    return program
+
+
+def _scoring_programs(dataset: Dataset, units, scheme: str,
+                      regime: str) -> list[LinearProgram]:
+    """``scoring_program`` of each unit of ``units``.
+
+    Only the right-hand side, and under bam the cost and the pinned
+    slacks, depend on the unit, so the programs share one constraint
+    matrix, and under ram and additive one cost and one bound vector.
+    """
     _check_scheme(scheme)
     _check_regime(regime)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    if not 0 <= o < n:
-        raise IndexError(f"unit index {o} out of range for {n} units")
-    w_in, w_out = slack_weights(dataset, scheme, o)
+    for o in units:
+        if not 0 <= o < n:
+            raise IndexError(f"unit index {o} out of range for {n} units")
     convexity = regime == "vrs"
     q = n + m + s
     A = np.zeros((m + s + (1 if convexity else 0), q))
@@ -195,15 +220,48 @@ def scoring_program(dataset: Dataset, o: int, scheme: str = "ram",
     A[:m, n:n + m] = np.eye(m)
     A[m:m + s, :n] = dataset.outputs
     A[m:m + s, n + m:] = -np.eye(s)
-    rhs = np.concatenate([dataset.inputs[:, o], dataset.outputs[:, o]])
     if convexity:
         A[-1, :n] = 1.0
-        rhs = np.concatenate([rhs, [1.0]])
-    upper = np.full(q, np.inf)
-    upper[n:n + m][w_in == 0.0] = 0.0
-    upper[n + m:][w_out == 0.0] = 0.0
-    cost = np.concatenate([np.zeros(n), w_in, w_out])
-    return LinearProgram("maximize", cost, A, rhs, upper_bounds=upper)
+    lower = np.zeros(q)
+
+    def priced(w_in, w_out):
+        upper = np.full(q, np.inf)
+        upper[n:n + m][w_in == 0.0] = 0.0
+        upper[n + m:][w_out == 0.0] = 0.0
+        return _frozen(np.concatenate([np.zeros(n), w_in, w_out]), upper)
+
+    # read-only arrays are shared by the programs instead of copied
+    _frozen(A, lower)
+    shared = None if scheme == "bam" else priced(*slack_weights(dataset, scheme))
+    programs = []
+    for o in units:
+        cost, upper = shared or priced(*slack_weights(dataset, scheme, o))
+        rhs = np.concatenate([dataset.inputs[:, o], dataset.outputs[:, o],
+                              [1.0] if convexity else []])
+        programs.append(LinearProgram("maximize", cost, A, rhs,
+                                      lower_bounds=lower, upper_bounds=upper))
+    return programs
+
+
+def _frozen(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _scoring_basis(program: LinearProgram, o: int, n: int, m: int, s: int,
+                   regime: str) -> np.ndarray:
+    """lambda_o and the slacks (see the module docstring)."""
+    # under "crs" lambda_o takes the place of the slack of the row where
+    # the unit is largest, and an all-zero unit keeps the slack basis
+    # alone (b = 0)
+    slacks = np.arange(n, n + m + s)
+    rhs = program.rhs
+    if regime == "vrs":
+        return np.append(o, slacks)
+    if np.any(rhs):
+        return np.append(o, np.delete(slacks, np.argmax(np.abs(rhs))))
+    return slacks
 
 
 def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
@@ -213,26 +271,38 @@ def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
 
     Cannot be infeasible (the unit itself is a feasible combination,
     and the solve starts from it), so a non-optimal solver status is
-    raised as LpError.
+    raised as LpError.  ``evaluate_many`` of the one unit.
     """
-    program = scoring_program(dataset, o, scheme, regime)
+    (result,) = evaluate_many(dataset, [o], scheme, regime, settings, eff_tol)
+    return unwrap(result)
+
+
+def evaluate_many(dataset: Dataset, units, scheme: str = "ram", regime: str = "vrs",
+                  settings: SolverSettings | None = None,
+                  eff_tol: float = EFF_TOL) -> list[RamResult | LpError]:
+    """Score every unit of ``units`` with one call of the kernel.
+
+    Returns one entry per unit, in order: what ``evaluate`` returns for
+    it, or the ``LpError`` that ``evaluate`` raises.
+    """
+    units = list(units)
+    programs = _scoring_programs(dataset, units, scheme, regime)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    rhs = program.rhs
+    bases = [_scoring_basis(program, o, n, m, s, regime)
+             for program, o in zip(programs, units)]
+    results = []
+    for o, program, sol in zip(units, programs, solve_many(programs, settings, bases)):
+        if isinstance(sol, LpError):
+            results.append(sol)
+        elif sol.status != OPTIMAL:
+            results.append(LpError(f"slack model for unit {o} ended {sol.status}"))
+        else:
+            results.append(_ram_result(o, program.rhs, sol, scheme, regime, m, s, eff_tol))
+    return results
 
-    # lambda_o and the slacks; under "crs" lambda_o takes the place of
-    # the slack of the row where the unit is largest, and an all-zero
-    # unit keeps the slack basis alone (b = 0)
-    slacks = np.arange(n, n + m + s)
-    if regime == "vrs":
-        basis = np.append(o, slacks)
-    elif np.any(rhs):
-        basis = np.append(o, np.delete(slacks, np.argmax(np.abs(rhs))))
-    else:
-        basis = slacks
-    sol = solve(program, settings, basis=basis)
-    if sol.status != OPTIMAL:
-        raise LpError(f"slack model for unit {o} ended {sol.status}")
 
+def _ram_result(o, rhs, sol, scheme, regime, m, s, eff_tol) -> RamResult:
+    n = sol.primal.size - m - s
     lambdas = np.maximum(sol.primal[:n], 0.0)
     s_in = np.maximum(sol.primal[n:n + m], 0.0)
     s_out = np.maximum(sol.primal[n + m:], 0.0)

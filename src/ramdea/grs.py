@@ -55,6 +55,13 @@ agree (lambda_k within ``support_tol`` of 1, the other intensities
 summing to at most ``support_tol``) before this is taken; otherwise,
 and always under "crs", where the weight of k is not fixed, the program
 above is solved.
+
+``identify_grs_many`` does this for a list of scoring results, with one
+call of the kernel for all the units whose GRS needs a solve; the kernel
+stacks their programs by shape.  A unit whose solve fails gets its
+error in place of its result, and the others' results come back as if
+each unit had been identified alone; ``identify_grs`` is the call for
+one unit, and raises that error.
 """
 
 from __future__ import annotations
@@ -64,7 +71,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dea
-from .lp import OPTIMAL, LinearProgram, LpError, RamdeaError, SolverSettings, solve
+# ``solve`` stays bound here, as in ``dea`` and ``rts``, for wrappers that
+# trace the kernel per calling module (bench/tracing.py)
+from .lp import (  # noqa: F401
+    OPTIMAL, LinearProgram, LpError, RamdeaError, SolverSettings, solve, solve_many, unwrap,
+)
 
 __all__ = [
     "SUPPORT_TOL",
@@ -72,6 +83,7 @@ __all__ = [
     "GrsResult",
     "max_support_solution",
     "identify_grs",
+    "identify_grs_many",
     "minimum_face",
 ]
 
@@ -122,40 +134,60 @@ def max_support_solution(A, B=None, d=None,
     system is feasible; for a non-homogeneous system whose normalising
     column still vanishes, ``DegenerateNormalizerError`` is raised.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    p, q1 = A.shape
-    if B is None:
-        B = np.zeros((p, 0))
-    else:
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        if B.shape[0] != p:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {p}")
-    q2 = B.shape[1]
-    homogeneous = d is None or not np.any(np.asarray(d, dtype=float))
-    if homogeneous:
-        cols = A
-    else:
-        d = np.atleast_1d(np.asarray(d, dtype=float))
-        if d.shape != (p,):
-            raise ValueError(f"d has length {d.shape[0]}, expected {p}")
-        cols = np.hstack([A, -d[:, None]])
-    k = cols.shape[1]  # q1 plus the normalising column when present
+    (solution,) = _max_support_many([(A, B, d)], settings, support_tol)
+    return unwrap(solution)
 
-    matrix = np.hstack([cols, cols, B])
-    cost = np.concatenate([np.zeros(k), np.ones(k), np.zeros(q2)])
-    upper = np.concatenate([np.full(k, np.inf), np.ones(k), np.full(q2, np.inf)])
-    lp = LinearProgram("maximize", cost, matrix, np.zeros(p), upper_bounds=upper)
-    sol = solve(lp, settings)
-    if sol.status != OPTIMAL:
-        raise LpError(f"maximal-support program ended {sol.status}")
 
-    combined = sol.primal[:k] + sol.primal[k:2 * k]
-    v = sol.primal[2 * k:]
+def _max_support_many(systems, settings, support_tol) -> list:
+    """``max_support_solution`` of each (A, B, d) of ``systems``, with one
+    call of the kernel; an error is returned in place of its solution."""
+    programs, layouts = [], []
+    for A, B, d in systems:
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        p, q1 = A.shape
+        if B is None:
+            B = np.zeros((p, 0))
+        else:
+            B = np.atleast_2d(np.asarray(B, dtype=float))
+            if B.shape[0] != p:
+                raise ValueError(f"B has {B.shape[0]} rows, expected {p}")
+        q2 = B.shape[1]
+        homogeneous = d is None or not np.any(np.asarray(d, dtype=float))
+        if homogeneous:
+            cols = A
+        else:
+            d = np.atleast_1d(np.asarray(d, dtype=float))
+            if d.shape != (p,):
+                raise ValueError(f"d has length {d.shape[0]}, expected {p}")
+            cols = np.hstack([A, -d[:, None]])
+        k = cols.shape[1]  # q1 plus the normalising column when present
+        matrix = np.hstack([cols, cols, B])
+        cost = np.concatenate([np.zeros(k), np.ones(k), np.zeros(q2)])
+        upper = np.concatenate([np.full(k, np.inf), np.ones(k), np.full(q2, np.inf)])
+        programs.append(LinearProgram("maximize", cost, matrix, np.zeros(p),
+                                      upper_bounds=upper))
+        layouts.append((q1, k, homogeneous))
+
+    solutions = []
+    for sol, (q1, k, homogeneous) in zip(solve_many(programs, settings), layouts):
+        if isinstance(sol, LpError):
+            solutions.append(sol)
+        elif sol.status != OPTIMAL:
+            solutions.append(LpError(f"maximal-support program ended {sol.status}"))
+        else:
+            solutions.append(_support_point(sol.primal, q1, k, homogeneous, support_tol))
+    return solutions
+
+
+def _support_point(primal, q1, k, homogeneous, support_tol):
+    """(u, v) from the optimum of the maximal-support program."""
+    combined = primal[:k] + primal[k:2 * k]
+    v = primal[2 * k:]
     if homogeneous:
         return np.maximum(combined, 0.0), np.maximum(v, 0.0)
     scale = combined[-1]
     if scale <= support_tol:
-        raise DegenerateNormalizerError(
+        return DegenerateNormalizerError(
             f"normalising column ended at {scale:.3e}; the system is infeasible "
             "or the solve broke down numerically"
         )
@@ -177,59 +209,89 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     module docstring).  The returned weights are indexed by unit and sum
     to one under "vrs"; members are exactly the units whose weight
     exceeds ``support_tol``.  The interior projection is the matching
-    frontier point, strictly inside the minimum face.
+    frontier point, strictly inside the minimum face.  ``identify_grs_many``
+    of the one unit.
     """
     if ram_result.dmu_index != o:
         raise ValueError(f"ram_result is for unit {ram_result.dmu_index}, not {o}")
-    program = dea.scoring_program(dataset, o, ram_result.scheme, ram_result.regime)
+    (reference,) = identify_grs_many(dataset, [ram_result], settings, support_tol)
+    return unwrap(reference)
+
+
+def identify_grs_many(dataset: dea.Dataset, ram_results,
+                      settings: SolverSettings | None = None,
+                      support_tol: float = SUPPORT_TOL) -> list[GrsResult | RamdeaError]:
+    """``identify_grs`` of the unit of each of ``ram_results``.
+
+    The units whose GRS needs a solve share one call of the kernel.
+    Returns one entry per result, in order: its ``GrsResult``, or the
+    ``RamdeaError`` that ``identify_grs`` raises for it.
+    """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    # the scoring rows, then the budget row holding the objective at its
-    # optimum (scaled by m+s, as slack_sum is)
-    system = np.vstack([program.constraint_matrix, (m + s) * program.objective])
-    d = np.append(program.rhs, ram_result.slack_sum)
+    layouts, systems = [], []
+    for ram_result in ram_results:
+        o = ram_result.dmu_index
+        program = dea.scoring_program(dataset, o, ram_result.scheme, ram_result.regime)
+        # the scoring rows, then the budget row holding the objective at
+        # its optimum (scaled by m+s, as slack_sum is)
+        system = np.vstack([program.constraint_matrix, (m + s) * program.objective])
+        d = np.append(program.rhs, ram_result.slack_sum)
 
-    # A: the units' columns, whose budget entry is zero; above the budget
-    # row they are the scoring LP's columns, which its duals price for
-    # the screen
-    A = system[:, :n]
-    y = ram_result.duals
-    scale = np.maximum(1.0, np.linalg.norm(y) * np.linalg.norm(A[:-1], axis=0))
-    kept = -(y @ A[:-1]) / scale >= -_SCREEN_TOL
-    if not kept.any():
-        kept[:] = True
+        # A: the units' columns, whose budget entry is zero; above the
+        # budget row they are the scoring LP's columns, which its duals
+        # price for the screen
+        A = system[:, :n]
+        y = ram_result.duals
+        scale = np.maximum(1.0, np.linalg.norm(y) * np.linalg.norm(A[:-1], axis=0))
+        kept = -(y @ A[:-1]) / scale >= -_SCREEN_TOL
+        if not kept.any():
+            kept[:] = True
 
-    weights = np.zeros(n)
-    lambdas = ram_result.lambdas
-    vertex = int(np.argmax(kept))
-    if (ram_result.regime == "vrs" and kept.sum() == 1
-            and abs(lambdas[vertex] - 1.0) <= support_tol
-            and lambdas.sum() - lambdas[vertex] <= support_tol):
-        # the vertex case: the convexity row fixes the one kept unit's
-        # weight at 1 (see the module docstring)
-        weights[vertex] = 1.0
-        x_hat = dataset.inputs[:, vertex].copy()
-        y_hat = dataset.outputs[:, vertex].copy()
-        s_in, s_out = program.rhs[:m] - x_hat, y_hat - program.rhs[m:m + s]
-    else:
-        # B: the slack columns whose budget weight is non-zero; the
-        # others are pinned at zero and get no column
-        slack_cols = system[:, n:]
-        free = slack_cols[-1] != 0.0
-        weights[kept], v = max_support_solution(A[:, kept], slack_cols[:, free], d,
-                                                settings, support_tol)
-        slacks = np.zeros(m + s)
-        slacks[free] = v
-        s_in, s_out = slacks[:m], slacks[m:]
-        x_hat, y_hat = program.rhs[:m] - s_in, program.rhs[m:m + s] + s_out
-    return GrsResult(
-        o=o,
-        weights=weights,
-        members=tuple(j for j in range(n) if weights[j] > support_tol),
-        input_slacks=s_in,
-        output_slacks=s_out,
-        interior_projection_inputs=x_hat,
-        interior_projection_outputs=y_hat,
-    )
+        lambdas = ram_result.lambdas
+        vertex = int(np.argmax(kept))
+        if (ram_result.regime == "vrs" and kept.sum() == 1
+                and abs(lambdas[vertex] - 1.0) <= support_tol
+                and lambdas.sum() - lambdas[vertex] <= support_tol):
+            # the vertex case: the convexity row fixes the one kept unit's
+            # weight at 1 (see the module docstring)
+            layouts.append((o, program.rhs, kept, vertex, None))
+        else:
+            # B: the slack columns whose budget weight is non-zero; the
+            # others are pinned at zero and get no column
+            slack_cols = system[:, n:]
+            free = slack_cols[-1] != 0.0
+            layouts.append((o, program.rhs, kept, None, free))
+            systems.append((A[:, kept], slack_cols[:, free], d))
+
+    solutions = iter(_max_support_many(systems, settings, support_tol) if systems else ())
+    references = []
+    for o, rhs, kept, vertex, free in layouts:
+        weights = np.zeros(n)
+        if vertex is not None:
+            weights[vertex] = 1.0
+            x_hat = dataset.inputs[:, vertex].copy()
+            y_hat = dataset.outputs[:, vertex].copy()
+            s_in, s_out = rhs[:m] - x_hat, y_hat - rhs[m:m + s]
+        else:
+            solution = next(solutions)
+            if isinstance(solution, RamdeaError):
+                references.append(solution)
+                continue
+            weights[kept], v = solution
+            slacks = np.zeros(m + s)
+            slacks[free] = v
+            s_in, s_out = slacks[:m], slacks[m:]
+            x_hat, y_hat = rhs[:m] - s_in, rhs[m:m + s] + s_out
+        references.append(GrsResult(
+            o=o,
+            weights=weights,
+            members=tuple(j for j in range(n) if weights[j] > support_tol),
+            input_slacks=s_in,
+            output_slacks=s_out,
+            interior_projection_inputs=x_hat,
+            interior_projection_outputs=y_hat,
+        ))
+    return references
 
 
 def minimum_face(dataset: dea.Dataset, grs: GrsResult) -> int:

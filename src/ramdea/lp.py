@@ -25,35 +25,48 @@ a bounded entering variable whose range fits within the pass-1 step
 flips to its other bound instead.
 A near-tie between a noise entry and a real pivot thus goes to the real
 pivot, at the price of leaving other basic values up to ``feas_tol``
-outside their bounds, which ``_verify`` accepts.  An entry of the
+outside their bounds, which the final check accepts.  An entry of the
 entering column counts as a pivot only above ``_PIVOT_TOL`` times the
 larger of 1 and the column's largest magnitude, so the tolerance
 follows the column's scale.
 
 A solve starts from one basis and runs phase 1 only when that start is
-infeasible.  By default the start is one signed artificial column per
-row, with every structural variable resting on a bound; it is feasible
-when the residual ``b - A x0`` of that resting point is all zero, as for
-a zero right-hand side.  A caller that knows a feasible point may pass
-``basis``, one structural column index per row (a crash basis).  The
-kernel factors it once and takes the basic values with every other
-variable at its resting bound; if the basis is non-singular and those
-values lie within their bounds to ``feas_tol``, the artificials are
-pinned at zero and the solve goes straight to phase 2.  Otherwise the
-hint is dropped for the artificial start.  Phase 1 is a subproblem over
-the artificial columns (no big-M terms).  Phase 2 pins every artificial
-at zero, so one still basic there leaves through the ratio test, by a
-degenerate pivot, once an entering column would move it; one on a
-redundant row stays basic at zero.
+infeasible.  By default the start is one artificial column per row, the
+unit vector of that row, with every structural variable resting on a
+bound; the artificial of a row whose residual ``b - A x0`` at that
+resting point is negative is bounded by ``(-inf, 0]``, the others by
+``[0, inf)``, so the start is feasible when that residual is all zero,
+as for a zero right-hand side.  A caller that knows a feasible point
+may pass ``basis``, one structural column index per row (a crash
+basis).  The kernel factors it once and takes the basic values with
+every other variable at its resting bound; if the basis is non-singular
+and those values lie within their bounds to ``feas_tol``, the
+artificials are pinned at zero and the solve goes straight to phase 2.
+Otherwise the hint is dropped for the artificial start.  Phase 1 is a
+subproblem over the artificial columns (no big-M terms).  Phase 2 pins
+every artificial at zero, so one still basic there leaves through the
+ratio test, by a degenerate pivot, once an entering column would move
+it; one on a redundant row stays basic at zero.
 
 Every pivot factors the basis afresh with numpy's LAPACK solver: a
 solve with the transposed basis gives the row duals for pricing, and one
 solve with the basis itself gives the basic values and the entering
-column together.  A singular basis or a non-finite solve raises
-``LpError`` rather than carrying NaN into the result.
+column together.  A singular basis or a non-finite solve ends that LP
+with ``LpError`` rather than carrying NaN into the result.
+
+The kernel's state has a leading batch axis: ``solve_many`` advances a
+stack of LPs of one shape in lockstep, each pivot round making one
+stacked LAPACK call for all of them, which spreads numpy's per-call
+overhead over the stack.  Programs that share one constraint matrix
+object share it in the stack too.  Each LP keeps its own basis, phase,
+Bland switch, pivot budget and checks, so it takes the pivots it would
+take alone; it leaves the stack as soon as it concludes or fails, and
+a failure (a singular basis, an exhausted budget, a failed check) ends
+that LP alone with its typed error.  ``solve`` is a stack of one.
 
 A ``LinearProgram`` is immutable after construction and safe to share
-across concurrent solves; each ``solve`` call owns all of its state.
+across concurrent solves; each ``solve`` or ``solve_many`` call owns
+all of its mutable state.
 """
 
 from __future__ import annotations
@@ -73,6 +86,7 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "solve",
+    "solve_many",
 ]
 
 OPTIMAL = "optimal"
@@ -86,6 +100,9 @@ _PIVOT_TOL = 1e-10
 _OPT_TOL = 1e-9
 # Pivot budget of one solve, per row and column of its program.
 _PIVOTS_PER_DIMENSION = 50
+# Most LPs advanced in one lockstep stack; bounds the memory of stacked
+# constraint matrices.
+_STACK_LPS = 128
 
 
 class RamdeaError(Exception):
@@ -111,6 +128,18 @@ class SolverSettings:
             raise ValueError("feas_tol must be finite and strictly positive")
 
 
+def _frozen(values, ndmin: int) -> np.ndarray:
+    """A read-only float array of ``values``: the array itself when it is
+    one already, so programs built from one frozen array share it, and a
+    private copy otherwise."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.ndim >= ndmin and not values.flags.writeable):
+        return values
+    frozen = np.array(values, dtype=float, ndmin=ndmin)
+    frozen.setflags(write=False)
+    return frozen
+
+
 class LinearProgram:
     """Equality-constrained LP with per-variable bounds, immutable once built.
 
@@ -122,16 +151,18 @@ class LinearProgram:
     rhs : length-p right-hand side
     lower_bounds : length-q vector, default all zeros; -inf entries allowed
     upper_bounds : length-q vector, default all +inf
+
+    Array arguments are copied, except read-only float arrays, which are
+    immutable already and are shared.
     """
 
     def __init__(self, sense, objective, constraint_matrix, rhs,
                  lower_bounds=None, upper_bounds=None):
         if sense not in ("maximize", "minimize"):
             raise ValueError(f"sense must be 'maximize' or 'minimize', got {sense!r}")
-        # private copies, so freezing them below cannot affect the caller
-        A = np.array(constraint_matrix, dtype=float, ndmin=2)
-        c = np.array(objective, dtype=float, ndmin=1)
-        b = np.array(rhs, dtype=float, ndmin=1)
+        A = _frozen(constraint_matrix, 2)
+        c = _frozen(objective, 1)
+        b = _frozen(rhs, 1)
         if A.ndim != 2:
             raise ValueError("constraint_matrix must be two-dimensional")
         p, q = A.shape
@@ -141,10 +172,8 @@ class LinearProgram:
             raise ValueError(f"objective has length {c.shape[0]}, expected {q}")
         if b.shape != (p,):
             raise ValueError(f"rhs has length {b.shape[0]}, expected {p}")
-        lo = np.zeros(q) if lower_bounds is None else \
-            np.array(lower_bounds, dtype=float, ndmin=1)
-        hi = np.full(q, np.inf) if upper_bounds is None else \
-            np.array(upper_bounds, dtype=float, ndmin=1)
+        lo = _frozen(np.zeros(q) if lower_bounds is None else lower_bounds, 1)
+        hi = _frozen(np.full(q, np.inf) if upper_bounds is None else upper_bounds, 1)
         if lo.shape != (q,) or hi.shape != (q,):
             raise ValueError(f"bound vectors must have length {q}")
         for name, arr in (("objective", c), ("constraint_matrix", A), ("rhs", b)):
@@ -154,8 +183,6 @@ class LinearProgram:
             raise ValueError("bounds must not contain NaN")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
-        for arr in (A, c, b, lo, hi):
-            arr.setflags(write=False)
         self.sense = sense
         self.objective = c
         self.constraint_matrix = A
@@ -203,233 +230,412 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None,
     and bound flip, ``phase1_iterations`` those spent finding a feasible
     basis.  Raises ``IterationLimitError`` when the pivot budget of
     50 * (rows + columns) runs out, which signals numerical trouble
-    rather than a property of the problem.
+    rather than a property of the problem, and ``LpError`` on any other
+    numerical failure.
     """
-    return _SimplexState(lp, settings or SolverSettings(), basis).run()
+    (outcome,) = solve_many([lp], settings, [basis])
+    return unwrap(outcome)
+
+
+def solve_many(programs, settings: SolverSettings | None = None,
+               bases=None) -> list[LpSolution | LpError]:
+    """Solve every program of ``programs``, in lockstep stacks by shape.
+
+    ``bases``, if given, holds one entry per program: a starting basis
+    as for ``solve``, or None.  Returns one outcome per program, in
+    order: the ``LpSolution`` that ``solve`` returns for it, or the
+    ``LpError`` that ``solve`` raises.  Programs of the same number of
+    rows and columns are solved together, at most ``_STACK_LPS`` at a
+    time.
+    """
+    programs = list(programs)
+    bases = [None] * len(programs) if bases is None else list(bases)
+    if len(bases) != len(programs):
+        raise ValueError(f"got {len(bases)} bases for {len(programs)} programs")
+    settings = settings or SolverSettings()
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, program in enumerate(programs):
+        shapes.setdefault((program.rows, program.cols), []).append(i)
+    outcomes: list = [None] * len(programs)
+    for members in shapes.values():
+        for start in range(0, len(members), _STACK_LPS):
+            stack = members[start:start + _STACK_LPS]
+            state = _SimplexState([programs[i] for i in stack], settings,
+                                  [bases[i] for i in stack])
+            for i, outcome in zip(stack, state.run()):
+                outcomes[i] = outcome
+    return outcomes
+
+
+def unwrap(outcome):
+    """``outcome`` itself, or raise it when it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class _SimplexState:
-    """One solve's worth of mutable simplex state.
+    """Mutable simplex state of a stack of same-shaped LPs.
 
-    Variable states: -1 basic, 0 nonbasic at lower bound, 1 nonbasic at
-    upper bound, 2 nonbasic free (resting at zero).  ``x_off`` holds the
-    resting value of every nonbasic variable and zero for the basics;
-    ``x_basic`` holds the basic values in basis order.
+    Every array has a leading axis with one row per LP still running;
+    ``ids`` maps those rows to positions in ``programs``, and an LP's
+    row is dropped once its outcome is recorded.  Columns are the q
+    structural variables, then the p artificials.  ``toward`` tells how
+    a nonbasic variable may move: -1 up from its lower bound, +1 down
+    from its upper bound, 0 not at all (a basic or pinned variable, or a
+    free one, which ``free`` marks and which may move either way from
+    zero).  ``x_off`` holds the resting value of every nonbasic variable
+    and zero for the basics; ``x_basic`` holds the basic values in basis
+    order.  ``A`` is the stack of constraint matrices with the
+    artificial columns appended, or one such matrix shared by every LP.
     """
 
-    def __init__(self, lp: LinearProgram, settings: SolverSettings, basis=None):
-        self.lp = lp
+    def __init__(self, programs, settings: SolverSettings, bases):
+        first = programs[0]
+        k, p, q = len(programs), first.rows, first.cols
+        self.programs = programs
         self.settings = settings
-        p, q = lp.rows, lp.cols
-        self.p = p
-        self.q = q
+        self.p, self.q = p, q
         self.max_iter = _PIVOTS_PER_DIMENSION * (p + q)
-        lo, hi = lp.lower_bounds, lp.upper_bounds
+        self.outcomes: list = [None] * k
+        self.ids = np.arange(k)
+        if all(program.constraint_matrix is first.constraint_matrix
+               for program in programs):
+            self.A = np.hstack([first.constraint_matrix, np.eye(p)])[None]
+        else:
+            self.A = np.empty((k, p, q + p))
+            for matrix, program in zip(self.A, programs):
+                matrix[:, :q] = program.constraint_matrix
+            self.A[:, :, q:] = np.eye(p)
+        self.b = np.array([program.rhs for program in programs])
+        self.sign = np.array([1.0 if program.sense == "minimize" else -1.0
+                              for program in programs])
+        lo = np.array([program.lower_bounds for program in programs])
+        hi = np.array([program.upper_bounds for program in programs])
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-        resid = lp.rhs - lp.constraint_matrix @ x0
-        sg = np.where(resid >= 0.0, 1.0, -1.0)
-        self.A = np.hstack([lp.constraint_matrix, np.diag(sg)])
-        self.lo = np.concatenate([lo, np.zeros(p)])
-        self.hi = np.concatenate([hi, np.full(p, np.inf)])
-        self.x_off = np.concatenate([x0, np.zeros(p)])
-        self.x_basic = np.abs(resid)
-        struct_state = np.where(np.isfinite(lo), 0, np.where(np.isfinite(hi), 1, 2))
-        self.state = np.concatenate([struct_state, np.full(p, -1)]).astype(np.int64)
-        self.basis = np.arange(q, q + p, dtype=np.int64)
-        # right-hand sides of the primal solve: basic values, entering column
-        self.primal_rhs = np.empty((p, 2))
-        self.iterations = 0
-        self.phase1_iterations = 0
-        self.consec_degenerate = 0
-        self.bland = False
-        if basis is not None:
-            self._crash(basis)
+        self.x_off = np.concatenate([x0, np.zeros((k, p))], axis=1)
+        self.x_basic = np.array([program.rhs - program.constraint_matrix @ x
+                                 for program, x in zip(programs, x0)])
+        below = self.x_basic < 0.0
+        self.lo = np.concatenate([lo, np.where(below, -np.inf, 0.0)], axis=1)
+        self.hi = np.concatenate([hi, np.where(below, 0.0, np.inf)], axis=1)
+        free = np.isinf(lo) & np.isinf(hi)
+        self.free = np.concatenate([free, np.zeros((k, p), dtype=bool)], axis=1)
+        self.any_free = bool(free.any())
+        # x0 is the lower bound where that is finite, else the upper one;
+        # every artificial starts basic
+        self.toward = np.zeros((k, q + p))
+        self.toward[:, :q] = np.where(free | (hi == lo), 0.0,
+                                      np.where(np.isfinite(lo), -1.0, 1.0))
+        self.basis = np.tile(np.arange(q, q + p), (k, 1))
+        self.iterations = np.zeros(k, dtype=np.int64)
+        self.phase1_iterations = np.zeros(k, dtype=np.int64)
+        self.consec_degenerate = np.zeros(k, dtype=np.int64)
+        self.bland = np.zeros(k, dtype=bool)
+        self.any_bland = False
+        self._crash(bases)
+        # phase 1 runs only where the start leaves an artificial non-zero;
+        # its cost is the artificials' total magnitude
+        self.phase1 = np.any((self.basis >= q) & (self.x_basic != 0.0), axis=1)
+        self.cost = np.zeros((k, q + p))
+        self.cost[:, q:] = np.where(below, -1.0, 1.0)
+        self._start_phase2(np.flatnonzero(~self.phase1))
 
-    def _crash(self, basis) -> None:
-        """Start from the caller's structural basis if it is feasible."""
+    # -- start ---------------------------------------------------------
+
+    def _crash(self, bases) -> None:
+        """Start each LP from its caller's structural basis if that is feasible."""
         p, q = self.p, self.q
-        basis = np.array(basis, dtype=np.int64, ndmin=1)
-        if (basis.shape != (p,) or np.unique(basis).size != p
-                or basis.min() < 0 or basis.max() >= q):
-            raise ValueError(f"basis must hold {p} distinct column indices below {q}")
-        x_off = self.x_off.copy()
-        x_off[basis] = 0.0
-        A = self.lp.constraint_matrix
-        try:
-            x_basic = _checked_solve(A[:, basis], self.lp.rhs - A @ x_off[:q])
-        except LpError:
-            return  # singular: keep the artificial start
+        rows, hints, rhs = [], [], []
+        for i, basis in enumerate(bases):
+            if basis is None:
+                continue
+            basis = np.array(basis, dtype=np.int64, ndmin=1)
+            if (basis.shape != (p,) or np.unique(basis).size != p
+                    or basis.min() < 0 or basis.max() >= q):
+                raise ValueError(f"basis must hold {p} distinct column indices below {q}")
+            x_off = self.x_off[i, :q].copy()
+            x_off[basis] = 0.0
+            program = self.programs[i]
+            rows.append(i)
+            hints.append(basis)
+            rhs.append(program.rhs - program.constraint_matrix @ x_off)
+        if not rows:
+            return
+        rows, hints = np.array(rows), np.array(hints)
+        x_basic, failed = _solve_stack(_gather(self._matrices(rows), hints), np.array(rhs))
         tol = self.settings.feas_tol
-        if not np.all((x_basic >= self.lo[basis] - tol) & (x_basic <= self.hi[basis] + tol)):
-            return  # infeasible: keep the artificial start
-        self.basis = basis
-        self.x_basic = x_basic
-        self.x_off = x_off
-        self.state[basis] = -1
-        self.state[q:] = 0  # every artificial nonbasic at zero
+        lo, hi = self.lo[rows[:, None], hints], self.hi[rows[:, None], hints]
+        # a singular or infeasible hint keeps the artificial start
+        usable = np.all((x_basic >= lo - tol) & (x_basic <= hi + tol), axis=1)
+        usable[list(failed)] = False
+        rows, hints = rows[usable], hints[usable]
+        self.basis[rows] = hints
+        self.x_basic[rows] = x_basic[usable]
+        self.x_off[rows[:, None], hints] = 0.0
+        self.toward[rows[:, None], hints] = 0.0
+        self.free[rows[:, None], hints] = False
+        # every artificial is nonbasic now, and pinned in phase 2
 
-    def run(self) -> LpSolution:
-        p, q = self.p, self.q
-        # phase 1 runs only when the start leaves an artificial non-zero
-        if np.any(self.x_basic[self.basis >= q]):
-            phase1_cost = np.zeros(q + p)
-            phase1_cost[q:] = 1.0
-            status = self._minimize(phase1_cost)
-            if status != OPTIMAL:
-                raise LpError("phase-1 subproblem reported unbounded")  # cost >= 0 always
-            self.phase1_iterations = self.iterations
-            infeas = float(phase1_cost @ self._primal())
-            if infeas > self.settings.feas_tol * (p + float(np.abs(self.lp.rhs).sum())):
-                return LpSolution(INFEASIBLE, iterations=self.iterations,
-                                  phase1_iterations=self.phase1_iterations)
-        self.lo[q:] = 0.0
-        self.hi[q:] = 0.0  # artificials stay pinned at zero from here on
-        sign = 1.0 if self.lp.sense == "minimize" else -1.0
-        phase2_cost = np.concatenate([sign * self.lp.objective, np.zeros(p)])
-        status = self._minimize(phase2_cost)
-        if status == UNBOUNDED:
-            return LpSolution(UNBOUNDED, iterations=self.iterations,
-                              phase1_iterations=self.phase1_iterations)
-        x = self._primal()[:q]
-        self._verify(x)
-        return LpSolution(
-            OPTIMAL,
-            primal=x,
-            objective_value=float(self.lp.objective @ x),
-            iterations=self.iterations,
-            duals=sign * self.duals,
-            phase1_iterations=self.phase1_iterations,
-        )
+    def _start_phase2(self, rows: np.ndarray) -> None:
+        """Pin the artificials of the LPs ``rows`` at zero and price their objective."""
+        q = self.q
+        self.lo[rows, q:] = 0.0
+        self.hi[rows, q:] = 0.0
+        self.toward[rows, q:] = 0.0
+        objective = np.array([self.programs[i].objective for i in self.ids[rows]])
+        self.cost[rows, :q] = self.sign[rows, None] * objective.reshape(len(rows), q)
+        self.cost[rows, q:] = 0.0
+        self.phase1[rows] = False
 
-    # -- simplex core -------------------------------------------------
+    # -- simplex core ----------------------------------------------------
 
-    def _minimize(self, cost: np.ndarray) -> str:
-        # bounds change only between phases; variables pinned by equal
-        # bounds never price
-        self.movable = self.hi > self.lo
-        A, rhs = self.A, self.primal_rhs
-        while True:
-            basic_cols = A[:, self.basis]
-            y = _checked_solve(basic_cols.T, cost[self.basis])
-            reduced = cost - y @ A
-            rhs[:, 0] = self.lp.rhs - A @ self.x_off
-            chosen = self._entering(reduced)
-            if chosen is None:
-                self.x_basic = _checked_solve(basic_cols, rhs[:, 0])
-                self.duals = y
-                return OPTIMAL
-            if self.iterations >= self.max_iter:
-                raise IterationLimitError(
-                    f"no conclusion within {self.max_iter} pivots"
-                )
-            j, sigma = chosen
-            rhs[:, 1] = A[:, j]
-            solved = _checked_solve(basic_cols, rhs)
-            self.x_basic = solved[:, 0]
-            step, pos, hits_upper = self._ratio_test(j, sigma, solved[:, 1])
-            if step is None:
-                return UNBOUNDED
-            self._pivot(j, step, pos, hits_upper)
-            self.iterations += 1
+    def run(self) -> list:
+        while self.ids.size:
+            self._round()
+        return self.outcomes
+
+    def _round(self) -> None:
+        """One pricing, and one pivot or bound flip, for every running LP."""
+        k = self.ids.size
+        lps = np.arange(k)
+        self.ended = np.zeros(k, dtype=bool)
+        A, basis = self.A, self.basis
+        basic_cols = _gather(A, basis)
+        y, failed = _solve_stack(basic_cols.transpose(0, 2, 1), self.cost[lps[:, None], basis])
+        self._fail(lps, failed)
+        j, sigma, improving = self._entering(self.cost - _price(A, y))
+        if self.iterations.max() >= self.max_iter:
+            for i in np.flatnonzero(improving & ~self.ended
+                                    & (self.iterations >= self.max_iter)):
+                self._record(i, IterationLimitError(
+                    f"no conclusion within {self.max_iter} pivots"))
+        resid = self.b - _times(A, self.x_off)
+
+        rows = (improving & ~self.ended).nonzero()[0]
+        if rows.size:
+            # the basic values and the entering column, in one solve
+            rhs = np.empty((rows.size, self.p, 2))
+            rhs[:, :, 0] = resid[rows]
+            rhs[:, :, 1] = _gather(self._matrices(rows), j[rows, None])[:, :, 0]
+            solved, failed = _solve_stack(basic_cols[rows], rhs)
+            if failed:
+                self._fail(rows, failed)
+                rows, solved = rows[~self.ended[rows]], solved[~self.ended[rows]]
+            self.x_basic[rows] = solved[:, :, 0]
+            step, pos, hits_upper = self._ratio_test(rows, j[rows], sigma[rows],
+                                                     solved[:, :, 1])
+            unbounded = np.isinf(step)
+            if unbounded.any():
+                for i in rows[unbounded]:
+                    if self.phase1[i]:  # its cost is bounded below by 0
+                        self._record(i, LpError("phase-1 subproblem reported unbounded"))
+                    else:
+                        self._record(i, self._ending(i, UNBOUNDED))
+                bounded = ~unbounded
+                rows, step, pos, hits_upper = (rows[bounded], step[bounded], pos[bounded],
+                                               hits_upper[bounded])
+            self._pivot(rows, j[rows], step, pos, hits_upper)
+
+        rows = (~improving & ~self.ended).nonzero()[0]
+        if rows.size:
+            x_basic, failed = _solve_stack(basic_cols[rows], resid[rows])
+            if failed:
+                self._fail(rows, failed)
+                rows, x_basic = rows[~self.ended[rows]], x_basic[~self.ended[rows]]
+            self.x_basic[rows] = x_basic
+            x = self.x_off[rows]
+            x[np.arange(rows.size)[:, None], self.basis[rows]] = x_basic
+            phase1 = self.phase1[rows]
+            if phase1.any():
+                self._end_phase1(rows[phase1], x[phase1])
+            self._conclude(rows[~phase1], x[~phase1], y[rows[~phase1]])
+        if self.ended.any():
+            self._drop(~self.ended)
 
     def _entering(self, reduced: np.ndarray):
         # gain: how fast the objective falls per unit step of a variable
-        # moving in a direction its state allows; -inf where none is.
-        # A free variable (state 2) may move either way.
-        st = self.state
-        can_inc = self.movable & ((st == 0) | (st == 2))
-        can_dec = self.movable & (st >= 1)
-        gain = np.maximum(np.where(can_inc, -reduced, -np.inf),
-                          np.where(can_dec, reduced, -np.inf))
-        if self.bland:
-            j = int(np.argmax(gain > _OPT_TOL))
-        else:
-            j = int(np.argmax(gain))  # Dantzig: steepest, first on ties
-        if not gain[j] > _OPT_TOL:
-            return None
-        return j, 1.0 if reduced[j] < 0.0 else -1.0
+        # moving in a direction it may move; 0 where it may not move
+        gain = reduced * self.toward
+        if self.any_free:
+            gain = np.where(self.free, np.abs(reduced), gain)
+        j = gain.argmax(axis=1)  # Dantzig: steepest, first on ties
+        if self.any_bland:
+            j = np.where(self.bland, (gain > _OPT_TOL).argmax(axis=1), j)
+        lps = np.arange(j.size)
+        sigma = np.where(reduced[lps, j] < 0.0, 1.0, -1.0)
+        return j, sigma, gain[lps, j] > _OPT_TOL
 
-    def _ratio_test(self, j: int, sigma: float, w: np.ndarray):
-        bi = self.basis
-        xb = self.x_basic
-        move = sigma * w  # basics change by -move * step
+    def _ratio_test(self, lps, j, sigma, w):
+        """Step, basis position and leaving bound of the pivots of the LPs ``lps``.
+
+        ``j`` and ``sigma`` are each one's entering variable and its
+        direction, ``w`` its column solved with the basis.  The position
+        is -1 for a bound-to-bound flip of the entering variable (basis
+        unchanged), and the step is infinite when nothing limits it.
+        """
+        rows = np.arange(lps.size)
+        bi = self.basis[lps]
+        xb = self.x_basic[lps]
+        move = sigma[:, None] * w  # basics change by -move * step
         size = np.abs(move)
-        pivot_tol = _PIVOT_TOL * max(1.0, float(size.max()))
+        pivot_tol = _PIVOT_TOL * np.maximum(1.0, size.max(axis=1))[:, None]
         # exact step to each basic's bound; an infinite bound, or an entry
         # too small to pivot on, gives an infinite limit that never binds
-        exact = np.full(self.p, np.inf)
-        np.divide(xb - self.lo[bi], move, out=exact, where=move > pivot_tol)
-        np.divide(self.hi[bi] - xb, -move, out=exact, where=move < -pivot_tol)
+        at = lps[:, None], bi
+        gap = np.where(move > 0.0, xb - self.lo[at], self.hi[at] - xb)
+        exact = np.full(move.shape, np.inf)
+        np.divide(gap, size, out=exact, where=size > pivot_tol)
         # pass 1: the longest step with every basic bound relaxed by feas_tol
-        longest = float((exact + self.settings.feas_tol
-                         / np.maximum(size, pivot_tol)).min())
-        own_range = float(self.hi[j] - self.lo[j])
-        if own_range <= longest:
-            if own_range == np.inf:
-                return None, None, None
-            return own_range, None, None  # bound-to-bound flip, basis unchanged
+        longest = (exact + self.settings.feas_tol
+                   / np.maximum(size, pivot_tol)).min(axis=1)
+        own_range = self.hi[lps, j] - self.lo[lps, j]
+        flip = own_range <= longest
         # pass 2: among the rows that bind within that step, the largest
         # pivot element (Bland: the lowest variable index), first on ties
-        within = exact <= longest
-        if self.bland:
-            rows = np.flatnonzero(within)
-            pos = int(rows[np.argmin(bi[rows])])
-        else:
-            pos = int(np.argmax(np.where(within, size, -1.0)))
-        return max(float(exact[pos]), 0.0), pos, bool(move[pos] < 0.0)
+        within = exact <= longest[:, None]
+        pos = np.where(within, size, -1.0).argmax(axis=1)
+        if self.any_bland:
+            lowest = np.where(within, bi, np.iinfo(bi.dtype).max).argmin(axis=1)
+            pos = np.where(self.bland[lps], lowest, pos)
+        step = np.where(flip, own_range, np.maximum(exact[rows, pos], 0.0))
+        return step, np.where(flip, -1, pos), move[rows, pos] < 0.0
 
-    def _pivot(self, j, step, pos, hits_upper) -> None:
+    def _pivot(self, lps, j, step, pos, hits_upper) -> None:
+        """Apply the pivots or bound flips of the LPs ``lps``."""
         # basic values come afresh from the next solve with the basis,
         # so only nonbasic values move here
-        if step <= self.settings.feas_tol:
-            self.consec_degenerate += 1
-            if self.consec_degenerate >= self.p + self.q:
-                self.bland = True
-        else:
-            self.consec_degenerate = 0
-            self.bland = False
-        if pos is None:
-            # entering variable flips to its opposite bound
-            self._rest(j, self.state[j] == 0)
-        else:
-            self._swap(pos, j, hits_upper)
+        degenerate = step <= self.settings.feas_tol
+        run = np.where(degenerate, self.consec_degenerate[lps] + 1, 0)
+        self.consec_degenerate[lps] = run
+        self.bland[lps] = degenerate & (self.bland[lps] | (run >= self.p + self.q))
+        self.any_bland = bool(self.bland.any())
+        self.iterations[lps] += 1
+        flips = pos < 0
+        if flips.any():
+            # an entering variable that flips rests at its opposite bound
+            self._rest(lps[flips], j[flips], self.toward[lps[flips], j[flips]] < 0.0)
+            swaps = ~flips
+            lps, j, pos, hits_upper = lps[swaps], j[swaps], pos[swaps], hits_upper[swaps]
+        # in a swap the entering variable takes the basis position, and
+        # its occupant leaves at the bound it hit
+        leaving = self.basis[lps, pos]
+        self.basis[lps, pos] = j
+        self.toward[lps, j] = 0.0
+        self.free[lps, j] = False
+        self.x_off[lps, j] = 0.0
+        self._rest(lps, leaving, hits_upper)
 
-    def _rest(self, k: int, at_upper: bool) -> None:
-        """Make variable ``k`` nonbasic at its upper or lower bound."""
-        self.state[k] = 1 if at_upper else 0
-        self.x_off[k] = self.hi[k] if at_upper else self.lo[k]
+    def _rest(self, lps, cols, at_upper) -> None:
+        """Make variable ``cols[i]`` of LP ``lps[i]`` nonbasic at a bound."""
+        lo, hi = self.lo[lps, cols], self.hi[lps, cols]
+        self.toward[lps, cols] = np.where(hi > lo, np.where(at_upper, 1.0, -1.0), 0.0)
+        self.x_off[lps, cols] = np.where(at_upper, hi, lo)
 
-    def _swap(self, pos: int, j: int, leaves_at_upper: bool) -> None:
-        """Variable ``j`` takes basis position ``pos``; its occupant leaves."""
-        leaving = int(self.basis[pos])
-        self.basis[pos] = j
-        self.state[j] = -1
-        self.x_off[j] = 0.0
-        self._rest(leaving, leaves_at_upper)
+    # -- conclusions -----------------------------------------------------
 
-    def _primal(self) -> np.ndarray:
-        x = self.x_off.copy()
-        x[self.basis] = self.x_basic
-        return x
+    def _end_phase1(self, rows: np.ndarray, x: np.ndarray) -> None:
+        """Phase 1 optimal at ``x``: infeasible, or on to phase 2 from this basis."""
+        self.phase1_iterations[rows] = self.iterations[rows]
+        infeas = np.array([self.cost[i] @ x_i for i, x_i in zip(rows, x)])
+        slack = self.settings.feas_tol * (self.p + np.abs(self.b[rows]).sum(axis=1))
+        for i in rows[infeas > slack]:
+            self._record(i, self._ending(i, INFEASIBLE))
+        self._start_phase2(rows[infeas <= slack])
 
-    def _verify(self, x: np.ndarray) -> None:
-        # phrased so that a NaN anywhere fails every check
-        lp, tol = self.lp, self.settings.feas_tol
-        if not np.all(np.isfinite(x)):
-            raise LpError("non-finite value at claimed optimum")
-        if not np.all((x >= lp.lower_bounds - tol) & (x <= lp.upper_bounds + tol)):
-            raise LpError("variable bound violated at claimed optimum")
-        resid = np.abs(lp.constraint_matrix @ x - lp.rhs)
-        if not np.all(resid <= tol * (1.0 + np.abs(lp.rhs))):
-            raise LpError("equality row violated at claimed optimum")
+    def _conclude(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        """Phase 2 optimal at ``x`` with duals ``y``: check and record each optimum."""
+        tol = self.settings.feas_tol
+        for i, x_i, y_i in zip(rows, x[:, :self.q], y):
+            program = self.programs[self.ids[i]]
+            # phrased so that a NaN anywhere fails every check
+            resid = np.abs(program.constraint_matrix @ x_i - program.rhs)
+            if not np.all(np.isfinite(x_i)):
+                self._record(i, LpError("non-finite value at claimed optimum"))
+            elif not np.all((x_i >= program.lower_bounds - tol)
+                            & (x_i <= program.upper_bounds + tol)):
+                self._record(i, LpError("variable bound violated at claimed optimum"))
+            elif not np.all(resid <= tol * (1.0 + np.abs(program.rhs))):
+                self._record(i, LpError("equality row violated at claimed optimum"))
+            else:
+                self._record(i, self._ending(
+                    i, OPTIMAL, primal=x_i, objective_value=float(program.objective @ x_i),
+                    duals=self.sign[i] * y_i))
+
+    def _ending(self, i: int, status: str, **values) -> LpSolution:
+        return LpSolution(status, iterations=int(self.iterations[i]),
+                          phase1_iterations=int(self.phase1_iterations[i]), **values)
+
+    def _fail(self, lps, failed: dict) -> None:
+        """End the LPs ``lps[i]`` whose basis solve failed, by ``_solve_stack``."""
+        for i, reason in failed.items():
+            self._record(lps[i], LpError(reason))
+
+    def _record(self, i: int, outcome) -> None:
+        """Give LP ``i`` its outcome; it leaves the stack after this round."""
+        self.outcomes[self.ids[i]] = outcome
+        self.ended[i] = True
+
+    def _matrices(self, rows) -> np.ndarray:
+        """Constraint matrices of the LPs ``rows``, or the shared one."""
+        return self.A if self.A.shape[0] == 1 else self.A[rows]
+
+    def _drop(self, keep: np.ndarray) -> None:
+        """Keep only the LPs of ``keep`` in every per-LP array."""
+        for name in ("ids", "b", "sign", "lo", "hi", "x_off", "x_basic",
+                     "toward", "free", "basis", "iterations", "phase1_iterations",
+                     "consec_degenerate", "bland", "phase1", "cost"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.A = self._matrices(keep)
 
 
-def _checked_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` that raises ``LpError`` instead of returning NaN."""
+def _gather(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols[i]`` of matrix i of ``A`` (or of its one shared
+    matrix), as a stack of shape (len(cols), p, cols.shape[1])."""
+    if A.shape[0] == 1:
+        return A[0][:, cols].transpose(1, 0, 2)
+    lps = np.arange(cols.shape[0])[:, None, None]
+    return A[lps, np.arange(A.shape[1])[None, :, None], cols[:, None, :]]
+
+
+# The two products below are stacks of matrix-vector products, never one
+# matrix-matrix product: each LP's numbers are then bitwise those of a
+# solve on its own, whatever the stack around it.
+
+def _times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix i of ``A`` (or its one shared matrix) times row i of ``x``."""
+    return (A @ x[:, :, None])[:, :, 0]
+
+
+def _price(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row i of ``y`` times matrix i of ``A`` (or its one shared matrix)."""
+    return (y[:, None, :] @ A)[:, 0, :]
+
+
+def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
+    """Solve each system of a stack; returns the solutions and the failures.
+
+    ``rhs`` is (k, p) or (k, p, r).  The failures map the position of
+    each system that could not be solved to the reason; its solution
+    comes back as zeros, so that it carries no NaN into the rest of its
+    round.  A singular matrix makes numpy fail the whole stack, so the
+    systems are then solved one by one.
+    """
+    vector = rhs.ndim == 2
+    columns = rhs[:, :, None] if vector else rhs
+    failed = {}
     try:
-        solved = np.linalg.solve(matrix, rhs)
+        solved = np.linalg.solve(matrices, columns)
     except np.linalg.LinAlgError:
-        raise LpError("singular basis matrix") from None
-    if not np.isfinite(solved).all():
-        raise LpError("basis solve gave non-finite values")
-    return solved
+        solved = np.zeros(columns.shape)
+        for i, (matrix, column) in enumerate(zip(matrices, columns)):
+            try:
+                solved[i] = np.linalg.solve(matrix, column)
+            except np.linalg.LinAlgError:
+                failed[i] = "singular basis matrix"
+    # a finite total, the common case, means every entry is finite
+    if not np.isfinite(solved.sum()):
+        for i in np.flatnonzero(~np.isfinite(solved).all(axis=(1, 2))):
+            failed[i] = "basis solve gave non-finite values"
+            solved[i] = 0.0
+    return (solved[:, :, 0] if vector else solved), failed

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import dea, grs, rts
@@ -165,13 +164,10 @@ def _validate_config(config: AnalysisConfig, dataset: dea.Dataset) -> None:
             raise DataFormatError(f"unknown DMU name(s) in filter: {', '.join(unknown)}")
 
 
-@contextmanager
-def _stage(name: str, stage: str):
-    """Re-raise a package error with the unit and the stage in its message."""
-    try:
-        yield
-    except RamdeaError as exc:
-        raise exc.__class__(f"{name} [{stage}]: {exc}") from exc
+def _first_error(outcomes) -> int:
+    """Index of the first error among ``outcomes``, or their number."""
+    return next((i for i, outcome in enumerate(outcomes)
+                 if isinstance(outcome, RamdeaError)), len(outcomes))
 
 
 def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
@@ -181,67 +177,88 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     ``stages`` limits the work: "efficiency" stops after scoring, "grs"
     adds reference sets and faces, "all" adds the scale classification
     (skipped under the "crs" regime, whose class is constant everywhere).
-    One loop runs every stage for a unit before the next unit starts, so
-    only the reported units are scored, and a run stops at the first
-    unit, in dataset order, whose scoring, GRS or RTS stage fails.  The
+    Only the reported units are scored.  Each stage calls the kernel
+    once for all its units: ``dea.evaluate_many`` over the reported
+    units, ``grs.identify_grs_many`` over the scored ones and
+    ``rts.intercept_bounds_many`` over the distinct anchors.  The
     intercept interval depends on the anchor alone, so it is solved once
     per distinct anchor: every unit whose GRS is the single vertex k
     anchors at k's own data, as k itself usually does, and shares its
     interval.
+
+    A run raises the error of the first unit, in dataset order, whose
+    scoring, GRS or RTS stage fails, as a loop running every stage for a
+    unit before the next unit would: each stage runs only for the units
+    before the earlier stages' first failure, and an anchor's failure
+    belongs to the first unit with that anchor.  The error names the
+    unit and the stage.
     """
     if stages not in ("efficiency", "grs", "all"):
         raise ValueError(f"unknown stages {stages!r}")
     _validate_config(config, dataset)
     settings = SolverSettings(feas_tol=config.feas_tol)
     wanted = set(config.dmu_filter) if config.dmu_filter else None
+    units = [j for j, name in enumerate(dataset.names) if wanted is None or name in wanted]
+    reports = [DmuReport(name=dataset.names[j]) for j in units]
+    failure = None  # (position among the units, stage, error)
 
-    reports = []
-    # intercept intervals by the exact bytes of their anchor
-    intervals = {}
-    for j, name in enumerate(dataset.names):
-        if wanted is not None and name not in wanted:
-            continue
-        with _stage(name, "scoring"):
-            result = dea.evaluate(
-                dataset, j, config.scheme, config.regime, settings, config.eff_tol
-            )
-        report = DmuReport(name=name, rho=float(result.rho),
-                           efficient=bool(result.efficient))
-        reports.append(report)
-        if stages == "efficiency":
-            continue
+    results = dea.evaluate_many(dataset, units, config.scheme, config.regime,
+                                settings, config.eff_tol)
+    count = _first_error(results)
+    if count < len(units):
+        failure = (count, "scoring", results[count])
+    for report, result in zip(reports[:count], results):
+        report.rho = float(result.rho)
+        report.efficient = bool(result.efficient)
 
-        with _stage(name, "grs"):
-            reference = grs.identify_grs(dataset, j, result, settings,
-                                         config.support_tol)
-            dimension = grs.minimum_face(dataset, reference)
-        report.grs_members = [
-            (dataset.names[member], float(reference.weights[member]))
-            for member in reference.members
-        ]
-        report.projection_inputs = dict(zip(
-            dataset.input_labels,
-            (float(v) for v in reference.interior_projection_inputs),
-        ))
-        report.projection_outputs = dict(zip(
-            dataset.output_labels,
-            (float(v) for v in reference.interior_projection_outputs),
-        ))
-        report.minimum_face_dimension = dimension
+    if stages != "efficiency":
+        references = grs.identify_grs_many(dataset, results[:count], settings,
+                                           config.support_tol)
+        if _first_error(references) < count:
+            count = _first_error(references)
+            failure = (count, "grs", references[count])
+        for report, reference in zip(reports[:count], references):
+            report.grs_members = [
+                (dataset.names[member], float(reference.weights[member]))
+                for member in reference.members
+            ]
+            report.projection_inputs = dict(zip(
+                dataset.input_labels,
+                (float(v) for v in reference.interior_projection_inputs),
+            ))
+            report.projection_outputs = dict(zip(
+                dataset.output_labels,
+                (float(v) for v in reference.interior_projection_outputs),
+            ))
+            report.minimum_face_dimension = grs.minimum_face(dataset, reference)
 
-        if stages == "all" and config.regime == "vrs":
+    if stages == "all" and config.regime == "vrs":
+        # distinct anchors by their exact bytes, in the order of the first
+        # unit with each
+        position, anchors, first_unit, anchor_of = {}, [], [], []
+        for i, reference in enumerate(references[:count]):
             anchor = (reference.interior_projection_inputs,
                       reference.interior_projection_outputs)
             key = (anchor[0].tobytes(), anchor[1].tobytes())
-            if key not in intervals:
-                with _stage(name, "rts"):
-                    intervals[key] = rts.intercept_bounds(dataset, anchor, settings)
-            omega_min, omega_max = intervals[key]
-            report.rts_class = rts.classify_rts(
-                (omega_min, omega_max), config.rts_tol
-            )
+            if key not in position:
+                position[key] = len(anchors)
+                anchors.append(anchor)
+                first_unit.append(i)
+            anchor_of.append(position[key])
+        intervals = rts.intercept_bounds_many(dataset, anchors, settings)
+        failed = _first_error(intervals)
+        if failed < len(anchors):
+            count = first_unit[failed]
+            failure = (count, "rts", intervals[failed])
+        for report, a in zip(reports[:count], anchor_of):
+            omega_min, omega_max = intervals[a]
+            report.rts_class = rts.classify_rts((omega_min, omega_max), config.rts_tol)
             report.omega_min = omega_min
             report.omega_max = omega_max
+
+    if failure is not None:
+        i, stage, error = failure
+        raise error.__class__(f"{reports[i].name} [{stage}]: {error}") from error
     return reports
 
 

@@ -34,6 +34,14 @@ Finite endpoints are reported exactly and may fall outside [-1, 1];
 an unbounded endpoint is substituted by -1 or +1, pushed just far
 enough to never cross the finite endpoint.  Either way the sign
 information, and hence the classification, is preserved.
+
+``intercept_bounds_many`` solves both ends at a list of anchors with
+one call of the kernel per ``_ANCHORS_PER_CALL`` anchors, which fill one
+lockstep stack, and the rare zero right-hand-side programs with one
+more; the programs of one anchor share their matrix.  An anchor whose
+solve fails gets its error in place of its interval, and the other
+anchors' intervals come back as if each had been solved alone;
+``intercept_bounds`` is the call for one anchor, and raises that error.
 """
 
 from __future__ import annotations
@@ -41,8 +49,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import dea
-from .lp import (
+# ``solve`` stays bound here, as in ``dea`` and ``grs``, for wrappers that
+# trace the kernel per calling module (bench/tracing.py)
+from .lp import (  # noqa: F401
     INFEASIBLE, UNBOUNDED, LinearProgram, LpError, RamdeaError, SolverSettings, solve,
+    solve_many, unwrap,
 )
 
 __all__ = [
@@ -53,6 +64,7 @@ __all__ = [
     "NotOnFrontierError",
     "NormalizationUnattainableError",
     "intercept_bounds",
+    "intercept_bounds_many",
     "classify_rts",
 ]
 
@@ -66,6 +78,11 @@ RTS_TOL = 1e-6
 # Magnitude reported for an unbounded end of the intercept interval.
 _CLAMP = 1.0
 
+# Anchors per call of the kernel: their programs, each with a matrix of
+# n + m + s + 2 columns, stay in memory until the call returns, and both
+# ends of this many fill half a lockstep stack.
+_ANCHORS_PER_CALL = 32
+
 
 class NotOnFrontierError(RamdeaError):
     """No supporting hyperplane passes through the anchor point."""
@@ -75,10 +92,11 @@ class NormalizationUnattainableError(RamdeaError):
     """The anchor's inputs admit no v >= 0 with v . x = 1 (all non-positive)."""
 
 
-def _envelopment_program(dataset, x_hat, y_hat, omega_rhs):
-    """LP dual of the intercept program at (x_hat, y_hat).
+def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs_values):
+    """LP duals of the intercept program at (x_hat, y_hat), one per
+    right-hand side of ``omega_rhs_values``, sharing one matrix.
 
-    Maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
+    Each maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
     subject to
 
         alpha y_hat + sum_j pi_j y_j + slack_out = 0          (s rows, dual u)
@@ -105,16 +123,22 @@ def _envelopment_program(dataset, x_hat, y_hat, omega_rhs):
     A[:s + m, :core] /= row_scale[:, None]
     A[:s + m, core:] = np.eye(s + m)
     A[-1, 1:core] = -1.0
-    rhs = np.zeros(s + m + 1)
-    rhs[-1] = omega_rhs
     cost = np.zeros(q)
     cost[0] = 1.0
     lower = np.zeros(q)
     upper = np.full(q, np.inf)
     lower[:core] = -np.inf
     upper[2:core] = 0.0
-    return LinearProgram("maximize", cost, A, rhs,
-                         lower_bounds=lower, upper_bounds=upper)
+    # frozen arrays are shared by the programs instead of copied
+    for array in (A, cost, lower, upper):
+        array.setflags(write=False)
+    programs = []
+    for omega_rhs in omega_rhs_values:
+        rhs = np.zeros(s + m + 1)
+        rhs[-1] = omega_rhs
+        programs.append(LinearProgram("maximize", cost, A, rhs,
+                                      lower_bounds=lower, upper_bounds=upper))
+    return programs
 
 
 def _off_frontier() -> NotOnFrontierError:
@@ -133,47 +157,96 @@ def intercept_bounds(dataset: dea.Dataset, point,
     An unbounded endpoint is replaced by -1 / +1 (or by the finite
     endpoint when that lies beyond, so the interval stays ordered).
     Finite ends that cross by rounding are both reported as omega_min;
-    a wider crossing raises ``LpError``.
+    a wider crossing raises ``LpError``.  ``intercept_bounds_many`` of
+    the one point.
     """
-    x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
-    y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
-    if x_hat.shape[0] != dataset.n_inputs or y_hat.shape[0] != dataset.n_outputs:
-        raise ValueError("anchor point does not match the dataset's dimensions")
-    if float(x_hat.max()) <= 0.0:
-        raise NormalizationUnattainableError(
-            "anchor inputs are all non-positive; the multiplier normalisation "
-            "v . x = 1 is unattainable and the scale class is undefined here"
-        )
+    (bounds,) = intercept_bounds_many(dataset, [point], settings)
+    return unwrap(bounds)
+
+
+def intercept_bounds_many(dataset: dea.Dataset, points,
+                          settings: SolverSettings | None = None) -> list:
+    """``intercept_bounds`` at each of ``points``.
+
+    Returns one entry per point, in order: its (omega_min, omega_max),
+    or the ``RamdeaError`` that ``intercept_bounds`` raises for it.
+    """
+    points = list(points)
+    results = []
+    for start in range(0, len(points), _ANCHORS_PER_CALL):
+        results += _intercepts(dataset, points[start:start + _ANCHORS_PER_CALL], settings)
+    return results
+
+
+def _intercepts(dataset, points, settings) -> list:
+    """``intercept_bounds_many`` of a few points: both ends of every point
+    in one call of the kernel, and the zero right-hand-side programs of
+    the points whose ends are both infeasible in one more."""
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    # the min end's feasible start (see the module docstring)
-    min_start = None
-    if y_hat.min() >= 0.0:
-        slacks = np.arange(n + 2, n + 2 + s + m)
-        min_start = np.concatenate([[0, 1], np.delete(slacks, s + int(np.argmax(x_hat)))])
-    bounds = []
-    for omega_rhs, basis in ((1.0, min_start), (-1.0, None)):
-        program = _envelopment_program(dataset, x_hat, y_hat, omega_rhs)
-        sol = solve(program, settings, basis)
-        if sol.status == UNBOUNDED:
-            raise _off_frontier()
-        # an infeasible dual leaves this endpoint of the intercept unbounded
-        bounds.append(None if sol.status == INFEASIBLE
-                      else omega_rhs * float(sol.objective_value))
-    omega_min, omega_max = bounds
-    if omega_min is None and omega_max is None:
-        # both ends unbounded, or no supporting hyperplane at all: the
-        # dual with a zero right-hand side is feasible at the origin and
-        # unbounded exactly in the second case
-        program = _envelopment_program(dataset, x_hat, y_hat, 0.0)
-        if solve(program, settings).status == UNBOUNDED:
-            raise _off_frontier()
-    if None not in bounds and omega_min > omega_max:
+    anchors, programs, bases = [], [], []
+    for point in points:
+        x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
+        y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
+        if x_hat.shape[0] != m or y_hat.shape[0] != s:
+            raise ValueError("anchor point does not match the dataset's dimensions")
+        if float(x_hat.max()) <= 0.0:
+            anchors.append(NormalizationUnattainableError(
+                "anchor inputs are all non-positive; the multiplier normalisation "
+                "v . x = 1 is unattainable and the scale class is undefined here"
+            ))
+            continue
+        anchors.append((x_hat, y_hat))
+        # the min end's feasible start (see the module docstring)
+        min_start = None
+        if y_hat.min() >= 0.0:
+            slacks = np.arange(n + 2, n + 2 + s + m)
+            min_start = np.concatenate([[0, 1], np.delete(slacks, s + int(np.argmax(x_hat)))])
+        programs += _envelopment_programs(dataset, x_hat, y_hat, (1.0, -1.0))
+        bases += [min_start, None]
+    ends = iter(solve_many(programs, settings, bases))
+
+    results, unsettled = [], []
+    for anchor in anchors:
+        if isinstance(anchor, RamdeaError):
+            results.append(anchor)
+            continue
+        bounds = []
+        for omega_rhs, sol in zip((1.0, -1.0), (next(ends), next(ends))):
+            if isinstance(sol, LpError):
+                bounds = sol
+                break
+            if sol.status == UNBOUNDED:
+                bounds = _off_frontier()
+                break
+            # an infeasible dual leaves this endpoint of the intercept unbounded
+            bounds.append(None if sol.status == INFEASIBLE
+                          else omega_rhs * float(sol.objective_value))
+        if bounds == [None, None]:
+            # both ends unbounded, or no supporting hyperplane at all: the
+            # dual with a zero right-hand side is feasible at the origin
+            # and unbounded exactly in the second case
+            unsettled.append(len(results))
+        results.append(bounds)
+
+    zero_rhs = [_envelopment_programs(dataset, *anchors[i], (0.0,))[0] for i in unsettled]
+    for i, sol in zip(unsettled, solve_many(zero_rhs, settings)):
+        if isinstance(sol, LpError):
+            results[i] = sol
+        elif sol.status == UNBOUNDED:
+            results[i] = _off_frontier()
+    tol = (settings or SolverSettings()).feas_tol
+    return [bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, tol)
+            for bounds in results]
+
+
+def _interval(omega_min, omega_max, tol):
+    """The reported interval of two solved ends, None where unbounded."""
+    if omega_min is not None and omega_max is not None and omega_min > omega_max:
         # two finite ends of one interval cross only by rounding, when
         # the interval is a single point
         gap = omega_min - omega_max
-        tol = (settings or SolverSettings()).feas_tol
         if gap > tol * max(1.0, abs(omega_min)):
-            raise LpError(f"intercept interval ends cross by {gap:.3e}")
+            return LpError(f"intercept interval ends cross by {gap:.3e}")
         omega_max = omega_min
     # a substituted endpoint must never cross the finite one
     if omega_min is None:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ramdea import cli, dea, lp, reporting, rts
+from ramdea import cli, dea, grs, lp, reporting, rts
 
 
 def analyse(csv_text, stages="all", **config_kwargs):
@@ -210,13 +210,14 @@ CORNER_CSV = "dmu,in:x,out:y\nA,1,1\nB,2,4\nC,4,5\nD,3,4\nE,3,3.5\nF,2.5,2\n"
 
 def test_intercept_interval_is_solved_once_per_anchor(tmp_path, capsys, monkeypatch):
     direct = rts.intercept_bounds
+    direct_many = rts.intercept_bounds_many
     anchors = []
 
-    def spy(dataset, point, settings=None):
-        anchors.append((point[0].tobytes(), point[1].tobytes()))
-        return direct(dataset, point, settings)
+    def spy(dataset, points, settings=None):
+        anchors.extend((point[0].tobytes(), point[1].tobytes()) for point in points)
+        return direct_many(dataset, points, settings)
 
-    monkeypatch.setattr(rts, "intercept_bounds", spy)
+    monkeypatch.setattr(rts, "intercept_bounds_many", spy)
     reports = analyse(CORNER_CSV)
     points = [(np.array(list(r.projection_inputs.values())),
                np.array(list(r.projection_outputs.values()))) for r in reports]
@@ -284,16 +285,66 @@ def test_dmu_flag_scores_only_the_reported_unit(data_file, capsys, monkeypatch):
     unfiltered = json.loads(capsys.readouterr().out)
     scored = []
 
-    def spy(dataset, o, *args):
-        scored.append(dataset.names[o])
-        return evaluate(dataset, o, *args)
+    def spy(dataset, units, *args):
+        scored.extend(dataset.names[o] for o in units)
+        return evaluate_many(dataset, units, *args)
 
-    evaluate = dea.evaluate
-    monkeypatch.setattr(dea, "evaluate", spy)
+    evaluate_many = dea.evaluate_many
+    monkeypatch.setattr(dea, "evaluate_many", spy)
     assert cli.main(["report", "--data", data_file, "--format", "json",
                      "--dmu", "DMU8"]) == 0
     assert scored == ["DMU8"]
     assert json.loads(capsys.readouterr().out) == [unfiltered[7]]
+
+
+def fail_in_kernel(monkeypatch, module, failing):
+    """Make the kernel, as ``module`` calls it, fail the programs for which
+    ``failing(program)`` holds, and solve every other as before."""
+    solve_many = module.solve_many
+
+    def injected(programs, settings=None, bases=None):
+        outcomes = solve_many(programs, settings, bases)
+        return [lp.LpError("injected") if failing(program) else outcome
+                for program, outcome in zip(programs, outcomes)]
+
+    monkeypatch.setattr(module, "solve_many", injected)
+
+
+def test_first_failing_unit_is_reported(data_file, capsys, monkeypatch):
+    # unit 5's scoring LP and unit 2's GRS LP fail: a loop running every
+    # stage of a unit before the next unit meets unit 2's GRS first
+    ds = reporting.parse_dataset(open(data_file, encoding="utf-8").read())
+    x, y = ds.inputs[0], ds.outputs[0]
+    fail_in_kernel(monkeypatch, dea,
+                   lambda program: np.array_equal(program.rhs, [x[5], y[5], 1.0]))
+    # unit 2's GRS program holds its negated data as the normalising column
+    fail_in_kernel(monkeypatch, grs, lambda program: np.any(np.all(
+        program.constraint_matrix[:3].T == [-x[2], -y[2], -1.0], axis=1)))
+    assert cli.main(["report", "--data", data_file]) == 2
+    assert capsys.readouterr().err == "solver error: DMU3 [grs]: injected\n"
+    # with the GRS failure at unit 6 instead, unit 5's scoring comes first
+    monkeypatch.setattr(grs, "solve_many", lp.solve_many)
+    fail_in_kernel(monkeypatch, grs, lambda program: np.any(np.all(
+        program.constraint_matrix[:3].T == [-x[6], -y[6], -1.0], axis=1)))
+    assert cli.main(["report", "--data", data_file]) == 2
+    assert capsys.readouterr().err == "solver error: DMU6 [scoring]: injected\n"
+
+
+def test_shared_anchor_failure_is_reported_at_its_first_unit(tmp_path, capsys,
+                                                             monkeypatch):
+    # B, D, E and F all anchor at B's data; B comes first
+    path = tmp_path / "corner.csv"
+    path.write_text(CORNER_CSV, encoding="utf-8")
+    ds = reporting.parse_dataset(CORNER_CSV)
+    vertex = rts._envelopment_programs(ds, np.array([2.0]), np.array([4.0]),
+                                      (1.0,))[0].constraint_matrix
+    fail_in_kernel(monkeypatch, rts,
+                   lambda program: np.array_equal(program.constraint_matrix, vertex))
+    assert cli.main(["report", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == "solver error: B [rts]: injected\n"
+    # without B the same anchor's failure belongs to D
+    assert cli.main(["report", "--data", str(path), "--dmu", "F", "--dmu", "D"]) == 2
+    assert capsys.readouterr().err == "solver error: D [rts]: injected\n"
 
 
 def test_cli_is_byte_identical_across_runs(data_file, capsys):

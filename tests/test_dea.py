@@ -265,11 +265,11 @@ def test_scoring_program_layout(regime):
 def test_evaluate_solves_the_scoring_program(frontier8, monkeypatch, scheme, regime):
     programs = []
 
-    def spy(program, settings=None, basis=None):
-        programs.append(program)
-        return lp.solve(program, settings, basis=basis)
+    def spy(batch, settings=None, bases=None):
+        programs.extend(batch)
+        return lp.solve_many(batch, settings, bases)
 
-    monkeypatch.setattr(dea, "solve", spy)
+    monkeypatch.setattr(dea, "solve_many", spy)
     result = dea.evaluate(frontier8, 6, scheme, regime)
     (solved,) = programs
     expected = dea.scoring_program(frontier8, 6, scheme, regime)
@@ -300,12 +300,12 @@ def crash_start_datasets(frontier8):
 def test_scoring_starts_feasible(frontier8, monkeypatch, scheme, regime):
     solves = []
 
-    def spy(program, settings=None, basis=None):
-        sol = lp.solve(program, settings, basis=basis)
-        solves.append((program, sol))
-        return sol
+    def spy(batch, settings=None, bases=None):
+        outcomes = lp.solve_many(batch, settings, bases)
+        solves.extend(zip(batch, outcomes))
+        return outcomes
 
-    monkeypatch.setattr(dea, "solve", spy)
+    monkeypatch.setattr(dea, "solve_many", spy)
     for name, ds in crash_start_datasets(frontier8).items():
         for o in range(ds.n_dmus):
             result = dea.evaluate(ds, o, scheme, regime)

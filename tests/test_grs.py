@@ -108,11 +108,11 @@ def captured_program(monkeypatch, *args, **kwargs):
     """Run ``identify_grs`` and return the one LP it handed to the kernel."""
     programs = []
 
-    def spy(program, settings=None):
-        programs.append(program)
-        return lp.solve(program, settings)
+    def spy(batch, settings=None, bases=None):
+        programs.extend(batch)
+        return lp.solve_many(batch, settings, bases)
 
-    monkeypatch.setattr(grs, "solve", spy)
+    monkeypatch.setattr(grs, "solve_many", spy)
     reference = grs.identify_grs(*args, **kwargs)
     (program,) = programs
     return program, reference
@@ -522,10 +522,10 @@ def test_vertex_face_takes_no_solve(eight, monkeypatch, scheme, units):
     # of each of these units keeps one unit
     ds = CORNER if scheme == "ram" else eight[0]
 
-    def spy(program, settings=None):
+    def spy(batch, settings=None, bases=None):
         raise AssertionError("a vertex GRS must not reach the kernel")
 
-    monkeypatch.setattr(grs, "solve", spy)
+    monkeypatch.setattr(grs, "solve_many", spy)
     for o in units:
         result = dea.evaluate(ds, o, scheme)
         assert len(screened_units(ds, result)) == 1

@@ -312,13 +312,104 @@ def test_ratio_test_passes_over_a_noise_pivot():
     # the large pivot of row 1.
     program = lp.LinearProgram("maximize", [0.0, 0.0, 1.0],
                                [[1.0, 0.0, 1e-9], [0.0, 1.0, 1.0]], [0.0, 1e-10])
-    state = lp._SimplexState(program, lp.SolverSettings(), basis=[0, 1])
-    step, pos, hits_upper = state._ratio_test(2, 1.0, np.array([1e-9, 1.0]))
+    state = lp._SimplexState([program], lp.SolverSettings(), [[0, 1]])
+    (step,), (pos,), (hits_upper,) = state._ratio_test(
+        np.array([0]), np.array([2]), np.array([1.0]), np.array([[1e-9, 1.0]]))
     assert (pos, hits_upper) == (1, False)
     assert step == pytest.approx(1e-10, abs=1e-20)
     sol = lp.solve(program, basis=[0, 1])
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
+
+
+def mixed_batch(rng):
+    """Programs and starting bases for one ``solve_many`` call.
+
+    Several shapes, free, boxed and pinned variables, zero right-hand
+    sides, feasible and unusable crash bases, and one infeasible and one
+    unbounded program.
+    """
+    programs = [random_mixed_lp(rng, degenerate=trial % 3 == 0) for trial in range(60)]
+    programs += [random_support_lp(rng) for _ in range(20)]  # zero right-hand side
+    bases = [None] * len(programs)
+    for _ in range(20):
+        program, basis = lp_with_feasible_basis(rng)
+        # the same program from its feasible basis and from a shuffled,
+        # most often singular or infeasible one
+        programs += [program, program]
+        bases += [basis, rng.choice(program.cols, program.rows, replace=False)]
+    programs.append(lp.LinearProgram("minimize", [0.0, 1.0], [[1.0, 1.0]], [-1.0]))
+    programs.append(lp.LinearProgram("maximize", [1.0, 0.0], [[1.0, -1.0]], [0.0]))
+    bases += [None, None]
+    return programs, bases
+
+
+def assert_same_outcome(got, alone):
+    assert type(got) is type(alone)
+    assert (got.status, got.iterations, got.phase1_iterations) \
+        == (alone.status, alone.iterations, alone.phase1_iterations)
+    if alone.status == lp.OPTIMAL:
+        assert got.objective_value == pytest.approx(alone.objective_value, abs=1e-9)
+        assert got.primal == pytest.approx(alone.primal, abs=1e-9)
+        assert got.duals == pytest.approx(alone.duals, abs=1e-9)
+
+
+def test_batch_matches_solving_alone():
+    rng = np.random.default_rng(43)
+    programs, bases = mixed_batch(rng)
+    outcomes = lp.solve_many(programs, bases=bases)
+    statuses = set()
+    for program, basis, got in zip(programs, bases, outcomes):
+        alone = lp.solve(program, basis=basis)
+        assert_same_outcome(got, alone)
+        statuses.add(alone.status)
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    # a crash basis that is used skips phase 1, an unusable one does not
+    assert {outcome.phase1_iterations > 0 for outcome, basis in zip(outcomes, bases)
+            if basis is not None} == {True, False}
+
+
+# an entry no generator above produces; a basis holding it is made singular
+SINGULAR_MARK = 2.75 + 1e-7
+
+
+def test_failures_end_only_their_own_lp(monkeypatch):
+    rng = np.random.default_rng(47)
+    programs, bases = mixed_batch(rng)
+    alone = [lp.solve(program, basis=basis) for program, basis in zip(programs, bases)]
+    # the budget: just below the pivots per dimension of the LP that
+    # needs the most, and enough for every other
+    ratios = [sol.iterations / (program.rows + program.cols)
+              for program, sol in zip(programs, alone)]
+    exhausted = int(np.argmax(ratios))
+    budget = max(r for i, r in enumerate(ratios) if i != exhausted)
+    assert ratios[exhausted] > budget
+    # x1 enters at the first pivot, and its basis then fails to factor
+    singular = lp.LinearProgram("maximize", [1.0, 0.0], [[SINGULAR_MARK, 1.0]], [1.0])
+    programs.insert(7, singular)
+    bases.insert(7, None)
+    alone.insert(7, None)
+    exhausted += exhausted >= 7
+    real_solve = np.linalg.solve
+
+    def marked_singular(a, b):
+        if np.any(a == SINGULAR_MARK):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", marked_singular)
+    monkeypatch.setattr(lp, "_PIVOTS_PER_DIMENSION", budget)
+    outcomes = lp.solve_many(programs, bases=bases)
+    assert type(outcomes[7]) is lp.LpError
+    assert str(outcomes[7]) == "singular basis matrix"
+    assert type(outcomes[exhausted]) is lp.IterationLimitError
+    for i in (7, exhausted):
+        # the same error as when solved alone
+        with pytest.raises(type(outcomes[i]), match=str(outcomes[i])):
+            lp.solve(programs[i], basis=bases[i])
+    for i, (got, expected) in enumerate(zip(outcomes, alone)):
+        if i not in (7, exhausted):
+            assert_same_outcome(got, expected)
 
 
 def test_import_does_not_load_scipy():

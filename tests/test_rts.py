@@ -80,11 +80,11 @@ def test_program_shape(frontier8, monkeypatch):
     ds = frontier8
     programs = []
 
-    def spy(program, settings=None, basis=None):
-        programs.append(program)
-        return lp.solve(program, settings, basis)
+    def spy(batch, settings=None, bases=None):
+        programs.extend(batch)
+        return lp.solve_many(batch, settings, bases)
 
-    monkeypatch.setattr(rts, "solve", spy)
+    monkeypatch.setattr(rts, "solve_many", spy)
     rts.intercept_bounds(ds, ([5.0], [8.0]))
     n, m, s = ds.n_dmus, ds.n_inputs, ds.n_outputs
     assert [program.rhs[-1] for program in programs] == [1.0, -1.0]
@@ -105,15 +105,15 @@ def assert_ends_match(got, expected):
 
 
 def recorded_solves(monkeypatch):
-    """Route ``rts.solve`` through a spy; returns its (basis, solution) list."""
+    """Route ``rts.solve_many`` through a spy; returns its (basis, solution) list."""
     calls = []
 
-    def spy(program, settings=None, basis=None):
-        sol = lp.solve(program, settings, basis)
-        calls.append((basis, sol))
-        return sol
+    def spy(batch, settings=None, bases=None):
+        outcomes = lp.solve_many(batch, settings, bases)
+        calls.extend(zip(bases or [None] * len(batch), outcomes))
+        return outcomes
 
-    monkeypatch.setattr(rts, "solve", spy)
+    monkeypatch.setattr(rts, "solve_many", spy)
     return calls
 
 
@@ -204,8 +204,9 @@ def test_ends_crossing_beyond_rounding_are_an_error(frontier8, monkeypatch):
     ds = frontier8
     # the solves claim omega_min = 0.5 and omega_max = 0.4
     objectives = iter([0.5, -0.4])
-    monkeypatch.setattr(rts, "solve", lambda program, settings=None, basis=None:
-                        lp.LpSolution(lp.OPTIMAL, objective_value=next(objectives)))
+    monkeypatch.setattr(rts, "solve_many", lambda batch, settings=None, bases=None:
+                        [lp.LpSolution(lp.OPTIMAL, objective_value=next(objectives))
+                         for _ in batch])
     with pytest.raises(lp.LpError, match="cross"):
         rts.intercept_bounds(ds, ([3.0], [6.0]))
 
