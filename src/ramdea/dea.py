@@ -30,7 +30,10 @@ that basis at zero.
 ``evaluate_many`` scores a list of units with one call of the kernel,
 ``lp.solve_many``, which advances their programs in lockstep.  Only the
 right-hand side, and under bam the cost and the pinned slacks, depend
-on the unit, so the programs share one constraint matrix.  A unit whose
+on the unit, so the programs share one constraint matrix; they are laid
+out as arrays over the units and built and checked as one
+``LinearProgram.stack``, and their starting bases and results are
+assembled from stacked arrays too.  A unit whose
 solve fails gets its error in place of its result, and the others'
 results come back as if each had been scored alone; ``evaluate`` is
 the call for one unit, and raises that error.
@@ -168,6 +171,15 @@ def slack_weights(dataset: Dataset, scheme: str = "ram", o: int | None = None):
     are anchored at the evaluated unit.  Zero divisors yield zero
     weights (the matching slacks get pinned by ``scoring_program``).
     """
+    if scheme == "bam" and o is None:
+        raise ValueError("the bam scheme needs the evaluated unit index")
+    w_in, w_out = _weights(dataset, scheme, [o])
+    return w_in.reshape(-1), w_out.reshape(-1)
+
+
+def _weights(dataset: Dataset, scheme: str, units):
+    """``slack_weights`` of each unit of ``units``: one (m,) and one (s,)
+    vector shared by every unit, or under bam one row per unit."""
     _check_scheme(scheme)
     m, s = dataset.n_inputs, dataset.n_outputs
     if scheme == "additive":
@@ -176,10 +188,8 @@ def slack_weights(dataset: Dataset, scheme: str = "ram", o: int | None = None):
         den_in = (m + s) * np.ptp(dataset.inputs, axis=1)
         den_out = (m + s) * np.ptp(dataset.outputs, axis=1)
     else:  # bam
-        if o is None:
-            raise ValueError("the bam scheme needs the evaluated unit index")
-        den_in = (m + s) * (dataset.inputs[:, o] - dataset.inputs.min(axis=1))
-        den_out = (m + s) * (dataset.outputs.max(axis=1) - dataset.outputs[:, o])
+        den_in = (m + s) * (dataset.inputs[:, units].T - dataset.inputs.min(axis=1))
+        den_out = (m + s) * (dataset.outputs.max(axis=1) - dataset.outputs[:, units].T)
     w_in = np.where(den_in > 0.0, 1.0 / np.where(den_in > 0.0, den_in, 1.0), 0.0)
     w_out = np.where(den_out > 0.0, 1.0 / np.where(den_out > 0.0, den_out, 1.0), 0.0)
     return w_in, w_out
@@ -195,24 +205,27 @@ def scoring_program(dataset: Dataset, o: int, scheme: str = "ram",
     is the slack weights; a zero-weight slack is pinned by an upper
     bound of 0.
     """
-    (program,) = _scoring_programs(dataset, [o], scheme, regime)
+    (program,) = LinearProgram.stack("maximize",
+                                     *_scoring_layout(dataset, [o], scheme, regime))
     return program
 
 
-def _scoring_programs(dataset: Dataset, units, scheme: str,
-                      regime: str) -> list[LinearProgram]:
-    """``scoring_program`` of each unit of ``units``.
+def _scoring_layout(dataset: Dataset, units, scheme: str, regime: str):
+    """(cost, matrix, rhs, lower, upper) of ``scoring_program`` for every
+    unit of ``units``, with one right-hand side per unit.
 
     Only the right-hand side, and under bam the cost and the pinned
-    slacks, depend on the unit, so the programs share one constraint
-    matrix, and under ram and additive one cost and one bound vector.
+    slacks, depend on the unit, so every unit shares one constraint
+    matrix, and under ram and additive one cost and one bound vector;
+    the shared arrays are read-only, so programs share them.
     """
     _check_scheme(scheme)
     _check_regime(regime)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    for o in units:
-        if not 0 <= o < n:
-            raise IndexError(f"unit index {o} out of range for {n} units")
+    units = np.array(units, ndmin=1)
+    if units.size and not (0 <= units.min() and units.max() < n):
+        bad = units[(units < 0) | (units >= n)][0]
+        raise IndexError(f"unit index {bad} out of range for {n} units")
     convexity = regime == "vrs"
     q = n + m + s
     A = np.zeros((m + s + (1 if convexity else 0), q))
@@ -222,46 +235,32 @@ def _scoring_programs(dataset: Dataset, units, scheme: str,
     A[m:m + s, n + m:] = -np.eye(s)
     if convexity:
         A[-1, :n] = 1.0
-    lower = np.zeros(q)
-
-    def priced(w_in, w_out):
-        upper = np.full(q, np.inf)
-        upper[n:n + m][w_in == 0.0] = 0.0
-        upper[n + m:][w_out == 0.0] = 0.0
-        return _frozen(np.concatenate([np.zeros(n), w_in, w_out]), upper)
-
-    # read-only arrays are shared by the programs instead of copied
-    _frozen(A, lower)
-    shared = None if scheme == "bam" else priced(*slack_weights(dataset, scheme))
-    programs = []
-    for o in units:
-        cost, upper = shared or priced(*slack_weights(dataset, scheme, o))
-        rhs = np.concatenate([dataset.inputs[:, o], dataset.outputs[:, o],
-                              [1.0] if convexity else []])
-        programs.append(LinearProgram("maximize", cost, A, rhs,
-                                      lower_bounds=lower, upper_bounds=upper))
-    return programs
-
-
-def _frozen(*arrays):
-    for array in arrays:
+    rhs = np.ones((units.size, A.shape[0]))
+    rhs[:, :m] = dataset.inputs[:, units].T
+    rhs[:, m:m + s] = dataset.outputs[:, units].T
+    w_in, w_out = _weights(dataset, scheme, units)
+    cost = np.concatenate([np.zeros(w_in.shape[:-1] + (n,)), w_in, w_out], axis=-1)
+    upper = np.where(cost == 0.0, 0.0, np.inf)
+    upper[..., :n] = np.inf
+    layout = cost, A, rhs, np.zeros(q), upper
+    for array in layout:
         array.setflags(write=False)
-    return arrays
+    return layout
 
 
-def _scoring_basis(program: LinearProgram, o: int, n: int, m: int, s: int,
-                   regime: str) -> np.ndarray:
-    """lambda_o and the slacks (see the module docstring)."""
+def _scoring_bases(rhs: np.ndarray, units, n: int, regime: str) -> np.ndarray:
+    """lambda_o and the slacks, one row per unit (see the module docstring)."""
     # under "crs" lambda_o takes the place of the slack of the row where
     # the unit is largest, and an all-zero unit keeps the slack basis
     # alone (b = 0)
-    slacks = np.arange(n, n + m + s)
-    rhs = program.rhs
+    k, p = rhs.shape
+    units = np.array(units, dtype=np.int64).reshape(k, 1)
     if regime == "vrs":
-        return np.append(o, slacks)
-    if np.any(rhs):
-        return np.append(o, np.delete(slacks, np.argmax(np.abs(rhs))))
-    return slacks
+        return np.hstack([units, np.broadcast_to(np.arange(n, n + p - 1), (k, p - 1))])
+    slacks = np.broadcast_to(np.arange(n, n + p), (k, p))
+    largest = np.argmax(np.abs(rhs), axis=1)
+    rest = slacks[np.arange(p) != largest[:, None]].reshape(k, p - 1)
+    return np.where(np.any(rhs, axis=1)[:, None], np.hstack([units, rest]), slacks)
 
 
 def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
@@ -286,43 +285,49 @@ def evaluate_many(dataset: Dataset, units, scheme: str = "ram", regime: str = "v
     it, or the ``LpError`` that ``evaluate`` raises.
     """
     units = list(units)
-    programs = _scoring_programs(dataset, units, scheme, regime)
-    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    bases = [_scoring_basis(program, o, n, m, s, regime)
-             for program, o in zip(programs, units)]
-    results = []
-    for o, program, sol in zip(units, programs, solve_many(programs, settings, bases)):
+    if not units:
+        return []
+    layout = _scoring_layout(dataset, units, scheme, regime)
+    rhs = layout[2]
+    bases = _scoring_bases(rhs, units, dataset.n_dmus, regime)
+    results = solve_many(LinearProgram.stack("maximize", *layout), settings, list(bases))
+    optimal = []
+    for i, (o, sol) in enumerate(zip(units, results)):
         if isinstance(sol, LpError):
-            results.append(sol)
-        elif sol.status != OPTIMAL:
-            results.append(LpError(f"slack model for unit {o} ended {sol.status}"))
+            continue
+        if sol.status != OPTIMAL:
+            results[i] = LpError(f"slack model for unit {o} ended {sol.status}")
         else:
-            results.append(_ram_result(o, program.rhs, sol, scheme, regime, m, s, eff_tol))
+            optimal.append(i)
+    if optimal:
+        for i, result in zip(optimal, _ram_results(
+                [units[i] for i in optimal], rhs[optimal], [results[i] for i in optimal],
+                scheme, regime, dataset.n_inputs, dataset.n_outputs, eff_tol)):
+            results[i] = result
     return results
 
 
-def _ram_result(o, rhs, sol, scheme, regime, m, s, eff_tol) -> RamResult:
-    n = sol.primal.size - m - s
-    lambdas = np.maximum(sol.primal[:n], 0.0)
-    s_in = np.maximum(sol.primal[n:n + m], 0.0)
-    s_out = np.maximum(sol.primal[n + m:], 0.0)
-    weighted = float(sol.objective_value)
+def _ram_results(units, rhs, solutions, scheme, regime, m, s, eff_tol) -> list[RamResult]:
+    """The ``RamResult`` of each unit from its optimal scoring solution."""
+    primal = np.array([sol.primal for sol in solutions])
+    n = primal.shape[1] - m - s
+    lambdas = np.maximum(primal[:, :n], 0.0)
+    s_in = np.maximum(primal[:, n:n + m], 0.0)
+    s_out = np.maximum(primal[:, n + m:], 0.0)
+    weighted = np.array([sol.objective_value for sol in solutions])
     slack_sum = (m + s) * weighted
     rho = 1.0 - weighted if scheme == "ram" else weighted
-    return RamResult(
-        dmu_index=o,
-        rho=rho,
-        input_slacks=s_in,
-        output_slacks=s_out,
-        lambdas=lambdas,
-        projection_inputs=rhs[:m] - s_in,
-        projection_outputs=rhs[m:m + s] + s_out,
-        slack_sum=slack_sum,
-        efficient=bool(slack_sum <= eff_tol),
-        duals=sol.duals,
-        scheme=scheme,
-        regime=regime,
-    )
+    projection_inputs = rhs[:, :m] - s_in
+    projection_outputs = rhs[:, m:m + s] + s_out
+    efficient = (slack_sum <= eff_tol).tolist()
+    return [
+        RamResult(dmu_index=o, rho=rho_o, input_slacks=s_in[i], output_slacks=s_out[i],
+                  lambdas=lambdas[i], projection_inputs=projection_inputs[i],
+                  projection_outputs=projection_outputs[i], slack_sum=slack_sum_o,
+                  efficient=efficient[i], duals=sol.duals, scheme=scheme, regime=regime)
+        for i, (o, sol, rho_o, slack_sum_o) in enumerate(
+            zip(units, solutions, rho.tolist(), slack_sum.tolist()))
+    ]
 
 
 def _check_scheme(scheme: str) -> None:

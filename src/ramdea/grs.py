@@ -58,7 +58,10 @@ above is solved.
 
 ``identify_grs_many`` does this for a list of scoring results, with one
 call of the kernel for all the units whose GRS needs a solve; the kernel
-stacks their programs by shape.  A unit whose solve fails gets its
+stacks their programs by shape.  It lays the scoring program out once
+per call, screens every unit and tests the vertex case with array
+operations over the units, and checks the programs of one shape as one
+``LinearProgram.stack``.  A unit whose solve fails gets its
 error in place of its result, and the others' results come back as if
 each unit had been identified alone; ``identify_grs`` is the call for
 one unit, and raises that error.
@@ -74,7 +77,8 @@ from . import dea
 # ``solve`` stays bound here, as in ``dea`` and ``rts``, for wrappers that
 # trace the kernel per calling module (bench/tracing.py)
 from .lp import (  # noqa: F401
-    OPTIMAL, LinearProgram, LpError, RamdeaError, SolverSettings, solve, solve_many, unwrap,
+    OPTIMAL, LinearProgram, LpError, RamdeaError, SolverSettings, _dots, solve, solve_many,
+    unwrap,
 )
 
 __all__ = [
@@ -140,8 +144,9 @@ def max_support_solution(A, B=None, d=None,
 
 def _max_support_many(systems, settings, support_tol) -> list:
     """``max_support_solution`` of each (A, B, d) of ``systems``, with one
-    call of the kernel; an error is returned in place of its solution."""
-    programs, layouts = [], []
+    call of the kernel; an error is returned in place of its solution.
+    The programs of one shape are checked as one stack."""
+    matrices, layouts, shapes = [], [], {}
     for A, B, d in systems:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         p, q1 = A.shape
@@ -151,7 +156,6 @@ def _max_support_many(systems, settings, support_tol) -> list:
             B = np.atleast_2d(np.asarray(B, dtype=float))
             if B.shape[0] != p:
                 raise ValueError(f"B has {B.shape[0]} rows, expected {p}")
-        q2 = B.shape[1]
         homogeneous = d is None or not np.any(np.asarray(d, dtype=float))
         if homogeneous:
             cols = A
@@ -162,11 +166,18 @@ def _max_support_many(systems, settings, support_tol) -> list:
             cols = np.hstack([A, -d[:, None]])
         k = cols.shape[1]  # q1 plus the normalising column when present
         matrix = np.hstack([cols, cols, B])
-        cost = np.concatenate([np.zeros(k), np.ones(k), np.zeros(q2)])
-        upper = np.concatenate([np.full(k, np.inf), np.ones(k), np.full(q2, np.inf)])
-        programs.append(LinearProgram("maximize", cost, matrix, np.zeros(p),
-                                      upper_bounds=upper))
+        shapes.setdefault((matrix.shape, matrix.strides, k), []).append(len(matrices))
+        matrices.append(matrix)
         layouts.append((q1, k, homogeneous))
+
+    programs = [None] * len(systems)
+    for ((p, q), _, k), members in shapes.items():
+        cost = np.concatenate([np.zeros(k), np.ones(k), np.zeros(q - 2 * k)])
+        upper = np.concatenate([np.full(k, np.inf), np.ones(k), np.full(q - 2 * k, np.inf)])
+        stack = LinearProgram.stack("maximize", cost, [matrices[i] for i in members],
+                                    np.zeros((len(members), p)), upper_bounds=upper)
+        for i, program in zip(members, stack):
+            programs[i] = program
 
     solutions = []
     for sol, (q1, k, homogeneous) in zip(solve_many(programs, settings), layouts):
@@ -227,45 +238,52 @@ def identify_grs_many(dataset: dea.Dataset, ram_results,
     Returns one entry per result, in order: its ``GrsResult``, or the
     ``RamdeaError`` that ``identify_grs`` raises for it.
     """
+    ram_results = list(ram_results)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    layouts, systems = [], []
-    for ram_result in ram_results:
-        o = ram_result.dmu_index
-        program = dea.scoring_program(dataset, o, ram_result.scheme, ram_result.regime)
-        # the scoring rows, then the budget row holding the objective at
-        # its optimum (scaled by m+s, as slack_sum is)
-        system = np.vstack([program.constraint_matrix, (m + s) * program.objective])
-        d = np.append(program.rhs, ram_result.slack_sum)
+    models: dict[tuple[str, str], list[int]] = {}
+    for i, ram_result in enumerate(ram_results):
+        models.setdefault((ram_result.scheme, ram_result.regime), []).append(i)
+    layouts, systems = [None] * len(ram_results), []
+    for (scheme, regime), positions in models.items():
+        results = [ram_results[i] for i in positions]
+        cost, A, rhs, _, _ = dea._scoring_layout(
+            dataset, [r.dmu_index for r in results], scheme, regime)
+        # the budget row holds the objective at its optimum (scaled by
+        # m+s, as slack_sum is); the units' columns have no budget entry
+        budget = (m + s) * cost
 
-        # A: the units' columns, whose budget entry is zero; above the
-        # budget row they are the scoring LP's columns, which its duals
-        # price for the screen
-        A = system[:, :n]
-        y = ram_result.duals
-        scale = np.maximum(1.0, np.linalg.norm(y) * np.linalg.norm(A[:-1], axis=0))
-        kept = -(y @ A[:-1]) / scale >= -_SCREEN_TOL
-        if not kept.any():
-            kept[:] = True
+        # screen the units' columns of the scoring LP with its duals
+        columns = A[:, :n]
+        y = np.array([r.duals for r in results])
+        scale = np.maximum(1.0, np.sqrt(_dots(y, y))[:, None]
+                           * np.linalg.norm(columns, axis=0))
+        kept = -(y[:, None, :] @ columns)[:, 0, :] / scale >= -_SCREEN_TOL
+        kept[~kept.any(axis=1)] = True
 
-        lambdas = ram_result.lambdas
-        vertex = int(np.argmax(kept))
-        if (ram_result.regime == "vrs" and kept.sum() == 1
-                and abs(lambdas[vertex] - 1.0) <= support_tol
-                and lambdas.sum() - lambdas[vertex] <= support_tol):
-            # the vertex case: the convexity row fixes the one kept unit's
-            # weight at 1 (see the module docstring)
-            layouts.append((o, program.rhs, kept, vertex, None))
-        else:
-            # B: the slack columns whose budget weight is non-zero; the
-            # others are pinned at zero and get no column
-            slack_cols = system[:, n:]
-            free = slack_cols[-1] != 0.0
-            layouts.append((o, program.rhs, kept, None, free))
-            systems.append((A[:, kept], slack_cols[:, free], d))
+        lambdas = np.array([r.lambdas for r in results])
+        vertex = np.argmax(kept, axis=1)
+        at_vertex = lambdas[np.arange(len(results)), vertex]
+        # the vertex case: the convexity row fixes the one kept unit's
+        # weight at 1 (see the module docstring)
+        vertices = ((regime == "vrs") & (kept.sum(axis=1) == 1)
+                    & (np.abs(at_vertex - 1.0) <= support_tol)
+                    & (lambdas.sum(axis=1) - at_vertex <= support_tol)).tolist()
+        for g, i in enumerate(positions):
+            ram_result = results[g]
+            if vertices[g]:
+                layouts[i] = (ram_result.dmu_index, rhs[g], kept[g], int(vertex[g]), None)
+                continue
+            # A: the kept units' columns; B: the slack columns whose
+            # budget weight is non-zero, the others being pinned at zero
+            system = np.vstack([A, budget if budget.ndim == 1 else budget[g]])
+            free = system[-1, n:] != 0.0
+            layouts[i] = (ram_result.dmu_index, rhs[g], kept[g], None, (len(systems), free))
+            systems.append((system[:, :n][:, kept[g]], system[:, n:][:, free],
+                            np.append(rhs[g], ram_result.slack_sum)))
 
-    solutions = iter(_max_support_many(systems, settings, support_tol) if systems else ())
+    solutions = _max_support_many(systems, settings, support_tol) if systems else []
     references = []
-    for o, rhs, kept, vertex, free in layouts:
+    for o, rhs, kept, vertex, solved in layouts:
         weights = np.zeros(n)
         if vertex is not None:
             weights[vertex] = 1.0
@@ -273,7 +291,8 @@ def identify_grs_many(dataset: dea.Dataset, ram_results,
             y_hat = dataset.outputs[:, vertex].copy()
             s_in, s_out = rhs[:m] - x_hat, y_hat - rhs[m:m + s]
         else:
-            solution = next(solutions)
+            at, free = solved
+            solution = solutions[at]
             if isinstance(solution, RamdeaError):
                 references.append(solution)
                 continue
@@ -285,7 +304,7 @@ def identify_grs_many(dataset: dea.Dataset, ram_results,
         references.append(GrsResult(
             o=o,
             weights=weights,
-            members=tuple(j for j in range(n) if weights[j] > support_tol),
+            members=tuple(np.flatnonzero(weights > support_tol).tolist()),
             input_slacks=s_in,
             output_slacks=s_out,
             interior_projection_inputs=x_hat,

@@ -57,12 +57,25 @@ with ``LpError`` rather than carrying NaN into the result.
 The kernel's state has a leading batch axis: ``solve_many`` advances a
 stack of LPs of one shape in lockstep, each pivot round making one
 stacked LAPACK call for all of them, which spreads numpy's per-call
-overhead over the stack.  Programs that share one constraint matrix
-object share it in the stack too.  Each LP keeps its own basis, phase,
-Bland switch, pivot budget and checks, so it takes the pivots it would
-take alone; it leaves the stack as soon as it concludes or fails, and
-a failure (a singular basis, an exhausted budget, a failed check) ends
+overhead over the stack.  Every other step works on the whole stack as
+well, with a fixed number of numpy calls: gathering the programs into
+the stack's arrays, checking the crash bases and factoring them, the
+phase-1 verdict, the optimum checks and dropping the LPs that are done,
+whose per-LP state is a few blocks of arrays.  A Python loop remains
+only to build each LP's outcome.  Programs that share one constraint
+matrix, cost or bound vector object share it in the stack too, and a
+stack holds as many LPs as fit in ``_STACK_BYTES``.  Each LP keeps its
+own basis, phase, Bland switch, pivot budget and checks, so it takes the
+pivots it would take alone, and its products are stacks of
+matrix-vector products, so its numbers are bitwise those of a solve on
+its own; it leaves the stack as soon as it concludes or fails, and a
+failure (a singular basis, an exhausted budget, a failed check) ends
 that LP alone with its typed error.  ``solve`` is a stack of one.
+
+``LinearProgram`` checks its arguments when it is built.
+``LinearProgram.stack`` builds k programs that differ in their
+right-hand sides, and in any other argument given as a stack, and makes
+those checks once over the whole stack instead of once per program.
 
 A ``LinearProgram`` is immutable after construction and safe to share
 across concurrent solves; each ``solve`` or ``solve_many`` call owns
@@ -100,9 +113,9 @@ _PIVOT_TOL = 1e-10
 _OPT_TOL = 1e-9
 # Pivot budget of one solve, per row and column of its program.
 _PIVOTS_PER_DIMENSION = 50
-# Most LPs advanced in one lockstep stack; bounds the memory of stacked
-# constraint matrices.
-_STACK_LPS = 128
+# Most bytes of per-LP state in one lockstep stack: the LPs' state blocks,
+# and their constraint matrices unless they share one.
+_STACK_BYTES = 1 << 23
 
 
 class RamdeaError(Exception):
@@ -140,6 +153,51 @@ def _frozen(values, ndmin: int) -> np.ndarray:
     return frozen
 
 
+def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bounds,
+             stacked: bool):
+    """The arguments of ``LinearProgram`` as read-only float arrays, after
+    every check; with ``stacked`` those of ``LinearProgram.stack``."""
+    if sense not in ("maximize", "minimize"):
+        raise ValueError(f"sense must be 'maximize' or 'minimize', got {sense!r}")
+    lead = int(stacked)
+    A = _frozen(constraint_matrix, 2)
+    c = _frozen(objective, 1)
+    b = _frozen(rhs, 1 + lead)
+    if A.ndim not in (2, 2 + lead):
+        raise ValueError("constraint_matrix must be two-dimensional")
+    p, q = A.shape[-2:]
+    if p < 1 or q < 1:
+        raise ValueError("constraint matrix needs at least one row and one column")
+    k = b.shape[0] if stacked else None
+    lo = _frozen(np.zeros(q) if lower_bounds is None else lower_bounds, 1)
+    hi = _frozen(np.full(q, np.inf) if upper_bounds is None else upper_bounds, 1)
+
+    def fits(arr, ndim, length):
+        # one array, or under ``stacked`` one per program
+        return (arr.shape[-1] == length and (arr.ndim == ndim or (
+            stacked and arr.ndim == ndim + 1 and arr.shape[0] == k)))
+
+    if not (fits(A, 2, q) and A.shape[-2] == p):
+        raise ValueError(f"expected one constraint matrix or {k} of them")
+    if not fits(c, 1, q):
+        raise ValueError(f"objective has length {c.shape[-1]}, expected {q}")
+    if b.ndim != 1 + lead or b.shape[-1] != p:
+        raise ValueError(f"rhs has length {b.shape[-1]}, expected {p}")
+    if not (fits(lo, 1, q) and fits(hi, 1, q)):
+        raise ValueError(f"bound vectors must have length {q}")
+    for name, arr in (("objective", c), ("constraint_matrix", A), ("rhs", b)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("bounds must not contain NaN")
+    if (lo == np.inf).any() or (hi == -np.inf).any():
+        raise ValueError("a lower bound of +inf or an upper bound of -inf "
+                         "admits no value")
+    if (lo > hi).any():
+        raise ValueError("lower bound exceeds upper bound")
+    return c, A, b, lo, hi
+
+
 class LinearProgram:
     """Equality-constrained LP with per-variable bounds, immutable once built.
 
@@ -150,7 +208,7 @@ class LinearProgram:
     constraint_matrix : dense p x q matrix of equality rows
     rhs : length-p right-hand side
     lower_bounds : length-q vector, default all zeros; -inf entries allowed
-    upper_bounds : length-q vector, default all +inf
+    upper_bounds : length-q vector, default all +inf; +inf entries allowed
 
     Array arguments are copied, except read-only float arrays, which are
     immutable already and are shared.
@@ -158,37 +216,41 @@ class LinearProgram:
 
     def __init__(self, sense, objective, constraint_matrix, rhs,
                  lower_bounds=None, upper_bounds=None):
-        if sense not in ("maximize", "minimize"):
-            raise ValueError(f"sense must be 'maximize' or 'minimize', got {sense!r}")
-        A = _frozen(constraint_matrix, 2)
-        c = _frozen(objective, 1)
-        b = _frozen(rhs, 1)
-        if A.ndim != 2:
-            raise ValueError("constraint_matrix must be two-dimensional")
-        p, q = A.shape
-        if p < 1 or q < 1:
-            raise ValueError("constraint matrix needs at least one row and one column")
-        if c.shape != (q,):
-            raise ValueError(f"objective has length {c.shape[0]}, expected {q}")
-        if b.shape != (p,):
-            raise ValueError(f"rhs has length {b.shape[0]}, expected {p}")
-        lo = _frozen(np.zeros(q) if lower_bounds is None else lower_bounds, 1)
-        hi = _frozen(np.full(q, np.inf) if upper_bounds is None else upper_bounds, 1)
-        if lo.shape != (q,) or hi.shape != (q,):
-            raise ValueError(f"bound vectors must have length {q}")
-        for name, arr in (("objective", c), ("constraint_matrix", A), ("rhs", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("bounds must not contain NaN")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
         self.sense = sense
-        self.objective = c
-        self.constraint_matrix = A
-        self.rhs = b
-        self.lower_bounds = lo
-        self.upper_bounds = hi
+        (self.objective, self.constraint_matrix, self.rhs, self.lower_bounds,
+         self.upper_bounds) = _checked(sense, objective, constraint_matrix, rhs,
+                                       lower_bounds, upper_bounds, stacked=False)
+
+    @classmethod
+    def stack(cls, sense, objective, constraint_matrix, rhs,
+              lower_bounds=None, upper_bounds=None) -> list[LinearProgram]:
+        """One program per row of ``rhs``, a k x p array, checked as one.
+
+        Every other array argument is either one array that all k
+        programs share or a stack of k, one per program along a leading
+        axis (k x q for a vector, k x p x q for the matrix).  The
+        matrices may also come as a sequence of k p x q arrays of one
+        memory order, which each program's matrix then keeps.  The
+        checks are the constructor's, made once over the whole stack;
+        program i then holds read-only views of the checked arrays.
+        """
+        if isinstance(constraint_matrix, (list, tuple)):
+            constraint_matrix = _stacked([np.asarray(matrix, dtype=float)
+                                          for matrix in constraint_matrix])
+            constraint_matrix.setflags(write=False)
+        arrays = _checked(sense, objective, constraint_matrix, rhs,
+                          lower_bounds, upper_bounds, stacked=True)
+        k = arrays[2].shape[0]
+        per_program = [list(arr) if arr.ndim > ndim else [arr] * k
+                       for arr, ndim in zip(arrays, (1, 2, 1, 1, 1))]
+        programs = []
+        for c, A, b, lo, hi in zip(*per_program):
+            program = cls.__new__(cls)
+            program.sense = sense
+            (program.objective, program.constraint_matrix, program.rhs,
+             program.lower_bounds, program.upper_bounds) = c, A, b, lo, hi
+            programs.append(program)
+        return programs
 
     @property
     def rows(self) -> int:
@@ -244,22 +306,29 @@ def solve_many(programs, settings: SolverSettings | None = None,
     ``bases``, if given, holds one entry per program: a starting basis
     as for ``solve``, or None.  Returns one outcome per program, in
     order: the ``LpSolution`` that ``solve`` returns for it, or the
-    ``LpError`` that ``solve`` raises.  Programs of the same number of
-    rows and columns are solved together, at most ``_STACK_LPS`` at a
-    time.
+    ``LpError`` that ``solve`` raises.  Programs whose matrices have the
+    same shape and memory order are solved together, in as few stacks of
+    equal size as keep each stack's state within ``_STACK_BYTES``.
     """
     programs = list(programs)
     bases = [None] * len(programs) if bases is None else list(bases)
     if len(bases) != len(programs):
         raise ValueError(f"got {len(bases)} bases for {len(programs)} programs")
     settings = settings or SolverSettings()
-    shapes: dict[tuple[int, int], list[int]] = {}
+    shapes: dict[tuple, list[int]] = {}
     for i, program in enumerate(programs):
-        shapes.setdefault((program.rows, program.cols), []).append(i)
+        matrix = program.constraint_matrix
+        # one memory order per stack (see ``_stacked``)
+        shapes.setdefault((matrix.shape, matrix.strides), []).append(i)
     outcomes: list = [None] * len(programs)
-    for members in shapes.values():
-        for start in range(0, len(members), _STACK_LPS):
-            stack = members[start:start + _STACK_LPS]
+    for ((p, q), _), members in shapes.items():
+        matrix = programs[members[0]].constraint_matrix
+        shared = all(programs[i].constraint_matrix is matrix for i in members)
+        per_lp = _state_bytes(p, q) + (0 if shared else matrix.nbytes)
+        stacks = -(-len(members) * per_lp // _STACK_BYTES)
+        size = -(-len(members) // stacks)
+        for start in range(0, len(members), size):
+            stack = members[start:start + size]
             state = _SimplexState([programs[i] for i in stack], settings,
                                   [bases[i] for i in stack])
             for i, outcome in zip(stack, state.run()):
@@ -274,12 +343,35 @@ def unwrap(outcome):
     return outcome
 
 
+# The per-LP state of ``_SimplexState``, in blocks of one dtype and row
+# width (q + p, p or one): dropping the LPs that are done indexes each
+# block once, and every field stays a contiguous array.
+_STATE = (
+    (np.float64, "w", ("lo", "hi", "x_off", "toward", "cost")),
+    (bool, "w", ("free",)),
+    (np.float64, "p", ("b", "x_basic")),
+    (np.int64, "p", ("basis",)),
+    (np.float64, "", ("sign",)),
+    (np.int64, "", ("ids", "iterations", "phase1_iterations", "consec_degenerate")),
+    (bool, "", ("bland", "phase1")),
+)
+
+
+def _state_bytes(p: int, q: int) -> int:
+    """Bytes of ``_STATE`` per LP of p x q programs."""
+    widths = {"w": q + p, "p": p, "": 1}
+    return sum(np.dtype(dtype).itemsize * widths[width] * len(names)
+               for dtype, width, names in _STATE)
+
+
 class _SimplexState:
     """Mutable simplex state of a stack of same-shaped LPs.
 
-    Every array has a leading axis with one row per LP still running;
-    ``ids`` maps those rows to positions in ``programs``, and an LP's
-    row is dropped once its outcome is recorded.  Columns are the q
+    Each field of ``_STATE`` is an attribute viewing one row of its
+    block, so every per-LP array has a leading axis with one row per LP
+    still running.  ``ids`` maps those rows to positions in the
+    programs, and an LP's row is dropped once its outcome is recorded.
+    Columns are the q
     structural variables, then the p artificials.  ``toward`` tells how
     a nonbasic variable may move: -1 up from its lower bound, +1 down
     from its upper bound, 0 not at all (a basic or pinned variable, or a
@@ -287,83 +379,89 @@ class _SimplexState:
     zero).  ``x_off`` holds the resting value of every nonbasic variable
     and zero for the basics; ``x_basic`` holds the basic values in basis
     order.  ``A`` is the stack of constraint matrices with the
-    artificial columns appended, or one such matrix shared by every LP.
+    artificial columns appended, or one such matrix shared by every LP;
+    ``M`` the programs' own matrices and ``c`` their objectives, stacked
+    or shared the same way.
     """
 
     def __init__(self, programs, settings: SolverSettings, bases):
         first = programs[0]
         k, p, q = len(programs), first.rows, first.cols
-        self.programs = programs
         self.settings = settings
         self.p, self.q = p, q
         self.max_iter = _PIVOTS_PER_DIMENSION * (p + q)
         self.outcomes: list = [None] * k
-        self.ids = np.arange(k)
-        if all(program.constraint_matrix is first.constraint_matrix
-               for program in programs):
-            self.A = np.hstack([first.constraint_matrix, np.eye(p)])[None]
-        else:
-            self.A = np.empty((k, p, q + p))
-            for matrix, program in zip(self.A, programs):
-                matrix[:, :q] = program.constraint_matrix
-            self.A[:, :, q:] = np.eye(p)
-        self.b = np.array([program.rhs for program in programs])
-        self.sign = np.array([1.0 if program.sense == "minimize" else -1.0
-                              for program in programs])
-        lo = np.array([program.lower_bounds for program in programs])
-        hi = np.array([program.upper_bounds for program in programs])
+        widths = {"w": (q + p,), "p": (p,), "": ()}
+        self.blocks = [np.zeros((len(names), k) + widths[width], dtype)
+                       for dtype, width, names in _STATE]
+        self._view()
+        self.ids[:] = np.arange(k)
+
+        def gathered(name):
+            # one array per LP, or the one that every program shares
+            arrays = [getattr(program, name) for program in programs]
+            shared = all(array is arrays[0] for array in arrays)
+            return arrays[0][None] if shared else _stacked(arrays)
+
+        self.M = gathered("constraint_matrix")
+        self.A = np.empty((self.M.shape[0], p, q + p))
+        self.A[:, :, :q] = self.M
+        self.A[:, :, q:] = np.eye(p)
+        self.b[:] = gathered("rhs")
+        self.sign[:] = [1.0 if program.sense == "minimize" else -1.0
+                        for program in programs]
+        self.c = gathered("objective")
+        lo, hi = gathered("lower_bounds"), gathered("upper_bounds")
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-        self.x_off = np.concatenate([x0, np.zeros((k, p))], axis=1)
-        self.x_basic = np.array([program.rhs - program.constraint_matrix @ x
-                                 for program, x in zip(programs, x0)])
+        self.x_off[:, :q] = x0
+        self.x_basic[:] = self.b - _times(self.M, x0)
         below = self.x_basic < 0.0
-        self.lo = np.concatenate([lo, np.where(below, -np.inf, 0.0)], axis=1)
-        self.hi = np.concatenate([hi, np.where(below, 0.0, np.inf)], axis=1)
+        self.lo[:, :q], self.lo[:, q:] = lo, np.where(below, -np.inf, 0.0)
+        self.hi[:, :q], self.hi[:, q:] = hi, np.where(below, 0.0, np.inf)
         free = np.isinf(lo) & np.isinf(hi)
-        self.free = np.concatenate([free, np.zeros((k, p), dtype=bool)], axis=1)
+        self.free[:, :q] = free
         self.any_free = bool(free.any())
         # x0 is the lower bound where that is finite, else the upper one;
         # every artificial starts basic
-        self.toward = np.zeros((k, q + p))
         self.toward[:, :q] = np.where(free | (hi == lo), 0.0,
                                       np.where(np.isfinite(lo), -1.0, 1.0))
-        self.basis = np.tile(np.arange(q, q + p), (k, 1))
-        self.iterations = np.zeros(k, dtype=np.int64)
-        self.phase1_iterations = np.zeros(k, dtype=np.int64)
-        self.consec_degenerate = np.zeros(k, dtype=np.int64)
-        self.bland = np.zeros(k, dtype=bool)
+        self.basis[:] = np.arange(q, q + p)
         self.any_bland = False
         self._crash(bases)
         # phase 1 runs only where the start leaves an artificial non-zero;
         # its cost is the artificials' total magnitude
-        self.phase1 = np.any((self.basis >= q) & (self.x_basic != 0.0), axis=1)
-        self.cost = np.zeros((k, q + p))
+        self.phase1[:] = np.any((self.basis >= q) & (self.x_basic != 0.0), axis=1)
         self.cost[:, q:] = np.where(below, -1.0, 1.0)
         self._start_phase2(np.flatnonzero(~self.phase1))
+
+    def _view(self) -> None:
+        for block, (_, _, names) in zip(self.blocks, _STATE):
+            for name, field in zip(names, block):
+                setattr(self, name, field)
 
     # -- start ---------------------------------------------------------
 
     def _crash(self, bases) -> None:
         """Start each LP from its caller's structural basis if that is feasible."""
         p, q = self.p, self.q
-        rows, hints, rhs = [], [], []
-        for i, basis in enumerate(bases):
-            if basis is None:
-                continue
-            basis = np.array(basis, dtype=np.int64, ndmin=1)
-            if (basis.shape != (p,) or np.unique(basis).size != p
-                    or basis.min() < 0 or basis.max() >= q):
-                raise ValueError(f"basis must hold {p} distinct column indices below {q}")
-            x_off = self.x_off[i, :q].copy()
-            x_off[basis] = 0.0
-            program = self.programs[i]
-            rows.append(i)
-            hints.append(basis)
-            rhs.append(program.rhs - program.constraint_matrix @ x_off)
+        rows = [i for i, basis in enumerate(bases) if basis is not None]
         if not rows:
             return
-        rows, hints = np.array(rows), np.array(hints)
-        x_basic, failed = _solve_stack(_gather(self._matrices(rows), hints), np.array(rhs))
+        hints = [np.atleast_1d(bases[i]) for i in rows]
+        # integer dtypes only: 0.7 would truncate to 0, and True read as 1
+        valid = all(hint.shape == (p,) and hint.dtype.kind in "iu" for hint in hints)
+        if valid:
+            hints = np.array(hints)
+            ordered = np.sort(hints, axis=1)
+            valid = (ordered[:, 0].min() >= 0 and ordered[:, -1].max() < q
+                     and np.all(np.diff(ordered, axis=1)))
+        if not valid:
+            raise ValueError(f"basis must hold {p} distinct column indices below {q}")
+        rows = np.array(rows)
+        x_off = self.x_off[rows, :q]
+        x_off[np.arange(rows.size)[:, None], hints] = 0.0
+        rhs = self.b[rows] - _times(_lps_of(self.M, rows), x_off)
+        x_basic, failed = _solve_stack(_gather(_lps_of(self.A, rows), hints), rhs)
         tol = self.settings.feas_tol
         lo, hi = self.lo[rows[:, None], hints], self.hi[rows[:, None], hints]
         # a singular or infeasible hint keeps the artificial start
@@ -383,8 +481,7 @@ class _SimplexState:
         self.lo[rows, q:] = 0.0
         self.hi[rows, q:] = 0.0
         self.toward[rows, q:] = 0.0
-        objective = np.array([self.programs[i].objective for i in self.ids[rows]])
-        self.cost[rows, :q] = self.sign[rows, None] * objective.reshape(len(rows), q)
+        self.cost[rows, :q] = self.sign[rows, None] * _lps_of(self.c, rows)
         self.cost[rows, q:] = 0.0
         self.phase1[rows] = False
 
@@ -399,29 +496,28 @@ class _SimplexState:
         """One pricing, and one pivot or bound flip, for every running LP."""
         k = self.ids.size
         lps = np.arange(k)
-        self.ended = np.zeros(k, dtype=bool)
+        self.ended = []  # positions of the LPs given their outcome this round
         A, basis = self.A, self.basis
         basic_cols = _gather(A, basis)
         y, failed = _solve_stack(basic_cols.transpose(0, 2, 1), self.cost[lps[:, None], basis])
-        self._fail(lps, failed)
+        if failed:
+            self._fail(lps, failed)
         j, sigma, improving = self._entering(self.cost - _price(A, y))
         if self.iterations.max() >= self.max_iter:
-            for i in np.flatnonzero(improving & ~self.ended
-                                    & (self.iterations >= self.max_iter)):
+            for i in self._running(improving & (self.iterations >= self.max_iter)):
                 self._record(i, IterationLimitError(
                     f"no conclusion within {self.max_iter} pivots"))
         resid = self.b - _times(A, self.x_off)
 
-        rows = (improving & ~self.ended).nonzero()[0]
+        rows = self._running(improving)
         if rows.size:
             # the basic values and the entering column, in one solve
             rhs = np.empty((rows.size, self.p, 2))
             rhs[:, :, 0] = resid[rows]
-            rhs[:, :, 1] = _gather(self._matrices(rows), j[rows, None])[:, :, 0]
+            rhs[:, :, 1] = _gather(_lps_of(A, rows), j[rows, None])[:, :, 0]
             solved, failed = _solve_stack(basic_cols[rows], rhs)
             if failed:
-                self._fail(rows, failed)
-                rows, solved = rows[~self.ended[rows]], solved[~self.ended[rows]]
+                rows, solved = self._fail(rows, failed, solved)
             self.x_basic[rows] = solved[:, :, 0]
             step, pos, hits_upper = self._ratio_test(rows, j[rows], sigma[rows],
                                                      solved[:, :, 1])
@@ -437,12 +533,11 @@ class _SimplexState:
                                                hits_upper[bounded])
             self._pivot(rows, j[rows], step, pos, hits_upper)
 
-        rows = (~improving & ~self.ended).nonzero()[0]
+        rows = self._running(~improving)
         if rows.size:
             x_basic, failed = _solve_stack(basic_cols[rows], resid[rows])
             if failed:
-                self._fail(rows, failed)
-                rows, x_basic = rows[~self.ended[rows]], x_basic[~self.ended[rows]]
+                rows, x_basic = self._fail(rows, failed, x_basic)
             self.x_basic[rows] = x_basic
             x = self.x_off[rows]
             x[np.arange(rows.size)[:, None], self.basis[rows]] = x_basic
@@ -450,8 +545,15 @@ class _SimplexState:
             if phase1.any():
                 self._end_phase1(rows[phase1], x[phase1])
             self._conclude(rows[~phase1], x[~phase1], y[rows[~phase1]])
-        if self.ended.any():
-            self._drop(~self.ended)
+        if self.ended:
+            keep = np.ones(k, dtype=bool)
+            keep[self.ended] = False
+            self._drop(keep)
+
+    def _running(self, mask: np.ndarray) -> np.ndarray:
+        """Positions of the LPs of ``mask`` that have no outcome yet."""
+        rows = mask.nonzero()[0]
+        return rows[~np.isin(rows, self.ended)] if self.ended else rows
 
     def _entering(self, reduced: np.ndarray):
         # gain: how fast the objective falls per unit step of a variable
@@ -537,7 +639,7 @@ class _SimplexState:
     def _end_phase1(self, rows: np.ndarray, x: np.ndarray) -> None:
         """Phase 1 optimal at ``x``: infeasible, or on to phase 2 from this basis."""
         self.phase1_iterations[rows] = self.iterations[rows]
-        infeas = np.array([self.cost[i] @ x_i for i, x_i in zip(rows, x)])
+        infeas = _dots(self.cost[rows], x)
         slack = self.settings.feas_tol * (self.p + np.abs(self.b[rows]).sum(axis=1))
         for i in rows[infeas > slack]:
             self._record(i, self._ending(i, INFEASIBLE))
@@ -545,48 +647,70 @@ class _SimplexState:
 
     def _conclude(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Phase 2 optimal at ``x`` with duals ``y``: check and record each optimum."""
-        tol = self.settings.feas_tol
-        for i, x_i, y_i in zip(rows, x[:, :self.q], y):
-            program = self.programs[self.ids[i]]
-            # phrased so that a NaN anywhere fails every check
-            resid = np.abs(program.constraint_matrix @ x_i - program.rhs)
-            if not np.all(np.isfinite(x_i)):
-                self._record(i, LpError("non-finite value at claimed optimum"))
-            elif not np.all((x_i >= program.lower_bounds - tol)
-                            & (x_i <= program.upper_bounds + tol)):
-                self._record(i, LpError("variable bound violated at claimed optimum"))
-            elif not np.all(resid <= tol * (1.0 + np.abs(program.rhs))):
-                self._record(i, LpError("equality row violated at claimed optimum"))
-            else:
-                self._record(i, self._ending(
-                    i, OPTIMAL, primal=x_i, objective_value=float(program.objective @ x_i),
-                    duals=self.sign[i] * y_i))
+        tol, q = self.settings.feas_tol, self.q
+        x = x[:, :q]
+        b = self.b[rows]
+        resid = np.abs(_times(_lps_of(self.M, rows), x) - b)
+        # the first of the checks each optimum fails, or -1; phrased so that
+        # a NaN anywhere fails every check
+        passed = np.array([
+            np.isfinite(x).all(axis=1),
+            ((x >= self.lo[rows, :q] - tol) & (x <= self.hi[rows, :q] + tol)).all(axis=1),
+            (resid <= tol * (1.0 + np.abs(b))).all(axis=1)])
+        failed = np.where(passed.all(axis=0), -1, passed.argmin(axis=0)).tolist()
+        values = _dots(_lps_of(self.c, rows), x).tolist()
+        duals = self.sign[rows, None] * y
+        for i, check, x_i, value, y_i, iterations, phase1_iterations in zip(
+                rows, failed, x, values, duals, self.iterations[rows].tolist(),
+                self.phase1_iterations[rows].tolist()):
+            self._record(i, LpError(_FAILED_CHECKS[check]) if check >= 0 else LpSolution(
+                OPTIMAL, primal=x_i, objective_value=value, iterations=iterations,
+                duals=y_i, phase1_iterations=phase1_iterations))
 
     def _ending(self, i: int, status: str, **values) -> LpSolution:
         return LpSolution(status, iterations=int(self.iterations[i]),
                           phase1_iterations=int(self.phase1_iterations[i]), **values)
 
-    def _fail(self, lps, failed: dict) -> None:
-        """End the LPs ``lps[i]`` whose basis solve failed, by ``_solve_stack``."""
+    def _fail(self, lps, failed: dict, solved=None):
+        """End the LPs ``lps[i]`` whose basis solve failed, by ``_solve_stack``;
+        returns the other LPs and their rows of ``solved``."""
         for i, reason in failed.items():
             self._record(lps[i], LpError(reason))
+        alive = np.ones(lps.size, dtype=bool)
+        alive[list(failed)] = False
+        return lps[alive], (None if solved is None else solved[alive])
 
     def _record(self, i: int, outcome) -> None:
         """Give LP ``i`` its outcome; it leaves the stack after this round."""
         self.outcomes[self.ids[i]] = outcome
-        self.ended[i] = True
-
-    def _matrices(self, rows) -> np.ndarray:
-        """Constraint matrices of the LPs ``rows``, or the shared one."""
-        return self.A if self.A.shape[0] == 1 else self.A[rows]
+        self.ended.append(i)
 
     def _drop(self, keep: np.ndarray) -> None:
-        """Keep only the LPs of ``keep`` in every per-LP array."""
-        for name in ("ids", "b", "sign", "lo", "hi", "x_off", "x_basic",
-                     "toward", "free", "basis", "iterations", "phase1_iterations",
-                     "consec_degenerate", "bland", "phase1", "cost"):
-            setattr(self, name, getattr(self, name)[keep])
-        self.A = self._matrices(keep)
+        """Keep only the LPs of ``keep``."""
+        self.blocks = [block[:, keep] for block in self.blocks]
+        self._view()
+        self.A, self.M, self.c = (_lps_of(self.A, keep), _lps_of(self.M, keep),
+                                  _lps_of(self.c, keep))
+
+
+# the reasons ``_conclude`` gives for an optimum that fails its checks
+_FAILED_CHECKS = ("non-finite value at claimed optimum",
+                  "variable bound violated at claimed optimum",
+                  "equality row violated at claimed optimum")
+
+
+def _lps_of(stack: np.ndarray, rows) -> np.ndarray:
+    """Entries ``rows`` of a per-LP ``stack``, or its one shared entry."""
+    return stack if stack.shape[0] == 1 else stack[rows]
+
+
+def _stacked(arrays) -> np.ndarray:
+    """``arrays``, all of one shape and memory order, as one array whose
+    entries keep that order: the rounding of a matrix-vector product
+    depends on it, and the kernel checks each LP with its own matrix."""
+    if arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous:
+        return np.array([array.T for array in arrays]).transpose(0, 2, 1)
+    return np.array(arrays)
 
 
 def _gather(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -610,6 +734,11 @@ def _times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _price(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row i of ``y`` times matrix i of ``A`` (or its one shared matrix)."""
     return (y[:, None, :] @ A)[:, 0, :]
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row i of ``u`` dotted with row i of ``v``."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):

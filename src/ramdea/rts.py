@@ -36,12 +36,13 @@ enough to never cross the finite endpoint.  Either way the sign
 information, and hence the classification, is preserved.
 
 ``intercept_bounds_many`` solves both ends at a list of anchors with
-one call of the kernel per ``_ANCHORS_PER_CALL`` anchors, which fill one
-lockstep stack, and the rare zero right-hand-side programs with one
-more; the programs of one anchor share their matrix.  An anchor whose
-solve fails gets its error in place of its interval, and the other
-anchors' intervals come back as if each had been solved alone;
-``intercept_bounds`` is the call for one anchor, and raises that error.
+one call of the kernel per ``_ANCHORS_PER_CALL`` anchors, and the rare
+zero right-hand-side programs with one more.  The matrices of all of a
+call's anchors are laid out in one array operation, and the programs
+of one anchor share their matrix.  An anchor whose solve fails gets its
+error in place of its interval, and the other anchors' intervals come
+back as if each had been solved alone; ``intercept_bounds`` is the call
+for one anchor, and raises that error.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ RTS_TOL = 1e-6
 _CLAMP = 1.0
 
 # Anchors per call of the kernel: their programs, each with a matrix of
-# n + m + s + 2 columns, stay in memory until the call returns, and both
-# ends of this many fill half a lockstep stack.
+# n + m + s + 2 columns, stay in memory until the call returns.
 _ANCHORS_PER_CALL = 32
 
 
@@ -92,11 +92,11 @@ class NormalizationUnattainableError(RamdeaError):
     """The anchor's inputs admit no v >= 0 with v . x = 1 (all non-positive)."""
 
 
-def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs_values):
-    """LP duals of the intercept program at (x_hat, y_hat), one per
-    right-hand side of ``omega_rhs_values``, sharing one matrix.
+def _envelopment_matrices(dataset, x_hat, y_hat) -> np.ndarray:
+    """Constraint matrices of the LP duals of the intercept program, one
+    per anchor (x_hat[i], y_hat[i]); ``x_hat`` is K x m and ``y_hat`` K x s.
 
-    Each maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
+    Each dual maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
     subject to
 
         alpha y_hat + sum_j pi_j y_j + slack_out = 0          (s rows, dual u)
@@ -111,34 +111,36 @@ def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs_values):
     """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
     core = 2 + n
-    q = core + s + m
-    A = np.zeros((s + m + 1, q))
-    A[:s, 1] = y_hat
-    A[:s, 2:core] = dataset.outputs
-    A[s:s + m, 0] = x_hat
-    A[s:s + m, 1] = -x_hat
-    A[s:s + m, 2:core] = -dataset.inputs
-    row_scale = np.abs(A[:s + m, :core]).max(axis=1)
+    A = np.zeros((x_hat.shape[0], s + m + 1, core + s + m))
+    A[:, :s, 1] = y_hat
+    A[:, :s, 2:core] = dataset.outputs
+    A[:, s:s + m, 0] = x_hat
+    A[:, s:s + m, 1] = -x_hat
+    A[:, s:s + m, 2:core] = -dataset.inputs
+    row_scale = np.abs(A[:, :s + m, :core]).max(axis=2)
     row_scale[row_scale == 0.0] = 1.0
-    A[:s + m, :core] /= row_scale[:, None]
-    A[:s + m, core:] = np.eye(s + m)
-    A[-1, 1:core] = -1.0
+    A[:, :s + m, :core] /= row_scale[:, :, None]
+    A[:, :s + m, core:] = np.eye(s + m)
+    A[:, -1, 1:core] = -1.0
+    A.setflags(write=False)
+    return A
+
+
+def _envelopment_programs(matrices: np.ndarray, omega_rhs: float) -> list:
+    """One dual per matrix of ``_envelopment_matrices``, with ``omega_rhs``
+    on its intercept row."""
+    k, p, q = matrices.shape
+    core = q - p + 1
     cost = np.zeros(q)
     cost[0] = 1.0
     lower = np.zeros(q)
     upper = np.full(q, np.inf)
     lower[:core] = -np.inf
     upper[2:core] = 0.0
-    # frozen arrays are shared by the programs instead of copied
-    for array in (A, cost, lower, upper):
-        array.setflags(write=False)
-    programs = []
-    for omega_rhs in omega_rhs_values:
-        rhs = np.zeros(s + m + 1)
-        rhs[-1] = omega_rhs
-        programs.append(LinearProgram("maximize", cost, A, rhs,
-                                      lower_bounds=lower, upper_bounds=upper))
-    return programs
+    rhs = np.zeros((k, p))
+    rhs[:, -1] = omega_rhs
+    return LinearProgram.stack("maximize", cost, matrices, rhs, lower_bounds=lower,
+                               upper_bounds=upper)
 
 
 def _off_frontier() -> NotOnFrontierError:
@@ -183,35 +185,41 @@ def _intercepts(dataset, points, settings) -> list:
     in one call of the kernel, and the zero right-hand-side programs of
     the points whose ends are both infeasible in one more."""
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    anchors, programs, bases = [], [], []
+    results, solvable = [], []
     for point in points:
         x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
         y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
-        if x_hat.shape[0] != m or y_hat.shape[0] != s:
+        if x_hat.shape != (m,) or y_hat.shape != (s,):
             raise ValueError("anchor point does not match the dataset's dimensions")
         if float(x_hat.max()) <= 0.0:
-            anchors.append(NormalizationUnattainableError(
+            results.append(NormalizationUnattainableError(
                 "anchor inputs are all non-positive; the multiplier normalisation "
                 "v . x = 1 is unattainable and the scale class is undefined here"
             ))
-            continue
-        anchors.append((x_hat, y_hat))
-        # the min end's feasible start (see the module docstring)
-        min_start = None
-        if y_hat.min() >= 0.0:
-            slacks = np.arange(n + 2, n + 2 + s + m)
-            min_start = np.concatenate([[0, 1], np.delete(slacks, s + int(np.argmax(x_hat)))])
-        programs += _envelopment_programs(dataset, x_hat, y_hat, (1.0, -1.0))
-        bases += [min_start, None]
-    ends = iter(solve_many(programs, settings, bases))
+        else:
+            solvable.append(len(results))
+            results.append((x_hat, y_hat))
+    if not solvable:
+        return results
+    x_hat = np.array([results[i][0] for i in solvable])
+    y_hat = np.array([results[i][1] for i in solvable])
+    matrices = _envelopment_matrices(dataset, x_hat, y_hat)
+    # the min end's feasible start (see the module docstring)
+    k = len(solvable)
+    slacks = np.broadcast_to(np.arange(n + 2, n + 2 + s + m), (k, s + m))
+    kept = np.arange(s + m) != s + np.argmax(x_hat, axis=1)[:, None]
+    starts = np.hstack([np.broadcast_to([0, 1], (k, 2)), slacks[kept].reshape(k, -1)])
+    programs = [program for ends in zip(_envelopment_programs(matrices, 1.0),
+                                        _envelopment_programs(matrices, -1.0))
+                for program in ends]
+    bases = [basis for start, ok in zip(starts, (y_hat.min(axis=1) >= 0.0).tolist())
+             for basis in (start if ok else None, None)]
+    ends = solve_many(programs, settings, bases)
 
-    results, unsettled = [], []
-    for anchor in anchors:
-        if isinstance(anchor, RamdeaError):
-            results.append(anchor)
-            continue
+    unsettled = []
+    for g, i in enumerate(solvable):
         bounds = []
-        for omega_rhs, sol in zip((1.0, -1.0), (next(ends), next(ends))):
+        for omega_rhs, sol in zip((1.0, -1.0), ends[2 * g:2 * g + 2]):
             if isinstance(sol, LpError):
                 bounds = sol
                 break
@@ -225,15 +233,16 @@ def _intercepts(dataset, points, settings) -> list:
             # both ends unbounded, or no supporting hyperplane at all: the
             # dual with a zero right-hand side is feasible at the origin
             # and unbounded exactly in the second case
-            unsettled.append(len(results))
-        results.append(bounds)
+            unsettled.append(g)
+        results[i] = bounds
 
-    zero_rhs = [_envelopment_programs(dataset, *anchors[i], (0.0,))[0] for i in unsettled]
-    for i, sol in zip(unsettled, solve_many(zero_rhs, settings)):
-        if isinstance(sol, LpError):
-            results[i] = sol
-        elif sol.status == UNBOUNDED:
-            results[i] = _off_frontier()
+    if unsettled:
+        zero_rhs = _envelopment_programs(matrices[unsettled], 0.0)
+        for g, sol in zip(unsettled, solve_many(zero_rhs, settings)):
+            if isinstance(sol, LpError):
+                results[solvable[g]] = sol
+            elif sol.status == UNBOUNDED:
+                results[solvable[g]] = _off_frontier()
     tol = (settings or SolverSettings()).feas_tol
     return [bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, tol)
             for bounds in results]

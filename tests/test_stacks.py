@@ -1,0 +1,92 @@
+"""Batched entry points against their single-unit forms, and the checks
+that a stack of programs must still make one program at a time."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ramdea import dea, grs, lp, rts
+
+
+def assert_bitwise(got, expected):
+    """The same type and fields, every float and array bit for bit."""
+    assert type(got) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+        return
+    pairs = (zip(dataclasses.astuple(got), dataclasses.astuple(expected))
+             if dataclasses.is_dataclass(expected) else zip(got, expected))
+    for a, b in pairs:
+        if isinstance(b, (np.ndarray, float)):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+@pytest.fixture(scope="module")
+def forty():
+    rng = np.random.default_rng(61)
+    return dea.Dataset([f"u{j}" for j in range(40)], rng.uniform(1.0, 10.0, (2, 40)),
+                       rng.uniform(1.0, 10.0, (2, 40)))
+
+
+@pytest.mark.parametrize("regime", dea.REGIMES)
+@pytest.mark.parametrize("scheme", dea.SCHEMES)
+def test_batched_stages_equal_single_unit_calls(forty, scheme, regime):
+    # bam varies the cost and the pinned slacks by unit, so its programs
+    # share only their matrix
+    units = range(forty.n_dmus)
+    results = dea.evaluate_many(forty, units, scheme, regime)
+    for o, result in zip(units, results):
+        assert_bitwise(result, dea.evaluate(forty, o, scheme, regime))
+    references = grs.identify_grs_many(forty, results)
+    for o, reference in zip(units, references):
+        assert_bitwise(reference, grs.identify_grs(forty, o, results[o]))
+    anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
+               for reference in references]
+    for anchor, bounds in zip(anchors, rts.intercept_bounds_many(forty, anchors)):
+        try:
+            alone = rts.intercept_bounds(forty, anchor)
+        except lp.RamdeaError as error:
+            alone = error
+        assert_bitwise(bounds, alone)
+
+
+def stack_layout(k=5, p=2, q=4):
+    rng = np.random.default_rng(67)
+    A = rng.uniform(-1.0, 1.0, (p, q))
+    return np.ones(q), A, rng.uniform(0.0, 1.0, (k, p)), np.zeros(q), np.full(q, 3.0)
+
+
+def test_stack_checks_every_program():
+    cost, A, rhs, lower, upper = stack_layout()
+    programs = lp.LinearProgram.stack("maximize", cost, A, rhs, lower, upper)
+    assert len({id(program.constraint_matrix) for program in programs}) == 1
+    assert [program.rhs.tolist() for program in programs] == rhs.tolist()
+    # one non-finite right-hand side among the shared arrays
+    bad = rhs.copy()
+    bad[3, 1] = np.inf
+    with pytest.raises(ValueError, match="rhs"):
+        lp.LinearProgram.stack("maximize", cost, A, bad, lower, upper)
+    # one program's bounds impossible
+    bad = np.tile(lower, (5, 1))
+    bad[2, 0] = np.inf
+    with pytest.raises(ValueError):
+        lp.LinearProgram.stack("maximize", cost, A, rhs, bad, upper)
+    # one matrix of the wrong length among per-program matrices
+    with pytest.raises(ValueError):
+        lp.LinearProgram.stack("maximize", cost, [A, A, A[:, :3], A, A], rhs, lower, upper)
+    # a stack of costs whose count does not match the programs'
+    with pytest.raises(ValueError):
+        lp.LinearProgram.stack("maximize", np.ones((4, 4)), A, rhs, lower, upper)
+
+
+def test_solve_many_checks_every_basis():
+    programs = lp.LinearProgram.stack("maximize", *stack_layout())
+    good = [0, 1]
+    for bad in ([0, 1, 2], [1, 1], [0, 4], [0.5, 1.0], [True, False]):
+        with pytest.raises(ValueError, match="basis"):
+            lp.solve_many(programs, bases=[good, None, bad, good, None])
