@@ -31,12 +31,11 @@ that basis at zero.
 ``lp.solve_many``, which advances their programs in lockstep.  Only the
 right-hand side, and under bam the cost and the pinned slacks, depend
 on the unit, so the programs share one constraint matrix; they are laid
-out as arrays over the units and built and checked as one
-``LinearProgram.stack``, and their starting bases and results are
-assembled from stacked arrays too.  A unit whose
-solve fails gets its error in place of its result, and the others'
-results come back as if each had been scored alone; ``evaluate`` is
-the call for one unit, and raises that error.
+out as arrays over the units, which make one ``LinearProgram`` stack,
+and their starting bases and results are assembled from stacked arrays
+too.  A unit whose solve fails gets its error in place of its result,
+and the others' results come back as if each had been scored alone;
+``evaluate`` is the call for one unit, and raises that error.
 """
 
 from __future__ import annotations
@@ -205,8 +204,7 @@ def scoring_program(dataset: Dataset, o: int, scheme: str = "ram",
     is the slack weights; a zero-weight slack is pinned by an upper
     bound of 0.
     """
-    (program,) = LinearProgram.stack("maximize",
-                                     *_scoring_layout(dataset, [o], scheme, regime))
+    (program,) = LinearProgram("maximize", *_scoring_layout(dataset, [o], scheme, regime))
     return program
 
 
@@ -217,7 +215,7 @@ def _scoring_layout(dataset: Dataset, units, scheme: str, regime: str):
     Only the right-hand side, and under bam the cost and the pinned
     slacks, depend on the unit, so every unit shares one constraint
     matrix, and under ram and additive one cost and one bound vector;
-    the shared arrays are read-only, so programs share them.
+    every array is read-only, so the ``LinearProgram`` holds it as it is.
     """
     _check_scheme(scheme)
     _check_regime(regime)
@@ -290,7 +288,7 @@ def evaluate_many(dataset: Dataset, units, scheme: str = "ram", regime: str = "v
     layout = _scoring_layout(dataset, units, scheme, regime)
     rhs = layout[2]
     bases = _scoring_bases(rhs, units, dataset.n_dmus, regime)
-    results = solve_many(LinearProgram.stack("maximize", *layout), settings, list(bases))
+    results = solve_many(LinearProgram("maximize", *layout), settings, list(bases))
     optimal = []
     for i, (o, sol) in enumerate(zip(units, results)):
         if isinstance(sol, LpError):

@@ -57,14 +57,14 @@ and always under "crs", where the weight of k is not fixed, the program
 above is solved.
 
 ``identify_grs_many`` does this for a list of scoring results, with one
-call of the kernel for all the units whose GRS needs a solve; the kernel
-stacks their programs by shape.  It lays the scoring program out once
-per call, screens every unit and tests the vertex case with array
-operations over the units, and checks the programs of one shape as one
-``LinearProgram.stack``.  A unit whose solve fails gets its
-error in place of its result, and the others' results come back as if
-each unit had been identified alone; ``identify_grs`` is the call for
-one unit, and raises that error.
+call of the kernel per shape of the units' programs.  It lays the
+scoring program out once per call, screens every unit and tests the
+vertex case with array operations over the units, and makes the
+programs of one shape one ``LinearProgram`` stack, whose matrices keep
+the Fortran order that ``np.hstack`` gives them.  A unit whose solve
+fails gets its error in place of its result, and the others' results
+come back as if each unit had been identified alone; ``identify_grs``
+is the call for one unit, and raises that error.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def max_support_solution(A, B=None, d=None,
 
 def _max_support_many(systems, settings, support_tol) -> list:
     """``max_support_solution`` of each (A, B, d) of ``systems``, with one
-    call of the kernel; an error is returned in place of its solution.
-    The programs of one shape are checked as one stack."""
+    call of the kernel per shape of their programs; an error is returned
+    in place of its solution."""
     matrices, layouts, shapes = [], [], {}
     for A, B, d in systems:
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -166,28 +166,43 @@ def _max_support_many(systems, settings, support_tol) -> list:
             cols = np.hstack([A, -d[:, None]])
         k = cols.shape[1]  # q1 plus the normalising column when present
         matrix = np.hstack([cols, cols, B])
-        shapes.setdefault((matrix.shape, matrix.strides, k), []).append(len(matrices))
+        # one memory order per stack (see ``_stacked``)
+        shapes.setdefault((matrix.shape, matrix.strides), []).append(len(matrices))
         matrices.append(matrix)
         layouts.append((q1, k, homogeneous))
 
-    programs = [None] * len(systems)
-    for ((p, q), _, k), members in shapes.items():
-        cost = np.concatenate([np.zeros(k), np.ones(k), np.zeros(q - 2 * k)])
-        upper = np.concatenate([np.full(k, np.inf), np.ones(k), np.full(q - 2 * k, np.inf)])
-        stack = LinearProgram.stack("maximize", cost, [matrices[i] for i in members],
-                                    np.zeros((len(members), p)), upper_bounds=upper)
-        for i, program in zip(members, stack):
-            programs[i] = program
-
-    solutions = []
-    for sol, (q1, k, homogeneous) in zip(solve_many(programs, settings), layouts):
-        if isinstance(sol, LpError):
-            solutions.append(sol)
-        elif sol.status != OPTIMAL:
-            solutions.append(LpError(f"maximal-support program ended {sol.status}"))
-        else:
-            solutions.append(_support_point(sol.primal, q1, k, homogeneous, support_tol))
+    solutions = [None] * len(systems)
+    for ((p, q), _), members in shapes.items():
+        # the companion of each of a program's k columns is boxed into
+        # [0, 1] and priced at 1; k may differ between programs of a shape
+        ks = np.array([layouts[i][1] for i in members])[:, None]
+        companion = (ks <= np.arange(q)) & (np.arange(q) < 2 * ks)
+        cost, upper = np.where(companion, 1.0, 0.0), np.where(companion, 1.0, np.inf)
+        stack = LinearProgram("maximize", cost, _stacked([matrices[i] for i in members]),
+                              np.zeros((len(members), p)), upper_bounds=upper)
+        for i, sol in zip(members, solve_many(stack, settings)):
+            q1, k, homogeneous = layouts[i]
+            if isinstance(sol, LpError):
+                solutions[i] = sol
+            elif sol.status != OPTIMAL:
+                solutions[i] = LpError(f"maximal-support program ended {sol.status}")
+            else:
+                solutions[i] = _support_point(sol.primal, q1, k, homogeneous, support_tol)
     return solutions
+
+
+def _stacked(matrices) -> np.ndarray:
+    """``matrices``, of one shape and memory order, as one read-only array
+    whose matrices keep that order.  A product with a Fortran-ordered
+    matrix, as ``np.hstack`` of column-indexed blocks gives, rounds
+    otherwise than one with a C-ordered copy, and the kernel checks each
+    optimum with its program's own matrix."""
+    if matrices[0].flags.f_contiguous and not matrices[0].flags.c_contiguous:
+        stack = np.array([matrix.T for matrix in matrices]).transpose(0, 2, 1)
+    else:
+        stack = np.array(matrices)
+    stack.setflags(write=False)
+    return stack
 
 
 def _support_point(primal, q1, k, homogeneous, support_tol):

@@ -54,28 +54,25 @@ solve with the basis itself gives the basic values and the entering
 column together.  A singular basis or a non-finite solve ends that LP
 with ``LpError`` rather than carrying NaN into the result.
 
-The kernel's state has a leading batch axis: ``solve_many`` advances a
-stack of LPs of one shape in lockstep, each pivot round making one
-stacked LAPACK call for all of them, which spreads numpy's per-call
-overhead over the stack.  Every other step works on the whole stack as
-well, with a fixed number of numpy calls: gathering the programs into
-the stack's arrays, checking the crash bases and factoring them, the
-phase-1 verdict, the optimum checks and dropping the LPs that are done,
-whose per-LP state is a few blocks of arrays.  A Python loop remains
-only to build each LP's outcome.  Programs that share one constraint
-matrix, cost or bound vector object share it in the stack too, and a
-stack holds as many LPs as fit in ``_STACK_BYTES``.  Each LP keeps its
-own basis, phase, Bland switch, pivot budget and checks, so it takes the
-pivots it would take alone, and its products are stacks of
-matrix-vector products, so its numbers are bitwise those of a solve on
-its own; it leaves the stack as soon as it concludes or fails, and a
-failure (a singular basis, an exhausted budget, a failed check) ends
-that LP alone with its typed error.  ``solve`` is a stack of one.
-
-``LinearProgram`` checks its arguments when it is built.
-``LinearProgram.stack`` builds k programs that differ in their
-right-hand sides, and in any other argument given as a stack, and makes
-those checks once over the whole stack instead of once per program.
+A ``LinearProgram`` is one program, or a stack of k programs of one
+shape and sense: a k x p right-hand side, and each other array either
+shared by all k or given per program along a leading axis.  It checks
+its arguments once when it is built.  ``solve_many`` advances the
+programs of a stack in lockstep, each pivot round making one stacked
+LAPACK call for all of them, which spreads numpy's per-call overhead
+over the stack.  Every other step works on the whole stack as well,
+with a fixed number of numpy calls: starting from the stack's arrays,
+checking the crash bases and factoring them, the phase-1 verdict, the
+optimum checks and dropping the LPs that are done, whose per-LP state is
+a few blocks of arrays.  A Python loop remains only to build each LP's
+outcome.  A lockstep stack holds as many LPs as fit in
+``_STACK_BYTES``.  Each LP keeps its own basis, phase, Bland switch,
+pivot budget and checks, so it takes the pivots it would take alone,
+and its products are stacks of matrix-vector products, so its numbers
+are bitwise those of a solve on its own; it leaves the stack as soon as
+it concludes or fails, and a failure (a singular basis, an exhausted
+budget, a failed check) ends that LP alone with its typed error.
+``solve`` is a stack of one.
 
 A ``LinearProgram`` is immutable after construction and safe to share
 across concurrent solves; each ``solve`` or ``solve_many`` call owns
@@ -153,35 +150,33 @@ def _frozen(values, ndmin: int) -> np.ndarray:
     return frozen
 
 
-def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bounds,
-             stacked: bool):
+def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bounds):
     """The arguments of ``LinearProgram`` as read-only float arrays, after
-    every check; with ``stacked`` those of ``LinearProgram.stack``."""
+    every check."""
     if sense not in ("maximize", "minimize"):
         raise ValueError(f"sense must be 'maximize' or 'minimize', got {sense!r}")
-    lead = int(stacked)
     A = _frozen(constraint_matrix, 2)
     c = _frozen(objective, 1)
-    b = _frozen(rhs, 1 + lead)
-    if A.ndim not in (2, 2 + lead):
-        raise ValueError("constraint_matrix must be two-dimensional")
+    b = _frozen(rhs, 1)
+    if A.ndim not in (2, 3):
+        raise ValueError("constraint_matrix must be one matrix or a stack of them")
     p, q = A.shape[-2:]
     if p < 1 or q < 1:
         raise ValueError("constraint matrix needs at least one row and one column")
-    k = b.shape[0] if stacked else None
+    k = b.shape[0] if b.ndim == 2 else None
     lo = _frozen(np.zeros(q) if lower_bounds is None else lower_bounds, 1)
     hi = _frozen(np.full(q, np.inf) if upper_bounds is None else upper_bounds, 1)
 
     def fits(arr, ndim, length):
-        # one array, or under ``stacked`` one per program
+        # one array that every program shares, or one per program
         return (arr.shape[-1] == length and (arr.ndim == ndim or (
-            stacked and arr.ndim == ndim + 1 and arr.shape[0] == k)))
+            k is not None and arr.ndim == ndim + 1 and arr.shape[0] == k)))
 
     if not (fits(A, 2, q) and A.shape[-2] == p):
         raise ValueError(f"expected one constraint matrix or {k} of them")
     if not fits(c, 1, q):
         raise ValueError(f"objective has length {c.shape[-1]}, expected {q}")
-    if b.ndim != 1 + lead or b.shape[-1] != p:
+    if b.ndim > 2 or b.shape[-1] != p:
         raise ValueError(f"rhs has length {b.shape[-1]}, expected {p}")
     if not (fits(lo, 1, q) and fits(hi, 1, q)):
         raise ValueError(f"bound vectors must have length {q}")
@@ -198,20 +193,31 @@ def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bound
     return c, A, b, lo, hi
 
 
+# the arrays of a ``LinearProgram``, each with its dimensions in one program
+_ARRAYS = (("objective", 1), ("constraint_matrix", 2), ("rhs", 1),
+           ("lower_bounds", 1), ("upper_bounds", 1))
+
+
 class LinearProgram:
-    """Equality-constrained LP with per-variable bounds, immutable once built.
+    """Equality-constrained LPs with per-variable bounds, immutable once built:
+    one program, or a stack of k programs of one shape and sense.
 
     Parameters
     ----------
     sense : "maximize" or "minimize"
     objective : length-q cost vector
     constraint_matrix : dense p x q matrix of equality rows
-    rhs : length-p right-hand side
+    rhs : length-p right-hand side, or k x p for a stack of k programs
     lower_bounds : length-q vector, default all zeros; -inf entries allowed
     upper_bounds : length-q vector, default all +inf; +inf entries allowed
 
-    Array arguments are copied, except read-only float arrays, which are
-    immutable already and are shared.
+    In a stack, each other array is either the one above, shared by all k
+    programs, or one per program along a leading axis of length k.  Array
+    arguments are copied, except read-only float arrays, which are
+    immutable already and are shared.  ``len`` is the number of programs;
+    indexing with an integer gives one program, with a slice a smaller
+    stack, and iterating gives each program in turn, all sharing this
+    stack's arrays.
     """
 
     def __init__(self, sense, objective, constraint_matrix, rhs,
@@ -219,46 +225,29 @@ class LinearProgram:
         self.sense = sense
         (self.objective, self.constraint_matrix, self.rhs, self.lower_bounds,
          self.upper_bounds) = _checked(sense, objective, constraint_matrix, rhs,
-                                       lower_bounds, upper_bounds, stacked=False)
+                                       lower_bounds, upper_bounds)
 
-    @classmethod
-    def stack(cls, sense, objective, constraint_matrix, rhs,
-              lower_bounds=None, upper_bounds=None) -> list[LinearProgram]:
-        """One program per row of ``rhs``, a k x p array, checked as one.
+    def __len__(self) -> int:
+        return len(self.rhs) if self.rhs.ndim == 2 else 1
 
-        Every other array argument is either one array that all k
-        programs share or a stack of k, one per program along a leading
-        axis (k x q for a vector, k x p x q for the matrix).  The
-        matrices may also come as a sequence of k p x q arrays of one
-        memory order, which each program's matrix then keeps.  The
-        checks are the constructor's, made once over the whole stack;
-        program i then holds read-only views of the checked arrays.
-        """
-        if isinstance(constraint_matrix, (list, tuple)):
-            constraint_matrix = _stacked([np.asarray(matrix, dtype=float)
-                                          for matrix in constraint_matrix])
-            constraint_matrix.setflags(write=False)
-        arrays = _checked(sense, objective, constraint_matrix, rhs,
-                          lower_bounds, upper_bounds, stacked=True)
-        k = arrays[2].shape[0]
-        per_program = [list(arr) if arr.ndim > ndim else [arr] * k
-                       for arr, ndim in zip(arrays, (1, 2, 1, 1, 1))]
-        programs = []
-        for c, A, b, lo, hi in zip(*per_program):
-            program = cls.__new__(cls)
-            program.sense = sense
-            (program.objective, program.constraint_matrix, program.rhs,
-             program.lower_bounds, program.upper_bounds) = c, A, b, lo, hi
-            programs.append(program)
-        return programs
+    def __getitem__(self, index) -> LinearProgram:
+        program = LinearProgram.__new__(LinearProgram)
+        program.sense = self.sense
+        for name, ndim in _ARRAYS:
+            array = getattr(self, name)
+            setattr(program, name, array[index] if array.ndim > ndim else array)
+        return program
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     @property
     def rows(self) -> int:
-        return self.constraint_matrix.shape[0]
+        return self.constraint_matrix.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.constraint_matrix.shape[1]
+        return self.constraint_matrix.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +270,7 @@ class LpSolution:
 
 def solve(lp: LinearProgram, settings: SolverSettings | None = None,
           basis=None) -> LpSolution:
-    """Run the two-phase bounded-variable simplex on ``lp``.
+    """Run the two-phase bounded-variable simplex on ``lp``, one program.
 
     ``basis``, if given, is a starting basis of ``lp.rows`` distinct
     structural column indices (``ValueError`` otherwise); it is used
@@ -295,44 +284,36 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None,
     rather than a property of the problem, and ``LpError`` on any other
     numerical failure.
     """
-    (outcome,) = solve_many([lp], settings, [basis])
+    (outcome,) = solve_many(lp, settings, [basis])
     return unwrap(outcome)
 
 
-def solve_many(programs, settings: SolverSettings | None = None,
+def solve_many(stack: LinearProgram, settings: SolverSettings | None = None,
                bases=None) -> list[LpSolution | LpError]:
-    """Solve every program of ``programs``, in lockstep stacks by shape.
+    """Solve every program of ``stack``, in lockstep.
 
     ``bases``, if given, holds one entry per program: a starting basis
     as for ``solve``, or None.  Returns one outcome per program, in
     order: the ``LpSolution`` that ``solve`` returns for it, or the
-    ``LpError`` that ``solve`` raises.  Programs whose matrices have the
-    same shape and memory order are solved together, in as few stacks of
-    equal size as keep each stack's state within ``_STACK_BYTES``.
+    ``LpError`` that ``solve`` raises.  The programs are solved in as few
+    lockstep stacks of equal size as keep each one's state within
+    ``_STACK_BYTES``.
     """
-    programs = list(programs)
-    bases = [None] * len(programs) if bases is None else list(bases)
-    if len(bases) != len(programs):
-        raise ValueError(f"got {len(bases)} bases for {len(programs)} programs")
+    k = len(stack)
+    bases = [None] * k if bases is None else list(bases)
+    if len(bases) != k:
+        raise ValueError(f"got {len(bases)} bases for {k} programs")
+    if not k:
+        return []
     settings = settings or SolverSettings()
-    shapes: dict[tuple, list[int]] = {}
-    for i, program in enumerate(programs):
-        matrix = program.constraint_matrix
-        # one memory order per stack (see ``_stacked``)
-        shapes.setdefault((matrix.shape, matrix.strides), []).append(i)
-    outcomes: list = [None] * len(programs)
-    for ((p, q), _), members in shapes.items():
-        matrix = programs[members[0]].constraint_matrix
-        shared = all(programs[i].constraint_matrix is matrix for i in members)
-        per_lp = _state_bytes(p, q) + (0 if shared else matrix.nbytes)
-        stacks = -(-len(members) * per_lp // _STACK_BYTES)
-        size = -(-len(members) // stacks)
-        for start in range(0, len(members), size):
-            stack = members[start:start + size]
-            state = _SimplexState([programs[i] for i in stack], settings,
-                                  [bases[i] for i in stack])
-            for i, outcome in zip(stack, state.run()):
-                outcomes[i] = outcome
+    matrix = stack.constraint_matrix
+    per_lp = _state_bytes(stack.rows, stack.cols) + (matrix[0].nbytes if matrix.ndim == 3
+                                                     else 0)
+    size = -(-k // -(-k * per_lp // _STACK_BYTES))
+    outcomes: list = []
+    for start in range(0, k, size):
+        outcomes += _SimplexState(stack[start:start + size], settings,
+                                  bases[start:start + size]).run()
     return outcomes
 
 
@@ -351,7 +332,6 @@ _STATE = (
     (bool, "w", ("free",)),
     (np.float64, "p", ("b", "x_basic")),
     (np.int64, "p", ("basis",)),
-    (np.float64, "", ("sign",)),
     (np.int64, "", ("ids", "iterations", "phase1_iterations", "consec_degenerate")),
     (bool, "", ("bland", "phase1")),
 )
@@ -365,7 +345,7 @@ def _state_bytes(p: int, q: int) -> int:
 
 
 class _SimplexState:
-    """Mutable simplex state of a stack of same-shaped LPs.
+    """Mutable simplex state of the LPs of one ``LinearProgram`` stack.
 
     Each field of ``_STATE`` is an attribute viewing one row of its
     block, so every per-LP array has a leading axis with one row per LP
@@ -381,12 +361,13 @@ class _SimplexState:
     order.  ``A`` is the stack of constraint matrices with the
     artificial columns appended, or one such matrix shared by every LP;
     ``M`` the programs' own matrices and ``c`` their objectives, stacked
-    or shared the same way.
+    or shared the same way: an array of the ``LinearProgram`` with a
+    leading axis is per-LP, one without is shared and gets a leading
+    axis of one.
     """
 
-    def __init__(self, programs, settings: SolverSettings, bases):
-        first = programs[0]
-        k, p, q = len(programs), first.rows, first.cols
+    def __init__(self, lp: LinearProgram, settings: SolverSettings, bases):
+        k, p, q = len(lp), lp.rows, lp.cols
         self.settings = settings
         self.p, self.q = p, q
         self.max_iter = _PIVOTS_PER_DIMENSION * (p + q)
@@ -396,22 +377,15 @@ class _SimplexState:
                        for dtype, width, names in _STATE]
         self._view()
         self.ids[:] = np.arange(k)
-
-        def gathered(name):
-            # one array per LP, or the one that every program shares
-            arrays = [getattr(program, name) for program in programs]
-            shared = all(array is arrays[0] for array in arrays)
-            return arrays[0][None] if shared else _stacked(arrays)
-
-        self.M = gathered("constraint_matrix")
+        self.M, self.c, lo, hi = (
+            array if array.ndim > ndim else array[None]
+            for array, ndim in ((lp.constraint_matrix, 2), (lp.objective, 1),
+                                (lp.lower_bounds, 1), (lp.upper_bounds, 1)))
         self.A = np.empty((self.M.shape[0], p, q + p))
         self.A[:, :, :q] = self.M
         self.A[:, :, q:] = np.eye(p)
-        self.b[:] = gathered("rhs")
-        self.sign[:] = [1.0 if program.sense == "minimize" else -1.0
-                        for program in programs]
-        self.c = gathered("objective")
-        lo, hi = gathered("lower_bounds"), gathered("upper_bounds")
+        self.b[:] = lp.rhs
+        self.sign = 1.0 if lp.sense == "minimize" else -1.0
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         self.x_off[:, :q] = x0
         self.x_basic[:] = self.b - _times(self.M, x0)
@@ -481,7 +455,7 @@ class _SimplexState:
         self.lo[rows, q:] = 0.0
         self.hi[rows, q:] = 0.0
         self.toward[rows, q:] = 0.0
-        self.cost[rows, :q] = self.sign[rows, None] * _lps_of(self.c, rows)
+        self.cost[rows, :q] = self.sign * _lps_of(self.c, rows)
         self.cost[rows, q:] = 0.0
         self.phase1[rows] = False
 
@@ -548,7 +522,7 @@ class _SimplexState:
         if self.ended:
             keep = np.ones(k, dtype=bool)
             keep[self.ended] = False
-            self._drop(keep)
+            self._drop(keep.nonzero()[0])
 
     def _running(self, mask: np.ndarray) -> np.ndarray:
         """Positions of the LPs of ``mask`` that have no outcome yet."""
@@ -659,7 +633,7 @@ class _SimplexState:
             (resid <= tol * (1.0 + np.abs(b))).all(axis=1)])
         failed = np.where(passed.all(axis=0), -1, passed.argmin(axis=0)).tolist()
         values = _dots(_lps_of(self.c, rows), x).tolist()
-        duals = self.sign[rows, None] * y
+        duals = self.sign * y
         for i, check, x_i, value, y_i, iterations, phase1_iterations in zip(
                 rows, failed, x, values, duals, self.iterations[rows].tolist(),
                 self.phase1_iterations[rows].tolist()):
@@ -686,11 +660,15 @@ class _SimplexState:
         self.ended.append(i)
 
     def _drop(self, keep: np.ndarray) -> None:
-        """Keep only the LPs of ``keep``."""
-        self.blocks = [block[:, keep] for block in self.blocks]
+        """Keep only the LPs at the positions ``keep``."""
+        self.blocks = [block.take(keep, axis=1) for block in self.blocks]
         self._view()
-        self.A, self.M, self.c = (_lps_of(self.A, keep), _lps_of(self.M, keep),
-                                  _lps_of(self.c, keep))
+        # ``take`` is quicker than indexing but lays its result out in C
+        # order, as A is laid out and a cost stack is at every caller; M
+        # keeps each program's own order
+        self.A, self.c = (x if x.shape[0] == 1 else x.take(keep, axis=0)
+                          for x in (self.A, self.c))
+        self.M = _lps_of(self.M, keep)
 
 
 # the reasons ``_conclude`` gives for an optimum that fails its checks
@@ -700,17 +678,11 @@ _FAILED_CHECKS = ("non-finite value at claimed optimum",
 
 
 def _lps_of(stack: np.ndarray, rows) -> np.ndarray:
-    """Entries ``rows`` of a per-LP ``stack``, or its one shared entry."""
+    """Entries ``rows`` of a per-LP ``stack``, or its one shared entry.
+    Each entry keeps its memory order: the rounding of a matrix-vector
+    product depends on it, and the kernel checks each LP with its own
+    matrix."""
     return stack if stack.shape[0] == 1 else stack[rows]
-
-
-def _stacked(arrays) -> np.ndarray:
-    """``arrays``, all of one shape and memory order, as one array whose
-    entries keep that order: the rounding of a matrix-vector product
-    depends on it, and the kernel checks each LP with its own matrix."""
-    if arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous:
-        return np.array([array.T for array in arrays]).transpose(0, 2, 1)
-    return np.array(arrays)
 
 
 def _gather(A: np.ndarray, cols: np.ndarray) -> np.ndarray:

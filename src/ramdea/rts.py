@@ -38,11 +38,11 @@ information, and hence the classification, is preserved.
 ``intercept_bounds_many`` solves both ends at a list of anchors with
 one call of the kernel per ``_ANCHORS_PER_CALL`` anchors, and the rare
 zero right-hand-side programs with one more.  The matrices of all of a
-call's anchors are laid out in one array operation, and the programs
-of one anchor share their matrix.  An anchor whose solve fails gets its
-error in place of its interval, and the other anchors' intervals come
-back as if each had been solved alone; ``intercept_bounds`` is the call
-for one anchor, and raises that error.
+call's anchors are laid out in one array operation, and both ends of
+each anchor, in turn, make one stack.  An anchor whose solve fails gets
+its error in place of its interval, and the other anchors' intervals
+come back as if each had been solved alone; ``intercept_bounds`` is the
+call for one anchor, and raises that error.
 """
 
 from __future__ import annotations
@@ -122,13 +122,14 @@ def _envelopment_matrices(dataset, x_hat, y_hat) -> np.ndarray:
     A[:, :s + m, :core] /= row_scale[:, :, None]
     A[:, :s + m, core:] = np.eye(s + m)
     A[:, -1, 1:core] = -1.0
-    A.setflags(write=False)
     return A
 
 
-def _envelopment_programs(matrices: np.ndarray, omega_rhs: float) -> list:
-    """One dual per matrix of ``_envelopment_matrices``, with ``omega_rhs``
-    on its intercept row."""
+def _envelopment_programs(matrices: np.ndarray, omega_rhs) -> LinearProgram:
+    """The stack of duals over ``matrices``, a stack laid out by
+    ``_envelopment_matrices``, with ``omega_rhs`` (one value, or one per
+    matrix) on the intercept row; ``matrices`` is made read-only."""
+    matrices.setflags(write=False)
     k, p, q = matrices.shape
     core = q - p + 1
     cost = np.zeros(q)
@@ -139,8 +140,8 @@ def _envelopment_programs(matrices: np.ndarray, omega_rhs: float) -> list:
     upper[2:core] = 0.0
     rhs = np.zeros((k, p))
     rhs[:, -1] = omega_rhs
-    return LinearProgram.stack("maximize", cost, matrices, rhs, lower_bounds=lower,
-                               upper_bounds=upper)
+    return LinearProgram("maximize", cost, matrices, rhs, lower_bounds=lower,
+                         upper_bounds=upper)
 
 
 def _off_frontier() -> NotOnFrontierError:
@@ -209,9 +210,9 @@ def _intercepts(dataset, points, settings) -> list:
     slacks = np.broadcast_to(np.arange(n + 2, n + 2 + s + m), (k, s + m))
     kept = np.arange(s + m) != s + np.argmax(x_hat, axis=1)[:, None]
     starts = np.hstack([np.broadcast_to([0, 1], (k, 2)), slacks[kept].reshape(k, -1)])
-    programs = [program for ends in zip(_envelopment_programs(matrices, 1.0),
-                                        _envelopment_programs(matrices, -1.0))
-                for program in ends]
+    # the min end (+1 on the intercept row), then the max end (-1), of
+    # each anchor in turn
+    programs = _envelopment_programs(np.repeat(matrices, 2, axis=0), np.tile([1.0, -1.0], k))
     bases = [basis for start, ok in zip(starts, (y_hat.min(axis=1) >= 0.0).tolist())
              for basis in (start if ok else None, None)]
     ends = solve_many(programs, settings, bases)

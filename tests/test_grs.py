@@ -412,7 +412,85 @@ def test_bam_crs_member_can_be_inefficient():
     assert any(not reports[name].efficient for name in members)
 
 
-PAIRS = [(scheme, regime) for regime in dea.REGIMES for scheme in dea.SCHEMES]
+# ram/vrs data with rows rescaled by up to 10^5 (``robustness`` seed 8,
+# small-033)
+RESCALED_VRS = """dmu,in:x1,in:x2,in:x3,out:y1,out:y2,out:y3
+U000,25.399597089555353,0.1245809910903993,71557.94308655764,56.024412882772,0.07878411564457054,0.007190557183099086
+U001,26.445253403180825,0.27528782289574755,79188.2694419286,30.39433087634876,0.025114933291112234,0.0128135305532426
+U002,58.04623485318868,0.6172954465288328,21676.736972823328,78.88963838460694,0.026696031929291243,0.009692708736505934
+U003,74.58137221159124,0.698683647226004,55655.40230839334,9.2600112029984,0.03644016972316305,0.00876322497875354
+U004,99.4446617333302,0.4374566138945807,41452.33662048493,16.422272279749677,0.03541848168348119,0.02147625684462199
+U005,86.02648287577865,0.6476359912898684,49365.80840270754,89.56962549463685,0.08549794610934192,0.031638910372934044
+U006,80.58952495434073,0.7389709667869536,90757.53716751125,22.59268131291354,0.08854150883097787,0.0051289437441902706
+U007,55.37680927476926,0.5877095531904603,45861.112977678364,78.91948981442923,0.09163809991484799,0.007815407043578486
+U008,102.4733581152987,0.592063692935016,14158.784641679678,18.670980587913103,0.027306701865153528,0.028151939249217797
+U009,64.69788417899056,0.30236898718655913,86756.48294443924,55.35104333194907,0.09448314998623393,0.0271835764989531
+U010,32.33643405669549,0.1404475174527533,42481.56067233047,47.98412165872247,0.09161360955803381,0.008688023976983423
+U011,92.23667227885996,0.2884545375503148,76172.92438521757,50.42069256976212,0.08358378735313711,0.02802476199944971
+"""
+
+# ram/crs data with rows rescaled by up to 10^5 (``robustness`` seed 9,
+# small-027)
+RESCALED_CRS = """dmu,in:x1,in:x2,out:y1,out:y2
+U000,455332.0741385892,232.22944462469846,0.2369024396478263,0.00043548280677845947
+U001,464036.3430688045,352.6771209719064,0.3011496650989652,0.00046688830103976716
+U002,151388.3610795423,220.90801868535408,0.04776514434992711,0.0008085484558726769
+U003,169323.78720079642,449.05523832499216,0.14267636082624868,0.00014195605549512197
+U004,189705.77913603163,245.04167945297024,0.19701320236437106,0.0012407035798397714
+U005,378451.240922405,330.25855151167815,0.2521592787326307,0.001259508954758721
+U006,363007.9937312259,644.3141763768431,0.09947360019279468,0.0005839728672126152
+U007,410756.1675430828,280.8065979814529,0.300675493648247,0.0002536411576553478
+U008,50931.787677458466,437.42722313085204,0.2588493566102515,0.0008965414295337328
+U009,327123.1000862658,448.960551355563,0.347204857143176,0.001185327236651639
+U010,272886.28136319487,595.9669074484341,0.33291685939953247,0.001098154193541312
+U011,347881.6465566381,364.92362401358696,0.3262386110420631,0.001345237593443277
+U012,355141.3264410084,303.2036110877378,0.15595191912141085,0.00046446007236471994
+U013,135683.48124107427,111.85797136522692,0.2972313993304499,0.0009465725734089929
+"""
+
+
+@pytest.mark.parametrize("data, regime", [(RESCALED_VRS, "vrs"), (RESCALED_CRS, "crs")],
+                         ids=("ram-vrs", "ram-crs"))
+def test_grs_programs_keep_their_memory_order(data, regime):
+    # A GRS matrix is Fortran-ordered, and a product with it rounds
+    # otherwise than one with a C-ordered copy.  Stacked in C order, the
+    # optimum check of a GRS program on each of these datasets fails.
+    ds = reporting.parse_dataset(data)
+    config = reporting.AnalysisConfig(scheme="ram", regime=regime)
+    reports = reporting.run_analysis(config, ds, stages="grs")
+    assert [report.name for report in reports] == list(ds.names)
+    assert all(report.grs_members is not None for report in reports)
+
+
+# ram/crs data with rows rescaled by up to 10^5 (``robustness`` seed 1,
+# small-015)
+RESCALED_CRS_ABORTING = """dmu,in:x1,in:x2,out:y1,out:y2,out:y3
+U000,108024.99657106306,43542.43547106729,21842.33743473658,1.4676830855645588,0.14874390856865982
+U001,62036.216982853126,182610.7498210786,92285.68790673098,0.9099298915499627,0.06101404259260844
+U002,185982.36639901486,251976.50043804033,140596.98528278386,7.1725145300637525,0.056086017187421885
+U003,173201.40994659183,278336.14007392735,190796.6547893217,5.523169847442309,0.04852961971645374
+U004,160431.2947354733,281516.1630902979,189720.82065297102,4.819456322316048,0.039384126079694194
+U005,316467.61142023915,39073.00038205432,31431.24178000523,2.845380958428423,0.16366039224428922
+U006,73295.64434361133,119567.95894106686,133826.64428006392,1.1202577099434285,0.14868455713603387
+U007,210245.96311233938,69189.46738697888,164937.64925746186,6.514014681310905,0.04607486232763352
+U008,348053.03904016974,135087.19972296775,140179.37338563206,5.193997151665502,0.09747989394256582
+U009,129141.93698316542,238863.10080207878,59500.45333031454,6.732809590058287,0.0910170542573227
+U010,102469.01744490156,148780.86080489325,146830.81761340544,4.428770762477559,0.14440894311109032
+U011,242662.0436488739,258371.812846347,135752.8992773666,7.362520004317447,0.039564210303412915
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=lp.LpError,
+                   reason="the kernel's optimum check is blind to row scale: U008's "
+                          "GRS program fails 'equality row violated at claimed optimum'")
+def test_rescaled_rows_do_not_fail_the_optimum_check():
+    ds = reporting.parse_dataset(RESCALED_CRS_ABORTING)
+    config = reporting.AnalysisConfig(scheme="ram", regime="crs")
+    reports = reporting.run_analysis(config, ds)
+    assert len(reports) == ds.n_dmus
+
+
+PAIRS =[(scheme, regime) for regime in dea.REGIMES for scheme in dea.SCHEMES]
 
 
 @pytest.mark.parametrize("scheme, regime", [pair for pair in PAIRS if pair != ("bam", "crs")])

@@ -318,7 +318,7 @@ def test_ratio_test_passes_over_a_noise_pivot():
     # the large pivot of row 1.
     program = lp.LinearProgram("maximize", [0.0, 0.0, 1.0],
                                [[1.0, 0.0, 1e-9], [0.0, 1.0, 1.0]], [0.0, 1e-10])
-    state = lp._SimplexState([program], lp.SolverSettings(), [[0, 1]])
+    state = lp._SimplexState(program, lp.SolverSettings(), [[0, 1]])
     (step,), (pos,), (hits_upper,) = state._ratio_test(
         np.array([0]), np.array([2]), np.array([1.0]), np.array([[1e-9, 1.0]]))
     assert (pos, hits_upper) == (1, False)
@@ -350,6 +350,25 @@ def mixed_batch(rng):
     return programs, bases
 
 
+def solve_in_stacks(programs, bases):
+    """``lp.solve_many`` of the programs of ``mixed_batch``, one stack per
+    shape and sense; the outcomes in the programs' order.  Their matrices
+    are C-ordered, as ``np.array`` stacks them, so each program's
+    products round as they do when it is solved alone."""
+    groups = {}
+    for i, program in enumerate(programs):
+        groups.setdefault((program.constraint_matrix.shape, program.sense), []).append(i)
+    outcomes = [None] * len(programs)
+    for (_, sense), members in groups.items():
+        stack = lp.LinearProgram(sense, *(
+            np.array([getattr(programs[i], name) for i in members])
+            for name in ("objective", "constraint_matrix", "rhs", "lower_bounds",
+                         "upper_bounds")))
+        for i, outcome in zip(members, lp.solve_many(stack, bases=[bases[i] for i in members])):
+            outcomes[i] = outcome
+    return outcomes
+
+
 def assert_same_outcome(got, alone):
     assert type(got) is type(alone)
     assert (got.status, got.iterations, got.phase1_iterations) \
@@ -364,7 +383,7 @@ def assert_same_outcome(got, alone):
 def test_batch_matches_solving_alone():
     rng = np.random.default_rng(43)
     programs, bases = mixed_batch(rng)
-    outcomes = lp.solve_many(programs, bases=bases)
+    outcomes = solve_in_stacks(programs, bases)
     statuses = set()
     for program, basis, got in zip(programs, bases, outcomes):
         alone = lp.solve(program, basis=basis)
@@ -406,7 +425,7 @@ def test_failures_end_only_their_own_lp(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", marked_singular)
     monkeypatch.setattr(lp, "_PIVOTS_PER_DIMENSION", budget)
-    outcomes = lp.solve_many(programs, bases=bases)
+    outcomes = solve_in_stacks(programs, bases)
     assert type(outcomes[7]) is lp.LpError
     assert str(outcomes[7]) == "singular basis matrix"
     assert type(outcomes[exhausted]) is lp.IterationLimitError

@@ -63,29 +63,29 @@ def stack_layout(k=5, p=2, q=4):
 
 def test_stack_checks_every_program():
     cost, A, rhs, lower, upper = stack_layout()
-    programs = lp.LinearProgram.stack("maximize", cost, A, rhs, lower, upper)
+    programs = lp.LinearProgram("maximize", cost, A, rhs, lower, upper)
     assert len({id(program.constraint_matrix) for program in programs}) == 1
     assert [program.rhs.tolist() for program in programs] == rhs.tolist()
     # one non-finite right-hand side among the shared arrays
     bad = rhs.copy()
     bad[3, 1] = np.inf
     with pytest.raises(ValueError, match="rhs"):
-        lp.LinearProgram.stack("maximize", cost, A, bad, lower, upper)
+        lp.LinearProgram("maximize", cost, A, bad, lower, upper)
     # one program's bounds impossible
     bad = np.tile(lower, (5, 1))
     bad[2, 0] = np.inf
     with pytest.raises(ValueError):
-        lp.LinearProgram.stack("maximize", cost, A, rhs, bad, upper)
+        lp.LinearProgram("maximize", cost, A, rhs, bad, upper)
     # one matrix of the wrong length among per-program matrices
     with pytest.raises(ValueError):
-        lp.LinearProgram.stack("maximize", cost, [A, A, A[:, :3], A, A], rhs, lower, upper)
+        lp.LinearProgram("maximize", cost, [A, A, A[:, :3], A, A], rhs, lower, upper)
     # a stack of costs whose count does not match the programs'
     with pytest.raises(ValueError):
-        lp.LinearProgram.stack("maximize", np.ones((4, 4)), A, rhs, lower, upper)
+        lp.LinearProgram("maximize", np.ones((4, 4)), A, rhs, lower, upper)
 
 
 def test_solve_many_checks_every_basis():
-    programs = lp.LinearProgram.stack("maximize", *stack_layout())
+    programs = lp.LinearProgram("maximize", *stack_layout())
     good = [0, 1]
     for bad in ([0, 1, 2], [1, 1], [0, 4], [0.5, 1.0], [True, False]):
         with pytest.raises(ValueError, match="basis"):

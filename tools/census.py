@@ -1,0 +1,159 @@
+"""Record every LP the program solves on benchmark datasets, and compare two censuses.
+
+Usage (from the repository root):
+
+    python3 tools/census.py --workload many-small --seeds 11-14 \\
+        --src OTHER_CHECKOUT/src --out old.json
+    python3 tools/census.py --workload many-small --seeds 11-14 --out new.json \\
+        --against old.json
+
+Datasets and their runs are those of ``tools/sweep.py`` (same
+``--workload``, ``--seeds`` and ``--src``; every run prints json).  While
+they run, the ``solve_many`` binding of ``ramdea.dea``, ``ramdea.grs`` and
+``ramdea.rts`` is wrapped, and every LP handed to it is recorded: the
+calling stage, a digest of the LP (sense, the shape, memory order and
+bytes of each array, and the starting basis), its outcome (the status,
+or the error's class and text), its pivot and phase-1 pivot counts, and
+the bytes of its objective value, primal and duals (digested).  The
+result is a JSON object ``{dataset: {"exit": exit code, "lps": [record,
+...]}}``, each dataset's records sorted, since the order in which one
+stage hands its LPs to the kernel is not part of what is compared.
+
+With ``--against`` the new census is compared with an earlier one on the
+datasets both hold: the count of datasets whose exit code and LP records
+are all the same is printed, then, for each other dataset, the records
+that only one side holds.  The exit status is then 1 when any dataset
+differs, and 0 otherwise, so a gate of bit-identical solves is the
+command's exit status.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from sweep import ROOT, WORKLOADS, runs, seed_range
+
+STAGES = ("dea", "grs", "rts")
+
+
+def _digest(*parts) -> str:
+    """A short digest of ``parts``; arrays by shape, memory order and bytes."""
+    import numpy as np
+
+    h = hashlib.blake2b(digest_size=12)
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            order = "F" if part.flags.f_contiguous and not part.flags.c_contiguous else "C"
+            part = (part.dtype.str, part.shape, order, part.tobytes())
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def lp_digest(program, basis) -> str:
+    import numpy as np
+
+    return _digest(program.sense, program.objective, program.constraint_matrix,
+                   program.rhs, program.lower_bounds, program.upper_bounds,
+                   None if basis is None else np.asarray(basis, dtype=np.int64))
+
+
+def record(stage: str, program, basis, outcome) -> list:
+    """One LP's census entry."""
+    head = [stage, lp_digest(program, basis)]
+    if isinstance(outcome, Exception):
+        return head + [f"{type(outcome).__name__}: {outcome}", None, None, None, None, None]
+    value = outcome.objective_value
+    return head + [outcome.status, outcome.iterations, outcome.phase1_iterations,
+                   None if value is None else float(value).hex(),
+                   None if outcome.primal is None else _digest(outcome.primal),
+                   None if outcome.duals is None else _digest(outcome.duals)]
+
+
+def install(records: list) -> None:
+    """Wrap each stage's ``solve_many`` so that its LPs land in ``records``."""
+    import importlib
+
+    for stage in STAGES:
+        module = importlib.import_module(f"ramdea.{stage}")
+
+        def recorded(programs, settings=None, bases=None, stage=stage,
+                     solve_many=module.solve_many):
+            outcomes = solve_many(programs, settings, bases)
+            for program, basis, outcome in zip(programs, bases or [None] * len(outcomes),
+                                               outcomes):
+                records.append(record(stage, program, basis, outcome))
+            return outcomes
+
+        module.solve_many = recorded
+
+
+def census(workloads, seeds) -> dict:
+    records: list = []
+    install(records)
+    entries = {}
+    for name, (code, _, _) in runs(workloads, seeds, "json"):
+        entries[name] = {"exit": code, "lps": sorted(records, key=json.dumps)}
+        records.clear()
+    return entries
+
+
+def differences(old: dict, new: dict) -> dict[str, list[str]]:
+    """For each dataset of both censuses that differs, the lines telling how."""
+    found = {}
+    for name in sorted(old.keys() & new.keys()):
+        before, after = old[name], new[name]
+        lines = []
+        if before["exit"] != after["exit"]:
+            lines.append(f"exit code {before['exit']} -> {after['exit']}")
+        counts = collections.Counter(json.dumps(entry) for entry in before["lps"])
+        counts.subtract(json.dumps(entry) for entry in after["lps"])
+        for entry, count in sorted(counts.items()):
+            if count:
+                side = "only earlier" if count > 0 else "only new"
+                lines.append(f"{side} x{abs(count)}: {entry}")
+        if lines:
+            found[name] = lines
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append", required=True,
+                        choices=sorted(WORKLOADS), help="repeatable")
+    parser.add_argument("--seeds", type=seed_range, required=True,
+                        help='e.g. "11", "0-99" or "1,3,5-7"')
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the ramdea package to run")
+    parser.add_argument("--out", required=True, help="where to write the census JSON")
+    parser.add_argument("--against", help="an earlier census to compare with")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, args.src)
+    entries = census(args.workload, args.seeds)
+    Path(args.out).write_text(json.dumps(entries, indent=0), encoding="utf-8")
+    per_stage = collections.Counter(entry[0] for data in entries.values()
+                                    for entry in data["lps"])
+    aborted = sum(data["exit"] != 0 for data in entries.values())
+    print(f"{len(entries)} datasets, {aborted} aborted; LPs "
+          + ", ".join(f"{stage} {per_stage[stage]}" for stage in STAGES))
+    if args.against:
+        old = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        found = differences(old, entries)
+        print(f"same: {len(old.keys() & entries.keys()) - len(found)}, "
+              f"different: {len(found)}")
+        for name, lines in found.items():
+            print(f"  {name}")
+            for line in lines:
+                print(f"    {line}")
+        if found:
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

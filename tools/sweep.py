@@ -65,10 +65,10 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
-def sweep(workloads, seeds, output_format=None) -> dict[str, list]:
+def runs(workloads, seeds, output_format=None):
+    """(dataset, [exit code, stdout, stderr]) of each dataset, run in turn."""
     import ramdea.cli as cli
 
-    results = {}
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "data.csv"
         for name in workloads:
@@ -83,9 +83,8 @@ def sweep(workloads, seeds, output_format=None) -> dict[str, list]:
                     out, err = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = cli.main(argv)
-                    results[f"{name} s{seed} {data.name}"] = [code, out.getvalue(),
-                                                              err.getvalue()]
-    return results
+                    yield f"{name} s{seed} {data.name}", [code, out.getvalue(),
+                                                          err.getvalue()]
 
 
 def _scaled(x: float, y: float) -> float:
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, args.src)
-    results = sweep(args.workload, args.seeds, args.output_format)
+    results = dict(runs(args.workload, args.seeds, args.output_format))
     Path(args.out).write_text(json.dumps(results, indent=0), encoding="utf-8")
     aborted = sum(code != 0 for code, _, _ in results.values())
     print(f"{len(results)} datasets, {aborted} aborted")
