@@ -57,14 +57,17 @@ and always under "crs", where the weight of k is not fixed, the program
 above is solved.
 
 ``identify_grs_many`` does this for a list of scoring results, with one
-call of the kernel per shape of the units' programs.  It lays the
-scoring program out once per call, screens every unit and tests the
-vertex case with array operations over the units, and makes the
-programs of one shape one ``LinearProgram`` stack, whose matrices keep
-the Fortran order that ``np.hstack`` gives them.  A unit whose solve
-fails gets its error in place of its result, and the others' results
-come back as if each unit had been identified alone; ``identify_grs``
-is the call for one unit, and raises that error.
+call of the kernel per row count of the units' programs, which is one
+per regime.  It lays the scoring program out once per call, screens
+every unit and tests the vertex case with array operations over the
+units, and makes the programs of one row count one ``LinearProgram``
+stack.  Each program is padded at its end to the widest one's columns
+with zero columns pinned at zero and priced at zero, which never enter
+the basis, and its matrix is column-major, as ``np.hstack`` lays out
+the blocks of a system.  A unit whose solve fails gets its error in
+place of its result, and the others' results come back as if each unit
+had been identified alone; ``identify_grs`` is the call for one unit,
+and raises that error.
 """
 
 from __future__ import annotations
@@ -144,9 +147,9 @@ def max_support_solution(A, B=None, d=None,
 
 def _max_support_many(systems, settings, support_tol) -> list:
     """``max_support_solution`` of each (A, B, d) of ``systems``, with one
-    call of the kernel per shape of their programs; an error is returned
-    in place of its solution."""
-    matrices, layouts, shapes = [], [], {}
+    call of the kernel per row count of their programs; an error is
+    returned in place of its solution."""
+    matrices, layouts, rows = [], [], {}
     for A, B, d in systems:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         p, q1 = A.shape
@@ -165,44 +168,40 @@ def _max_support_many(systems, settings, support_tol) -> list:
                 raise ValueError(f"d has length {d.shape[0]}, expected {p}")
             cols = np.hstack([A, -d[:, None]])
         k = cols.shape[1]  # q1 plus the normalising column when present
-        matrix = np.hstack([cols, cols, B])
-        # one memory order per stack (see ``_stacked``)
-        shapes.setdefault((matrix.shape, matrix.strides), []).append(len(matrices))
-        matrices.append(matrix)
+        rows.setdefault(p, []).append(len(matrices))
+        matrices.append(np.hstack([cols, cols, B]))
         layouts.append((q1, k, homogeneous))
 
     solutions = [None] * len(systems)
-    for ((p, q), _), members in shapes.items():
+    for p, members in rows.items():
         # the companion of each of a program's k columns is boxed into
-        # [0, 1] and priced at 1; k may differ between programs of a shape
+        # [0, 1] and priced at 1; each program is padded at its end to the
+        # widest one with zero columns pinned at zero, which never enter
+        # the basis
         ks = np.array([layouts[i][1] for i in members])[:, None]
-        companion = (ks <= np.arange(q)) & (np.arange(q) < 2 * ks)
-        cost, upper = np.where(companion, 1.0, 0.0), np.where(companion, 1.0, np.inf)
-        stack = LinearProgram("maximize", cost, _stacked([matrices[i] for i in members]),
-                              np.zeros((len(members), p)), upper_bounds=upper)
-        for i, sol in zip(members, solve_many(stack, settings)):
-            q1, k, homogeneous = layouts[i]
+        widths = np.array([matrices[i].shape[1] for i in members])[:, None]
+        column = np.arange(widths.max())
+        companion = (ks <= column) & (column < 2 * ks)
+        cost = np.where(companion, 1.0, 0.0)
+        upper = np.where(companion, 1.0, np.where(column < widths, np.inf, 0.0))
+        # column-major, as np.hstack lays out a GRS system's blocks: the
+        # kernel checks each optimum with this matrix, and a C-ordered
+        # copy rounds those checks otherwise
+        stack = np.zeros((len(members), column.size, p)).transpose(0, 2, 1)
+        for matrix, i in zip(stack, members):
+            matrix[:, :matrices[i].shape[1]] = matrices[i]
+        stack.setflags(write=False)
+        programs = LinearProgram("maximize", cost, stack, np.zeros((len(members), p)),
+                                 upper_bounds=upper)
+        for i, sol in zip(members, solve_many(programs, settings)):
             if isinstance(sol, LpError):
                 solutions[i] = sol
             elif sol.status != OPTIMAL:
                 solutions[i] = LpError(f"maximal-support program ended {sol.status}")
             else:
-                solutions[i] = _support_point(sol.primal, q1, k, homogeneous, support_tol)
+                solutions[i] = _support_point(sol.primal[:matrices[i].shape[1]],
+                                              *layouts[i], support_tol)
     return solutions
-
-
-def _stacked(matrices) -> np.ndarray:
-    """``matrices``, of one shape and memory order, as one read-only array
-    whose matrices keep that order.  A product with a Fortran-ordered
-    matrix, as ``np.hstack`` of column-indexed blocks gives, rounds
-    otherwise than one with a C-ordered copy, and the kernel checks each
-    optimum with its program's own matrix."""
-    if matrices[0].flags.f_contiguous and not matrices[0].flags.c_contiguous:
-        stack = np.array([matrix.T for matrix in matrices]).transpose(0, 2, 1)
-    else:
-        stack = np.array(matrices)
-    stack.setflags(write=False)
-    return stack
 
 
 def _support_point(primal, q1, k, homogeneous, support_tol):
@@ -249,7 +248,8 @@ def identify_grs_many(dataset: dea.Dataset, ram_results,
                       support_tol: float = SUPPORT_TOL) -> list[GrsResult | RamdeaError]:
     """``identify_grs`` of the unit of each of ``ram_results``.
 
-    The units whose GRS needs a solve share one call of the kernel.
+    The units whose GRS needs a solve share one call of the kernel per
+    regime.
     Returns one entry per result, in order: its ``GrsResult``, or the
     ``RamdeaError`` that ``identify_grs`` raises for it.
     """

@@ -395,6 +395,48 @@ def test_batch_matches_solving_alone():
             if basis is not None} == {True, False}
 
 
+def test_pinned_zero_columns_change_no_optimum():
+    # the programs of each row count and sense padded at their end to the
+    # widest one's columns, with zero columns pinned at zero and priced at
+    # zero, and stacked column-major, as the GRS step stacks its programs
+    rng = np.random.default_rng(61)
+    programs, bases = mixed_batch(rng)
+    groups = {}
+    for i, program in enumerate(programs):
+        groups.setdefault((program.rows, program.sense), []).append(i)
+    for (p, sense), members in groups.items():
+        q = max(programs[i].cols for i in members)
+        matrices = np.zeros((len(members), q, p)).transpose(0, 2, 1)
+        cost, lower, upper = np.zeros((3, len(members), q))
+        for g, i in enumerate(members):
+            own = programs[i].cols
+            matrices[g, :, :own] = programs[i].constraint_matrix
+            cost[g, :own] = programs[i].objective
+            lower[g, :own] = programs[i].lower_bounds
+            upper[g, :own] = programs[i].upper_bounds
+        matrices.setflags(write=False)
+        stack = lp.LinearProgram(sense, cost, matrices,
+                                 np.array([programs[i].rhs for i in members]), lower, upper)
+        for i, got in zip(members, lp.solve_many(stack, bases=[bases[i] for i in members])):
+            program, own = programs[i], programs[i].cols
+            alone = lp.solve(program, basis=bases[i])
+            assert got.status == alone.status
+            if alone.status != lp.OPTIMAL:
+                continue
+            assert not got.primal[own:].any()
+            # the longer rows round the kernel's products otherwise, which
+            # can settle a tie between pivots otherwise; the optimum stays
+            assert got.objective_value == pytest.approx(alone.objective_value,
+                                                        rel=1e-9, abs=1e-9)
+            if not (program.rhs.any() or program.lower_bounds.any()):
+                # a program that starts where it rests, at zero, as a GRS
+                # program does, takes the same pivots to the same bits
+                assert (got.iterations, got.phase1_iterations) \
+                    == (alone.iterations, alone.phase1_iterations)
+                assert np.array_equal(got.primal[:own], alone.primal)
+                assert np.array_equal(got.duals, alone.duals)
+
+
 # an entry no generator above produces; a basis holding it is made singular
 SINGULAR_MARK = 2.75 + 1e-7
 

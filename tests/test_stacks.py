@@ -33,16 +33,32 @@ def forty():
                        rng.uniform(1.0, 10.0, (2, 40)))
 
 
+def kernel_calls(monkeypatch, module):
+    """The stacks handed to ``module.solve_many`` from now on."""
+    stacks = []
+
+    def spy(stack, settings=None, bases=None, solve_many=module.solve_many):
+        stacks.append(stack)
+        return solve_many(stack, settings, bases)
+
+    monkeypatch.setattr(module, "solve_many", spy)
+    return stacks
+
+
 @pytest.mark.parametrize("regime", dea.REGIMES)
 @pytest.mark.parametrize("scheme", dea.SCHEMES)
-def test_batched_stages_equal_single_unit_calls(forty, scheme, regime):
+def test_batched_stages_equal_single_unit_calls(forty, scheme, regime, monkeypatch):
     # bam varies the cost and the pinned slacks by unit, so its programs
     # share only their matrix
     units = range(forty.n_dmus)
     results = dea.evaluate_many(forty, units, scheme, regime)
     for o, result in zip(units, results):
         assert_bitwise(result, dea.evaluate(forty, o, scheme, regime))
-    references = grs.identify_grs_many(forty, results)
+    with monkeypatch.context() as patch:
+        # the GRS programs of every width share one stack
+        stacks = kernel_calls(patch, grs)
+        references = grs.identify_grs_many(forty, results)
+    assert len(stacks) == 1
     for o, reference in zip(units, references):
         assert_bitwise(reference, grs.identify_grs(forty, o, results[o]))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
@@ -53,6 +69,40 @@ def test_batched_stages_equal_single_unit_calls(forty, scheme, regime):
         except lp.RamdeaError as error:
             alone = error
         assert_bitwise(bounds, alone)
+
+
+def random_system(rng, p):
+    """A feasible system (A, B, d) for ``grs.max_support_solution`` with p
+    rows: with or without B, homogeneous or not."""
+    A = rng.uniform(-1.0, 2.0, (p, int(rng.integers(1, 7))))
+    B = None if rng.random() < 0.3 else np.hstack([np.eye(p), -np.eye(p)])[
+        :, rng.random(2 * p) < 0.5]
+    if rng.random() < 0.3:
+        return A, B, None if rng.random() < 0.5 else np.zeros(p)
+    d = A @ (rng.uniform(0.0, 1.0, A.shape[1]) * (rng.random(A.shape[1]) < 0.6))
+    if B is not None:
+        d += B @ rng.uniform(0.0, 1.0, B.shape[1])
+    return A, B, d
+
+
+def test_max_support_stacks_each_row_count_once(monkeypatch):
+    rng = np.random.default_rng(71)
+    systems = [random_system(rng, p) for p in rng.choice([3, 5], 40)]
+    alone = []
+    for A, B, d in systems:
+        try:
+            alone.append(grs.max_support_solution(A, B, d))
+        except lp.RamdeaError as error:
+            alone.append(error)
+    stacks = kernel_calls(monkeypatch, grs)
+    got = grs._max_support_many(systems, None, grs.SUPPORT_TOL)
+    # one stack per row count, its programs padded to its widest
+    assert sorted(stack.rows for stack in stacks) == [3, 5]
+    for stack in stacks:
+        own = [np.flatnonzero(upper)[-1] + 1 for upper in stack.upper_bounds]
+        assert min(own) < max(own) == stack.cols
+    for solution, expected in zip(got, alone):
+        assert_bitwise(solution, expected)
 
 
 def stack_layout(k=5, p=2, q=4):

@@ -11,20 +11,29 @@ Datasets and their runs are those of ``tools/sweep.py`` (same
 ``--workload``, ``--seeds`` and ``--src``; every run prints json).  While
 they run, the ``solve_many`` binding of ``ramdea.dea``, ``ramdea.grs`` and
 ``ramdea.rts`` is wrapped, and every LP handed to it is recorded: the
-calling stage, a digest of the LP (sense, the shape, memory order and
-bytes of each array, and the starting basis), its outcome (the status,
-or the error's class and text), its pivot and phase-1 pivot counts, and
-the bytes of its objective value, primal and duals (digested).  The
-result is a JSON object ``{dataset: {"exit": exit code, "lps": [record,
-...]}}``, each dataset's records sorted, since the order in which one
-stage hands its LPs to the kernel is not part of what is compared.
+calling stage, a digest of the LP (sense, the shape and bytes of each
+array, and the starting basis), the memory order of its constraint
+matrix ("C" or "F"), which decides how its products round, its outcome
+(the status, or the error's class and text), its pivot and phase-1
+pivot counts, and the bytes of its objective value, primal and duals
+(digested).  An LP's trailing padding columns, each pinned at zero with
+zero cost and an all-zero matrix column, are trimmed from it and from
+its primal first, so a program padded to the width of its stack is
+recorded as the program it pads.  ``lp._SimplexState.run`` and
+``_round`` are wrapped too, to count each stage's kernel calls (lockstep
+stacks) and lockstep rounds.  The result is a JSON object ``{dataset:
+{"exit": exit code, "lps": [record, ...], "kernel": {stage: [stacks,
+rounds]}}}``, each dataset's records sorted, since the order in which
+one stage hands its LPs to the kernel is not part of what is compared.
+Each stage's total stacks and rounds are printed.
 
 With ``--against`` the new census is compared with an earlier one on the
-datasets both hold: the count of datasets whose exit code and LP records
-are all the same is printed, then, for each other dataset, the records
-that only one side holds.  The exit status is then 1 when any dataset
-differs, and 0 otherwise, so a gate of bit-identical solves is the
-command's exit status.
+datasets both hold: the earlier census's total stacks and rounds over
+those datasets are printed, then the count of datasets whose exit code
+and LP records are all the same, then, for each other dataset, the
+records that only one side holds.  Stacks and rounds are not compared.
+The exit status is then 1 when any dataset differs, and 0 otherwise, so
+a gate of bit-identical solves is the command's exit status.
 """
 
 from __future__ import annotations
@@ -42,47 +51,67 @@ STAGES = ("dea", "grs", "rts")
 
 
 def _digest(*parts) -> str:
-    """A short digest of ``parts``; arrays by shape, memory order and bytes."""
+    """A short digest of ``parts``; arrays by dtype, shape and bytes."""
     import numpy as np
 
     h = hashlib.blake2b(digest_size=12)
     for part in parts:
         if isinstance(part, np.ndarray):
-            order = "F" if part.flags.f_contiguous and not part.flags.c_contiguous else "C"
-            part = (part.dtype.str, part.shape, order, part.tobytes())
+            part = (part.dtype.str, part.shape, part.tobytes())
         h.update(repr(part).encode())
     return h.hexdigest()
 
 
-def lp_digest(program, basis) -> str:
+def own_columns(program) -> int:
+    """The columns of ``program`` before its trailing padding: columns
+    pinned at zero, with zero cost and an all-zero matrix column."""
     import numpy as np
 
-    return _digest(program.sense, program.objective, program.constraint_matrix,
-                   program.rhs, program.lower_bounds, program.upper_bounds,
+    padding = ((program.lower_bounds == 0.0) & (program.upper_bounds == 0.0)
+               & (program.objective == 0.0) & ~program.constraint_matrix.any(axis=0))
+    own = np.flatnonzero(~padding)
+    return int(own[-1]) + 1 if own.size else 0
+
+
+def lp_digest(program, basis, q: int) -> str:
+    """A digest of ``program``'s first ``q`` columns and ``basis``."""
+    import numpy as np
+
+    return _digest(program.sense, program.objective[:q], program.constraint_matrix[:, :q],
+                   program.rhs, program.lower_bounds[:q], program.upper_bounds[:q],
                    None if basis is None else np.asarray(basis, dtype=np.int64))
 
 
 def record(stage: str, program, basis, outcome) -> list:
-    """One LP's census entry."""
-    head = [stage, lp_digest(program, basis)]
+    """One LP's census entry, without its padding columns."""
+    q = own_columns(program)
+    matrix = program.constraint_matrix
+    order = "F" if matrix.flags.f_contiguous and not matrix.flags.c_contiguous else "C"
+    head = [stage, lp_digest(program, basis, q), order]
     if isinstance(outcome, Exception):
         return head + [f"{type(outcome).__name__}: {outcome}", None, None, None, None, None]
     value = outcome.objective_value
     return head + [outcome.status, outcome.iterations, outcome.phase1_iterations,
                    None if value is None else float(value).hex(),
-                   None if outcome.primal is None else _digest(outcome.primal),
+                   None if outcome.primal is None else _digest(outcome.primal[:q]),
                    None if outcome.duals is None else _digest(outcome.duals)]
 
 
-def install(records: list) -> None:
-    """Wrap each stage's ``solve_many`` so that its LPs land in ``records``."""
+def install(records: list, kernel: dict) -> None:
+    """Wrap each stage's ``solve_many`` so that its LPs land in ``records``,
+    and the kernel so that each stage's stacks and rounds add up in
+    ``kernel[stage]``."""
     import importlib
 
+    from ramdea import lp
+
+    calling = [None]  # the stage whose ``solve_many`` call ran last
     for stage in STAGES:
         module = importlib.import_module(f"ramdea.{stage}")
 
         def recorded(programs, settings=None, bases=None, stage=stage,
                      solve_many=module.solve_many):
+            calling[0] = stage
             outcomes = solve_many(programs, settings, bases)
             for program, basis, outcome in zip(programs, bases or [None] * len(outcomes),
                                                outcomes):
@@ -91,15 +120,39 @@ def install(records: list) -> None:
 
         module.solve_many = recorded
 
+    def counted(method, at):
+        def wrapper(state):
+            kernel[calling[0]][at] += 1
+            return method(state)
+        return wrapper
+
+    lp._SimplexState.run = counted(lp._SimplexState.run, 0)
+    lp._SimplexState._round = counted(lp._SimplexState._round, 1)
+
 
 def census(workloads, seeds) -> dict:
     records: list = []
-    install(records)
+    kernel = {stage: [0, 0] for stage in STAGES}
+    install(records, kernel)
     entries = {}
     for name, (code, _, _) in runs(workloads, seeds, "json"):
-        entries[name] = {"exit": code, "lps": sorted(records, key=json.dumps)}
+        entries[name] = {"exit": code, "lps": sorted(records, key=json.dumps),
+                         "kernel": {stage: list(counts) for stage, counts in kernel.items()}}
         records.clear()
+        for counts in kernel.values():
+            counts[:] = [0, 0]
     return entries
+
+
+def kernel_totals(entries: dict, names) -> str:
+    """Each stage's stacks and rounds, summed over the datasets ``names``."""
+    totals = {stage: [0, 0] for stage in STAGES}
+    for name in names:
+        for stage, (stacks, rounds) in entries[name]["kernel"].items():
+            totals[stage][0] += stacks
+            totals[stage][1] += rounds
+    return ", ".join(f"{stage} {stacks} / {rounds}"
+                     for stage, (stacks, rounds) in totals.items())
 
 
 def differences(old: dict, new: dict) -> dict[str, list[str]]:
@@ -141,8 +194,10 @@ def main(argv=None) -> int:
     aborted = sum(data["exit"] != 0 for data in entries.values())
     print(f"{len(entries)} datasets, {aborted} aborted; LPs "
           + ", ".join(f"{stage} {per_stage[stage]}" for stage in STAGES))
+    print(f"stacks / rounds: {kernel_totals(entries, entries)}")
     if args.against:
         old = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        print(f"earlier stacks / rounds: {kernel_totals(old, old.keys() & entries.keys())}")
         found = differences(old, entries)
         print(f"same: {len(old.keys() & entries.keys()) - len(found)}, "
               f"different: {len(found)}")
