@@ -63,11 +63,10 @@ every unit and tests the vertex case with array operations over the
 units, and makes the programs of one row count one ``LinearProgram``
 stack.  Each program is padded at its end to the widest one's columns
 with zero columns pinned at zero and priced at zero, which never enter
-the basis, and its matrix is column-major, as ``np.hstack`` lays out
-the blocks of a system.  A unit whose solve fails gets its error in
-place of its result, and the others' results come back as if each unit
-had been identified alone; ``identify_grs`` is the call for one unit,
-and raises that error.
+the basis.  A unit whose solve fails gets its error in place of its
+result, and the others' results come back as if each unit had been
+identified alone; ``identify_grs`` is the call for one unit, and raises
+that error.
 """
 
 from __future__ import annotations
@@ -184,10 +183,7 @@ def _max_support_many(systems, settings, support_tol) -> list:
         companion = (ks <= column) & (column < 2 * ks)
         cost = np.where(companion, 1.0, 0.0)
         upper = np.where(companion, 1.0, np.where(column < widths, np.inf, 0.0))
-        # column-major, as np.hstack lays out a GRS system's blocks: the
-        # kernel checks each optimum with this matrix, and a C-ordered
-        # copy rounds those checks otherwise
-        stack = np.zeros((len(members), column.size, p)).transpose(0, 2, 1)
+        stack = np.zeros((len(members), p, column.size))
         for matrix, i in zip(stack, members):
             matrix[:, :matrices[i].shape[1]] = matrices[i]
         stack.setflags(write=False)

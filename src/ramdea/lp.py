@@ -52,27 +52,32 @@ Every pivot factors the basis afresh with numpy's LAPACK solver: a
 solve with the transposed basis gives the row duals for pricing, and one
 solve with the basis itself gives the basic values and the entering
 column together.  A singular basis or a non-finite solve ends that LP
-with ``LpError`` rather than carrying NaN into the result.
+with ``LpError`` rather than carrying NaN into the result.  So does an
+optimum that fails its checks: finite values, bounds held to ``feas_tol``
+and each equality row to ``feas_tol * (1 + |b_i| + max_j |a_ij x_j|)``, a
+backward-error bound that follows the row's own scale (Higham 2002,
+"Accuracy and Stability of Numerical Algorithms", ch. 7).
 
 A ``LinearProgram`` is one program, or a stack of k programs of one
 shape and sense: a k x p right-hand side, and each other array either
 shared by all k or given per program along a leading axis.  It checks
-its arguments once when it is built.  ``solve_many`` advances the
-programs of a stack in lockstep, each pivot round making one stacked
-LAPACK call for all of them, which spreads numpy's per-call overhead
-over the stack.  Every other step works on the whole stack as well,
-with a fixed number of numpy calls: starting from the stack's arrays,
-checking the crash bases and factoring them, the phase-1 verdict, the
-optimum checks and dropping the LPs that are done, whose per-LP state is
-a few blocks of arrays.  A Python loop remains only to build each LP's
-outcome.  A lockstep stack holds as many LPs as fit in
-``_STACK_BYTES``.  Each LP keeps its own basis, phase, Bland switch,
-pivot budget and checks, so it takes the pivots it would take alone,
-and its products are stacks of matrix-vector products, so its numbers
-are bitwise those of a solve on its own; it leaves the stack as soon as
-it concludes or fails, and a failure (a singular basis, an exhausted
-budget, a failed check) ends that LP alone with its typed error.
-``solve`` is a stack of one.
+its arguments once when it is built.  The kernel takes every product
+from its one copy of the matrices, so a caller's array layout changes no
+bit of a result.  ``solve_many`` advances the programs of a stack in
+lockstep, each pivot round making one stacked LAPACK call for all of
+them, which spreads numpy's per-call overhead over the stack.  Every
+other step works on the whole stack as well, with a fixed number of
+numpy calls: starting from the stack's arrays, checking the crash bases
+and factoring them, the phase-1 verdict, the optimum checks and dropping
+the LPs that are done, whose per-LP state is a few blocks of arrays.  A
+Python loop remains only to build each LP's outcome.  A lockstep stack
+holds as many LPs as fit in ``_STACK_BYTES``.  Each LP keeps its own
+basis, phase, Bland switch, pivot budget and checks, so it takes the
+pivots it would take alone, and its products are stacks of matrix-vector
+products, so its numbers are bitwise those of a solve on its own; it
+leaves the stack as soon as it concludes or fails, and a failure (a
+singular basis, an exhausted budget, a failed check) ends that LP alone
+with its typed error.  ``solve`` is a stack of one.
 
 A ``LinearProgram`` is immutable after construction and safe to share
 across concurrent solves; each ``solve`` or ``solve_many`` call owns
@@ -358,12 +363,12 @@ class _SimplexState:
     free one, which ``free`` marks and which may move either way from
     zero).  ``x_off`` holds the resting value of every nonbasic variable
     and zero for the basics; ``x_basic`` holds the basic values in basis
-    order.  ``A`` is the stack of constraint matrices with the
-    artificial columns appended, or one such matrix shared by every LP;
-    ``M`` the programs' own matrices and ``c`` their objectives, stacked
-    or shared the same way: an array of the ``LinearProgram`` with a
-    leading axis is per-LP, one without is shared and gets a leading
-    axis of one.
+    order.  ``A`` is the kernel's one stack of constraint matrices, with
+    the artificial columns appended, and ``c`` the objectives: per-LP
+    when the ``LinearProgram``'s array has a leading axis, else shared
+    under a leading axis of one.  The start, crash and optimum residuals
+    all come from ``A`` with the artificials at zero, and the optimum
+    check scales each row's bound with that row's largest term.
     """
 
     def __init__(self, lp: LinearProgram, settings: SolverSettings, bases):
@@ -377,18 +382,18 @@ class _SimplexState:
                        for dtype, width, names in _STATE]
         self._view()
         self.ids[:] = np.arange(k)
-        self.M, self.c, lo, hi = (
+        M, self.c, lo, hi = (
             array if array.ndim > ndim else array[None]
             for array, ndim in ((lp.constraint_matrix, 2), (lp.objective, 1),
                                 (lp.lower_bounds, 1), (lp.upper_bounds, 1)))
-        self.A = np.empty((self.M.shape[0], p, q + p))
-        self.A[:, :, :q] = self.M
+        self.A = np.empty((M.shape[0], p, q + p))
+        self.A[:, :, :q] = M
         self.A[:, :, q:] = np.eye(p)
         self.b[:] = lp.rhs
         self.sign = 1.0 if lp.sense == "minimize" else -1.0
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         self.x_off[:, :q] = x0
-        self.x_basic[:] = self.b - _times(self.M, x0)
+        self.x_basic[:] = self.b - _times(self.A, self.x_off)
         below = self.x_basic < 0.0
         self.lo[:, :q], self.lo[:, q:] = lo, np.where(below, -np.inf, 0.0)
         self.hi[:, :q], self.hi[:, q:] = hi, np.where(below, 0.0, np.inf)
@@ -432,10 +437,10 @@ class _SimplexState:
         if not valid:
             raise ValueError(f"basis must hold {p} distinct column indices below {q}")
         rows = np.array(rows)
-        x_off = self.x_off[rows, :q]
+        A = _lps_of(self.A, rows)
+        x_off = self.x_off[rows]
         x_off[np.arange(rows.size)[:, None], hints] = 0.0
-        rhs = self.b[rows] - _times(_lps_of(self.M, rows), x_off)
-        x_basic, failed = _solve_stack(_gather(_lps_of(self.A, rows), hints), rhs)
+        x_basic, failed = _solve_stack(_gather(A, hints), self.b[rows] - _times(A, x_off))
         tol = self.settings.feas_tol
         lo, hi = self.lo[rows[:, None], hints], self.hi[rows[:, None], hints]
         # a singular or infeasible hint keeps the artificial start
@@ -620,17 +625,21 @@ class _SimplexState:
         self._start_phase2(rows[infeas <= slack])
 
     def _conclude(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-        """Phase 2 optimal at ``x`` with duals ``y``: check and record each optimum."""
+        """Phase 2 optimal at ``x`` with duals ``y``: check and record each
+        optimum.  ``x`` spans every column; its artificials are zeroed here."""
         tol, q = self.settings.feas_tol, self.q
-        x = x[:, :q]
+        x[:, q:] = 0.0
         b = self.b[rows]
-        resid = np.abs(_times(_lps_of(self.M, rows), x) - b)
+        A = _lps_of(self.A, rows)
+        resid = np.abs(_times(A, x) - b)
+        terms = np.abs(A * x[:, None, :]).max(axis=2)
+        x = x[:, :q]
         # the first of the checks each optimum fails, or -1; phrased so that
         # a NaN anywhere fails every check
         passed = np.array([
             np.isfinite(x).all(axis=1),
             ((x >= self.lo[rows, :q] - tol) & (x <= self.hi[rows, :q] + tol)).all(axis=1),
-            (resid <= tol * (1.0 + np.abs(b))).all(axis=1)])
+            (resid <= tol * (1.0 + np.abs(b) + terms)).all(axis=1)])
         failed = np.where(passed.all(axis=0), -1, passed.argmin(axis=0)).tolist()
         values = _dots(_lps_of(self.c, rows), x).tolist()
         duals = self.sign * y
@@ -663,12 +672,8 @@ class _SimplexState:
         """Keep only the LPs at the positions ``keep``."""
         self.blocks = [block.take(keep, axis=1) for block in self.blocks]
         self._view()
-        # ``take`` is quicker than indexing but lays its result out in C
-        # order, as A is laid out and a cost stack is at every caller; M
-        # keeps each program's own order
         self.A, self.c = (x if x.shape[0] == 1 else x.take(keep, axis=0)
                           for x in (self.A, self.c))
-        self.M = _lps_of(self.M, keep)
 
 
 # the reasons ``_conclude`` gives for an optimum that fails its checks
@@ -678,10 +683,7 @@ _FAILED_CHECKS = ("non-finite value at claimed optimum",
 
 
 def _lps_of(stack: np.ndarray, rows) -> np.ndarray:
-    """Entries ``rows`` of a per-LP ``stack``, or its one shared entry.
-    Each entry keeps its memory order: the rounding of a matrix-vector
-    product depends on it, and the kernel checks each LP with its own
-    matrix."""
+    """Entries ``rows`` of a per-LP ``stack``, or its one shared entry."""
     return stack if stack.shape[0] == 1 else stack[rows]
 
 

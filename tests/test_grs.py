@@ -451,10 +451,11 @@ U013,135683.48124107427,111.85797136522692,0.2972313993304499,0.0009465725734089
 
 @pytest.mark.parametrize("data, regime", [(RESCALED_VRS, "vrs"), (RESCALED_CRS, "crs")],
                          ids=("ram-vrs", "ram-crs"))
-def test_grs_programs_keep_their_memory_order(data, regime):
-    # A GRS matrix is Fortran-ordered, and a product with it rounds
-    # otherwise than one with a C-ordered copy.  Stacked in C order, the
-    # optimum check of a GRS program on each of these datasets fails.
+def test_grs_succeeds_on_rescaled_rows(data, regime):
+    # A GRS program on each of these datasets ends with equality-row
+    # residuals whose size hangs on the last bits of the kernel's
+    # products.  Held to a bound blind to the row's scale, the optimum
+    # check fails it or not depending on how those products round.
     ds = reporting.parse_dataset(data)
     config = reporting.AnalysisConfig(scheme="ram", regime=regime)
     reports = reporting.run_analysis(config, ds, stages="grs")
@@ -480,14 +481,75 @@ U011,242662.0436488739,258371.812846347,135752.8992773666,7.362520004317447,0.03
 """
 
 
-@pytest.mark.xfail(strict=True, raises=lp.LpError,
-                   reason="the kernel's optimum check is blind to row scale: U008's "
-                          "GRS program fails 'equality row violated at claimed optimum'")
-def test_rescaled_rows_do_not_fail_the_optimum_check():
-    ds = reporting.parse_dataset(RESCALED_CRS_ABORTING)
-    config = reporting.AnalysisConfig(scheme="ram", regime="crs")
+# ram/vrs data with rows rescaled by up to 10^5 (``robustness`` seed 9,
+# small-069)
+RESCALED_VRS_ABORTING = """dmu,in:x1,in:x2,in:x3,out:y1,out:y2
+U000,0.3343511166728777,264.29918154484335,198162.43812228096,26076.429883196397,132864.4019391269
+U001,0.6267589474347415,316.3859620565335,84074.11580344242,5372.898415349074,47287.537047924714
+U002,0.6385539110351353,394.07311697300804,47025.686286162985,24335.27331049863,61418.67341310588
+U003,0.6569171822143695,251.59268157608514,83258.8867259846,17961.726146711975,161247.03421126064
+U004,0.3710253080260067,296.37406648593986,90293.3231036063,15471.991883308925,60363.646544653944
+U005,1.0653218089017773,148.7377292061524,223835.4456473061,20257.9698652978,135648.8458033573
+U006,0.808025357087688,119.93666024646906,163370.48455516802,23668.08480381212,92068.80108716234
+U007,1.0331778672612741,292.1385515326031,157723.65409874628,12957.811654287656,169255.36273260345
+"""
+
+# ram/crs data with rows rescaled by up to 10^5 (``robustness`` seed 8,
+# small-135)
+RESCALED_CRS_ABORTING_2 = """dmu,in:x1,in:x2,in:x3,out:y1,out:y2
+U000,2.609235425851022,576804.5761026551,1600.322603446648,3.3622596220139855,41.08662833047066
+U001,1.3438008968572268,880388.76908425,2501.41549372173,3.5335952215693394,77.90221302776514
+U002,7.245509067888965,821799.8064966617,1941.0538669902805,1.7998783677190522,75.12267951905899
+U003,6.898376388668463,554921.4607459087,1183.692783629245,2.865318588672271,61.73752272474021
+U004,5.769164584278642,748178.1638822228,2334.38562730817,1.8160105824998527,38.19933266558856
+U005,11.051324034104812,630015.1879508026,1797.5828265311616,3.846557356214125,64.71441092358631
+U006,9.58317531711289,584328.1217139675,1966.8226947518597,2.8957523700639873,32.78494182727951
+U007,9.17597090734775,874971.4969153485,2096.856329524435,1.342646519168131,57.114296773881954
+U008,3.998583744662717,612817.8432064882,797.5962162745925,1.669947554181039,27.383320100033465
+U009,3.651867350456431,899859.3919527695,1921.0986469026398,3.964840956527617,13.494228129341629
+U010,10.909022906181042,672973.825798213,1812.8114908893883,3.0781794747067646,27.721808529125298
+U011,1.6879286530508262,235738.7637717896,534.1837951341145,1.8039375105034614,43.24217669352814
+U012,5.853895664154105,607385.2130371501,401.91503045574274,0.967575728435811,91.27833241729128
+"""
+
+
+@pytest.mark.parametrize("data, regime", [
+    (RESCALED_CRS_ABORTING, "crs"), (RESCALED_VRS_ABORTING, "vrs"),
+    (RESCALED_CRS_ABORTING_2, "crs")], ids=("s1-015", "s9-069", "s8-135"))
+def test_rescaled_rows_do_not_fail_the_optimum_check(data, regime):
+    # residuals of rounding size on rows of about 1e5 once failed a bound
+    # blind to the row's scale ("equality row violated at claimed optimum")
+    ds = reporting.parse_dataset(data)
+    config = reporting.AnalysisConfig(scheme="ram", regime=regime)
     reports = reporting.run_analysis(config, ds)
-    assert len(reports) == ds.n_dmus
+    assert [report.name for report in reports] == list(ds.names)
+    for o, report in enumerate(reports):
+        expected = [ds.names[j] for j in oracles.oracle_grs(ds, o, dea.evaluate(
+            ds, o, "ram", regime))]
+        assert [name for name, _ in report.grs_members] == expected
+
+
+def test_optimum_check_rejects_a_residual_beyond_its_row_scaled_bound():
+    # x1 + x2 = 1 and 1e5 x1 - 1e5 x3 = 0, optimal at x = (1, 0, 1): the
+    # rows' bounds are 1e-9 (1 + 1 + 1) and 1e-9 (1 + 0 + 1e5)
+    program = lp.LinearProgram("minimize", [1.0, 1.0, 1.0],
+                               [[1.0, 1.0, 0.0], [1e5, 0.0, -1e5]], [1.0, 0.0])
+
+    def concluded(x):
+        state = lp._SimplexState(program, lp.SolverSettings(), [None])
+        state.ended = []
+        # the artificials' entries, the last two, are ignored
+        state._conclude(np.array([0]), np.array([x + [7.0, 7.0]]), np.zeros((1, 2)))
+        return state.outcomes[0]
+
+    assert concluded([1.0, 0.0, 1.0]).status == lp.OPTIMAL
+    # a residual of 1e-7 on the rescaled row is within its bound
+    assert concluded([1.0, 0.0, 1.0 + 1e-12]).status == lp.OPTIMAL
+    # one of 1e-7 on the unit-scale row, or of 1e2 on the rescaled one, is not
+    for x in ([1.0, 1e-7, 1.0], [1.0, 0.0, 1.001]):
+        failed = concluded(x)
+        assert isinstance(failed, lp.LpError)
+        assert str(failed) == "equality row violated at claimed optimum"
 
 
 PAIRS =[(scheme, regime) for regime in dea.REGIMES for scheme in dea.SCHEMES]

@@ -352,9 +352,7 @@ def mixed_batch(rng):
 
 def solve_in_stacks(programs, bases):
     """``lp.solve_many`` of the programs of ``mixed_batch``, one stack per
-    shape and sense; the outcomes in the programs' order.  Their matrices
-    are C-ordered, as ``np.array`` stacks them, so each program's
-    products round as they do when it is solved alone."""
+    shape and sense; the outcomes in the programs' order."""
     groups = {}
     for i, program in enumerate(programs):
         groups.setdefault((program.constraint_matrix.shape, program.sense), []).append(i)
@@ -398,7 +396,7 @@ def test_batch_matches_solving_alone():
 def test_pinned_zero_columns_change_no_optimum():
     # the programs of each row count and sense padded at their end to the
     # widest one's columns, with zero columns pinned at zero and priced at
-    # zero, and stacked column-major, as the GRS step stacks its programs
+    # zero, as the GRS step stacks its programs
     rng = np.random.default_rng(61)
     programs, bases = mixed_batch(rng)
     groups = {}
@@ -406,7 +404,7 @@ def test_pinned_zero_columns_change_no_optimum():
         groups.setdefault((program.rows, program.sense), []).append(i)
     for (p, sense), members in groups.items():
         q = max(programs[i].cols for i in members)
-        matrices = np.zeros((len(members), q, p)).transpose(0, 2, 1)
+        matrices = np.zeros((len(members), p, q))
         cost, lower, upper = np.zeros((3, len(members), q))
         for g, i in enumerate(members):
             own = programs[i].cols
@@ -435,6 +433,25 @@ def test_pinned_zero_columns_change_no_optimum():
                     == (alone.iterations, alone.phase1_iterations)
                 assert np.array_equal(got.primal[:own], alone.primal)
                 assert np.array_equal(got.duals, alone.duals)
+
+
+@pytest.mark.parametrize("seed", [43, 47, 53, 59, 61])
+def test_array_layout_changes_no_bit(seed):
+    # the kernel pivots and checks with its own copy of each matrix, so a
+    # Fortran-ordered, read-only matrix, which a program shares rather
+    # than copies, gives the same pivots and bits as the program's own
+    programs, bases = mixed_batch(np.random.default_rng(seed))
+    for program, basis in zip(programs, bases):
+        matrix = np.asfortranarray(program.constraint_matrix)
+        matrix.setflags(write=False)
+        transposed = lp.LinearProgram(program.sense, program.objective, matrix, program.rhs,
+                                      program.lower_bounds, program.upper_bounds)
+        assert transposed.constraint_matrix is matrix
+        (own,), (got,) = (lp.solve_many(one, bases=[basis]) for one in (program, transposed))
+        if isinstance(own, lp.LpError):
+            assert (type(got), str(got)) == (type(own), str(own))
+        else:
+            assert_same_outcome(got, own)
 
 
 # an entry no generator above produces; a basis holding it is made singular

@@ -274,6 +274,28 @@ def test_translated_data_endpoints_match_highs():
     assert rts.intercept_bounds(ds, anchor) == pytest.approx(expected, abs=1e-6)
 
 
+# additive/vrs data shifted by 1e4 (``robustness`` seed 1, small-001)
+SHIFTED = """dmu,in:x1,out:y1,out:y2
+U000,10009.397119292364,10001.021015159182,10009.807465443739
+U001,10007.363973577707,10005.633655372832,10001.323764062727
+U002,10006.391650460326,10001.0714927376,10009.329969068338
+U003,10009.631841971526,10002.970768495159,10006.793813328854
+U004,10007.793070064805,10001.18154589058,10007.489313826762
+U005,10007.366073694042,10009.022608310805,10008.633459463965
+"""
+
+
+def test_anchors_a_rounding_apart_give_the_same_interval():
+    # two interior projections of U001 with the same members, 1e-11
+    # apart; a bound blind to the rows' scale failed the optimum check
+    # at the first one and not at the second
+    ds = reporting.parse_dataset(SHIFTED)
+    first, second = (rts.intercept_bounds(ds, ([10007.363973577707], outputs)) for outputs in (
+        [10009.005471745171, 10008.634960609614], [10009.005471745182, 10008.634960609605]))
+    assert rts.classify_rts(first) == rts.classify_rts(second)
+    assert first == pytest.approx(second, abs=1e-6)
+
+
 VARIANTS = ("plain", "translated", "rescaled", "negative")
 
 

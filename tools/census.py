@@ -12,14 +12,13 @@ Datasets and their runs are those of ``tools/sweep.py`` (same
 they run, the ``solve_many`` binding of ``ramdea.dea``, ``ramdea.grs`` and
 ``ramdea.rts`` is wrapped, and every LP handed to it is recorded: the
 calling stage, a digest of the LP (sense, the shape and bytes of each
-array, and the starting basis), the memory order of its constraint
-matrix ("C" or "F"), which decides how its products round, its outcome
-(the status, or the error's class and text), its pivot and phase-1
-pivot counts, and the bytes of its objective value, primal and duals
-(digested).  An LP's trailing padding columns, each pinned at zero with
-zero cost and an all-zero matrix column, are trimmed from it and from
-its primal first, so a program padded to the width of its stack is
-recorded as the program it pads.  ``lp._SimplexState.run`` and
+array, and the starting basis), its outcome (the status, or the error's
+class and text), its pivot and phase-1 pivot counts, and the bytes of
+its objective value, primal and duals (digested).  An LP's trailing
+padding columns, each pinned at zero with zero cost and an all-zero
+matrix column, are trimmed from it and from its primal first, so a
+program padded to the width of its stack is recorded as the program it
+pads.  ``lp._SimplexState.run`` and
 ``_round`` are wrapped too, to count each stage's kernel calls (lockstep
 stacks) and lockstep rounds.  The result is a JSON object ``{dataset:
 {"exit": exit code, "lps": [record, ...], "kernel": {stage: [stacks,
@@ -85,9 +84,7 @@ def lp_digest(program, basis, q: int) -> str:
 def record(stage: str, program, basis, outcome) -> list:
     """One LP's census entry, without its padding columns."""
     q = own_columns(program)
-    matrix = program.constraint_matrix
-    order = "F" if matrix.flags.f_contiguous and not matrix.flags.c_contiguous else "C"
-    head = [stage, lp_digest(program, basis, q), order]
+    head = [stage, lp_digest(program, basis, q)]
     if isinstance(outcome, Exception):
         return head + [f"{type(outcome).__name__}: {outcome}", None, None, None, None, None]
     value = outcome.objective_value

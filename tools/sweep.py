@@ -18,10 +18,13 @@ With ``--against`` the new sweep is compared with an earlier one on the
 datasets both hold, and the counts of identical outputs (same exit code
 and stdout), outputs equal within 1e-6 (same text apart from numbers
 that agree to 1e-6, absolute or relative), other differences, newly
-aborting and newly passing datasets are printed, followed by the names of the
-datasets in the last three groups; a newly aborting or newly passing name
-carries the first stderr line of the side that aborts, which names the unit,
-the stage and the cause.  For the "different" datasets whose output is
+aborting and newly passing datasets are printed, then the result of
+``bench/reference.py``'s independent check of each newly passing json
+output (the units it finds wrong and the checks it cannot decide),
+followed by the names of the datasets in the last three groups; a newly
+aborting or newly passing name carries the first stderr line of the side
+that aborts, which names the unit, the stage and the cause, and a checked
+one its reference counts.  For the "different" datasets whose output is
 json on both sides, a contract breakdown follows: how many keep the same
 exit code, efficient flags, GRS member names, face dimensions and RTS
 classes, and rho within 1e-6, how many keep all of these, and the largest
@@ -30,8 +33,8 @@ abort counts of each side per cause, the text after the "[stage]: " tag
 of the first stderr line, and the datasets that abort on both sides with
 a different first stderr line, which names another unit, stage or cause.
 The exit status is then 1 when any dataset is different or newly
-aborting, and 0 otherwise, so an identity gate is the command's exit
-status.
+aborting, or the reference check finds a unit wrong, and 0 otherwise, so
+an identity gate is the command's exit status.
 """
 
 from __future__ import annotations
@@ -65,26 +68,31 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
+def datasets(workloads, seeds):
+    """(name, generated dataset) of each dataset of ``workloads`` and ``seeds``."""
+    for name in workloads:
+        workload = WORKLOADS[name]
+        for seed in seeds:
+            for k in range(workload.count):
+                data = dataset(workload, seed, k)
+                yield f"{name} s{seed} {data.name}", data
+
+
 def runs(workloads, seeds, output_format=None):
     """(dataset, [exit code, stdout, stderr]) of each dataset, run in turn."""
     import ramdea.cli as cli
 
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "data.csv"
-        for name in workloads:
-            workload = WORKLOADS[name]
-            for seed in seeds:
-                for k in range(workload.count):
-                    data = dataset(workload, seed, k)
-                    path.write_text(data.csv_text(), encoding="utf-8")
-                    argv = data.argv(path)
-                    if output_format is not None:
-                        argv[argv.index("--format") + 1] = output_format
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(argv)
-                    yield f"{name} s{seed} {data.name}", [code, out.getvalue(),
-                                                          err.getvalue()]
+        for name, data in datasets(workloads, seeds):
+            path.write_text(data.csv_text(), encoding="utf-8")
+            argv = data.argv(path)
+            if output_format is not None:
+                argv[argv.index("--format") + 1] = output_format
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            yield name, [code, out.getvalue(), err.getvalue()]
 
 
 def _scaled(x: float, y: float) -> float:
@@ -172,6 +180,20 @@ def contract_breakdown(old: dict, new: dict, names) -> str:
         f"largest omega change {omega:.2g}"
 
 
+def reference_checks(workloads, seeds, results: dict, names) -> dict:
+    """``bench/reference.py``'s check of the json output of each of ``names``:
+    {name: (units found wrong, inconclusive checks)}."""
+    from reference import check
+
+    found = {}
+    for name, data in datasets(workloads, seeds):
+        report = _units(results[name][1]) if name in names else None
+        if report is not None:
+            wrong, inconclusive = check(data, report)
+            found[name] = (len(wrong), len(inconclusive))
+    return found
+
+
 def _first_line(run) -> str:
     return run[2].partition("\n")[0]
 
@@ -229,6 +251,12 @@ def main(argv=None) -> int:
         for group, names in groups.items():
             print(f"{group}: {len(names)}")
         print(contract_breakdown(old, results, groups["different"]))
+        checked = reference_checks(args.workload, args.seeds, results,
+                                   set(groups["newly passing"]))
+        wrong = sum(w for w, _ in checked.values())
+        print(f"reference check of {len(checked)} newly passing json outputs: "
+              f"{wrong} units wrong, "
+              f"{sum(i for _, i in checked.values())} checks inconclusive")
         # the side whose run aborted, whose stderr gives the cause
         aborted_in = {"newly aborting": results, "newly passing": old}
         for group in ("different", "newly aborting", "newly passing"):
@@ -237,9 +265,11 @@ def main(argv=None) -> int:
                 if group in aborted_in:
                     cause = aborted_in[group][name][2].partition("\n")[0]
                     line += f"  ({cause})"
+                if name in checked:
+                    line += "  [reference: {} wrong, {} inconclusive]".format(*checked[name])
                 print(line)
         print("\n".join(abort_report(old, results)))
-        if groups["different"] or groups["newly aborting"]:
+        if groups["different"] or groups["newly aborting"] or wrong:
             return 1
     return 0
 
