@@ -60,24 +60,27 @@ backward-error bound that follows the row's own scale (Higham 2002,
 
 A ``LinearProgram`` is one program, or a stack of k programs of one
 shape and sense: a k x p right-hand side, and each other array either
-shared by all k or given per program along a leading axis.  It checks
-its arguments once when it is built.  The kernel takes every product
-from its one copy of the matrices, so a caller's array layout changes no
-bit of a result.  ``solve_many`` advances the programs of a stack in
-lockstep, each pivot round making one stacked LAPACK call for all of
-them, which spreads numpy's per-call overhead over the stack.  Every
-other step works on the whole stack as well, with a fixed number of
-numpy calls: starting from the stack's arrays, checking the crash bases
-and factoring them, the phase-1 verdict, the optimum checks and dropping
-the LPs that are done, whose per-LP state is a few blocks of arrays.  A
-Python loop remains only to build each LP's outcome.  A lockstep stack
-holds as many LPs as fit in ``_STACK_BYTES``.  Each LP keeps its own
-basis, phase, Bland switch, pivot budget and checks, so it takes the
-pivots it would take alone, and its products are stacks of matrix-vector
-products, so its numbers are bitwise those of a solve on its own; it
-leaves the stack as soon as it concludes or fails, and a failure (a
-singular basis, an exhausted budget, a failed check) ends that LP alone
-with its typed error.  ``solve`` is a stack of one.
+shared by all k or given per program along a leading axis.  Its columns
+come in two blocks, optional leading columns and the constraint matrix,
+so programs that differ in a few columns can share all the others.  It
+checks its arguments once when it is built.  The kernel takes every
+product from its one copy of each matrix, [leading | constraint matrix],
+so how a caller splits and lays out its columns changes no bit of a
+result.  ``solve_many`` advances the programs of a stack in lockstep,
+each pivot round making one stacked LAPACK call for all of them, which
+spreads numpy's per-call overhead over the stack.  Every other step
+works on the whole stack as well, with a fixed number of numpy calls:
+starting from the stack's arrays, checking the crash bases and factoring
+them, the phase-1 verdict, the optimum checks and dropping the LPs that
+are done, whose per-LP state is a few blocks of arrays.  A Python loop
+remains only to build each LP's outcome.  A lockstep stack holds as many
+LPs as fit in ``_STACK_BYTES``.  Each LP keeps its own basis, phase,
+Bland switch, pivot budget and checks, so it takes the pivots it would
+take alone, and its products are stacks of matrix-vector products, so
+its numbers are bitwise those of a solve on its own; it leaves the stack
+as soon as it concludes or fails, and a failure (a singular basis, an
+exhausted budget, a failed check) ends that LP alone with its typed
+error.  ``solve`` is a stack of one.
 
 A ``LinearProgram`` is immutable after construction and safe to share
 across concurrent solves; each ``solve`` or ``solve_many`` call owns
@@ -116,7 +119,7 @@ _OPT_TOL = 1e-9
 # Pivot budget of one solve, per row and column of its program.
 _PIVOTS_PER_DIMENSION = 50
 # Most bytes of per-LP state in one lockstep stack: the LPs' state blocks,
-# and their constraint matrices unless they share one.
+# and their columns unless they share both blocks of them.
 _STACK_BYTES = 1 << 23
 
 
@@ -155,7 +158,7 @@ def _frozen(values, ndmin: int) -> np.ndarray:
     return frozen
 
 
-def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bounds):
+def _checked(sense, objective, leading, constraint_matrix, rhs, lower_bounds, upper_bounds):
     """The arguments of ``LinearProgram`` as read-only float arrays, after
     every check."""
     if sense not in ("maximize", "minimize"):
@@ -168,6 +171,8 @@ def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bound
     p, q = A.shape[-2:]
     if p < 1 or q < 1:
         raise ValueError("constraint matrix needs at least one row and one column")
+    L = _frozen(np.zeros((p, 0)) if leading is None else leading, 2)
+    q += L.shape[-1]
     k = b.shape[0] if b.ndim == 2 else None
     lo = _frozen(np.zeros(q) if lower_bounds is None else lower_bounds, 1)
     hi = _frozen(np.full(q, np.inf) if upper_bounds is None else upper_bounds, 1)
@@ -177,15 +182,17 @@ def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bound
         return (arr.shape[-1] == length and (arr.ndim == ndim or (
             k is not None and arr.ndim == ndim + 1 and arr.shape[0] == k)))
 
-    if not (fits(A, 2, q) and A.shape[-2] == p):
-        raise ValueError(f"expected one constraint matrix or {k} of them")
+    for name, M in (("constraint_matrix", A), ("leading_columns", L)):
+        if not (fits(M, 2, M.shape[-1]) and M.shape[-2] == p):
+            raise ValueError(f"expected one {name} or {k} of them, each of {p} rows")
     if not fits(c, 1, q):
         raise ValueError(f"objective has length {c.shape[-1]}, expected {q}")
     if b.ndim > 2 or b.shape[-1] != p:
         raise ValueError(f"rhs has length {b.shape[-1]}, expected {p}")
     if not (fits(lo, 1, q) and fits(hi, 1, q)):
         raise ValueError(f"bound vectors must have length {q}")
-    for name, arr in (("objective", c), ("constraint_matrix", A), ("rhs", b)):
+    for name, arr in (("objective", c), ("leading_columns", L), ("constraint_matrix", A),
+                      ("rhs", b)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} contains non-finite entries")
     if np.isnan(lo).any() or np.isnan(hi).any():
@@ -195,11 +202,11 @@ def _checked(sense, objective, constraint_matrix, rhs, lower_bounds, upper_bound
                          "admits no value")
     if (lo > hi).any():
         raise ValueError("lower bound exceeds upper bound")
-    return c, A, b, lo, hi
+    return c, L, A, b, lo, hi
 
 
 # the arrays of a ``LinearProgram``, each with its dimensions in one program
-_ARRAYS = (("objective", 1), ("constraint_matrix", 2), ("rhs", 1),
+_ARRAYS = (("objective", 1), ("leading_columns", 2), ("constraint_matrix", 2), ("rhs", 1),
            ("lower_bounds", 1), ("upper_bounds", 1))
 
 
@@ -211,10 +218,12 @@ class LinearProgram:
     ----------
     sense : "maximize" or "minimize"
     objective : length-q cost vector
-    constraint_matrix : dense p x q matrix of equality rows
+    constraint_matrix : dense p x q matrix of equality rows, or its last
+        q - r columns when ``leading_columns`` holds the first r
     rhs : length-p right-hand side, or k x p for a stack of k programs
     lower_bounds : length-q vector, default all zeros; -inf entries allowed
     upper_bounds : length-q vector, default all +inf; +inf entries allowed
+    leading_columns : p x r matrix, default p x 0
 
     In a stack, each other array is either the one above, shared by all k
     programs, or one per program along a leading axis of length k.  Array
@@ -226,11 +235,12 @@ class LinearProgram:
     """
 
     def __init__(self, sense, objective, constraint_matrix, rhs,
-                 lower_bounds=None, upper_bounds=None):
+                 lower_bounds=None, upper_bounds=None, leading_columns=None):
         self.sense = sense
-        (self.objective, self.constraint_matrix, self.rhs, self.lower_bounds,
-         self.upper_bounds) = _checked(sense, objective, constraint_matrix, rhs,
-                                       lower_bounds, upper_bounds)
+        (self.objective, self.leading_columns, self.constraint_matrix, self.rhs,
+         self.lower_bounds, self.upper_bounds) = _checked(
+            sense, objective, leading_columns, constraint_matrix, rhs, lower_bounds,
+            upper_bounds)
 
     def __len__(self) -> int:
         return len(self.rhs) if self.rhs.ndim == 2 else 1
@@ -252,7 +262,7 @@ class LinearProgram:
 
     @property
     def cols(self) -> int:
-        return self.constraint_matrix.shape[-1]
+        return self.leading_columns.shape[-1] + self.constraint_matrix.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +271,8 @@ class LpSolution:
 
     ``duals`` holds one multiplier per equality row in the caller's
     sense: the objective's rate of change per unit of that row's
-    right-hand side, so ``objective - duals @ constraint_matrix`` are the
-    reduced costs of the optimal basis.
+    right-hand side, so ``objective - duals @ [leading_columns |
+    constraint_matrix]`` are the reduced costs of the optimal basis.
     """
 
     status: str
@@ -311,9 +321,9 @@ def solve_many(stack: LinearProgram, settings: SolverSettings | None = None,
     if not k:
         return []
     settings = settings or SolverSettings()
-    matrix = stack.constraint_matrix
-    per_lp = _state_bytes(stack.rows, stack.cols) + (matrix[0].nbytes if matrix.ndim == 3
-                                                     else 0)
+    p, q = stack.rows, stack.cols
+    shared = stack.leading_columns.ndim == stack.constraint_matrix.ndim == 2
+    per_lp = _state_bytes(p, q) + (0 if shared else 8 * p * q)
     size = -(-k // -(-k * per_lp // _STACK_BYTES))
     outcomes: list = []
     for start in range(0, k, size):
@@ -363,10 +373,10 @@ class _SimplexState:
     free one, which ``free`` marks and which may move either way from
     zero).  ``x_off`` holds the resting value of every nonbasic variable
     and zero for the basics; ``x_basic`` holds the basic values in basis
-    order.  ``A`` is the kernel's one stack of constraint matrices, with
-    the artificial columns appended, and ``c`` the objectives: per-LP
-    when the ``LinearProgram``'s array has a leading axis, else shared
-    under a leading axis of one.  The start, crash and optimum residuals
+    order.  ``A`` is the kernel's one stack of the programs' matrices,
+    [leading | constraint matrix | artificials], and ``c`` the
+    objectives: per-LP when either block or the objective has a leading
+    axis, else shared under a leading axis of one.  The start, crash and optimum residuals
     all come from ``A`` with the artificials at zero, and the optimum
     check scales each row's bound with that row's largest term.
     """
@@ -382,13 +392,14 @@ class _SimplexState:
                        for dtype, width, names in _STATE]
         self._view()
         self.ids[:] = np.arange(k)
-        M, self.c, lo, hi = (
+        L, M, self.c, lo, hi = (
             array if array.ndim > ndim else array[None]
-            for array, ndim in ((lp.constraint_matrix, 2), (lp.objective, 1),
-                                (lp.lower_bounds, 1), (lp.upper_bounds, 1)))
-        self.A = np.empty((M.shape[0], p, q + p))
-        self.A[:, :, :q] = M
-        self.A[:, :, q:] = np.eye(p)
+            for array, ndim in ((lp.leading_columns, 2), (lp.constraint_matrix, 2),
+                                (lp.objective, 1), (lp.lower_bounds, 1),
+                                (lp.upper_bounds, 1)))
+        r = L.shape[2]
+        self.A = np.empty((max(len(L), len(M)), p, q + p))
+        self.A[:, :, :r], self.A[:, :, r:q], self.A[:, :, q:] = L, M, np.eye(p)
         self.b[:] = lp.rhs
         self.sign = 1.0 if lp.sense == "minimize" else -1.0
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))

@@ -35,14 +35,17 @@ an unbounded endpoint is substituted by -1 or +1, pushed just far
 enough to never cross the finite endpoint.  Either way the sign
 information, and hence the classification, is preserved.
 
-``intercept_bounds_many`` solves both ends at a list of anchors with
-one call of the kernel per ``_ANCHORS_PER_CALL`` anchors, and the rare
-zero right-hand-side programs with one more.  The matrices of all of a
-call's anchors are laid out in one array operation, and both ends of
-each anchor, in turn, make one stack.  An anchor whose solve fails gets
-its error in place of its interval, and the other anchors' intervals
-come back as if each had been solved alone; ``intercept_bounds`` is the
-call for one anchor, and raises that error.
+``intercept_bounds_many`` solves both ends at every anchor with one call
+of the kernel, and the rare zero right-hand-side programs with one more.
+The pi and slack columns are the data's own, so all programs share one
+block of them, built once per call, and each holds only its anchor's
+theta and alpha columns, as its leading columns.  Each multiplier row
+is divided by the data's largest magnitude on it, which for an anchor
+within the data's range, such as an interior projection, is the row's
+largest entry over theta, alpha and pi.  An anchor whose solve fails
+gets its error in place of its interval, and the other anchors'
+intervals come back as if each had been solved alone;
+``intercept_bounds`` is the call for one anchor, and raises that error.
 """
 
 from __future__ import annotations
@@ -79,11 +82,6 @@ RTS_TOL = 1e-6
 # Magnitude reported for an unbounded end of the intercept interval.
 _CLAMP = 1.0
 
-# Anchors per call of the kernel: their programs, each with a matrix of
-# n + m + s + 2 columns, stay in memory until the call returns.
-_ANCHORS_PER_CALL = 32
-
-
 class NotOnFrontierError(RamdeaError):
     """No supporting hyperplane passes through the anchor point."""
 
@@ -92,9 +90,10 @@ class NormalizationUnattainableError(RamdeaError):
     """The anchor's inputs admit no v >= 0 with v . x = 1 (all non-positive)."""
 
 
-def _envelopment_matrices(dataset, x_hat, y_hat) -> np.ndarray:
-    """Constraint matrices of the LP duals of the intercept program, one
-    per anchor (x_hat[i], y_hat[i]); ``x_hat`` is K x m and ``y_hat`` K x s.
+def _envelopment_columns(dataset, x_hat, y_hat):
+    """The columns of the LP duals of the intercept program at the anchors
+    (x_hat[i], y_hat[i]), where ``x_hat`` is K x m and ``y_hat`` K x s:
+    the block every anchor shares, and each anchor's own block.
 
     Each dual maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
     subject to
@@ -105,43 +104,41 @@ def _envelopment_matrices(dataset, x_hat, y_hat) -> np.ndarray:
 
     with theta and alpha free and pi_j <= 0.  A right-hand side of +1 is
     the dual of min w, -1 the dual of max w, and 0 the dual of the bare
-    feasibility question.  Each multiplier row is divided by its largest
-    entry, an exact change of variables that keeps the pi of translated
-    data at the scale of the rows.
+    feasibility question.  Only the theta and alpha columns hold the
+    anchor; the pi and slack columns make the shared block.  Each
+    multiplier row is divided by the data's largest magnitude on it, an
+    exact change of variables that keeps the pi of translated data at the
+    scale of the rows.
     """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    core = 2 + n
-    A = np.zeros((x_hat.shape[0], s + m + 1, core + s + m))
-    A[:, :s, 1] = y_hat
-    A[:, :s, 2:core] = dataset.outputs
-    A[:, s:s + m, 0] = x_hat
-    A[:, s:s + m, 1] = -x_hat
-    A[:, s:s + m, 2:core] = -dataset.inputs
-    row_scale = np.abs(A[:, :s + m, :core]).max(axis=2)
+    data = np.vstack([dataset.outputs, -dataset.inputs])
+    row_scale = np.abs(data).max(axis=1)
     row_scale[row_scale == 0.0] = 1.0
-    A[:, :s + m, :core] /= row_scale[:, :, None]
-    A[:, :s + m, core:] = np.eye(s + m)
-    A[:, -1, 1:core] = -1.0
-    return A
+    shared = np.zeros((s + m + 1, n + s + m))
+    shared[:-1, :n] = data / row_scale[:, None]
+    shared[:-1, n:] = np.eye(s + m)
+    shared[-1, :n] = -1.0
+    shared.setflags(write=False)
+    anchored = np.zeros((x_hat.shape[0], s + m + 1, 2))
+    anchored[:, s:-1, 0] = x_hat / row_scale[s:]
+    anchored[:, :-1, 1] = np.hstack([y_hat, -x_hat]) / row_scale
+    anchored[:, -1, 1] = -1.0
+    return shared, anchored
 
 
-def _envelopment_programs(matrices: np.ndarray, omega_rhs) -> LinearProgram:
-    """The stack of duals over ``matrices``, a stack laid out by
-    ``_envelopment_matrices``, with ``omega_rhs`` (one value, or one per
-    matrix) on the intercept row; ``matrices`` is made read-only."""
-    matrices.setflags(write=False)
-    k, p, q = matrices.shape
-    core = q - p + 1
-    cost = np.zeros(q)
-    cost[0] = 1.0
-    lower = np.zeros(q)
-    upper = np.full(q, np.inf)
-    lower[:core] = -np.inf
-    upper[2:core] = 0.0
+def _envelopment_programs(shared, anchored, omega_rhs) -> LinearProgram:
+    """The stack of duals over the blocks of ``_envelopment_columns``, one
+    per row of ``anchored``, with ``omega_rhs`` (one value, or one per
+    dual) on the intercept row."""
+    k, p, _ = anchored.shape
+    # theta and alpha free, every pi_j <= 0 and every slack >= 0
+    cols = np.arange(2 + shared.shape[1])
+    pi = (cols >= 2) & (cols < cols.size - p + 1)
     rhs = np.zeros((k, p))
     rhs[:, -1] = omega_rhs
-    return LinearProgram("maximize", cost, matrices, rhs, lower_bounds=lower,
-                         upper_bounds=upper)
+    return LinearProgram("maximize", np.where(cols == 0, 1.0, 0.0), shared, rhs,
+                         lower_bounds=np.where(pi | (cols < 2), -np.inf, 0.0),
+                         upper_bounds=np.where(pi, 0.0, np.inf), leading_columns=anchored)
 
 
 def _off_frontier() -> NotOnFrontierError:
@@ -174,17 +171,6 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
     Returns one entry per point, in order: its (omega_min, omega_max),
     or the ``RamdeaError`` that ``intercept_bounds`` raises for it.
     """
-    points = list(points)
-    results = []
-    for start in range(0, len(points), _ANCHORS_PER_CALL):
-        results += _intercepts(dataset, points[start:start + _ANCHORS_PER_CALL], settings)
-    return results
-
-
-def _intercepts(dataset, points, settings) -> list:
-    """``intercept_bounds_many`` of a few points: both ends of every point
-    in one call of the kernel, and the zero right-hand-side programs of
-    the points whose ends are both infeasible in one more."""
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
     results, solvable = [], []
     for point in points:
@@ -204,23 +190,24 @@ def _intercepts(dataset, points, settings) -> list:
         return results
     x_hat = np.array([results[i][0] for i in solvable])
     y_hat = np.array([results[i][1] for i in solvable])
-    matrices = _envelopment_matrices(dataset, x_hat, y_hat)
+    shared, anchored = _envelopment_columns(dataset, x_hat, y_hat)
     # the min end's feasible start (see the module docstring)
     k = len(solvable)
     slacks = np.broadcast_to(np.arange(n + 2, n + 2 + s + m), (k, s + m))
     kept = np.arange(s + m) != s + np.argmax(x_hat, axis=1)[:, None]
     starts = np.hstack([np.broadcast_to([0, 1], (k, 2)), slacks[kept].reshape(k, -1)])
-    # the min end (+1 on the intercept row), then the max end (-1), of
-    # each anchor in turn
-    programs = _envelopment_programs(np.repeat(matrices, 2, axis=0), np.tile([1.0, -1.0], k))
-    bases = [basis for start, ok in zip(starts, (y_hat.min(axis=1) >= 0.0).tolist())
-             for basis in (start if ok else None, None)]
-    ends = solve_many(programs, settings, bases)
+    bases = [start if ok else None
+             for start, ok in zip(starts, (y_hat.min(axis=1) >= 0.0).tolist())]
+    # the min ends (+1 on the intercept row) of every anchor, then the max
+    # ends (-1)
+    programs = _envelopment_programs(shared, np.concatenate([anchored, anchored]),
+                                     np.concatenate([np.ones(k), -np.ones(k)]))
+    ends = solve_many(programs, settings, bases + [None] * k)
 
     unsettled = []
     for g, i in enumerate(solvable):
         bounds = []
-        for omega_rhs, sol in zip((1.0, -1.0), ends[2 * g:2 * g + 2]):
+        for omega_rhs, sol in ((1.0, ends[g]), (-1.0, ends[k + g])):
             if isinstance(sol, LpError):
                 bounds = sol
                 break
@@ -238,7 +225,7 @@ def _intercepts(dataset, points, settings) -> list:
         results[i] = bounds
 
     if unsettled:
-        zero_rhs = _envelopment_programs(matrices[unsettled], 0.0)
+        zero_rhs = _envelopment_programs(shared, anchored[unsettled], 0.0)
         for g, sol in zip(unsettled, solve_many(zero_rhs, settings)):
             if isinstance(sol, LpError):
                 results[solvable[g]] = sol

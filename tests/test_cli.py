@@ -336,9 +336,10 @@ def test_shared_anchor_failure_is_reported_at_its_first_unit(tmp_path, capsys,
     path = tmp_path / "corner.csv"
     path.write_text(CORNER_CSV, encoding="utf-8")
     ds = reporting.parse_dataset(CORNER_CSV)
-    vertex = rts._envelopment_matrices(ds, np.array([[2.0]]), np.array([[4.0]]))[0]
+    # the anchor's programs are the ones holding its theta and alpha columns
+    _, (vertex,) = rts._envelopment_columns(ds, np.array([[2.0]]), np.array([[4.0]]))
     fail_in_kernel(monkeypatch, rts,
-                   lambda program: np.array_equal(program.constraint_matrix, vertex))
+                   lambda program: np.array_equal(program.leading_columns, vertex))
     assert cli.main(["report", "--data", str(path)]) == 2
     assert capsys.readouterr().err == "solver error: B [rts]: injected\n"
     # without B the same anchor's failure belongs to D

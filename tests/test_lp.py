@@ -454,6 +454,70 @@ def test_array_layout_changes_no_bit(seed):
             assert_same_outcome(got, own)
 
 
+def assert_same_result(got, expected):
+    """The same error, or the same outcome to the bit."""
+    if isinstance(expected, lp.LpError):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        assert_same_outcome(got, expected)
+
+
+@pytest.mark.parametrize("shared", ["leading", "matrix", "neither"])
+def test_leading_columns_change_no_bit(shared):
+    # each group of ``mixed_batch`` programs of one shape and sense, its
+    # columns split in two blocks, one of which its programs may share
+    programs, bases = mixed_batch(np.random.default_rng(73))
+    groups = {}
+    for i, program in enumerate(programs):
+        groups.setdefault((program.cols, program.rows, program.sense), []).append(i)
+    for (q, _, sense), members in groups.items():
+        r = q // 2
+        matrices = np.array([programs[i].constraint_matrix for i in members])
+        leading, matrix = matrices[:, :, :r], matrices[:, :, r:]
+        if shared == "leading":
+            leading = matrices[0, :, :r].copy()
+            matrices[:, :, :r] = leading
+        elif shared == "matrix":
+            matrix = matrices[0, :, r:].copy()
+            matrices[:, :, r:] = matrix
+        objective, rhs, lower, upper = (
+            np.array([getattr(programs[i], name) for i in members])
+            for name in ("objective", "rhs", "lower_bounds", "upper_bounds"))
+        split = lp.LinearProgram(sense, objective, matrix, rhs, lower, upper, leading)
+        whole = lp.LinearProgram(sense, objective, matrices, rhs, lower, upper)
+        assert split.cols == whole.cols == q
+        starts = [bases[i] for i in members]
+        expected = lp.solve_many(whole, bases=starts)
+        for got, outcome in zip(lp.solve_many(split, bases=starts), expected):
+            assert_same_result(got, outcome)
+        # one program of the split stack keeps its own columns
+        (alone,) = lp.solve_many(split[-1], bases=starts[-1:])
+        assert_same_result(alone, expected[-1])
+
+
+def test_leading_columns_are_checked():
+    rhs = np.ones((4, 2))
+    program = lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
+                               leading_columns=np.ones((4, 2, 2)))
+    assert (program.rows, program.cols, program[1].leading_columns.shape) == (2, 5, (2, 2))
+    # rows that do not match the matrix's
+    with pytest.raises(ValueError, match="leading_columns"):
+        lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
+                         leading_columns=np.ones((3, 2)))
+    # a non-finite entry
+    with pytest.raises(ValueError, match="leading_columns contains non-finite"):
+        lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
+                         leading_columns=[[1.0, np.nan], [1.0, 1.0]])
+    # three blocks for a stack of four programs
+    with pytest.raises(ValueError, match="leading_columns"):
+        lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
+                         leading_columns=np.ones((3, 2, 2)))
+    # a cost vector that leaves out the leading columns
+    with pytest.raises(ValueError, match="objective"):
+        lp.LinearProgram("maximize", np.ones(3), np.ones((2, 3)), rhs,
+                         leading_columns=np.ones((2, 2)))
+
+
 # an entry no generator above produces; a basis holding it is made singular
 SINGULAR_MARK = 2.75 + 1e-7
 

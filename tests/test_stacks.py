@@ -140,3 +140,30 @@ def test_solve_many_checks_every_basis():
     for bad in ([0, 1, 2], [1, 1], [0, 4], [0.5, 1.0], [True, False]):
         with pytest.raises(ValueError, match="basis"):
             lp.solve_many(programs, bases=[good, None, bad, good, None])
+
+
+def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
+    results = dea.evaluate_many(forty, range(forty.n_dmus))
+    anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
+               for reference in grs.identify_grs_many(forty, results)]
+    alone = []
+    for anchor in anchors:
+        try:
+            alone.append(rts.intercept_bounds(forty, anchor))
+        except lp.RamdeaError as error:
+            alone.append(error)
+    calls = kernel_calls(monkeypatch, rts)
+    # a stack budget small enough to split the call into several stacks
+    stacks = []
+    run = lp._SimplexState.run
+    monkeypatch.setattr(lp._SimplexState, "run",
+                        lambda state: stacks.append(state.ids.size) or run(state))
+    monkeypatch.setattr(lp, "_STACK_BYTES", 50_000)
+    got = rts.intercept_bounds_many(forty, anchors)
+    # both ends of every anchor, then at most the zero right-hand-side
+    # programs of a few
+    assert len(calls[0]) == 2 * len(anchors)
+    assert len(calls) == 1 or (len(calls) == 2 and len(calls[1]) < len(anchors))
+    assert len(stacks) > 2 and sum(stacks) == sum(len(call) for call in calls)
+    for bounds, expected in zip(got, alone):
+        assert_bitwise(bounds, expected)

@@ -9,22 +9,25 @@ Usage (from the repository root):
 
 Datasets and their runs are those of ``tools/sweep.py`` (same
 ``--workload``, ``--seeds`` and ``--src``; every run prints json).  While
-they run, the ``solve_many`` binding of ``ramdea.dea``, ``ramdea.grs`` and
-``ramdea.rts`` is wrapped, and every LP handed to it is recorded: the
-calling stage, a digest of the LP (sense, the shape and bytes of each
-array, and the starting basis), its outcome (the status, or the error's
-class and text), its pivot and phase-1 pivot counts, and the bytes of
-its objective value, primal and duals (digested).  An LP's trailing
-padding columns, each pinned at zero with zero cost and an all-zero
-matrix column, are trimmed from it and from its primal first, so a
-program padded to the width of its stack is recorded as the program it
-pads.  ``lp._SimplexState.run`` and
-``_round`` are wrapped too, to count each stage's kernel calls (lockstep
-stacks) and lockstep rounds.  The result is a JSON object ``{dataset:
-{"exit": exit code, "lps": [record, ...], "kernel": {stage: [stacks,
-rounds]}}}``, each dataset's records sorted, since the order in which
-one stage hands its LPs to the kernel is not part of what is compared.
-Each stage's total stacks and rounds are printed.
+they run, the ``solve_many`` binding of ``ramdea.dea``, ``ramdea.grs``
+and ``ramdea.rts`` is wrapped, and every LP handed to it is recorded:
+the calling stage, a digest of the LP (sense, the shape and bytes of
+each array, and the starting basis), its outcome (the status, or the
+error's class and text), its pivot and phase-1 pivot counts, and the
+bytes of its objective value, primal and duals (digested).  An LP's
+matrix is recorded whole, its leading columns and its constraint matrix
+in one, so a program whose columns are split in two blocks is recorded
+as the same program given as one matrix.  An LP's trailing padding
+columns, each pinned at zero with zero cost and an all-zero matrix
+column, are trimmed from it and from its primal first, so a program
+padded to the width of its stack is recorded as the program it pads.
+``lp._SimplexState.run`` and ``_round`` are wrapped too, to count each
+stage's kernel calls (lockstep stacks) and lockstep rounds.  The result
+is a JSON object ``{dataset: {"exit": exit code, "lps": [record, ...],
+"kernel": {stage: [stacks, rounds]}}}``, each dataset's records sorted,
+since the order in which one stage hands its LPs to the kernel is not
+part of what is compared.  Each stage's total stacks and rounds are
+printed.
 
 With ``--against`` the new census is compared with an earlier one on the
 datasets both hold: the earlier census's total stacks and rounds over
@@ -61,30 +64,43 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-def own_columns(program) -> int:
-    """The columns of ``program`` before its trailing padding: columns
-    pinned at zero, with zero cost and an all-zero matrix column."""
+def full_matrix(program):
+    """The whole matrix of one program: its leading columns, which versions
+    of ``ramdea`` before them lack, then its constraint matrix."""
+    import numpy as np
+
+    leading = getattr(program, "leading_columns", None)
+    return program.constraint_matrix if leading is None else np.hstack(
+        [leading, program.constraint_matrix])
+
+
+def own_columns(program, matrix) -> int:
+    """The columns of ``program``, whose whole matrix is ``matrix``, before
+    its trailing padding: columns pinned at zero, with zero cost and an
+    all-zero matrix column."""
     import numpy as np
 
     padding = ((program.lower_bounds == 0.0) & (program.upper_bounds == 0.0)
-               & (program.objective == 0.0) & ~program.constraint_matrix.any(axis=0))
+               & (program.objective == 0.0) & ~matrix.any(axis=0))
     own = np.flatnonzero(~padding)
     return int(own[-1]) + 1 if own.size else 0
 
 
-def lp_digest(program, basis, q: int) -> str:
-    """A digest of ``program``'s first ``q`` columns and ``basis``."""
+def lp_digest(program, matrix, basis, q: int) -> str:
+    """A digest of the first ``q`` columns of ``program``, whose whole matrix
+    is ``matrix``, and ``basis``."""
     import numpy as np
 
-    return _digest(program.sense, program.objective[:q], program.constraint_matrix[:, :q],
+    return _digest(program.sense, program.objective[:q], matrix[:, :q],
                    program.rhs, program.lower_bounds[:q], program.upper_bounds[:q],
                    None if basis is None else np.asarray(basis, dtype=np.int64))
 
 
 def record(stage: str, program, basis, outcome) -> list:
     """One LP's census entry, without its padding columns."""
-    q = own_columns(program)
-    head = [stage, lp_digest(program, basis, q)]
+    matrix = full_matrix(program)
+    q = own_columns(program, matrix)
+    head = [stage, lp_digest(program, matrix, basis, q)]
     if isinstance(outcome, Exception):
         return head + [f"{type(outcome).__name__}: {outcome}", None, None, None, None, None]
     value = outcome.objective_value
