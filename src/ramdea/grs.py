@@ -56,17 +56,16 @@ summing to at most ``support_tol``) before this is taken; otherwise,
 and always under "crs", where the weight of k is not fixed, the program
 above is solved.
 
-``identify_grs_many`` does this for a list of scoring results, with one
-call of the kernel per row count of the units' programs, which is one
-per regime.  It lays the scoring program out once per call, screens
+``identify_grs_many`` does this for a list of scoring results of one
+scheme and regime, whose programs therefore share one row count, with
+one call of the kernel.  It lays the scoring program out once, screens
 every unit and tests the vertex case with array operations over the
-units, and makes the programs of one row count one ``LinearProgram``
-stack.  Each program is padded at its end to the widest one's columns
-with zero columns pinned at zero and priced at zero, which never enter
-the basis.  A unit whose solve fails gets its error in place of its
-result, and the others' results come back as if each unit had been
-identified alone; ``identify_grs`` is the call for one unit, and raises
-that error.
+units, and makes the programs one ``LinearProgram`` stack.  Each
+program is padded at its end to the widest one's columns with zero
+columns pinned at zero and priced at zero, which never enter the basis.
+A unit whose solve fails gets its error in place of its result, and the
+others' results come back as if each unit had been identified alone;
+``identify_grs`` is the call for one unit, and raises that error.
 """
 
 from __future__ import annotations
@@ -145,10 +144,10 @@ def max_support_solution(A, B=None, d=None,
 
 
 def _max_support_many(systems, settings, support_tol) -> list:
-    """``max_support_solution`` of each (A, B, d) of ``systems``, with one
-    call of the kernel per row count of their programs; an error is
+    """``max_support_solution`` of each (A, B, d) of ``systems``, which
+    share one row count, with one call of the kernel; an error is
     returned in place of its solution."""
-    matrices, layouts, rows = [], [], {}
+    matrices, layouts = [], []
     for A, B, d in systems:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         p, q1 = A.shape
@@ -166,37 +165,33 @@ def _max_support_many(systems, settings, support_tol) -> list:
             if d.shape != (p,):
                 raise ValueError(f"d has length {d.shape[0]}, expected {p}")
             cols = np.hstack([A, -d[:, None]])
-        k = cols.shape[1]  # q1 plus the normalising column when present
-        rows.setdefault(p, []).append(len(matrices))
         matrices.append(np.hstack([cols, cols, B]))
-        layouts.append((q1, k, homogeneous))
+        # k: q1 plus the normalising column when present
+        layouts.append((q1, cols.shape[1], homogeneous))
 
-    solutions = [None] * len(systems)
-    for p, members in rows.items():
-        # the companion of each of a program's k columns is boxed into
-        # [0, 1] and priced at 1; each program is padded at its end to the
-        # widest one with zero columns pinned at zero, which never enter
-        # the basis
-        ks = np.array([layouts[i][1] for i in members])[:, None]
-        widths = np.array([matrices[i].shape[1] for i in members])[:, None]
-        column = np.arange(widths.max())
-        companion = (ks <= column) & (column < 2 * ks)
-        cost = np.where(companion, 1.0, 0.0)
-        upper = np.where(companion, 1.0, np.where(column < widths, np.inf, 0.0))
-        stack = np.zeros((len(members), p, column.size))
-        for matrix, i in zip(stack, members):
-            matrix[:, :matrices[i].shape[1]] = matrices[i]
-        stack.setflags(write=False)
-        programs = LinearProgram("maximize", cost, stack, np.zeros((len(members), p)),
-                                 upper_bounds=upper)
-        for i, sol in zip(members, solve_many(programs, settings)):
-            if isinstance(sol, LpError):
-                solutions[i] = sol
-            elif sol.status != OPTIMAL:
-                solutions[i] = LpError(f"maximal-support program ended {sol.status}")
-            else:
-                solutions[i] = _support_point(sol.primal[:matrices[i].shape[1]],
-                                              *layouts[i], support_tol)
+    # the companion of each of a program's k columns is boxed into [0, 1]
+    # and priced at 1; each program is padded at its end to the widest one
+    # with zero columns pinned at zero, which never enter the basis
+    ks = np.array([k for _, k, _ in layouts])[:, None]
+    widths = np.array([matrix.shape[1] for matrix in matrices])[:, None]
+    column = np.arange(widths.max())
+    companion = (ks <= column) & (column < 2 * ks)
+    upper = np.where(companion, 1.0, np.where(column < widths, np.inf, 0.0))
+    stack = np.zeros((len(matrices), matrices[0].shape[0], column.size))
+    for padded, matrix in zip(stack, matrices):
+        padded[:, :matrix.shape[1]] = matrix
+    stack.setflags(write=False)
+    programs = LinearProgram("maximize", np.where(companion, 1.0, 0.0), stack,
+                             np.zeros(stack.shape[:2]), upper_bounds=upper)
+    solutions = []
+    for sol, matrix, layout in zip(solve_many(programs, settings), matrices, layouts):
+        if isinstance(sol, LpError):
+            solutions.append(sol)
+        elif sol.status != OPTIMAL:
+            solutions.append(LpError(f"maximal-support program ended {sol.status}"))
+        else:
+            solutions.append(_support_point(sol.primal[:matrix.shape[1]], *layout,
+                                            support_tol))
     return solutions
 
 
@@ -242,78 +237,73 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
 def identify_grs_many(dataset: dea.Dataset, ram_results,
                       settings: SolverSettings | None = None,
                       support_tol: float = SUPPORT_TOL) -> list[GrsResult | RamdeaError]:
-    """``identify_grs`` of the unit of each of ``ram_results``.
+    """``identify_grs`` of the unit of each of ``ram_results``, which share
+    one scheme and regime (``ValueError`` names the models otherwise).
 
-    The units whose GRS needs a solve share one call of the kernel per
-    regime.
+    The units whose GRS needs a solve share one call of the kernel.
     Returns one entry per result, in order: its ``GrsResult``, or the
     ``RamdeaError`` that ``identify_grs`` raises for it.
     """
     ram_results = list(ram_results)
+    models = sorted({(r.scheme, r.regime) for r in ram_results})
+    if len(models) > 1:
+        raise ValueError("results of one scheme and regime expected, got "
+                         + ", ".join(f"{scheme}/{regime}" for scheme, regime in models))
+    if not ram_results:
+        return []
+    ((scheme, regime),) = models
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    models: dict[tuple[str, str], list[int]] = {}
-    for i, ram_result in enumerate(ram_results):
-        models.setdefault((ram_result.scheme, ram_result.regime), []).append(i)
-    layouts, systems = [None] * len(ram_results), []
-    for (scheme, regime), positions in models.items():
-        results = [ram_results[i] for i in positions]
-        cost, A, rhs, _, _ = dea._scoring_layout(
-            dataset, [r.dmu_index for r in results], scheme, regime)
-        # the budget row holds the objective at its optimum (scaled by
-        # m+s, as slack_sum is); the units' columns have no budget entry
-        budget = (m + s) * cost
+    cost, A, rhs, _, _ = dea._scoring_layout(
+        dataset, [r.dmu_index for r in ram_results], scheme, regime)
+    # the budget row holds the objective at its optimum (scaled by m+s, as
+    # slack_sum is); the units' columns have no budget entry
+    budget = np.broadcast_to((m + s) * cost, (len(ram_results), cost.shape[-1]))
+    # B: the slack columns whose budget weight is non-zero, the others
+    # being pinned at zero
+    free = budget[:, n:] != 0.0
 
-        # screen the units' columns of the scoring LP with its duals
-        columns = A[:, :n]
-        y = np.array([r.duals for r in results])
-        scale = np.maximum(1.0, np.sqrt(_dots(y, y))[:, None]
-                           * np.linalg.norm(columns, axis=0))
-        kept = -(y[:, None, :] @ columns)[:, 0, :] / scale >= -_SCREEN_TOL
-        kept[~kept.any(axis=1)] = True
+    # screen the units' columns of the scoring LP with its duals
+    columns = A[:, :n]
+    y = np.array([r.duals for r in ram_results])
+    scale = np.maximum(1.0, np.sqrt(_dots(y, y))[:, None] * np.linalg.norm(columns, axis=0))
+    kept = -(y[:, None, :] @ columns)[:, 0, :] / scale >= -_SCREEN_TOL
+    kept[~kept.any(axis=1)] = True
 
-        lambdas = np.array([r.lambdas for r in results])
-        vertex = np.argmax(kept, axis=1)
-        at_vertex = lambdas[np.arange(len(results)), vertex]
-        # the vertex case: the convexity row fixes the one kept unit's
-        # weight at 1 (see the module docstring)
-        vertices = ((regime == "vrs") & (kept.sum(axis=1) == 1)
-                    & (np.abs(at_vertex - 1.0) <= support_tol)
-                    & (lambdas.sum(axis=1) - at_vertex <= support_tol)).tolist()
-        for g, i in enumerate(positions):
-            ram_result = results[g]
-            if vertices[g]:
-                layouts[i] = (ram_result.dmu_index, rhs[g], kept[g], int(vertex[g]), None)
-                continue
-            # A: the kept units' columns; B: the slack columns whose
-            # budget weight is non-zero, the others being pinned at zero
-            system = np.vstack([A, budget if budget.ndim == 1 else budget[g]])
-            free = system[-1, n:] != 0.0
-            layouts[i] = (ram_result.dmu_index, rhs[g], kept[g], None, (len(systems), free))
-            systems.append((system[:, :n][:, kept[g]], system[:, n:][:, free],
-                            np.append(rhs[g], ram_result.slack_sum)))
+    lambdas = np.array([r.lambdas for r in ram_results])
+    vertex = np.argmax(kept, axis=1)
+    at_vertex = lambdas[np.arange(len(ram_results)), vertex]
+    # the vertex case: the convexity row fixes the one kept unit's weight
+    # at 1 (see the module docstring)
+    vertices = ((regime == "vrs") & (kept.sum(axis=1) == 1)
+                & (np.abs(at_vertex - 1.0) <= support_tol)
+                & (lambdas.sum(axis=1) - at_vertex <= support_tol))
+    systems = []
+    for g in np.flatnonzero(~vertices):
+        system = np.vstack([A, budget[g]])
+        systems.append((system[:, :n][:, kept[g]], system[:, n:][:, free[g]],
+                        np.append(rhs[g], ram_results[g].slack_sum)))
+    solutions = iter(_max_support_many(systems, settings, support_tol) if systems else [])
 
-    solutions = _max_support_many(systems, settings, support_tol) if systems else []
     references = []
-    for o, rhs, kept, vertex, solved in layouts:
+    for g, ram_result in enumerate(ram_results):
         weights = np.zeros(n)
-        if vertex is not None:
-            weights[vertex] = 1.0
-            x_hat = dataset.inputs[:, vertex].copy()
-            y_hat = dataset.outputs[:, vertex].copy()
-            s_in, s_out = rhs[:m] - x_hat, y_hat - rhs[m:m + s]
+        if vertices[g]:
+            weights[vertex[g]] = 1.0
+            x_hat = dataset.inputs[:, vertex[g]].copy()
+            y_hat = dataset.outputs[:, vertex[g]].copy()
+            s_in, s_out = rhs[g, :m] - x_hat, y_hat - rhs[g, m:m + s]
         else:
-            at, free = solved
-            solution = solutions[at]
+            solution = next(solutions)
             if isinstance(solution, RamdeaError):
                 references.append(solution)
                 continue
-            weights[kept], v = solution
+            weights[kept[g]], v = solution
             slacks = np.zeros(m + s)
-            slacks[free] = v
+            slacks[free[g]] = v
             s_in, s_out = slacks[:m], slacks[m:]
-            x_hat, y_hat = rhs[:m] - s_in, rhs[m:m + s] + s_out
+            x_hat, y_hat = rhs[g, :m] - s_in, rhs[g, m:m + s] + s_out
         references.append(GrsResult(
-            o=o,
+            o=ram_result.dmu_index,
             weights=weights,
             members=tuple(np.flatnonzero(weights > support_tol).tolist()),
             input_slacks=s_in,

@@ -70,11 +70,12 @@ result.  ``solve_many`` advances the programs of a stack in lockstep,
 each pivot round making one stacked LAPACK call for all of them, which
 spreads numpy's per-call overhead over the stack.  Every other step
 works on the whole stack as well, with a fixed number of numpy calls:
-starting from the stack's arrays, checking the crash bases and factoring
-them, the phase-1 verdict, the optimum checks and dropping the LPs that
-are done, whose per-LP state is a few blocks of arrays.  A Python loop
-remains only to build each LP's outcome.  A lockstep stack holds as many
-LPs as fit in ``_STACK_BYTES``.  Each LP keeps its own basis, phase,
+starting from the stack's arrays, factoring the crash bases (checked
+for every stack before any runs), the phase-1 verdict, the optimum
+checks and dropping the LPs that are done, whose per-LP state is a few
+blocks of arrays.  A Python loop remains only to build each LP's
+outcome.  A lockstep stack holds as many LPs as fit in
+``_STACK_BYTES``.  Each LP keeps its own basis, phase,
 Bland switch, pivot budget and checks, so it takes the pivots it would
 take alone, and its products are stacks of matrix-vector products, so
 its numbers are bitwise those of a solve on its own; it leaves the stack
@@ -310,18 +311,15 @@ def solve_many(stack: LinearProgram, settings: SolverSettings | None = None,
     ``bases``, if given, holds one entry per program: a starting basis
     as for ``solve``, or None.  Returns one outcome per program, in
     order: the ``LpSolution`` that ``solve`` returns for it, or the
-    ``LpError`` that ``solve`` raises.  The programs are solved in as few
-    lockstep stacks of equal size as keep each one's state within
-    ``_STACK_BYTES``.
+    ``LpError`` that ``solve`` raises.  Every basis is checked before
+    any program is solved, in as few lockstep stacks of equal size as
+    keep each one's state within ``_STACK_BYTES``.
     """
-    k = len(stack)
-    bases = [None] * k if bases is None else list(bases)
-    if len(bases) != k:
-        raise ValueError(f"got {len(bases)} bases for {k} programs")
+    k, p, q = len(stack), stack.rows, stack.cols
+    bases = _checked_bases(bases, k, p, q)
     if not k:
         return []
     settings = settings or SolverSettings()
-    p, q = stack.rows, stack.cols
     shared = stack.leading_columns.ndim == stack.constraint_matrix.ndim == 2
     per_lp = _state_bytes(p, q) + (0 if shared else 8 * p * q)
     size = -(-k // -(-k * per_lp // _STACK_BYTES))
@@ -330,6 +328,23 @@ def solve_many(stack: LinearProgram, settings: SolverSettings | None = None,
         outcomes += _SimplexState(stack[start:start + size], settings,
                                   bases[start:start + size]).run()
     return outcomes
+
+
+def _checked_bases(bases, k: int, p: int, q: int) -> list:
+    """``bases``, an integer array or None per program, after every check."""
+    bases = [None] * k if bases is None else [
+        None if basis is None else np.atleast_1d(basis) for basis in bases]
+    if len(bases) != k:
+        raise ValueError(f"got {len(bases)} bases for {k} programs")
+    hints = [basis for basis in bases if basis is not None]
+    # integer dtypes only: 0.7 would truncate to 0, and True read as 1
+    valid = all(hint.shape == (p,) and hint.dtype.kind in "iu" for hint in hints)
+    if valid and hints:
+        ordered = np.sort(hints, axis=1)
+        valid = ordered.min() >= 0 and ordered.max() < q and np.all(np.diff(ordered, axis=1))
+    if not valid:
+        raise ValueError(f"basis must hold {p} distinct column indices below {q}")
+    return bases
 
 
 def unwrap(outcome):
@@ -365,20 +380,21 @@ class _SimplexState:
     Each field of ``_STATE`` is an attribute viewing one row of its
     block, so every per-LP array has a leading axis with one row per LP
     still running.  ``ids`` maps those rows to positions in the
-    programs, and an LP's row is dropped once its outcome is recorded.
-    Columns are the q
-    structural variables, then the p artificials.  ``toward`` tells how
-    a nonbasic variable may move: -1 up from its lower bound, +1 down
-    from its upper bound, 0 not at all (a basic or pinned variable, or a
-    free one, which ``free`` marks and which may move either way from
-    zero).  ``x_off`` holds the resting value of every nonbasic variable
-    and zero for the basics; ``x_basic`` holds the basic values in basis
-    order.  ``A`` is the kernel's one stack of the programs' matrices,
-    [leading | constraint matrix | artificials], and ``c`` the
-    objectives: per-LP when either block or the objective has a leading
-    axis, else shared under a leading axis of one.  The start, crash and optimum residuals
-    all come from ``A`` with the artificials at zero, and the optimum
-    check scales each row's bound with that row's largest term.
+    programs.  In a round, ``live`` marks the LPs with no outcome yet; no
+    other outcome is recorded for the rest, and the round ends by
+    dropping them.  Columns are the q structural variables, then
+    the p artificials.  ``toward`` tells how a nonbasic variable may
+    move: -1 up from its lower bound, +1 down from its upper bound, 0 not
+    at all (a basic or pinned variable, or a free one, which ``free``
+    marks and which may move either way from zero).  ``x_off`` holds the
+    resting value of every nonbasic variable and zero for the basics;
+    ``x_basic`` holds the basic values in basis order.  ``A`` is the
+    kernel's one stack of the programs' matrices, [leading | constraint
+    matrix | artificials], and ``c`` the objectives: per-LP when either
+    block or the objective has a leading axis, else shared under a
+    leading axis of one.  The start, crash and optimum residuals all come
+    from ``A`` with the artificials at zero, and the optimum check scales
+    each row's bound with that row's largest term.
     """
 
     def __init__(self, lp: LinearProgram, settings: SolverSettings, bases):
@@ -408,7 +424,7 @@ class _SimplexState:
         below = self.x_basic < 0.0
         self.lo[:, :q], self.lo[:, q:] = lo, np.where(below, -np.inf, 0.0)
         self.hi[:, :q], self.hi[:, q:] = hi, np.where(below, 0.0, np.inf)
-        free = np.isinf(lo) & np.isinf(hi)
+        free = (lo == -np.inf) & (hi == np.inf)
         self.free[:, :q] = free
         self.any_free = bool(free.any())
         # x0 is the lower bound where that is finite, else the upper one;
@@ -432,21 +448,11 @@ class _SimplexState:
     # -- start ---------------------------------------------------------
 
     def _crash(self, bases) -> None:
-        """Start each LP from its caller's structural basis if that is feasible."""
-        p, q = self.p, self.q
+        """Start each LP from its caller's checked basis, if any and feasible."""
         rows = [i for i, basis in enumerate(bases) if basis is not None]
         if not rows:
             return
-        hints = [np.atleast_1d(bases[i]) for i in rows]
-        # integer dtypes only: 0.7 would truncate to 0, and True read as 1
-        valid = all(hint.shape == (p,) and hint.dtype.kind in "iu" for hint in hints)
-        if valid:
-            hints = np.array(hints)
-            ordered = np.sort(hints, axis=1)
-            valid = (ordered[:, 0].min() >= 0 and ordered[:, -1].max() < q
-                     and np.all(np.diff(ordered, axis=1)))
-        if not valid:
-            raise ValueError(f"basis must hold {p} distinct column indices below {q}")
+        hints = np.array([bases[i] for i in rows])
         rows = np.array(rows)
         A = _lps_of(self.A, rows)
         x_off = self.x_off[rows]
@@ -484,14 +490,12 @@ class _SimplexState:
 
     def _round(self) -> None:
         """One pricing, and one pivot or bound flip, for every running LP."""
-        k = self.ids.size
-        lps = np.arange(k)
-        self.ended = []  # positions of the LPs given their outcome this round
+        lps = np.arange(self.ids.size)
+        self.live = np.ones(lps.size, dtype=bool)  # no outcome yet this round
         A, basis = self.A, self.basis
         basic_cols = _gather(A, basis)
         y, failed = _solve_stack(basic_cols.transpose(0, 2, 1), self.cost[lps[:, None], basis])
-        if failed:
-            self._fail(lps, failed)
+        self._fail(lps, failed)
         j, sigma, improving = self._entering(self.cost - _price(A, y))
         if self.iterations.max() >= self.max_iter:
             for i in self._running(improving & (self.iterations >= self.max_iter)):
@@ -506,44 +510,37 @@ class _SimplexState:
             rhs[:, :, 0] = resid[rows]
             rhs[:, :, 1] = _gather(_lps_of(A, rows), j[rows, None])[:, :, 0]
             solved, failed = _solve_stack(basic_cols[rows], rhs)
-            if failed:
-                rows, solved = self._fail(rows, failed, solved)
+            self._fail(rows, failed)
             self.x_basic[rows] = solved[:, :, 0]
             step, pos, hits_upper = self._ratio_test(rows, j[rows], sigma[rows],
                                                      solved[:, :, 1])
-            unbounded = np.isinf(step)
-            if unbounded.any():
-                for i in rows[unbounded]:
-                    if self.phase1[i]:  # its cost is bounded below by 0
-                        self._record(i, LpError("phase-1 subproblem reported unbounded"))
-                    else:
-                        self._record(i, self._ending(i, UNBOUNDED))
-                bounded = ~unbounded
-                rows, step, pos, hits_upper = (rows[bounded], step[bounded], pos[bounded],
-                                               hits_upper[bounded])
+            for i in rows[(step == np.inf) & self.live[rows]]:
+                if self.phase1[i]:  # its cost is bounded below by 0
+                    self._record(i, LpError("phase-1 subproblem reported unbounded"))
+                else:
+                    self._record(i, self._ending(i, UNBOUNDED))
+            # an LP given its outcome here (a failed solve is zeros) pivots too,
+            # and its state is dropped unread
             self._pivot(rows, j[rows], step, pos, hits_upper)
 
         rows = self._running(~improving)
         if rows.size:
             x_basic, failed = _solve_stack(basic_cols[rows], resid[rows])
-            if failed:
-                rows, x_basic = self._fail(rows, failed, x_basic)
+            self._fail(rows, failed)
             self.x_basic[rows] = x_basic
             x = self.x_off[rows]
             x[np.arange(rows.size)[:, None], self.basis[rows]] = x_basic
-            phase1 = self.phase1[rows]
+            live, phase1 = self.live[rows], self.phase1[rows]
             if phase1.any():
-                self._end_phase1(rows[phase1], x[phase1])
-            self._conclude(rows[~phase1], x[~phase1], y[rows[~phase1]])
-        if self.ended:
-            keep = np.ones(k, dtype=bool)
-            keep[self.ended] = False
-            self._drop(keep.nonzero()[0])
+                self._end_phase1(rows[live & phase1], x[live & phase1])
+            done = live & ~phase1
+            self._conclude(rows[done], x[done], y[rows[done]])
+        if not self.live.all():
+            self._drop(self.live.nonzero()[0])
 
     def _running(self, mask: np.ndarray) -> np.ndarray:
         """Positions of the LPs of ``mask`` that have no outcome yet."""
-        rows = mask.nonzero()[0]
-        return rows[~np.isin(rows, self.ended)] if self.ended else rows
+        return (mask & self.live).nonzero()[0]
 
     def _entering(self, reduced: np.ndarray):
         # gain: how fast the objective falls per unit step of a variable
@@ -665,19 +662,15 @@ class _SimplexState:
         return LpSolution(status, iterations=int(self.iterations[i]),
                           phase1_iterations=int(self.phase1_iterations[i]), **values)
 
-    def _fail(self, lps, failed: dict, solved=None):
-        """End the LPs ``lps[i]`` whose basis solve failed, by ``_solve_stack``;
-        returns the other LPs and their rows of ``solved``."""
+    def _fail(self, lps, failed: dict) -> None:
+        """End the LPs ``lps[i]`` whose basis solve failed, by ``_solve_stack``."""
         for i, reason in failed.items():
             self._record(lps[i], LpError(reason))
-        alive = np.ones(lps.size, dtype=bool)
-        alive[list(failed)] = False
-        return lps[alive], (None if solved is None else solved[alive])
 
     def _record(self, i: int, outcome) -> None:
         """Give LP ``i`` its outcome; it leaves the stack after this round."""
         self.outcomes[self.ids[i]] = outcome
-        self.ended.append(i)
+        self.live[i] = False
 
     def _drop(self, keep: np.ndarray) -> None:
         """Keep only the LPs at the positions ``keep``."""

@@ -177,21 +177,18 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     ``stages`` limits the work: "efficiency" stops after scoring, "grs"
     adds reference sets and faces, "all" adds the scale classification
     (skipped under the "crs" regime, whose class is constant everywhere).
-    Only the reported units are scored.  Each stage calls the kernel
-    once for all its units: ``dea.evaluate_many`` over the reported
-    units, ``grs.identify_grs_many`` over the scored ones and
-    ``rts.intercept_bounds_many`` over the distinct anchors.  The
-    intercept interval depends on the anchor alone, so it is solved once
-    per distinct anchor: every unit whose GRS is the single vertex k
-    anchors at k's own data, as k itself usually does, and shares its
-    interval.
+    Only the reported units are scored.  Each stage makes one call for
+    all its units: ``dea.evaluate_many`` over the reported units,
+    ``grs.identify_grs_many`` over the scored ones and
+    ``rts.intercept_bounds_many`` over their interior projections, which
+    solves each distinct anchor once (every unit whose GRS is the single
+    vertex k anchors at k's own data).
 
     A run raises the error of the first unit, in dataset order, whose
     scoring, GRS or RTS stage fails, as a loop running every stage for a
     unit before the next unit would: each stage runs only for the units
-    before the earlier stages' first failure, and an anchor's failure
-    belongs to the first unit with that anchor.  The error names the
-    unit and the stage.
+    before the earlier stages' first failure.  The error names the unit
+    and the stage.
     """
     if stages not in ("efficiency", "grs", "all"):
         raise ValueError(f"unknown stages {stages!r}")
@@ -233,25 +230,13 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
             report.minimum_face_dimension = grs.minimum_face(dataset, reference)
 
     if stages == "all" and config.regime == "vrs":
-        # distinct anchors by their exact bytes, in the order of the first
-        # unit with each
-        position, anchors, first_unit, anchor_of = {}, [], [], []
-        for i, reference in enumerate(references[:count]):
-            anchor = (reference.interior_projection_inputs,
-                      reference.interior_projection_outputs)
-            key = (anchor[0].tobytes(), anchor[1].tobytes())
-            if key not in position:
-                position[key] = len(anchors)
-                anchors.append(anchor)
-                first_unit.append(i)
-            anchor_of.append(position[key])
-        intervals = rts.intercept_bounds_many(dataset, anchors, settings)
-        failed = _first_error(intervals)
-        if failed < len(anchors):
-            count = first_unit[failed]
-            failure = (count, "rts", intervals[failed])
-        for report, a in zip(reports[:count], anchor_of):
-            omega_min, omega_max = intervals[a]
+        intervals = rts.intercept_bounds_many(dataset, [
+            (reference.interior_projection_inputs, reference.interior_projection_outputs)
+            for reference in references[:count]], settings)
+        if _first_error(intervals) < count:
+            count = _first_error(intervals)
+            failure = (count, "rts", intervals[count])
+        for report, (omega_min, omega_max) in zip(reports[:count], intervals):
             report.rts_class = rts.classify_rts((omega_min, omega_max), config.rts_tol)
             report.omega_min = omega_min
             report.omega_max = omega_max

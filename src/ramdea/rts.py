@@ -35,8 +35,10 @@ an unbounded endpoint is substituted by -1 or +1, pushed just far
 enough to never cross the finite endpoint.  Either way the sign
 information, and hence the classification, is preserved.
 
-``intercept_bounds_many`` solves both ends at every anchor with one call
-of the kernel, and the rare zero right-hand-side programs with one more.
+``intercept_bounds_many`` solves each distinct anchor once, telling
+anchors apart by their exact bytes, and a repeat gets the first's entry.
+It solves both ends at every distinct anchor with one call of the
+kernel, and the rare zero right-hand-side programs with one more.
 The pi and slack columns are the data's own, so all programs share one
 block of them, built once per call, and each holds only its anchor's
 theta and alpha columns, as its leading columns.  Each multiplier row
@@ -169,27 +171,31 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
     """``intercept_bounds`` at each of ``points``.
 
     Returns one entry per point, in order: its (omega_min, omega_max),
-    or the ``RamdeaError`` that ``intercept_bounds`` raises for it.
+    or the ``RamdeaError`` that ``intercept_bounds`` raises for it.  Each
+    distinct point is solved once, and a repeat of it, to the bit, gets
+    the same entry.
     """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    results, solvable = [], []
+    # per distinct anchor, by its exact bytes: its point, then its entry
+    keys, results = [], {}
     for point in points:
         x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
         y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
         if x_hat.shape != (m,) or y_hat.shape != (s,):
             raise ValueError("anchor point does not match the dataset's dimensions")
+        keys.append((x_hat.tobytes(), y_hat.tobytes()))
         if float(x_hat.max()) <= 0.0:
-            results.append(NormalizationUnattainableError(
+            results[keys[-1]] = NormalizationUnattainableError(
                 "anchor inputs are all non-positive; the multiplier normalisation "
                 "v . x = 1 is unattainable and the scale class is undefined here"
-            ))
+            )
         else:
-            solvable.append(len(results))
-            results.append((x_hat, y_hat))
+            results.setdefault(keys[-1], (x_hat, y_hat))
+    solvable = [key for key, entry in results.items() if isinstance(entry, tuple)]
     if not solvable:
-        return results
-    x_hat = np.array([results[i][0] for i in solvable])
-    y_hat = np.array([results[i][1] for i in solvable])
+        return [results[key] for key in keys]
+    x_hat = np.array([results[key][0] for key in solvable])
+    y_hat = np.array([results[key][1] for key in solvable])
     shared, anchored = _envelopment_columns(dataset, x_hat, y_hat)
     # the min end's feasible start (see the module docstring)
     k = len(solvable)
@@ -205,7 +211,7 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
     ends = solve_many(programs, settings, bases + [None] * k)
 
     unsettled = []
-    for g, i in enumerate(solvable):
+    for g, key in enumerate(solvable):
         bounds = []
         for omega_rhs, sol in ((1.0, ends[g]), (-1.0, ends[k + g])):
             if isinstance(sol, LpError):
@@ -222,7 +228,7 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
             # dual with a zero right-hand side is feasible at the origin
             # and unbounded exactly in the second case
             unsettled.append(g)
-        results[i] = bounds
+        results[key] = bounds
 
     if unsettled:
         zero_rhs = _envelopment_programs(shared, anchored[unsettled], 0.0)
@@ -232,8 +238,9 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
             elif sol.status == UNBOUNDED:
                 results[solvable[g]] = _off_frontier()
     tol = (settings or SolverSettings()).feas_tol
-    return [bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, tol)
-            for bounds in results]
+    results = {key: bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, tol)
+               for key, bounds in results.items()}
+    return [results[key] for key in keys]
 
 
 def _interval(omega_min, omega_max, tol):

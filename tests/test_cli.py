@@ -210,20 +210,23 @@ CORNER_CSV = "dmu,in:x,out:y\nA,1,1\nB,2,4\nC,4,5\nD,3,4\nE,3,3.5\nF,2.5,2\n"
 
 def test_intercept_interval_is_solved_once_per_anchor(tmp_path, capsys, monkeypatch):
     direct = rts.intercept_bounds
-    direct_many = rts.intercept_bounds_many
-    anchors = []
+    solve_many = rts.solve_many
+    programs = []
 
-    def spy(dataset, points, settings=None):
-        anchors.extend((point[0].tobytes(), point[1].tobytes()) for point in points)
-        return direct_many(dataset, points, settings)
+    def spy(stack, settings=None, bases=None):
+        programs.extend(stack)
+        return solve_many(stack, settings, bases)
 
-    monkeypatch.setattr(rts, "intercept_bounds_many", spy)
-    reports = analyse(CORNER_CSV)
+    with monkeypatch.context() as patch:
+        patch.setattr(rts, "solve_many", spy)
+        reports = analyse(CORNER_CSV)
     points = [(np.array(list(r.projection_inputs.values())),
                np.array(list(r.projection_outputs.values()))) for r in reports]
-    # every distinct anchor solved exactly once: A, C, and B for B, D, E and F
-    assert sorted(anchors) == sorted({(x.tobytes(), y.tobytes()) for x, y in points})
-    assert len(anchors) == 3
+    # both ends of every distinct anchor solved exactly once: A, C, and B
+    # for B, D, E and F
+    assert len({(x.tobytes(), y.tobytes()) for x, y in points}) == 3
+    assert len(programs) == 6
+    assert len({program.leading_columns.tobytes() for program in programs}) == 3
 
     dataset = reporting.parse_dataset(CORNER_CSV)
     for report, point in zip(reports, points):

@@ -537,7 +537,7 @@ def test_optimum_check_rejects_a_residual_beyond_its_row_scaled_bound():
 
     def concluded(x):
         state = lp._SimplexState(program, lp.SolverSettings(), [None])
-        state.ended = []
+        state.live = np.ones(1, dtype=bool)
         # the artificials' entries, the last two, are ignored
         state._conclude(np.array([0]), np.array([x + [7.0, 7.0]]), np.zeros((1, 2)))
         return state.outcomes[0]

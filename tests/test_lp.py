@@ -561,6 +561,70 @@ def test_failures_end_only_their_own_lp(monkeypatch):
             assert_same_outcome(got, expected)
 
 
+
+@pytest.mark.parametrize("solve", ["improving", "ending phase 1", "concluding"])
+def test_a_solve_failing_mid_round_ends_only_its_lp(solve, monkeypatch):
+    # one LP of a stack fails, as on a singular basis, at the solve of its
+    # basic values with the entering column in phase 2, or at the solve
+    # that ends its phase 1 or concludes it
+    programs, bases = mixed_batch(np.random.default_rng(83))
+    alone = [lp.solve(program, basis=basis) for program, basis in zip(programs, bases)]
+    groups = {}
+    for i, program in enumerate(programs):
+        groups.setdefault((program.constraint_matrix.shape, program.sense), []).append(i)
+    # an LP with both phases and another of its stack at its pace, so that
+    # the two share every solve of their rounds
+    pace = [(sol.status, sol.iterations, sol.phase1_iterations) for sol in alone]
+    members, chosen = next((members, i) for members in groups.values() for i in members
+                           if pace[i][0] == lp.OPTIMAL and pace[i][1] > pace[i][2] > 0
+                           and [pace[j] for j in members].count(pace[i]) > 1)
+    program = programs[chosen]
+    seen = {"state": None, "rows": None, "solves": 0, "failed": None}
+    real_round, real_running = lp._SimplexState._round, lp._SimplexState._running
+    real_solve = lp._solve_stack
+
+    def round_(state):
+        seen["state"], seen["solves"] = state, 0
+        real_round(state)
+        seen["state"] = None
+
+    def running(state, mask):
+        seen["rows"] = real_running(state, mask)
+        return seen["rows"]
+
+    def solve_stack(matrices, rhs):
+        solved, failed = real_solve(matrices, rhs)
+        state = seen["state"]
+        if state is None or seen["failed"] is not None:
+            return solved, failed
+        seen["solves"] += 1
+        if seen["solves"] == 1 or (state.p, state.q, state.sign) != (
+                program.rows, program.cols, 1.0 if program.sense == "minimize" else -1.0):
+            return solved, failed
+        (at,) = np.flatnonzero(state.ids == members.index(chosen))
+        rows = seen["rows"]
+        which = ("improving" if rhs.ndim == 3
+                 else "ending phase 1" if state.phase1[at] else "concluding")
+        if which == solve and at in rows and not (solve == "improving" and state.phase1[at]):
+            row = int(np.flatnonzero(rows == at)[0])
+            failed[row] = "injected failure"
+            solved[row] = 0.0
+            seen["failed"] = len(rows)
+        return solved, failed
+
+    monkeypatch.setattr(lp._SimplexState, "_round", round_)
+    monkeypatch.setattr(lp._SimplexState, "_running", running)
+    monkeypatch.setattr(lp, "_solve_stack", solve_stack)
+    outcomes = solve_in_stacks(programs, bases)
+    # the failure struck in a solve that other LPs of the stack shared
+    assert seen["failed"] > 1
+    assert type(outcomes[chosen]) is lp.LpError
+    assert str(outcomes[chosen]) == "injected failure"
+    for i, (got, expected) in enumerate(zip(outcomes, alone)):
+        if i != chosen:
+            assert_same_outcome(got, expected)
+
+
 def test_import_does_not_load_scipy():
     # scipy backs only the test oracles; importing it would triple start-up
     src = Path(lp.__file__).resolve().parents[1]

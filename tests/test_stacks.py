@@ -87,7 +87,7 @@ def random_system(rng, p):
 
 def test_max_support_stacks_each_row_count_once(monkeypatch):
     rng = np.random.default_rng(71)
-    systems = [random_system(rng, p) for p in rng.choice([3, 5], 40)]
+    systems = [random_system(rng, 4) for _ in range(40)]
     alone = []
     for A, B, d in systems:
         try:
@@ -96,11 +96,11 @@ def test_max_support_stacks_each_row_count_once(monkeypatch):
             alone.append(error)
     stacks = kernel_calls(monkeypatch, grs)
     got = grs._max_support_many(systems, None, grs.SUPPORT_TOL)
-    # one stack per row count, its programs padded to its widest
-    assert sorted(stack.rows for stack in stacks) == [3, 5]
-    for stack in stacks:
-        own = [np.flatnonzero(upper)[-1] + 1 for upper in stack.upper_bounds]
-        assert min(own) < max(own) == stack.cols
+    # one stack, its programs padded to its widest
+    (stack,) = stacks
+    assert (len(stack), stack.rows) == (40, 4)
+    own = [np.flatnonzero(upper)[-1] + 1 for upper in stack.upper_bounds]
+    assert min(own) < max(own) == stack.cols
     for solution, expected in zip(got, alone):
         assert_bitwise(solution, expected)
 
@@ -142,6 +142,20 @@ def test_solve_many_checks_every_basis():
             lp.solve_many(programs, bases=[good, None, bad, good, None])
 
 
+def test_bases_are_checked_before_any_stack_runs(monkeypatch):
+    # one program a stack, and a bad basis on the last of six
+    programs = lp.LinearProgram("maximize", *stack_layout(k=6))
+    stacks = []
+    run = lp._SimplexState.run
+    monkeypatch.setattr(lp._SimplexState, "run", lambda state: stacks.append(state) or run(state))
+    monkeypatch.setattr(lp, "_STACK_BYTES", 1)
+    assert len(lp.solve_many(programs, bases=[[0, 1]] * 6)) == len(stacks) == 6
+    stacks.clear()
+    with pytest.raises(ValueError, match="basis"):
+        lp.solve_many(programs, bases=[[0, 1]] * 5 + [[0, 0]])
+    assert stacks == []
+
+
 def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
     results = dea.evaluate_many(forty, range(forty.n_dmus))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
@@ -152,6 +166,8 @@ def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
             alone.append(rts.intercept_bounds(forty, anchor))
         except lp.RamdeaError as error:
             alone.append(error)
+    distinct = len({(x.tobytes(), y.tobytes()) for x, y in anchors})
+    assert distinct == 22
     calls = kernel_calls(monkeypatch, rts)
     # a stack budget small enough to split the call into several stacks
     stacks = []
@@ -160,10 +176,44 @@ def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
                         lambda state: stacks.append(state.ids.size) or run(state))
     monkeypatch.setattr(lp, "_STACK_BYTES", 50_000)
     got = rts.intercept_bounds_many(forty, anchors)
-    # both ends of every anchor, then at most the zero right-hand-side
-    # programs of a few
-    assert len(calls[0]) == 2 * len(anchors)
-    assert len(calls) == 1 or (len(calls) == 2 and len(calls[1]) < len(anchors))
+    # both ends of every distinct anchor, then at most the zero
+    # right-hand-side programs of a few
+    assert len(calls[0]) == 2 * distinct
+    assert len(calls) == 1 or (len(calls) == 2 and len(calls[1]) < distinct)
     assert len(stacks) > 2 and sum(stacks) == sum(len(call) for call in calls)
     for bounds, expected in zip(got, alone):
         assert_bitwise(bounds, expected)
+
+
+def test_repeated_anchors_get_the_entry_of_their_first(forty, monkeypatch):
+    results = dea.evaluate_many(forty, range(6))
+    anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
+               for reference in grs.identify_grs_many(forty, results)]
+    # an anchor whose inputs are all non-positive has no interval
+    nowhere = (np.zeros(2), np.ones(2))
+    points = [nowhere] + anchors + [(x.copy(), y.copy()) for x, y in anchors[::-1]] + [
+        (nowhere[0].copy(), nowhere[1].copy()), anchors[2]]
+    alone = []
+    for point in points:
+        try:
+            alone.append(rts.intercept_bounds(forty, point))
+        except lp.RamdeaError as error:
+            alone.append(error)
+    calls = kernel_calls(monkeypatch, rts)
+    got = rts.intercept_bounds_many(forty, points)
+    distinct = len({(x.tobytes(), y.tobytes()) for x, y in anchors})
+    # both ends of each distinct solvable anchor, once
+    assert len(calls[0]) == 2 * distinct
+    assert len(got) == len(points)
+    for bounds, expected in zip(got, alone):
+        assert_bitwise(bounds, expected)
+    assert type(got[0]) is type(got[-2]) is rts.NormalizationUnattainableError
+
+
+def test_grs_takes_results_of_one_model():
+    ds = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 3.0]], [[1.0, 3.0, 2.0]])
+    results = [dea.evaluate(ds, 0, "ram", "vrs"), dea.evaluate(ds, 1, "bam", "vrs"),
+               dea.evaluate(ds, 2, "ram", "crs")]
+    with pytest.raises(ValueError, match="bam/vrs, ram/crs, ram/vrs"):
+        grs.identify_grs_many(ds, results)
+    assert grs.identify_grs_many(ds, []) == []
