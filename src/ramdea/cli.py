@@ -22,12 +22,11 @@ from .reporting import (
     run_analysis,
 )
 
-_STAGES = {
-    "efficiency": "efficiency",
-    "grs": "grs",
-    "rts": "all",
-    "report": "all",
-}
+_STAGES = {"efficiency": "efficiency", "grs": "grs", "rts": "all", "report": "all"}
+# the fields of the earlier stages, which each stage subcommand leaves out
+_HIDDEN = {"grs": ("rho", "efficient"),
+           "rts": ("rho", "efficient", "grs_members", "projection_inputs",
+                   "projection_outputs", "minimum_face_dimension")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,22 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trim(reports, command) -> None:
-    # each stage subcommand reports only its own field group
-    if command == "grs":
-        for report in reports:
-            report.rho = None
-            report.efficient = None
-    elif command == "rts":
-        for report in reports:
-            report.rho = None
-            report.efficient = None
-            report.grs_members = None
-            report.projection_inputs = None
-            report.projection_outputs = None
-            report.minimum_face_dimension = None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -112,7 +95,9 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 
-    _trim(reports, args.command)
+    for report in reports:
+        for field in _HIDDEN.get(args.command, ()):
+            setattr(report, field, None)
     sys.stdout.write(render_report(reports, args.output_format))
     return 0
 

@@ -12,8 +12,8 @@ number of equality rows regardless of how many variables are boxed.
 Callers that need inequality rows add their own slack variables.
 
 Pricing is Dantzig's rule with an automatic and reversible fallback to
-Bland's rule once a run of degenerate pivots is detected; DEA-style
-instances are routinely degenerate.
+Bland's rule once an LP of p rows and q columns has made min(p + q, 6p)
+degenerate pivots in a row; DEA-style instances are routinely degenerate.
 
 The ratio test is Harris's two-pass test (Harris 1973, "Pivot selection
 methods of the Devex LP code").  Pass 1 finds the longest step along
@@ -122,6 +122,9 @@ _PIVOTS_PER_DIMENSION = 50
 # Most bytes of per-LP state in one lockstep stack: the LPs' state blocks,
 # and their columns unless they share both blocks of them.
 _STACK_BYTES = 1 << 23
+# Fewest bytes of state in a stack whose dropped LPs ``_drop`` fills by moving
+# others: below it, ``take`` of every LP kept is faster than fancy assignment.
+_MOVE_BYTES = 1 << 19
 
 
 class RamdeaError(Exception):
@@ -402,6 +405,7 @@ class _SimplexState:
         self.settings = settings
         self.p, self.q = p, q
         self.max_iter = _PIVOTS_PER_DIMENSION * (p + q)
+        self.bland_after = min(p + q, 6 * p)  # degenerate pivots before Bland's rule
         self.outcomes: list = [None] * k
         widths = {"w": (q + p,), "p": (p,), "": ()}
         self.blocks = [np.zeros((len(names), k) + widths[width], dtype)
@@ -413,6 +417,7 @@ class _SimplexState:
             for array, ndim in ((lp.leading_columns, 2), (lp.constraint_matrix, 2),
                                 (lp.objective, 1), (lp.lower_bounds, 1),
                                 (lp.upper_bounds, 1)))
+        self.c = self.c.copy()  # ``_drop`` may move its rows
         r = L.shape[2]
         self.A = np.empty((max(len(L), len(M)), p, q + p))
         self.A[:, :, :r], self.A[:, :, r:q], self.A[:, :, q:] = L, M, np.eye(p)
@@ -536,7 +541,7 @@ class _SimplexState:
             done = live & ~phase1
             self._conclude(rows[done], x[done], y[rows[done]])
         if not self.live.all():
-            self._drop(self.live.nonzero()[0])
+            self._drop(self.live)
 
     def _running(self, mask: np.ndarray) -> np.ndarray:
         """Positions of the LPs of ``mask`` that have no outcome yet."""
@@ -597,7 +602,7 @@ class _SimplexState:
         degenerate = step <= self.settings.feas_tol
         run = np.where(degenerate, self.consec_degenerate[lps] + 1, 0)
         self.consec_degenerate[lps] = run
-        self.bland[lps] = degenerate & (self.bland[lps] | (run >= self.p + self.q))
+        self.bland[lps] = degenerate & (self.bland[lps] | (run >= self.bland_after))
         self.any_bland = bool(self.bland.any())
         self.iterations[lps] += 1
         flips = pos < 0
@@ -634,20 +639,27 @@ class _SimplexState:
 
     def _conclude(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Phase 2 optimal at ``x`` with duals ``y``: check and record each
-        optimum.  ``x`` spans every column; its artificials are zeroed here."""
+        optimum.  ``x`` spans every column; its artificials are zeroed here.
+        Row i holds within ``feas_tol * (1 + |b_i| + max_j |a_ij x_j|)``; the
+        max term is at least 0, so it is computed only for the LPs with a
+        residual beyond ``feas_tol * (1 + |b_i|)``, with the same verdicts."""
         tol, q = self.settings.feas_tol, self.q
         x[:, q:] = 0.0
         b = self.b[rows]
-        A = _lps_of(self.A, rows)
-        resid = np.abs(_times(A, x) - b)
-        terms = np.abs(A * x[:, None, :]).max(axis=2)
+        resid = np.abs(_times(_lps_of(self.A, rows), x) - b)
+        held = (resid <= tol * (1.0 + np.abs(b))).all(axis=1)
+        beyond = np.flatnonzero(~held)
+        if beyond.size:
+            terms = np.abs(_lps_of(self.A, rows[beyond]) * x[beyond, None, :]).max(axis=2)
+            bound = tol * (1.0 + np.abs(b[beyond]) + terms)
+            held[beyond] = (resid[beyond] <= bound).all(axis=1)
         x = x[:, :q]
         # the first of the checks each optimum fails, or -1; phrased so that
         # a NaN anywhere fails every check
         passed = np.array([
             np.isfinite(x).all(axis=1),
             ((x >= self.lo[rows, :q] - tol) & (x <= self.hi[rows, :q] + tol)).all(axis=1),
-            (resid <= tol * (1.0 + np.abs(b) + terms)).all(axis=1)])
+            held])
         failed = np.where(passed.all(axis=0), -1, passed.argmin(axis=0)).tolist()
         values = _dots(_lps_of(self.c, rows), x).tolist()
         duals = self.sign * y
@@ -672,12 +684,26 @@ class _SimplexState:
         self.outcomes[self.ids[i]] = outcome
         self.live[i] = False
 
-    def _drop(self, keep: np.ndarray) -> None:
-        """Keep only the LPs at the positions ``keep``."""
-        self.blocks = [block.take(keep, axis=1) for block in self.blocks]
+    def _drop(self, live: np.ndarray) -> None:
+        """Keep only the n LPs that ``live`` marks, in the first n positions.
+        A stack of ``_MOVE_BYTES`` or more moves only its kept LPs beyond
+        them, into the places of dropped ones (``ids`` follows); a smaller
+        one is copied in order by ``take``, whose call costs less there."""
+        keep = live.nonzero()[0]
+        n = keep.size
+        # a shared matrix or objective has one row, which every LP keeps
+        per_lp = [x for x in (self.A, self.c) if len(x) > 1]
+        if sum(x.nbytes for x in self.blocks + per_lp) < _MOVE_BYTES:
+            self.blocks = [block.take(keep, axis=1) for block in self.blocks]
+            self.A, self.c = (x if len(x) == 1 else x.take(keep, axis=0)
+                              for x in (self.A, self.c))
+        else:
+            holes, moving = (~live[:n]).nonzero()[0], live[n:].nonzero()[0] + n
+            for x in [block.swapaxes(0, 1) for block in self.blocks] + per_lp:
+                x[holes] = x[moving]
+            self.blocks = [block[:, :n] for block in self.blocks]
+            self.A, self.c = self.A[:n], self.c[:n]
         self._view()
-        self.A, self.c = (x if x.shape[0] == 1 else x.take(keep, axis=0)
-                          for x in (self.A, self.c))
 
 
 # the reasons ``_conclude`` gives for an optimum that fails its checks

@@ -114,7 +114,9 @@ def parse_dataset(source: str) -> dea.Dataset:
     if len(rows) == 1:
         raise DataFormatError("no data rows after the header")
 
+    # the first error in line order; within a line: ragged, duplicate, non-numeric
     names: list[str] = []
+    seen: set[str] = set()
     values: list[list[float]] = []
     for lineno, cells in rows[1:]:
         if len(cells) != len(header):
@@ -122,29 +124,39 @@ def parse_dataset(source: str) -> dea.Dataset:
                 f"line {lineno}: expected {len(header)} cells, got {len(cells)}"
             )
         name = cells[0]
-        if name in names:
+        if name in seen:
             raise DataFormatError(f"line {lineno}: duplicate DMU name {name!r}")
+        seen.add(name)
         names.append(name)
-        row = []
-        for pos, cell in enumerate(cells[1:], start=2):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = float("nan")
-            if value != value or value in (float("inf"), float("-inf")):
-                raise DataFormatError(
-                    f"line {lineno}, column {pos}: non-numeric value {cell!r}"
-                )
-            row.append(value)
-        values.append(row)
+        values.append(_numbers(lineno, cells[1:]))
 
-    inputs = [[values[j][pos - 2] for j in range(len(names))] for pos, _ in in_cols]
-    outputs = [[values[j][pos - 2] for j in range(len(names))] for pos, _ in out_cols]
+    columns = list(zip(*values))
+    inputs = [columns[pos - 2] for pos, _ in in_cols]
+    outputs = [columns[pos - 2] for pos, _ in out_cols]
     return dea.Dataset(
         names, inputs, outputs,
         input_labels=[label for _, label in in_cols],
         output_labels=[label for _, label in out_cols],
     )
+
+
+def _numbers(lineno: int, cells: list[str]) -> list[float]:
+    """The values of a data row's cells from column 2 on; DataFormatError
+    names the first that is not a finite number."""
+    try:
+        row = [float(cell) for cell in cells]
+        if math.isfinite(sum(row)):  # then every value is finite
+            return row
+    except ValueError:
+        pass
+    for pos, cell in enumerate(cells, start=2):
+        try:
+            if math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            pass
+        raise DataFormatError(f"line {lineno}, column {pos}: non-numeric value {cell!r}")
+    return row  # finite values whose sum overflows
 
 
 def _validate_config(config: AnalysisConfig, dataset: dea.Dataset) -> None:
@@ -215,18 +227,12 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
             count = _first_error(references)
             failure = (count, "grs", references[count])
         for report, reference in zip(reports[:count], references):
-            report.grs_members = [
-                (dataset.names[member], float(reference.weights[member]))
-                for member in reference.members
-            ]
+            report.grs_members = [(dataset.names[member], float(reference.weights[member]))
+                                  for member in reference.members]
             report.projection_inputs = dict(zip(
-                dataset.input_labels,
-                (float(v) for v in reference.interior_projection_inputs),
-            ))
+                dataset.input_labels, reference.interior_projection_inputs.tolist()))
             report.projection_outputs = dict(zip(
-                dataset.output_labels,
-                (float(v) for v in reference.interior_projection_outputs),
-            ))
+                dataset.output_labels, reference.interior_projection_outputs.tolist()))
             report.minimum_face_dimension = grs.minimum_face(dataset, reference)
 
     if stages == "all" and config.regime == "vrs":
@@ -253,13 +259,10 @@ def render_report(reports: list[DmuReport], output_format: str) -> str:
     Field groups absent from the reports (skipped stages, or the scale
     classification under "crs") are omitted from the output.
     """
-    if output_format == "json":
-        return _render_json(reports)
-    if output_format == "csv":
-        return _render_csv(reports)
-    if output_format == "table":
-        return _render_table(reports)
-    raise DataFormatError(f"unknown output format {output_format!r}")
+    renderers = {"json": _render_json, "csv": _render_csv, "table": _render_table}
+    if output_format not in renderers:
+        raise DataFormatError(f"unknown output format {output_format!r}")
+    return renderers[output_format](reports)
 
 
 def _groups(reports):
@@ -279,21 +282,14 @@ def _render_json(reports) -> str:
             obj["rho"] = report.rho
             obj["efficient"] = report.efficient
         if report.grs_members is not None:
-            obj["grs"] = [
-                {"name": name, "weight": weight}
-                for name, weight in report.grs_members
-            ]
-            obj["projection"] = {
-                "inputs": report.projection_inputs,
-                "outputs": report.projection_outputs,
-            }
+            obj["grs"] = [{"name": name, "weight": weight}
+                          for name, weight in report.grs_members]
+            obj["projection"] = {"inputs": report.projection_inputs,
+                                 "outputs": report.projection_outputs}
             obj["minimum_face_dimension"] = report.minimum_face_dimension
         if report.rts_class is not None:
-            obj["rts"] = {
-                "class": report.rts_class,
-                "omega_min": report.omega_min,
-                "omega_max": report.omega_max,
-            }
+            obj["rts"] = {"class": report.rts_class, "omega_min": report.omega_min,
+                          "omega_max": report.omega_max}
         objects.append(obj)
     return json.dumps(objects, indent=2) + "\n"
 

@@ -93,6 +93,29 @@ def test_parse_rejects_ragged_row():
         reporting.parse_dataset("dmu,in:x,out:y\nu1,1,2\nu2,3\n")
 
 
+def test_parse_reports_the_first_error_in_line_order():
+    def first_error(text):
+        with pytest.raises(reporting.DataFormatError) as raised:
+            reporting.parse_dataset(text)
+        return str(raised.value)
+
+    # a bad cell comes before a later ragged line and a later duplicate name
+    assert first_error("dmu,in:x,out:y\nu1,1,abc\nu2,3\nu1,3,4\n") \
+        == "line 2, column 3: non-numeric value 'abc'"
+    assert first_error("dmu,in:x,out:y\nu1,1,inf\nu1,3,4\n") \
+        == "line 2, column 3: non-numeric value 'inf'"
+    # the first bad cell of a line, and within one line a ragged row
+    # before a duplicate name before a bad cell
+    assert first_error("dmu,in:x,in:z,out:y\nu1,nan,abc,2\n") \
+        == "line 2, column 2: non-numeric value 'nan'"
+    assert first_error("dmu,in:x,out:y\nu1,1,2\nu1,abc\n") == "line 3: expected 3 cells, got 2"
+    assert first_error("dmu,in:x,out:y\nu1,1,2\nu1,abc,3\n") \
+        == "line 3: duplicate DMU name 'u1'"
+    # finite values whose sum overflows are no error
+    ds = reporting.parse_dataset("dmu,in:x,out:y\nu1,1e308,1e308\n")
+    assert ds.inputs[0, 0] == ds.outputs[0, 0] == 1e308
+
+
 # -- analysis ----------------------------------------------------------
 
 

@@ -280,6 +280,31 @@ def test_evaluate_solves_the_scoring_program(frontier8, monkeypatch, scheme, reg
     assert (result.scheme, result.regime) == (scheme, regime)
 
 
+def test_degenerate_cycle_ends_early_on_an_efficient_unit(monkeypatch):
+    # ``score-large`` seed 11, score250-003: U247's scoring LP (p = 8 rows,
+    # q = 258 columns) cycles on degenerate pivots under Dantzig's rule;
+    # turning to Bland's after p + q = 266 of them took 286 pivots, after
+    # 6p = 48 it takes 78
+    rng = np.random.default_rng([11, 7, 3])
+    inputs = rng.uniform(1.0, 10.0, (5, 250))
+    ds = dea.Dataset([f"U{k:03d}" for k in range(250)], inputs,
+                     rng.uniform(1.0, 10.0, (3, 250)))
+    solves = []
+
+    def spy(batch, settings=None, bases=None):
+        outcomes = lp.solve_many(batch, settings, bases)
+        solves.extend(outcomes)
+        return outcomes
+
+    monkeypatch.setattr(dea, "solve_many", spy)
+    result = dea.evaluate(ds, 247, "ram", "crs")
+    (sol,) = solves
+    assert sol.iterations < 120
+    assert result.rho == pytest.approx(oracles.ram_score_linprog(ds, 247, regime="crs"),
+                                       abs=1e-9)
+    assert result.efficient
+
+
 def crash_start_datasets(frontier8):
     rng = np.random.default_rng(37)
     # unit 0 sits at the origin

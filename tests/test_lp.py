@@ -435,6 +435,93 @@ def test_pinned_zero_columns_change_no_optimum():
                 assert np.array_equal(got.duals, alone.duals)
 
 
+@pytest.mark.parametrize("move_bytes", [0, lp._MOVE_BYTES])
+def test_dropping_ended_lps_changes_no_outcome(move_bytes, monkeypatch):
+    # LPs that end leave their stack: on a stack holding ``_MOVE_BYTES`` or
+    # more, as every stack does when that is 0, the LPs beyond the kept
+    # count move into the places of those dropped; a smaller stack is
+    # copied in order.  Either way each outcome is bitwise the one alone,
+    # in the programs' order.
+    programs, bases = mixed_batch(np.random.default_rng(89))
+    alone = [lp.solve_many(program, bases=[basis])[0]
+             for program, basis in zip(programs, bases)]
+    real_drop = lp._SimplexState._drop
+    first_and_middle, reordered = [], []
+
+    def drop(state, live):
+        ended = np.flatnonzero(~live)
+        # the first LP and a middle one end while a later one runs on
+        first_and_middle.append(ended[0] == 0 and ended.size > 1
+                                and live[ended[1] + 1:].any())
+        real_drop(state, live)
+        reordered.append(bool(np.any(np.diff(state.ids) < 0)))
+
+    monkeypatch.setattr(lp, "_MOVE_BYTES", move_bytes)
+    monkeypatch.setattr(lp._SimplexState, "_drop", drop)
+    outcomes = solve_in_stacks(programs, bases)
+    assert any(first_and_middle)
+    assert any(reordered) == (move_bytes == 0)
+    for got, expected in zip(outcomes, alone):
+        assert_same_result(got, expected)
+
+
+def rescaled_rows(program, rng):
+    """``program`` with each row and its right-hand side scaled by 10^-5 to
+    10^5, which leaves its optimum where it was."""
+    scale = 10.0 ** rng.integers(-5, 6, program.rows)
+    return lp.LinearProgram(program.sense, program.objective,
+                            program.constraint_matrix * scale[:, None], program.rhs * scale,
+                            program.lower_bounds, program.upper_bounds)
+
+
+@pytest.mark.parametrize("per_lp", [False, True])
+def test_optimum_check_keeps_the_verdict_of_the_full_row_scaled_bound(per_lp):
+    # ``_conclude`` computes a row's max |a_ij x_j| term only for the LPs
+    # whose residual exceeds feas_tol (1 + |b_i|); its verdicts stay those
+    # of the full bound feas_tol (1 + |b_i| + max_j |a_ij x_j|) on every
+    # point, here each optimum of ``mixed_batch`` and of the same programs
+    # with rescaled rows, moved by relative amounts from 0 to 1e-7
+    rng = np.random.default_rng(97)
+    programs, bases = mixed_batch(rng)
+    programs += [rescaled_rows(program, rng) for program in programs]
+    bases += bases
+    tol = lp.SolverSettings().feas_tol
+    verdicts = set()
+    for program, basis in zip(programs, bases):
+        sol = lp.solve_many(program, bases=[basis])[0]
+        if not isinstance(sol, lp.LpSolution) or sol.status != lp.OPTIMAL:
+            continue
+        shifts = np.array([0.0, 1e-13, 1e-11, 1e-10, 1e-9, 1e-7])
+        k, p, q = shifts.size, program.rows, program.cols
+        matrix = program.constraint_matrix
+        stack = lp.LinearProgram(program.sense, program.objective,
+                                 np.repeat(matrix[None], k, axis=0) if per_lp else matrix,
+                                 np.tile(program.rhs, (k, 1)), program.lower_bounds,
+                                 program.upper_bounds)
+        state = lp._SimplexState(stack, lp.SolverSettings(), [None] * k)
+        state.live = np.ones(k, dtype=bool)
+        x = np.zeros((k, q + p))
+        x[:, :q] = sol.primal * (1.0 + shifts[:, None] * rng.uniform(-1.0, 1.0, (k, q)))
+        # the full check, on the kernel's own arrays
+        resid = np.abs(lp._times(state.A, x) - state.b)
+        plain = (resid <= tol * (1.0 + np.abs(state.b))).all(axis=1)
+        terms = np.abs(state.A * x[:, None, :]).max(axis=2)
+        full = (resid <= tol * (1.0 + np.abs(state.b) + terms)).all(axis=1)
+        bounded = ((x[:, :q] >= program.lower_bounds - tol)
+                   & (x[:, :q] <= program.upper_bounds + tol)).all(axis=1)
+        state._conclude(np.arange(k), x, np.zeros((k, p)))
+        for outcome, plain_i, full_i, bounded_i in zip(state.outcomes, plain, full, bounded):
+            expected = (lp.OPTIMAL if full_i else "equality row violated at claimed optimum"
+                        ) if bounded_i else "variable bound violated at claimed optimum"
+            got = outcome.status if isinstance(outcome, lp.LpSolution) else str(outcome)
+            assert got == expected
+            if bounded_i:
+                verdicts.add((bool(plain_i), bool(full_i)))
+    # points within the plain bound, beyond it but within the full one,
+    # and beyond both
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("seed", [43, 47, 53, 59, 61])
 def test_array_layout_changes_no_bit(seed):
     # the kernel pivots and checks with its own copy of each matrix, so a

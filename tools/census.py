@@ -22,18 +22,20 @@ columns, each pinned at zero with zero cost and an all-zero matrix
 column, are trimmed from it and from its primal first, so a program
 padded to the width of its stack is recorded as the program it pads.
 ``lp._SimplexState.run`` and ``_round`` are wrapped too, to count each
-stage's kernel calls (lockstep stacks) and lockstep rounds.  The result
-is a JSON object ``{dataset: {"exit": exit code, "lps": [record, ...],
-"kernel": {stage: [stacks, rounds]}}}``, each dataset's records sorted,
-since the order in which one stage hands its LPs to the kernel is not
-part of what is compared.  Each stage's total stacks and rounds are
-printed.
+stage's kernel calls (lockstep stacks), lockstep rounds, and the rounds
+whose stack held one LP, the tail in which the whole stack waits on its
+slowest LP.  The result is a JSON object ``{dataset: {"exit": exit code,
+"lps": [record, ...], "kernel": {stage: [stacks, rounds, one-LP
+rounds]}}}``, each dataset's records sorted, since the order in which
+one stage hands its LPs to the kernel is not part of what is compared.
+Each stage's total stacks, rounds and one-LP rounds are printed.
 
 With ``--against`` the new census is compared with an earlier one on the
-datasets both hold: the earlier census's total stacks and rounds over
-those datasets are printed, then the count of datasets whose exit code
-and LP records are all the same, then, for each other dataset, the
-records that only one side holds.  Stacks and rounds are not compared.
+datasets both hold: the earlier census's total stacks, rounds and one-LP
+rounds over those datasets are printed, then the count of datasets whose
+exit code and LP records are all the same, then, for each other dataset,
+the records that only one side holds.  The kernel counts are not
+compared.
 The exit status is then 1 when any dataset differs, and 0 otherwise, so
 a gate of bit-identical solves is the command's exit status.
 """
@@ -112,8 +114,8 @@ def record(stage: str, program, basis, outcome) -> list:
 
 def install(records: list, kernel: dict) -> None:
     """Wrap each stage's ``solve_many`` so that its LPs land in ``records``,
-    and the kernel so that each stage's stacks and rounds add up in
-    ``kernel[stage]``."""
+    and the kernel so that each stage's stacks, rounds and one-LP rounds
+    add up in ``kernel[stage]``."""
     import importlib
 
     from ramdea import lp
@@ -135,7 +137,10 @@ def install(records: list, kernel: dict) -> None:
 
     def counted(method, at):
         def wrapper(state):
-            kernel[calling[0]][at] += 1
+            counts = kernel[calling[0]]
+            counts[at] += 1
+            if at == 1 and state.ids.size == 1:
+                counts[2] += 1
             return method(state)
         return wrapper
 
@@ -145,7 +150,7 @@ def install(records: list, kernel: dict) -> None:
 
 def census(workloads, seeds) -> dict:
     records: list = []
-    kernel = {stage: [0, 0] for stage in STAGES}
+    kernel = {stage: [0, 0, 0] for stage in STAGES}
     install(records, kernel)
     entries = {}
     for name, (code, _, _) in runs(workloads, seeds, "json"):
@@ -153,19 +158,21 @@ def census(workloads, seeds) -> dict:
                          "kernel": {stage: list(counts) for stage, counts in kernel.items()}}
         records.clear()
         for counts in kernel.values():
-            counts[:] = [0, 0]
+            counts[:] = [0, 0, 0]
     return entries
 
 
 def kernel_totals(entries: dict, names) -> str:
-    """Each stage's stacks and rounds, summed over the datasets ``names``."""
-    totals = {stage: [0, 0] for stage in STAGES}
+    """Each stage's stacks, rounds and one-LP rounds, summed over the
+    datasets ``names``; a census of an earlier version of this script
+    holds no one-LP rounds."""
+    totals = {stage: [0, 0, 0] for stage in STAGES}
     for name in names:
-        for stage, (stacks, rounds) in entries[name]["kernel"].items():
-            totals[stage][0] += stacks
-            totals[stage][1] += rounds
-    return ", ".join(f"{stage} {stacks} / {rounds}"
-                     for stage, (stacks, rounds) in totals.items())
+        for stage, counts in entries[name]["kernel"].items():
+            for at, count in enumerate(counts):
+                totals[stage][at] += count
+    return ", ".join(f"{stage} {stacks} / {rounds} / {tail}"
+                     for stage, (stacks, rounds, tail) in totals.items())
 
 
 def differences(old: dict, new: dict) -> dict[str, list[str]]:
@@ -207,10 +214,11 @@ def main(argv=None) -> int:
     aborted = sum(data["exit"] != 0 for data in entries.values())
     print(f"{len(entries)} datasets, {aborted} aborted; LPs "
           + ", ".join(f"{stage} {per_stage[stage]}" for stage in STAGES))
-    print(f"stacks / rounds: {kernel_totals(entries, entries)}")
+    print(f"stacks / rounds / one-LP rounds: {kernel_totals(entries, entries)}")
     if args.against:
         old = json.loads(Path(args.against).read_text(encoding="utf-8"))
-        print(f"earlier stacks / rounds: {kernel_totals(old, old.keys() & entries.keys())}")
+        print("earlier stacks / rounds / one-LP rounds: "
+              f"{kernel_totals(old, old.keys() & entries.keys())}")
         found = differences(old, entries)
         print(f"same: {len(old.keys() & entries.keys()) - len(found)}, "
               f"different: {len(found)}")
