@@ -13,11 +13,13 @@ something for a unit o leans on.
 feasible system  A u + B v = d  over nonnegative u and v, it returns a
 solution whose u-block has the largest possible number of positive
 components.  It attaches a companion variable boxed into [0, 1] to
-every u column and maximises their total; a non-zero d is homogenised
-into a normalising column whose optimal value rescales the solution
-back onto A u + B v = d.  The program's right-hand side is therefore
-zero, so its start with every variable at zero is already feasible and
-the kernel skips phase 1.
+every u column and maximises their total.  Every system has this one
+program: d is homogenised into a normalising column -d, with a
+companion as a u column has, whose optimal value rescales the solution
+back onto A u + B v = d.  When d = 0 that column is zero, its companion
+goes to 1 at no cost, and the solution is divided by exactly 1.  The
+program's right-hand side is zero, so its start with every variable at
+zero is already feasible and the kernel skips phase 1.
 
 ``identify_grs`` states unit o's optimal slack patterns as such a
 system and makes one call.  The system is the scoring program that
@@ -134,49 +136,38 @@ def max_support_solution(A, B=None, d=None,
                          support_tol: float = SUPPORT_TOL):
     """Feasible (u, v) of ``A u + B v = d`` maximising the support of u.
 
-    ``B`` may be omitted (no v block) and ``d`` of None or all zeros
-    selects the homogeneous case.  The caller must guarantee that the
-    system is feasible; for a non-homogeneous system whose normalising
-    column still vanishes, ``DegenerateNormalizerError`` is raised.
+    ``B`` of None means no v block and ``d`` of None means zeros.  The
+    caller must guarantee that the system is feasible; for a system whose
+    normalising column still vanishes, ``DegenerateNormalizerError`` is
+    raised.  ``ValueError`` names a ``B`` or ``d`` that does not match
+    ``A``'s rows.
     """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    p = A.shape[0]
+    B = np.zeros((p, 0)) if B is None else np.atleast_2d(np.asarray(B, dtype=float))
+    if B.shape[0] != p:
+        raise ValueError(f"B has {B.shape[0]} rows, expected {p}")
+    d = np.zeros(p) if d is None else np.atleast_1d(np.asarray(d, dtype=float))
+    if d.shape != (p,):
+        raise ValueError(f"d has length {d.shape[0]}, expected {p}")
     (solution,) = _max_support_many([(A, B, d)], settings, support_tol)
     return unwrap(solution)
 
 
 def _max_support_many(systems, settings, support_tol) -> list:
-    """``max_support_solution`` of each (A, B, d) of ``systems``, which
-    share one row count, with one call of the kernel; an error is
+    """``max_support_solution`` of each (A, B, d) of ``systems``, float
+    arrays of one row count, with one call of the kernel; an error is
     returned in place of its solution."""
-    matrices, layouts = [], []
-    for A, B, d in systems:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        p, q1 = A.shape
-        if B is None:
-            B = np.zeros((p, 0))
-        else:
-            B = np.atleast_2d(np.asarray(B, dtype=float))
-            if B.shape[0] != p:
-                raise ValueError(f"B has {B.shape[0]} rows, expected {p}")
-        homogeneous = d is None or not np.any(np.asarray(d, dtype=float))
-        if homogeneous:
-            cols = A
-        else:
-            d = np.atleast_1d(np.asarray(d, dtype=float))
-            if d.shape != (p,):
-                raise ValueError(f"d has length {d.shape[0]}, expected {p}")
-            cols = np.hstack([A, -d[:, None]])
-        matrices.append(np.hstack([cols, cols, B]))
-        # k: q1 plus the normalising column when present
-        layouts.append((q1, cols.shape[1], homogeneous))
-
+    # k: a system's u columns and its normalising column -d
+    matrices = [np.hstack([A, -d[:, None], A, -d[:, None], B]) for A, B, d in systems]
+    ks = np.array([A.shape[1] + 1 for A, _, _ in systems])
     # the companion of each of a program's k columns is boxed into [0, 1]
     # and priced at 1; each program is padded at its end to the widest one
     # with zero columns pinned at zero, which never enter the basis
-    ks = np.array([k for _, k, _ in layouts])[:, None]
-    widths = np.array([matrix.shape[1] for matrix in matrices])[:, None]
+    widths = np.array([matrix.shape[1] for matrix in matrices])
     column = np.arange(widths.max())
-    companion = (ks <= column) & (column < 2 * ks)
-    upper = np.where(companion, 1.0, np.where(column < widths, np.inf, 0.0))
+    companion = (ks[:, None] <= column) & (column < 2 * ks[:, None])
+    upper = np.where(companion, 1.0, np.where(column < widths[:, None], np.inf, 0.0))
     stack = np.zeros((len(matrices), matrices[0].shape[0], column.size))
     for padded, matrix in zip(stack, matrices):
         padded[:, :matrix.shape[1]] = matrix
@@ -184,23 +175,19 @@ def _max_support_many(systems, settings, support_tol) -> list:
     programs = LinearProgram("maximize", np.where(companion, 1.0, 0.0), stack,
                              np.zeros(stack.shape[:2]), upper_bounds=upper)
     solutions = []
-    for sol, matrix, layout in zip(solve_many(programs, settings), matrices, layouts):
+    for sol, width, k in zip(solve_many(programs, settings), widths, ks):
         if isinstance(sol, LpError):
             solutions.append(sol)
         elif sol.status != OPTIMAL:
             solutions.append(LpError(f"maximal-support program ended {sol.status}"))
         else:
-            solutions.append(_support_point(sol.primal[:matrix.shape[1]], *layout,
-                                            support_tol))
+            solutions.append(_support_point(sol.primal[:width], k, support_tol))
     return solutions
 
 
-def _support_point(primal, q1, k, homogeneous, support_tol):
+def _support_point(primal, k, support_tol):
     """(u, v) from the optimum of the maximal-support program."""
     combined = primal[:k] + primal[k:2 * k]
-    v = primal[2 * k:]
-    if homogeneous:
-        return np.maximum(combined, 0.0), np.maximum(v, 0.0)
     scale = combined[-1]
     if scale <= support_tol:
         return DegenerateNormalizerError(
@@ -208,8 +195,8 @@ def _support_point(primal, q1, k, homogeneous, support_tol):
             "or the solve broke down numerically"
         )
     return (
-        np.maximum(combined[:q1] / scale, 0.0),
-        np.maximum(v / scale, 0.0),
+        np.maximum(combined[:-1] / scale, 0.0),
+        np.maximum(primal[2 * k:] / scale, 0.0),
     )
 
 

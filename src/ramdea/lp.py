@@ -513,7 +513,7 @@ class _SimplexState:
             # the basic values and the entering column, in one solve
             rhs = np.empty((rows.size, self.p, 2))
             rhs[:, :, 0] = resid[rows]
-            rhs[:, :, 1] = _gather(_lps_of(A, rows), j[rows, None])[:, :, 0]
+            rhs[:, :, 1] = _gather(A, j[rows, None], rows)[:, :, 0]
             solved, failed = _solve_stack(basic_cols[rows], rhs)
             self._fail(rows, failed)
             self.x_basic[rows] = solved[:, :, 0]
@@ -717,13 +717,14 @@ def _lps_of(stack: np.ndarray, rows) -> np.ndarray:
     return stack if stack.shape[0] == 1 else stack[rows]
 
 
-def _gather(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols[i]`` of matrix i of ``A`` (or of its one shared
-    matrix), as a stack of shape (len(cols), p, cols.shape[1])."""
+def _gather(A: np.ndarray, cols: np.ndarray, lps=None) -> np.ndarray:
+    """Columns ``cols[i]`` of matrix ``lps[i]`` of ``A`` (default: matrix i),
+    or of its one shared matrix, as a stack of shape (len(cols), p,
+    cols.shape[1]).  Only those entries are copied, never whole matrices."""
     if A.shape[0] == 1:
         return A[0][:, cols].transpose(1, 0, 2)
-    lps = np.arange(cols.shape[0])[:, None, None]
-    return A[lps, np.arange(A.shape[1])[None, :, None], cols[:, None, :]]
+    lps = np.arange(cols.shape[0]) if lps is None else lps
+    return A[lps[:, None, None], np.arange(A.shape[1])[None, :, None], cols[:, None, :]]
 
 
 # The two products below are stacks of matrix-vector products, never one

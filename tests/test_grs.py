@@ -63,6 +63,26 @@ def test_degenerate_normalizer_raises():
         grs.max_support_solution([[1.0]], d=[-1.0])
 
 
+def test_omitted_d_is_the_zero_normaliser():
+    # d = 0 gets a zero normalising column, whose companion ends at 1, so
+    # the solution is divided by exactly 1
+    A = np.array([[1.0, 1.0, -2.0], [0.5, -1.0, 0.0]])
+    B = np.array([[1.0], [-1.0]])
+    omitted, zeros = grs.max_support_solution(A, B), grs.max_support_solution(A, B, np.zeros(2))
+    for got, expected in zip(omitted, zeros):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert np.sum(omitted[0] > grs.SUPPORT_TOL) == 3
+
+
+@pytest.mark.parametrize("B, d, message", [
+    (np.ones((3, 1)), None, "B has 3 rows, expected 2"),
+    (None, np.ones(3), "d has length 3, expected 2"),
+], ids=["B", "d"])
+def test_system_of_wrong_shape_is_rejected(B, d, message):
+    with pytest.raises(ValueError, match=message):
+        grs.max_support_solution(np.eye(2), B, d)
+
+
 def test_nonhomogeneous_solution_is_feasible():
     A = np.array([[1.0, -1.0], [2.0, 1.0]])
     B = np.array([[1.0], [0.0]])
@@ -156,7 +176,8 @@ def test_pinned_slack_has_no_column(eight, monkeypatch):
 
 
 def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
-    # unit z sits at the origin: under crs its target system has d = 0,
+    # unit z sits at the origin: under crs its target system has d = 0, so
+    # its normalising column is zero and scales the solution by exactly 1,
     # and only the units at the origin can carry weight
     ds = dea.Dataset(["a", "b", "z", "z2"],
                      [[1.0, 2.0, 0.0, 0.0]], [[2.0, 3.0, 0.0, 0.0]])

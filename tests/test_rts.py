@@ -344,6 +344,25 @@ def test_intercepts_match_the_primal_program(variant):
                         assert sol.objective_value == pytest.approx(end, rel=1e-6, abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the kernel ends these bounded maximisations UNBOUNDED")
+def test_kernel_verdict_on_rescaled_intercept_programs():
+    # the max end of the primal intercept program on rows rescaled by up
+    # to 10^+-5; HiGHS and rts.intercept_bounds agree on a finite optimum.
+    # A typed error is an honest answer, any other status is a wrong one
+    rng = np.random.default_rng([3, 99])
+    instances = [random_instance(rng, "rescaled") for _ in range(14)]
+    for (ds, anchors), o, value in ((instances[5], 0, 439.9546), (instances[13], 6, 5.0275)):
+        expected = oracles.intercept_interval_highs(ds, *anchors[o])[1]
+        assert expected == pytest.approx(value, abs=1e-4)
+        try:
+            sol = lp.solve(oracles.hyperplane_program(ds, *anchors[o], "maximize"))
+        except lp.LpError:
+            continue
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(expected, rel=1e-6)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(data=st.data())
 def test_interval_is_invariant_to_unit_order_and_row_scale(data):

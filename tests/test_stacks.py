@@ -72,17 +72,17 @@ def test_batched_stages_equal_single_unit_calls(forty, scheme, regime, monkeypat
 
 
 def random_system(rng, p):
-    """A feasible system (A, B, d) for ``grs.max_support_solution`` with p
-    rows: with or without B, homogeneous or not."""
+    """A feasible system (A, B, d) of float arrays for
+    ``grs._max_support_many`` with p rows: with or without B columns,
+    homogeneous or not."""
     A = rng.uniform(-1.0, 2.0, (p, int(rng.integers(1, 7))))
-    B = None if rng.random() < 0.3 else np.hstack([np.eye(p), -np.eye(p)])[
-        :, rng.random(2 * p) < 0.5]
+    B = np.hstack([np.eye(p), -np.eye(p)])[:, rng.random(2 * p) < 0.5]
     if rng.random() < 0.3:
-        return A, B, None if rng.random() < 0.5 else np.zeros(p)
+        B = B[:, :0]
+    if rng.random() < 0.3:
+        return A, B, np.zeros(p)
     d = A @ (rng.uniform(0.0, 1.0, A.shape[1]) * (rng.random(A.shape[1]) < 0.6))
-    if B is not None:
-        d += B @ rng.uniform(0.0, 1.0, B.shape[1])
-    return A, B, d
+    return A, B, d + B @ rng.uniform(0.0, 1.0, B.shape[1])
 
 
 def test_max_support_stacks_each_row_count_once(monkeypatch):
