@@ -214,8 +214,7 @@ def _scoring_layout(dataset: Dataset, units, scheme: str, regime: str):
 
     Only the right-hand side, and under bam the cost and the pinned
     slacks, depend on the unit, so every unit shares one constraint
-    matrix, and under ram and additive one cost and one bound vector;
-    every array is read-only, so the ``LinearProgram`` holds it as it is.
+    matrix, and under ram and additive one cost and one bound vector.
     """
     _check_scheme(scheme)
     _check_regime(regime)
@@ -240,10 +239,7 @@ def _scoring_layout(dataset: Dataset, units, scheme: str, regime: str):
     cost = np.concatenate([np.zeros(w_in.shape[:-1] + (n,)), w_in, w_out], axis=-1)
     upper = np.where(cost == 0.0, 0.0, np.inf)
     upper[..., :n] = np.inf
-    layout = cost, A, rhs, np.zeros(q), upper
-    for array in layout:
-        array.setflags(write=False)
-    return layout
+    return cost, A, rhs, np.zeros(q), upper
 
 
 def _scoring_bases(rhs: np.ndarray, units, n: int, regime: str) -> np.ndarray:

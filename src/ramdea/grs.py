@@ -171,7 +171,6 @@ def _max_support_many(systems, settings, support_tol) -> list:
     stack = np.zeros((len(matrices), matrices[0].shape[0], column.size))
     for padded, matrix in zip(stack, matrices):
         padded[:, :matrix.shape[1]] = matrix
-    stack.setflags(write=False)
     programs = LinearProgram("maximize", np.where(companion, 1.0, 0.0), stack,
                              np.zeros(stack.shape[:2]), upper_bounds=upper)
     solutions = []

@@ -12,8 +12,10 @@ number of equality rows regardless of how many variables are boxed.
 Callers that need inequality rows add their own slack variables.
 
 Pricing is Dantzig's rule with an automatic and reversible fallback to
-Bland's rule once an LP of p rows and q columns has made min(p + q, 6p)
-degenerate pivots in a row; DEA-style instances are routinely degenerate.
+Bland's rule: an LP of p rows and q columns prices by Bland's rule while
+its run of degenerate pivots in a row is at least min(p + q, 6p), and by
+Dantzig's again from its first pivot that is not degenerate; DEA-style
+instances are routinely degenerate.
 
 The ratio test is Harris's two-pass test (Harris 1973, "Pivot selection
 methods of the Devex LP code").  Pass 1 finds the longest step along
@@ -76,16 +78,17 @@ checks and dropping the LPs that are done, whose per-LP state is a few
 blocks of arrays.  A Python loop remains only to build each LP's
 outcome.  A lockstep stack holds as many LPs as fit in
 ``_STACK_BYTES``.  Each LP keeps its own basis, phase,
-Bland switch, pivot budget and checks, so it takes the pivots it would
+degenerate run, pivot budget and checks, so it takes the pivots it would
 take alone, and its products are stacks of matrix-vector products, so
 its numbers are bitwise those of a solve on its own; it leaves the stack
 as soon as it concludes or fails, and a failure (a singular basis, an
 exhausted budget, a failed check) ends that LP alone with its typed
 error.  ``solve`` is a stack of one.
 
-A ``LinearProgram`` is immutable after construction and safe to share
-across concurrent solves; each ``solve`` or ``solve_many`` call owns
-all of its mutable state.
+A ``LinearProgram`` owns a read-only copy of every array it is given,
+so it is immutable after construction and safe to share across
+concurrent solves; each ``solve`` or ``solve_many`` call owns all of its
+mutable state.
 """
 
 from __future__ import annotations
@@ -151,12 +154,7 @@ class SolverSettings:
 
 
 def _frozen(values, ndmin: int) -> np.ndarray:
-    """A read-only float array of ``values``: the array itself when it is
-    one already, so programs built from one frozen array share it, and a
-    private copy otherwise."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.ndim >= ndmin and not values.flags.writeable):
-        return values
+    """A private read-only float copy of ``values``."""
     frozen = np.array(values, dtype=float, ndmin=ndmin)
     frozen.setflags(write=False)
     return frozen
@@ -231,11 +229,10 @@ class LinearProgram:
 
     In a stack, each other array is either the one above, shared by all k
     programs, or one per program along a leading axis of length k.  Array
-    arguments are copied, except read-only float arrays, which are
-    immutable already and are shared.  ``len`` is the number of programs;
-    indexing with an integer gives one program, with a slice a smaller
-    stack, and iterating gives each program in turn, all sharing this
-    stack's arrays.
+    arguments are copied, so writing to them later changes no program.
+    ``len`` is the number of programs; indexing with an integer gives one
+    program, with a slice a smaller stack, and iterating gives each
+    program in turn, all sharing this stack's arrays.
     """
 
     def __init__(self, sense, objective, constraint_matrix, rhs,
@@ -363,10 +360,10 @@ def unwrap(outcome):
 _STATE = (
     (np.float64, "w", ("lo", "hi", "x_off", "toward", "cost")),
     (bool, "w", ("free",)),
-    (np.float64, "p", ("b", "x_basic")),
+    (np.float64, "p", ("b",)),
     (np.int64, "p", ("basis",)),
     (np.int64, "", ("ids", "iterations", "phase1_iterations", "consec_degenerate")),
-    (bool, "", ("bland", "phase1")),
+    (bool, "", ("phase1",)),
 )
 
 
@@ -390,8 +387,10 @@ class _SimplexState:
     move: -1 up from its lower bound, +1 down from its upper bound, 0 not
     at all (a basic or pinned variable, or a free one, which ``free``
     marks and which may move either way from zero).  ``x_off`` holds the
-    resting value of every nonbasic variable and zero for the basics;
-    ``x_basic`` holds the basic values in basis order.  ``A`` is the
+    resting value of every nonbasic variable and zero for the basics; no
+    basic values are kept, since each round solves them afresh.  An LP
+    prices by Bland's rule while ``consec_degenerate``, its run of
+    degenerate pivots, is at least ``bland_after``.  ``A`` is the
     kernel's one stack of the programs' matrices, [leading | constraint
     matrix | artificials], and ``c`` the objectives: per-LP when either
     block or the objective has a leading axis, else shared under a
@@ -425,8 +424,8 @@ class _SimplexState:
         self.sign = 1.0 if lp.sense == "minimize" else -1.0
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         self.x_off[:, :q] = x0
-        self.x_basic[:] = self.b - _times(self.A, self.x_off)
-        below = self.x_basic < 0.0
+        start = self.b - _times(self.A, self.x_off)  # the artificials' values
+        below = start < 0.0
         self.lo[:, :q], self.lo[:, q:] = lo, np.where(below, -np.inf, 0.0)
         self.hi[:, :q], self.hi[:, q:] = hi, np.where(below, 0.0, np.inf)
         free = (lo == -np.inf) & (hi == np.inf)
@@ -439,9 +438,10 @@ class _SimplexState:
         self.basis[:] = np.arange(q, q + p)
         self.any_bland = False
         self._crash(bases)
-        # phase 1 runs only where the start leaves an artificial non-zero;
-        # its cost is the artificials' total magnitude
-        self.phase1[:] = np.any((self.basis >= q) & (self.x_basic != 0.0), axis=1)
+        # phase 1 runs only where the start leaves an artificial non-zero
+        # (a crash basis holds none); its cost is the artificials' total
+        # magnitude
+        self.phase1[:] = np.any((self.basis >= q) & (start != 0.0), axis=1)
         self.cost[:, q:] = np.where(below, -1.0, 1.0)
         self._start_phase2(np.flatnonzero(~self.phase1))
 
@@ -470,7 +470,6 @@ class _SimplexState:
         usable[list(failed)] = False
         rows, hints = rows[usable], hints[usable]
         self.basis[rows] = hints
-        self.x_basic[rows] = x_basic[usable]
         self.x_off[rows[:, None], hints] = 0.0
         self.toward[rows[:, None], hints] = 0.0
         self.free[rows[:, None], hints] = False
@@ -516,9 +515,8 @@ class _SimplexState:
             rhs[:, :, 1] = _gather(A, j[rows, None], rows)[:, :, 0]
             solved, failed = _solve_stack(basic_cols[rows], rhs)
             self._fail(rows, failed)
-            self.x_basic[rows] = solved[:, :, 0]
             step, pos, hits_upper = self._ratio_test(rows, j[rows], sigma[rows],
-                                                     solved[:, :, 1])
+                                                     solved[:, :, 1], solved[:, :, 0])
             for i in rows[(step == np.inf) & self.live[rows]]:
                 if self.phase1[i]:  # its cost is bounded below by 0
                     self._record(i, LpError("phase-1 subproblem reported unbounded"))
@@ -532,7 +530,6 @@ class _SimplexState:
         if rows.size:
             x_basic, failed = _solve_stack(basic_cols[rows], resid[rows])
             self._fail(rows, failed)
-            self.x_basic[rows] = x_basic
             x = self.x_off[rows]
             x[np.arange(rows.size)[:, None], self.basis[rows]] = x_basic
             live, phase1 = self.live[rows], self.phase1[rows]
@@ -555,22 +552,23 @@ class _SimplexState:
             gain = np.where(self.free, np.abs(reduced), gain)
         j = gain.argmax(axis=1)  # Dantzig: steepest, first on ties
         if self.any_bland:
-            j = np.where(self.bland, (gain > _OPT_TOL).argmax(axis=1), j)
+            j = np.where(self.consec_degenerate >= self.bland_after,
+                         (gain > _OPT_TOL).argmax(axis=1), j)
         lps = np.arange(j.size)
         sigma = np.where(reduced[lps, j] < 0.0, 1.0, -1.0)
         return j, sigma, gain[lps, j] > _OPT_TOL
 
-    def _ratio_test(self, lps, j, sigma, w):
+    def _ratio_test(self, lps, j, sigma, w, xb):
         """Step, basis position and leaving bound of the pivots of the LPs ``lps``.
 
         ``j`` and ``sigma`` are each one's entering variable and its
-        direction, ``w`` its column solved with the basis.  The position
+        direction, ``w`` its column solved with the basis, and ``xb`` its
+        basic values, in basis order.  The position
         is -1 for a bound-to-bound flip of the entering variable (basis
         unchanged), and the step is infinite when nothing limits it.
         """
         rows = np.arange(lps.size)
         bi = self.basis[lps]
-        xb = self.x_basic[lps]
         move = sigma[:, None] * w  # basics change by -move * step
         size = np.abs(move)
         pivot_tol = _PIVOT_TOL * np.maximum(1.0, size.max(axis=1))[:, None]
@@ -591,7 +589,7 @@ class _SimplexState:
         pos = np.where(within, size, -1.0).argmax(axis=1)
         if self.any_bland:
             lowest = np.where(within, bi, np.iinfo(bi.dtype).max).argmin(axis=1)
-            pos = np.where(self.bland[lps], lowest, pos)
+            pos = np.where(self.consec_degenerate[lps] >= self.bland_after, lowest, pos)
         step = np.where(flip, own_range, np.maximum(exact[rows, pos], 0.0))
         return step, np.where(flip, -1, pos), move[rows, pos] < 0.0
 
@@ -602,8 +600,7 @@ class _SimplexState:
         degenerate = step <= self.settings.feas_tol
         run = np.where(degenerate, self.consec_degenerate[lps] + 1, 0)
         self.consec_degenerate[lps] = run
-        self.bland[lps] = degenerate & (self.bland[lps] | (run >= self.bland_after))
-        self.any_bland = bool(self.bland.any())
+        self.any_bland = bool(self.consec_degenerate.max() >= self.bland_after)
         self.iterations[lps] += 1
         flips = pos < 0
         if flips.any():
@@ -670,9 +667,9 @@ class _SimplexState:
                 OPTIMAL, primal=x_i, objective_value=value, iterations=iterations,
                 duals=y_i, phase1_iterations=phase1_iterations))
 
-    def _ending(self, i: int, status: str, **values) -> LpSolution:
+    def _ending(self, i: int, status: str) -> LpSolution:
         return LpSolution(status, iterations=int(self.iterations[i]),
-                          phase1_iterations=int(self.phase1_iterations[i]), **values)
+                          phase1_iterations=int(self.phase1_iterations[i]))
 
     def _fail(self, lps, failed: dict) -> None:
         """End the LPs ``lps[i]`` whose basis solve failed, by ``_solve_stack``."""

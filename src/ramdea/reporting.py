@@ -315,8 +315,6 @@ def _render_csv(reports) -> str:
         header += [f"proj_out:{label}" for label in reports[0].projection_outputs]
     if has_rts:
         header += ["rts", "omega_min", "omega_max"]
-    if not reports:
-        header = ["dmu", "rho", "efficient", "grs", "face_dim"]
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -348,8 +346,6 @@ def _render_table(reports) -> str:
         header += ["global reference set", "projection", "dim"]
     if has_rts:
         header += ["rts", "intercept range"]
-    if not reports:
-        header = ["dmu", "rho", "eff", "global reference set", "dim"]
 
     table = [header]
     for report in reports:

@@ -120,7 +120,6 @@ def _envelopment_columns(dataset, x_hat, y_hat):
     shared[:-1, :n] = data / row_scale[:, None]
     shared[:-1, n:] = np.eye(s + m)
     shared[-1, :n] = -1.0
-    shared.setflags(write=False)
     anchored = np.zeros((x_hat.shape[0], s + m + 1, 2))
     anchored[:, s:-1, 0] = x_hat / row_scale[s:]
     anchored[:, :-1, 1] = np.hstack([y_hat, -x_hat]) / row_scale
@@ -183,6 +182,8 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
         y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
         if x_hat.shape != (m,) or y_hat.shape != (s,):
             raise ValueError("anchor point does not match the dataset's dimensions")
+        if not (np.isfinite(x_hat).all() and np.isfinite(y_hat).all()):
+            raise ValueError("anchor point must be finite")
         keys.append((x_hat.tobytes(), y_hat.tobytes()))
         if float(x_hat.max()) <= 0.0:
             results[keys[-1]] = NormalizationUnattainableError(

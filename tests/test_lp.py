@@ -320,12 +320,48 @@ def test_ratio_test_passes_over_a_noise_pivot():
                                [[1.0, 0.0, 1e-9], [0.0, 1.0, 1.0]], [0.0, 1e-10])
     state = lp._SimplexState(program, lp.SolverSettings(), [[0, 1]])
     (step,), (pos,), (hits_upper,) = state._ratio_test(
-        np.array([0]), np.array([2]), np.array([1.0]), np.array([[1e-9, 1.0]]))
+        np.array([0]), np.array([2]), np.array([1.0]), np.array([[1e-9, 1.0]]),
+        np.array([[0.0, 1e-10]]))
     assert (pos, hits_upper) == (1, False)
     assert step == pytest.approx(1e-10, abs=1e-20)
     sol = lp.solve(program, basis=[0, 1])
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_bland_rule_follows_the_degenerate_run():
+    # two copies of one program from the crash basis [1, 0]; column 4 is
+    # pinned, so flipping it is a degenerate pivot that changes nothing else
+    program = lp.LinearProgram("maximize", np.zeros(5),
+                               [[1.0, 0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 2.0, 1.0]],
+                               np.zeros((2, 2)), upper_bounds=[np.inf] * 4 + [0.0])
+    state = lp._SimplexState(program, lp.SolverSettings(), [[1, 0], [1, 0]])
+    lps, no = np.arange(2), np.zeros(2, dtype=bool)
+    for _ in range(state.bland_after - 1):
+        state._pivot(lps, np.array([4, 4]), np.zeros(2), np.array([-1, -1]), no)
+    state._pivot(lps[1:], np.array([4]), np.zeros(1), np.array([-1]), no[1:])
+    assert state.consec_degenerate.tolist() == [state.bland_after - 1, state.bland_after]
+    # columns 2 and 3 improve, 3 the steeper: Dantzig's rule takes 3 and
+    # Bland's the lower index, 2
+    reduced = np.array([[0.0, 0.0, -1.0, -5.0, 0.0, 0.0, 0.0]] * 2)
+    j, _, improving = state._entering(reduced)
+    assert j.tolist() == [3, 2] and improving.all()
+    # both basic rows bind at step 0: Harris's pass takes the larger pivot
+    # element, at position 0 (variable 1), and Bland's rule the lower
+    # variable index, at position 1 (variable 0)
+    step, pos, _ = state._ratio_test(lps, np.array([2, 2]), np.ones(2),
+                                     np.array([[2.0, 1.0]] * 2), np.zeros((2, 2)))
+    assert pos.tolist() == [0, 1] and step.tolist() == [0.0, 0.0]
+    # a pivot that is not degenerate ends the second LP's run, and with it
+    # Bland's rule: 3 enters at position 0, and variable 1 rests at 0
+    state._pivot(lps[1:], np.array([3]), np.ones(1), np.array([0]), no[1:])
+    assert state.consec_degenerate.tolist() == [state.bland_after - 1, 0]
+    reduced[1] = [0.0, -1.0, -5.0, 0.0, 0.0, 0.0, 0.0]
+    j, _, _ = state._entering(reduced)
+    assert j.tolist() == [3, 2]
+    _, pos, _ = state._ratio_test(lps, np.array([2, 2]), np.ones(2),
+                                  np.array([[2.0, 1.0]] * 2), np.zeros((2, 2)))
+    assert pos.tolist() == [0, 0]
 
 
 def mixed_batch(rng):
@@ -525,15 +561,15 @@ def test_optimum_check_keeps_the_verdict_of_the_full_row_scaled_bound(per_lp):
 @pytest.mark.parametrize("seed", [43, 47, 53, 59, 61])
 def test_array_layout_changes_no_bit(seed):
     # the kernel pivots and checks with its own copy of each matrix, so a
-    # Fortran-ordered, read-only matrix, which a program shares rather
-    # than copies, gives the same pivots and bits as the program's own
+    # Fortran-ordered, read-only matrix, which a program copies as it does
+    # every array, gives the same pivots and bits as the program's own
     programs, bases = mixed_batch(np.random.default_rng(seed))
     for program, basis in zip(programs, bases):
         matrix = np.asfortranarray(program.constraint_matrix)
         matrix.setflags(write=False)
         transposed = lp.LinearProgram(program.sense, program.objective, matrix, program.rhs,
                                       program.lower_bounds, program.upper_bounds)
-        assert transposed.constraint_matrix is matrix
+        assert transposed.constraint_matrix is not matrix
         (own,), (got,) = (lp.solve_many(one, bases=[basis]) for one in (program, transposed))
         if isinstance(own, lp.LpError):
             assert (type(got), str(got)) == (type(own), str(own))
@@ -547,6 +583,22 @@ def assert_same_result(got, expected):
         assert (type(got), str(got)) == (type(expected), str(expected))
     else:
         assert_same_outcome(got, expected)
+
+
+def test_writing_to_inputs_changes_no_outcome():
+    # a program copies its arrays, so its caller may reuse them at once
+    programs, bases = mixed_batch(np.random.default_rng(67))
+    for program, basis in zip(programs, bases):
+        r = program.cols // 2
+        arrays = [program.objective.copy(), program.constraint_matrix[:, r:].copy(),
+                  program.rhs.copy(), program.lower_bounds.copy(),
+                  program.upper_bounds.copy(), program.constraint_matrix[:, :r].copy()]
+        built = lp.LinearProgram(program.sense, *arrays)
+        (expected,) = lp.solve_many(built, bases=[basis])
+        for array in arrays:
+            array[...] = 7.0
+        (got,) = lp.solve_many(built, bases=[basis])
+        assert_same_result(got, expected)
 
 
 @pytest.mark.parametrize("shared", ["leading", "matrix", "neither"])

@@ -55,6 +55,18 @@ def test_nonpositive_inputs_are_rejected(frontier8):
         rts.intercept_bounds(ds, ([0.0], [2.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["inputs", "outputs"])
+def test_non_finite_anchors_are_rejected(frontier8, side, value):
+    # a bad argument, not a verdict about the data such as an unattainable
+    # normalisation, and one that names no argument of the kernel
+    bad = ([value], [2.0]) if side == "inputs" else ([1.0], [value])
+    with pytest.raises(ValueError, match="^anchor point must be finite$"):
+        rts.intercept_bounds(frontier8, bad)
+    with pytest.raises(ValueError, match="^anchor point must be finite$"):
+        rts.intercept_bounds_many(frontier8, [([1.0], [2.0]), bad])
+
+
 def test_classification_rule():
     assert rts.classify_rts((0.6, 1.0)) == rts.DECREASING
     assert rts.classify_rts((-1.0, -1.0 / 3.0)) == rts.INCREASING

@@ -2,10 +2,12 @@
 
 ``tools/census.py`` and ``tools/stages.py`` wrap the stages' ``solve_many``
 bindings and ``lp._SimplexState.run`` and ``_round``; each runs here in a
-process of its own, so its wrappers stay out of the other tests."""
+process of its own, so its wrappers stay out of the other tests, and so
+does ``tools/sweep.py``."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,30 @@ def test_stages_counts_every_stage():
     # kernel calls, stacks and rounds
     for stage, counts in result["counts"].items():
         assert len(counts) == 3 and all(count > 0 for count in counts), stage
+
+
+def test_sweep_sorts_identical_close_and_different(tmp_path):
+    first = tmp_path / "first.json"
+    sweep = ["tools/sweep.py", "--workload", "many-small", "--seeds", "0"]
+    made = run([*sweep, "--out", str(first)])
+    assert made.returncode == 0, made.stderr
+    outputs = json.loads(first.read_text(encoding="utf-8"))
+    # one nonzero decimal of one dataset that passed, to be scaled
+    name, number = next((name, match) for name, (code, stdout, _) in outputs.items()
+                        if code == 0 for match in re.finditer(r"\d+\.\d+", stdout)
+                        if float(match[0]) != 0.0)
+    for scale, counts, code in ((None, "identical: 27", 0),
+                                (1 + 1e-9, "within 1e-6: 1", 0),
+                                (1 + 1e-3, "different: 1", 1)):
+        earlier = first
+        if scale is not None:
+            earlier = tmp_path / f"scaled {scale}.json"
+            _, stdout, stderr = outputs[name]
+            stdout = (stdout[:number.start()] + repr(float(number[0]) * scale)
+                      + stdout[number.end():])
+            earlier.write_text(json.dumps({**outputs, name: [0, stdout, stderr]}),
+                               encoding="utf-8")
+        compared = run([*sweep, "--out", str(tmp_path / "again.json"),
+                        "--against", str(earlier)])
+        assert compared.returncode == code, compared.stdout + compared.stderr
+        assert counts in compared.stdout.splitlines()
