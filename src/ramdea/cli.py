@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.data).read_text(encoding="utf-8")
+        text = Path(args.data).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.data}: {exc}", file=sys.stderr)
         return 1

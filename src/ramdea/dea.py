@@ -47,7 +47,7 @@ import numpy as np
 # ``solve`` stays bound here, as in ``grs`` and ``rts``, for wrappers that
 # trace the kernel per calling module (bench/tracing.py)
 from .lp import (  # noqa: F401
-    OPTIMAL, LinearProgram, LpError, SolverSettings, solve, solve_many, unwrap,
+    FEAS_TOL, OPTIMAL, LinearProgram, LpError, _tolerance, solve, solve_many, unwrap,
 )
 
 __all__ = [
@@ -258,33 +258,34 @@ def _scoring_bases(rhs: np.ndarray, units, n: int, regime: str) -> np.ndarray:
 
 
 def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
-             settings: SolverSettings | None = None,
-             eff_tol: float = EFF_TOL) -> RamResult:
+             feas_tol: float = FEAS_TOL, eff_tol: float = EFF_TOL) -> RamResult:
     """Score unit ``o`` and return one optimal slack pattern.
 
     Cannot be infeasible (the unit itself is a feasible combination,
     and the solve starts from it), so a non-optimal solver status is
-    raised as LpError.  ``evaluate_many`` of the one unit.
+    raised as LpError.  Efficient means a ``slack_sum`` of at most
+    ``eff_tol``.  ``evaluate_many`` of the one unit.
     """
-    (result,) = evaluate_many(dataset, [o], scheme, regime, settings, eff_tol)
+    (result,) = evaluate_many(dataset, [o], scheme, regime, feas_tol, eff_tol)
     return unwrap(result)
 
 
 def evaluate_many(dataset: Dataset, units, scheme: str = "ram", regime: str = "vrs",
-                  settings: SolverSettings | None = None,
+                  feas_tol: float = FEAS_TOL,
                   eff_tol: float = EFF_TOL) -> list[RamResult | LpError]:
     """Score every unit of ``units`` with one call of the kernel.
 
     Returns one entry per unit, in order: what ``evaluate`` returns for
     it, or the ``LpError`` that ``evaluate`` raises.
     """
+    eff_tol = _tolerance("eff_tol", eff_tol)
     units = list(units)
     if not units:
         return []
     layout = _scoring_layout(dataset, units, scheme, regime)
     rhs = layout[2]
     bases = _scoring_bases(rhs, units, dataset.n_dmus, regime)
-    results = solve_many(LinearProgram("maximize", *layout), settings, list(bases))
+    results = solve_many(LinearProgram("maximize", *layout), feas_tol, list(bases))
     optimal = []
     for i, (o, sol) in enumerate(zip(units, results)):
         if isinstance(sol, LpError):

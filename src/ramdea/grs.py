@@ -80,8 +80,8 @@ from . import dea
 # ``solve`` stays bound here, as in ``dea`` and ``rts``, for wrappers that
 # trace the kernel per calling module (bench/tracing.py)
 from .lp import (  # noqa: F401
-    OPTIMAL, LinearProgram, LpError, RamdeaError, SolverSettings, _dots, solve, solve_many,
-    unwrap,
+    FEAS_TOL, OPTIMAL, LinearProgram, LpError, RamdeaError, _dots, _tolerance, solve,
+    solve_many, unwrap,
 )
 
 __all__ = [
@@ -131,17 +131,17 @@ class GrsResult:
     interior_projection_outputs: np.ndarray
 
 
-def max_support_solution(A, B=None, d=None,
-                         settings: SolverSettings | None = None,
+def max_support_solution(A, B=None, d=None, feas_tol: float = FEAS_TOL,
                          support_tol: float = SUPPORT_TOL):
     """Feasible (u, v) of ``A u + B v = d`` maximising the support of u.
 
     ``B`` of None means no v block and ``d`` of None means zeros.  The
-    caller must guarantee that the system is feasible; for a system whose
-    normalising column still vanishes, ``DegenerateNormalizerError`` is
-    raised.  ``ValueError`` names a ``B`` or ``d`` that does not match
-    ``A``'s rows.
+    caller must guarantee that the system is feasible; a normalising
+    column that ends at or below ``support_tol`` raises
+    ``DegenerateNormalizerError``.  ``ValueError`` names a ``B`` or ``d``
+    that does not match ``A``'s rows, or a ``support_tol`` of NaN, inf or <= 0.
     """
+    support_tol = _tolerance("support_tol", support_tol)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     p = A.shape[0]
     B = np.zeros((p, 0)) if B is None else np.atleast_2d(np.asarray(B, dtype=float))
@@ -150,11 +150,11 @@ def max_support_solution(A, B=None, d=None,
     d = np.zeros(p) if d is None else np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape != (p,):
         raise ValueError(f"d has length {d.shape[0]}, expected {p}")
-    (solution,) = _max_support_many([(A, B, d)], settings, support_tol)
+    (solution,) = _max_support_many([(A, B, d)], feas_tol, support_tol)
     return unwrap(solution)
 
 
-def _max_support_many(systems, settings, support_tol) -> list:
+def _max_support_many(systems, feas_tol, support_tol) -> list:
     """``max_support_solution`` of each (A, B, d) of ``systems``, float
     arrays of one row count, with one call of the kernel; an error is
     returned in place of its solution."""
@@ -174,7 +174,7 @@ def _max_support_many(systems, settings, support_tol) -> list:
     programs = LinearProgram("maximize", np.where(companion, 1.0, 0.0), stack,
                              np.zeros(stack.shape[:2]), upper_bounds=upper)
     solutions = []
-    for sol, width, k in zip(solve_many(programs, settings), widths, ks):
+    for sol, width, k in zip(solve_many(programs, feas_tol), widths, ks):
         if isinstance(sol, LpError):
             solutions.append(sol)
         elif sol.status != OPTIMAL:
@@ -200,8 +200,7 @@ def _support_point(primal, k, support_tol):
 
 
 def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
-                 settings: SolverSettings | None = None,
-                 support_tol: float = SUPPORT_TOL) -> GrsResult:
+                 feas_tol: float = FEAS_TOL, support_tol: float = SUPPORT_TOL) -> GrsResult:
     """Identify unit ``o``'s global reference set with at most one solve.
 
     ``ram_result`` must come from ``dea.evaluate`` for the same unit.
@@ -212,16 +211,15 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     to one under "vrs"; members are exactly the units whose weight
     exceeds ``support_tol``.  The interior projection is the matching
     frontier point, strictly inside the minimum face.  ``identify_grs_many``
-    of the one unit.
+    of the one unit, which checks ``support_tol``.
     """
     if ram_result.dmu_index != o:
         raise ValueError(f"ram_result is for unit {ram_result.dmu_index}, not {o}")
-    (reference,) = identify_grs_many(dataset, [ram_result], settings, support_tol)
+    (reference,) = identify_grs_many(dataset, [ram_result], feas_tol, support_tol)
     return unwrap(reference)
 
 
-def identify_grs_many(dataset: dea.Dataset, ram_results,
-                      settings: SolverSettings | None = None,
+def identify_grs_many(dataset: dea.Dataset, ram_results, feas_tol: float = FEAS_TOL,
                       support_tol: float = SUPPORT_TOL) -> list[GrsResult | RamdeaError]:
     """``identify_grs`` of the unit of each of ``ram_results``, which share
     one scheme and regime (``ValueError`` names the models otherwise).
@@ -230,6 +228,7 @@ def identify_grs_many(dataset: dea.Dataset, ram_results,
     Returns one entry per result, in order: its ``GrsResult``, or the
     ``RamdeaError`` that ``identify_grs`` raises for it.
     """
+    support_tol = _tolerance("support_tol", support_tol)
     ram_results = list(ram_results)
     models = sorted({(r.scheme, r.regime) for r in ram_results})
     if len(models) > 1:
@@ -268,7 +267,7 @@ def identify_grs_many(dataset: dea.Dataset, ram_results,
         system = np.vstack([A, budget[g]])
         systems.append((system[:, :n][:, kept[g]], system[:, n:][:, free[g]],
                         np.append(rhs[g], ram_results[g].slack_sum)))
-    solutions = iter(_max_support_many(systems, settings, support_tol) if systems else [])
+    solutions = iter(_max_support_many(systems, feas_tol, support_tol) if systems else [])
 
     references = []
     for g, ram_result in enumerate(ram_results):

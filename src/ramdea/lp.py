@@ -10,6 +10,9 @@ at one of its finite bounds (or at zero when both bounds are infinite).
 Bounds never become extra rows, so the basis stays as large as the
 number of equality rows regardless of how many variables are boxed.
 Callers that need inequality rows add their own slack variables.
+The kernel's one tolerance, ``feas_tol``, is a keyword float defaulting
+to ``FEAS_TOL``; ``_tolerance``, the package's one test that a tolerance
+is finite and strictly positive, checks it on entry to ``solve_many``.
 
 Pricing is Dantzig's rule with an automatic and reversible fallback to
 Bland's rule: an LP of p rows and q columns prices by Bland's rule while
@@ -104,7 +107,7 @@ __all__ = [
     "RamdeaError",
     "LpError",
     "IterationLimitError",
-    "SolverSettings",
+    "FEAS_TOL",
     "LinearProgram",
     "LpSolution",
     "solve",
@@ -114,6 +117,9 @@ __all__ = [
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# Feasibility tolerance of every solve: on bounds, rows and the ratio test.
+FEAS_TOL = 1e-9
 
 # Smallest magnitude accepted as a pivot / ratio-test denominator,
 # relative to the entering column's largest entry when that exceeds 1.
@@ -142,15 +148,12 @@ class IterationLimitError(LpError):
     """Pivot budget exhausted before any conclusive status was reached."""
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Feasibility tolerance shared by every solve."""
-
-    feas_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.feas_tol) and self.feas_tol > 0.0):
-            raise ValueError("feas_tol must be finite and strictly positive")
+def _tolerance(name: str, value) -> float:
+    """``value`` as a float if finite and strictly positive, else ``ValueError``."""
+    tol = float(value)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+    return tol
 
 
 def _frozen(values, ndmin: int) -> np.ndarray:
@@ -284,13 +287,14 @@ class LpSolution:
     phase1_iterations: int = 0
 
 
-def solve(lp: LinearProgram, settings: SolverSettings | None = None,
-          basis=None) -> LpSolution:
+def solve(lp: LinearProgram, feas_tol: float = FEAS_TOL, basis=None) -> LpSolution:
     """Run the two-phase bounded-variable simplex on ``lp``, one program.
 
-    ``basis``, if given, is a starting basis of ``lp.rows`` distinct
-    structural column indices (``ValueError`` otherwise); it is used
-    only when it is non-singular and feasible, and otherwise ignored.
+    ``feas_tol`` bounds every feasibility test of the solve; it must be
+    finite and strictly positive (``ValueError`` otherwise).  ``basis``,
+    if given, is a starting basis of ``lp.rows`` distinct structural
+    column indices (``ValueError`` otherwise); it is used only when it
+    is non-singular and feasible, and otherwise ignored.
 
     Returns an ``LpSolution`` whose status is one of ``optimal``,
     ``infeasible`` or ``unbounded``.  ``iterations`` counts every pivot
@@ -300,32 +304,33 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None,
     rather than a property of the problem, and ``LpError`` on any other
     numerical failure.
     """
-    (outcome,) = solve_many(lp, settings, [basis])
+    (outcome,) = solve_many(lp, feas_tol, [basis])
     return unwrap(outcome)
 
 
-def solve_many(stack: LinearProgram, settings: SolverSettings | None = None,
+def solve_many(stack: LinearProgram, feas_tol: float = FEAS_TOL,
                bases=None) -> list[LpSolution | LpError]:
     """Solve every program of ``stack``, in lockstep.
 
     ``bases``, if given, holds one entry per program: a starting basis
     as for ``solve``, or None.  Returns one outcome per program, in
     order: the ``LpSolution`` that ``solve`` returns for it, or the
-    ``LpError`` that ``solve`` raises.  Every basis is checked before
-    any program is solved, in as few lockstep stacks of equal size as
-    keep each one's state within ``_STACK_BYTES``.
+    ``LpError`` that ``solve`` raises.  ``feas_tol``, as for ``solve``,
+    then every basis are checked before any program is solved, in as
+    few lockstep stacks of equal size as keep each one's state within
+    ``_STACK_BYTES``.
     """
+    feas_tol = _tolerance("feas_tol", feas_tol)
     k, p, q = len(stack), stack.rows, stack.cols
     bases = _checked_bases(bases, k, p, q)
     if not k:
         return []
-    settings = settings or SolverSettings()
     shared = stack.leading_columns.ndim == stack.constraint_matrix.ndim == 2
     per_lp = _state_bytes(p, q) + (0 if shared else 8 * p * q)
     size = -(-k // -(-k * per_lp // _STACK_BYTES))
     outcomes: list = []
     for start in range(0, k, size):
-        outcomes += _SimplexState(stack[start:start + size], settings,
+        outcomes += _SimplexState(stack[start:start + size], feas_tol,
                                   bases[start:start + size]).run()
     return outcomes
 
@@ -399,9 +404,9 @@ class _SimplexState:
     each row's bound with that row's largest term.
     """
 
-    def __init__(self, lp: LinearProgram, settings: SolverSettings, bases):
+    def __init__(self, lp: LinearProgram, feas_tol: float, bases):
         k, p, q = len(lp), lp.rows, lp.cols
-        self.settings = settings
+        self.feas_tol = feas_tol
         self.p, self.q = p, q
         self.max_iter = _PIVOTS_PER_DIMENSION * (p + q)
         self.bland_after = min(p + q, 6 * p)  # degenerate pivots before Bland's rule
@@ -463,7 +468,7 @@ class _SimplexState:
         x_off = self.x_off[rows]
         x_off[np.arange(rows.size)[:, None], hints] = 0.0
         x_basic, failed = _solve_stack(_gather(A, hints), self.b[rows] - _times(A, x_off))
-        tol = self.settings.feas_tol
+        tol = self.feas_tol
         lo, hi = self.lo[rows[:, None], hints], self.hi[rows[:, None], hints]
         # a singular or infeasible hint keeps the artificial start
         usable = np.all((x_basic >= lo - tol) & (x_basic <= hi + tol), axis=1)
@@ -579,7 +584,7 @@ class _SimplexState:
         exact = np.full(move.shape, np.inf)
         np.divide(gap, size, out=exact, where=size > pivot_tol)
         # pass 1: the longest step with every basic bound relaxed by feas_tol
-        longest = (exact + self.settings.feas_tol
+        longest = (exact + self.feas_tol
                    / np.maximum(size, pivot_tol)).min(axis=1)
         own_range = self.hi[lps, j] - self.lo[lps, j]
         flip = own_range <= longest
@@ -597,7 +602,7 @@ class _SimplexState:
         """Apply the pivots or bound flips of the LPs ``lps``."""
         # basic values come afresh from the next solve with the basis,
         # so only nonbasic values move here
-        degenerate = step <= self.settings.feas_tol
+        degenerate = step <= self.feas_tol
         run = np.where(degenerate, self.consec_degenerate[lps] + 1, 0)
         self.consec_degenerate[lps] = run
         self.any_bland = bool(self.consec_degenerate.max() >= self.bland_after)
@@ -629,7 +634,7 @@ class _SimplexState:
         """Phase 1 optimal at ``x``: infeasible, or on to phase 2 from this basis."""
         self.phase1_iterations[rows] = self.iterations[rows]
         infeas = _dots(self.cost[rows], x)
-        slack = self.settings.feas_tol * (self.p + np.abs(self.b[rows]).sum(axis=1))
+        slack = self.feas_tol * (self.p + np.abs(self.b[rows]).sum(axis=1))
         for i in rows[infeas > slack]:
             self._record(i, self._ending(i, INFEASIBLE))
         self._start_phase2(rows[infeas <= slack])
@@ -640,7 +645,7 @@ class _SimplexState:
         Row i holds within ``feas_tol * (1 + |b_i| + max_j |a_ij x_j|)``; the
         max term is at least 0, so it is computed only for the LPs with a
         residual beyond ``feas_tol * (1 + |b_i|)``, with the same verdicts."""
-        tol, q = self.settings.feas_tol, self.q
+        tol, q = self.feas_tol, self.q
         x[:, q:] = 0.0
         b = self.b[rows]
         resid = np.abs(_times(_lps_of(self.A, rows), x) - b)

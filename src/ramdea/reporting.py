@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import dea, grs, rts
-from .lp import RamdeaError, SolverSettings
+from .lp import FEAS_TOL, RamdeaError, _tolerance
 
 __all__ = [
     "DataFormatError",
@@ -45,7 +45,7 @@ class AnalysisConfig:
 
     scheme: str = "ram"
     regime: str = "vrs"
-    feas_tol: float = SolverSettings.feas_tol
+    feas_tol: float = FEAS_TOL
     eff_tol: float = dea.EFF_TOL
     support_tol: float = grs.SUPPORT_TOL
     rts_tol: float = rts.RTS_TOL
@@ -165,11 +165,10 @@ def _validate_config(config: AnalysisConfig, dataset: dea.Dataset) -> None:
     if config.regime not in dea.REGIMES:
         raise DataFormatError(f"unknown regime {config.regime!r}")
     for field in ("feas_tol", "eff_tol", "support_tol", "rts_tol"):
-        value = getattr(config, field)
-        if not (math.isfinite(value) and value > 0.0):
-            raise DataFormatError(
-                f"{field} must be finite and strictly positive, got {value}"
-            )
+        try:
+            _tolerance(field, getattr(config, field))
+        except ValueError as exc:
+            raise DataFormatError(str(exc)) from exc
     if config.dmu_filter:
         unknown = [name for name in config.dmu_filter if name not in dataset.names]
         if unknown:
@@ -205,14 +204,13 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     if stages not in ("efficiency", "grs", "all"):
         raise ValueError(f"unknown stages {stages!r}")
     _validate_config(config, dataset)
-    settings = SolverSettings(feas_tol=config.feas_tol)
     wanted = set(config.dmu_filter) if config.dmu_filter else None
     units = [j for j, name in enumerate(dataset.names) if wanted is None or name in wanted]
     reports = [DmuReport(name=dataset.names[j]) for j in units]
     failure = None  # (position among the units, stage, error)
 
     results = dea.evaluate_many(dataset, units, config.scheme, config.regime,
-                                settings, config.eff_tol)
+                                config.feas_tol, config.eff_tol)
     count = _first_error(results)
     if count < len(units):
         failure = (count, "scoring", results[count])
@@ -221,7 +219,7 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
         report.efficient = bool(result.efficient)
 
     if stages != "efficiency":
-        references = grs.identify_grs_many(dataset, results[:count], settings,
+        references = grs.identify_grs_many(dataset, results[:count], config.feas_tol,
                                            config.support_tol)
         if _first_error(references) < count:
             count = _first_error(references)
@@ -238,7 +236,7 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     if stages == "all" and config.regime == "vrs":
         intervals = rts.intercept_bounds_many(dataset, [
             (reference.interior_projection_inputs, reference.interior_projection_outputs)
-            for reference in references[:count]], settings)
+            for reference in references[:count]], config.feas_tol)
         if _first_error(intervals) < count:
             count = _first_error(intervals)
             failure = (count, "rts", intervals[count])

@@ -58,7 +58,7 @@ from . import dea
 # ``solve`` stays bound here, as in ``dea`` and ``grs``, for wrappers that
 # trace the kernel per calling module (bench/tracing.py)
 from .lp import (  # noqa: F401
-    INFEASIBLE, UNBOUNDED, LinearProgram, LpError, RamdeaError, SolverSettings, solve,
+    FEAS_TOL, INFEASIBLE, UNBOUNDED, LinearProgram, LpError, RamdeaError, _tolerance, solve,
     solve_many, unwrap,
 )
 
@@ -150,23 +150,22 @@ def _off_frontier() -> NotOnFrontierError:
 
 
 def intercept_bounds(dataset: dea.Dataset, point,
-                     settings: SolverSettings | None = None) -> tuple[float, float]:
+                     feas_tol: float = FEAS_TOL) -> tuple[float, float]:
     """Smallest and largest supporting intercept at ``point``.
 
     ``point`` is an (inputs, outputs) pair lying on the efficient
     frontier of the convex technology, e.g. a GRS interior projection.
     An unbounded endpoint is replaced by -1 / +1 (or by the finite
     endpoint when that lies beyond, so the interval stays ordered).
-    Finite ends that cross by rounding are both reported as omega_min;
-    a wider crossing raises ``LpError``.  ``intercept_bounds_many`` of
-    the one point.
+    Finite ends that cross by at most ``feas_tol`` (relative) are both
+    reported as omega_min; a wider crossing raises ``LpError``.
+    ``intercept_bounds_many`` of the one point.
     """
-    (bounds,) = intercept_bounds_many(dataset, [point], settings)
+    (bounds,) = intercept_bounds_many(dataset, [point], feas_tol)
     return unwrap(bounds)
 
 
-def intercept_bounds_many(dataset: dea.Dataset, points,
-                          settings: SolverSettings | None = None) -> list:
+def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_TOL) -> list:
     """``intercept_bounds`` at each of ``points``.
 
     Returns one entry per point, in order: its (omega_min, omega_max),
@@ -209,7 +208,7 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
     # ends (-1)
     programs = _envelopment_programs(shared, np.concatenate([anchored, anchored]),
                                      np.concatenate([np.ones(k), -np.ones(k)]))
-    ends = solve_many(programs, settings, bases + [None] * k)
+    ends = solve_many(programs, feas_tol, bases + [None] * k)
 
     unsettled = []
     for g, key in enumerate(solvable):
@@ -233,13 +232,12 @@ def intercept_bounds_many(dataset: dea.Dataset, points,
 
     if unsettled:
         zero_rhs = _envelopment_programs(shared, anchored[unsettled], 0.0)
-        for g, sol in zip(unsettled, solve_many(zero_rhs, settings)):
+        for g, sol in zip(unsettled, solve_many(zero_rhs, feas_tol)):
             if isinstance(sol, LpError):
                 results[solvable[g]] = sol
             elif sol.status == UNBOUNDED:
                 results[solvable[g]] = _off_frontier()
-    tol = (settings or SolverSettings()).feas_tol
-    results = {key: bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, tol)
+    results = {key: bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, feas_tol)
                for key, bounds in results.items()}
     return [results[key] for key in keys]
 
@@ -265,11 +263,10 @@ def classify_rts(bounds: tuple[float, float], rts_tol: float = RTS_TOL) -> str:
     """Scale class implied by an intercept interval.
 
     Constant when zero is attainable, decreasing when the whole interval
-    is positive, increasing when it is negative.  A NaN bound raises
-    ``ValueError``.
+    is positive, increasing when it is negative.  A NaN bound, or an
+    ``rts_tol`` that is not finite and positive, raises ``ValueError``.
     """
-    if not (np.isfinite(rts_tol) and rts_tol > 0.0):
-        raise ValueError("rts_tol must be finite and strictly positive")
+    rts_tol = _tolerance("rts_tol", rts_tol)
     omega_min, omega_max = bounds
     if np.isnan(omega_min) or np.isnan(omega_max):
         raise ValueError("intercept bounds must not be NaN")

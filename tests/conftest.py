@@ -1,6 +1,8 @@
+import inspect
+
 import pytest
 
-from ramdea import dea
+from ramdea import dea, lp
 
 EIGHT_NAMES = tuple(f"DMU{k}" for k in range(1, 9))
 EIGHT_INPUTS = (1.0, 2.0, 3.0, 5.0, 8.0, 2.0, 3.0, 6.0)
@@ -19,3 +21,27 @@ def frontier8_csv():
     for name, x, y in zip(EIGHT_NAMES, EIGHT_INPUTS, EIGHT_OUTPUTS):
         lines.append(f"{name},{x:g},{y:g}")
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``kernel_calls(module)`` routes ``module.solve_many`` through a
+    recorder, which passes every argument on, and returns the list that
+    gains one ``(stack, bases, outcomes)`` per call; ``patch``, by
+    default this test's ``monkeypatch``, undoes it."""
+    signature = inspect.signature(lp.solve_many)
+
+    def record(module, patch=monkeypatch):
+        calls = []
+        solve_many = module.solve_many
+
+        def recorder(stack, *args, **kwargs):
+            outcomes = solve_many(stack, *args, **kwargs)
+            bases = signature.bind(stack, *args, **kwargs).arguments.get("bases")
+            calls.append((stack, bases, list(outcomes)))  # callers may reuse theirs
+            return outcomes
+
+        patch.setattr(module, "solve_many", recorder)
+        return calls
+
+    return record

@@ -1,4 +1,7 @@
 import inspect
+import math
+
+import pytest
 
 import oracles
 import ramdea
@@ -28,3 +31,76 @@ def test_no_test_oracle_is_exported():
 def test_package_exports_every_module_export():
     modules = (ramdea.lp, ramdea.dea, ramdea.grs, ramdea.rts, ramdea.reporting)
     assert set(ramdea.__all__) == set().union(*(module.__all__ for module in modules))
+
+
+# A-D, one input and one output: C lies on the segment AB, B dominates D
+ABCD = ramdea.Dataset("ABCD", [[2.0, 4.0, 3.0, 5.0]], [[2.0, 5.0, 3.5, 4.0]])
+
+
+def tolerance_calls():
+    """(entry, tolerance, call) for each tolerance of every public entry;
+    ``call(value)`` runs the entry with that tolerance at ``value``, on
+    data whose every solve reaches the kernel."""
+    program = ramdea.LinearProgram("minimize", [1.0], [[1.0]], [1.0])
+    scored = ramdea.evaluate(ABCD, 2)  # its GRS {A, B, C} takes a solve
+    point = ([3.0], [3.5])
+    entries = {
+        "solve": lambda **tol: ramdea.solve(program, **tol),
+        "solve_many": lambda **tol: ramdea.solve_many(program, **tol),
+        "evaluate": lambda **tol: ramdea.evaluate(ABCD, 2, **tol),
+        "evaluate_many": lambda **tol: ramdea.evaluate_many(ABCD, [2], **tol),
+        "identify_grs": lambda **tol: ramdea.identify_grs(ABCD, 2, scored, **tol),
+        "identify_grs_many": lambda **tol: ramdea.identify_grs_many(ABCD, [scored], **tol),
+        "max_support_solution": lambda **tol: ramdea.max_support_solution(
+            [[1.0, 2.0]], d=[1.0], **tol),
+        "intercept_bounds": lambda **tol: ramdea.intercept_bounds(ABCD, point, **tol),
+        "intercept_bounds_many": lambda **tol: ramdea.intercept_bounds_many(
+            ABCD, [point], **tol),
+        "classify_rts": lambda **tol: ramdea.classify_rts((-0.5, 0.5), **tol),
+    }
+    for entry, run in entries.items():
+        parameters = inspect.signature(getattr(ramdea, entry)).parameters
+        for name in parameters:
+            if name.endswith("_tol"):
+                yield entry, name, lambda value, run=run, name=name: run(**{name: value})
+
+
+def test_every_tolerance_is_checked_where_it_enters():
+    calls = list(tolerance_calls())
+    # every public callable that takes a tolerance is covered
+    takers = {name for name, obj in exported().items() if callable(obj)
+              and not inspect.isclass(obj)
+              and any(p.endswith("_tol") for p in inspect.signature(obj).parameters)}
+    assert takers == {entry for entry, _, _ in calls}
+    assert {name for _, name, _ in calls} == {"feas_tol", "eff_tol", "support_tol", "rts_tol"}
+    unchecked = []
+    for entry, name, call in calls:
+        call(getattr(ramdea, name.upper()))  # the default is accepted
+        for value in (0.0, -1.0, math.nan, math.inf):
+            try:
+                call(value)
+            except ValueError as error:
+                if str(error) == f"{name} must be finite and strictly positive, got {value}":
+                    continue
+            unchecked.append((entry, name, value))
+    assert unchecked == []
+
+
+def test_bad_tolerances_give_no_wrong_answer():
+    scored = ramdea.evaluate(ABCD, 3)
+    reference = ramdea.identify_grs(ABCD, 3, scored)
+    assert reference.members == (1,) and reference.weights[1] == 1.0
+    # unchecked, NaN would leave B out of the members at a weight of 1,
+    # and -1 would make members of the three units of weight 0
+    for support_tol in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="support_tol"):
+            ramdea.identify_grs(ABCD, 3, scored, support_tol=support_tol)
+    # unchecked, NaN would call C inefficient at a slack sum of about 1e-16
+    assert ramdea.evaluate(ABCD, 2).efficient
+    with pytest.raises(ValueError, match="eff_tol"):
+        ramdea.evaluate(ABCD, 2, eff_tol=math.nan)
+    # unchecked, -1 would accept a zero normaliser and divide by it
+    with pytest.raises(ramdea.DegenerateNormalizerError):
+        ramdea.max_support_solution([[1.0]], d=[-1.0])
+    with pytest.raises(ValueError, match="support_tol"):
+        ramdea.max_support_solution([[1.0]], d=[-1.0], support_tol=-1.0)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,18 +233,13 @@ def test_rendering_is_deterministic(frontier8_csv):
 CORNER_CSV = "dmu,in:x,out:y\nA,1,1\nB,2,4\nC,4,5\nD,3,4\nE,3,3.5\nF,2.5,2\n"
 
 
-def test_intercept_interval_is_solved_once_per_anchor(tmp_path, capsys, monkeypatch):
+def test_intercept_interval_is_solved_once_per_anchor(tmp_path, capsys, monkeypatch,
+                                                     kernel_calls):
     direct = rts.intercept_bounds
-    solve_many = rts.solve_many
-    programs = []
-
-    def spy(stack, settings=None, bases=None):
-        programs.extend(stack)
-        return solve_many(stack, settings, bases)
-
     with monkeypatch.context() as patch:
-        patch.setattr(rts, "solve_many", spy)
+        calls = kernel_calls(rts, patch)
         reports = analyse(CORNER_CSV)
+    programs = [program for stack, _, _ in calls for program in stack]
     points = [(np.array(list(r.projection_inputs.values())),
                np.array(list(r.projection_outputs.values()))) for r in reports]
     # both ends of every distinct anchor solved exactly once: A, C, and B
@@ -329,8 +325,8 @@ def fail_in_kernel(monkeypatch, module, failing):
     ``failing(program)`` holds, and solve every other as before."""
     solve_many = module.solve_many
 
-    def injected(programs, settings=None, bases=None):
-        outcomes = solve_many(programs, settings, bases)
+    def injected(programs, *args, **kwargs):
+        outcomes = solve_many(programs, *args, **kwargs)
         return [lp.LpError("injected") if failing(program) else outcome
                 for program, outcome in zip(programs, outcomes)]
 
@@ -340,7 +336,7 @@ def fail_in_kernel(monkeypatch, module, failing):
 def test_first_failing_unit_is_reported(data_file, capsys, monkeypatch):
     # unit 5's scoring LP and unit 2's GRS LP fail: a loop running every
     # stage of a unit before the next unit meets unit 2's GRS first
-    ds = reporting.parse_dataset(open(data_file, encoding="utf-8").read())
+    ds = reporting.parse_dataset(Path(data_file).read_text(encoding="utf-8"))
     x, y = ds.inputs[0], ds.outputs[0]
     fail_in_kernel(monkeypatch, dea,
                    lambda program: np.array_equal(program.rhs, [x[5], y[5], 1.0]))
@@ -401,12 +397,26 @@ def test_tolerance_flags_default_to_the_config():
     defaults = reporting.AnalysisConfig()
     assert (args.tol_feas, args.tol_eff, args.tol_support, args.tol_rts) == (
         defaults.feas_tol, defaults.eff_tol, defaults.support_tol, defaults.rts_tol)
-    assert defaults.feas_tol == lp.SolverSettings().feas_tol
+    assert defaults.feas_tol == lp.FEAS_TOL
 
 
 def test_missing_file_exits_1(capsys):
     assert cli.main(["report", "--data", "/nonexistent.csv"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    # spreadsheet programs write UTF-8 CSV with a leading byte-order mark
+    plain = Path(__file__).resolve().parents[1] / "data" / "demo8.csv"
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        assert cli.main(["report", "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] != ""
 
 
 def test_undecodable_file_exits_1(tmp_path, capsys):

@@ -262,16 +262,11 @@ def test_scoring_program_layout(regime):
 
 @pytest.mark.parametrize("regime", dea.REGIMES)
 @pytest.mark.parametrize("scheme", dea.SCHEMES)
-def test_evaluate_solves_the_scoring_program(frontier8, monkeypatch, scheme, regime):
-    programs = []
-
-    def spy(batch, settings=None, bases=None):
-        programs.extend(batch)
-        return lp.solve_many(batch, settings, bases)
-
-    monkeypatch.setattr(dea, "solve_many", spy)
+def test_evaluate_solves_the_scoring_program(frontier8, kernel_calls, scheme, regime):
+    calls = kernel_calls(dea)
     result = dea.evaluate(frontier8, 6, scheme, regime)
-    (solved,) = programs
+    ((stack, _, _),) = calls
+    (solved,) = stack
     expected = dea.scoring_program(frontier8, 6, scheme, regime)
     assert solved.sense == expected.sense
     for field in ("objective", "constraint_matrix", "rhs",
@@ -280,7 +275,7 @@ def test_evaluate_solves_the_scoring_program(frontier8, monkeypatch, scheme, reg
     assert (result.scheme, result.regime) == (scheme, regime)
 
 
-def test_degenerate_cycle_ends_early_on_an_efficient_unit(monkeypatch):
+def test_degenerate_cycle_ends_early_on_an_efficient_unit(kernel_calls):
     # ``score-large`` seed 11, score250-003: U247's scoring LP (p = 8 rows,
     # q = 258 columns) cycles on degenerate pivots under Dantzig's rule;
     # turning to Bland's after p + q = 266 of them took 286 pivots, after
@@ -289,16 +284,9 @@ def test_degenerate_cycle_ends_early_on_an_efficient_unit(monkeypatch):
     inputs = rng.uniform(1.0, 10.0, (5, 250))
     ds = dea.Dataset([f"U{k:03d}" for k in range(250)], inputs,
                      rng.uniform(1.0, 10.0, (3, 250)))
-    solves = []
-
-    def spy(batch, settings=None, bases=None):
-        outcomes = lp.solve_many(batch, settings, bases)
-        solves.extend(outcomes)
-        return outcomes
-
-    monkeypatch.setattr(dea, "solve_many", spy)
+    calls = kernel_calls(dea)
     result = dea.evaluate(ds, 247, "ram", "crs")
-    (sol,) = solves
+    ((_, _, (sol,)),) = calls
     assert sol.iterations < 120
     assert result.rho == pytest.approx(oracles.ram_score_linprog(ds, 247, regime="crs"),
                                        abs=1e-9)
@@ -322,19 +310,12 @@ def crash_start_datasets(frontier8):
 
 @pytest.mark.parametrize("regime", dea.REGIMES)
 @pytest.mark.parametrize("scheme", dea.SCHEMES)
-def test_scoring_starts_feasible(frontier8, monkeypatch, scheme, regime):
-    solves = []
-
-    def spy(batch, settings=None, bases=None):
-        outcomes = lp.solve_many(batch, settings, bases)
-        solves.extend(zip(batch, outcomes))
-        return outcomes
-
-    monkeypatch.setattr(dea, "solve_many", spy)
+def test_scoring_starts_feasible(frontier8, kernel_calls, scheme, regime):
+    calls = kernel_calls(dea)
     for name, ds in crash_start_datasets(frontier8).items():
         for o in range(ds.n_dmus):
             result = dea.evaluate(ds, o, scheme, regime)
-            program, sol = solves[-1]
+            (program,), _, (sol,) = calls[-1]
             assert sol.phase1_iterations == 0, (name, o)
             # the same optimum as the artificial start and as HiGHS
             assert sol.objective_value == pytest.approx(

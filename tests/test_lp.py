@@ -82,9 +82,10 @@ def test_invalid_inputs_rejected():
         lp.LinearProgram("maximize", [1, 0], [[1, 1]], [1], lower_bounds=[np.inf, 0])
     with pytest.raises(ValueError):
         lp.LinearProgram("maximize", [1, 0], [[1, 1]], [1], upper_bounds=[-np.inf, np.inf])
+    program = lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0])
     for feas_tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            lp.SolverSettings(feas_tol=feas_tol)
+            lp.solve(program, feas_tol)
 
 
 def test_iteration_limit_raises(monkeypatch):
@@ -139,15 +140,15 @@ def test_determinism():
 
 def test_optimal_solutions_are_feasible():
     rng = np.random.default_rng(13)
-    settings = lp.SolverSettings()
+    tol = lp.FEAS_TOL
     for _ in range(25):
         program = random_bounded_lp(rng)
-        sol = lp.solve(program, settings)
+        sol = lp.solve(program, tol)
         assert sol.status == lp.OPTIMAL  # built around a feasible point
-        assert np.all(sol.primal >= program.lower_bounds - settings.feas_tol)
-        assert np.all(sol.primal <= program.upper_bounds + settings.feas_tol)
+        assert np.all(sol.primal >= program.lower_bounds - tol)
+        assert np.all(sol.primal <= program.upper_bounds + tol)
         resid = np.abs(program.constraint_matrix @ sol.primal - program.rhs)
-        assert np.all(resid <= settings.feas_tol * (1.0 + np.abs(program.rhs)))
+        assert np.all(resid <= tol * (1.0 + np.abs(program.rhs)))
 
 
 def test_matches_exhaustive_vertex_enumeration():
@@ -318,7 +319,7 @@ def test_ratio_test_passes_over_a_noise_pivot():
     # the large pivot of row 1.
     program = lp.LinearProgram("maximize", [0.0, 0.0, 1.0],
                                [[1.0, 0.0, 1e-9], [0.0, 1.0, 1.0]], [0.0, 1e-10])
-    state = lp._SimplexState(program, lp.SolverSettings(), [[0, 1]])
+    state = lp._SimplexState(program, lp.FEAS_TOL, [[0, 1]])
     (step,), (pos,), (hits_upper,) = state._ratio_test(
         np.array([0]), np.array([2]), np.array([1.0]), np.array([[1e-9, 1.0]]),
         np.array([[0.0, 1e-10]]))
@@ -335,7 +336,7 @@ def test_bland_rule_follows_the_degenerate_run():
     program = lp.LinearProgram("maximize", np.zeros(5),
                                [[1.0, 0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 2.0, 1.0]],
                                np.zeros((2, 2)), upper_bounds=[np.inf] * 4 + [0.0])
-    state = lp._SimplexState(program, lp.SolverSettings(), [[1, 0], [1, 0]])
+    state = lp._SimplexState(program, lp.FEAS_TOL, [[1, 0], [1, 0]])
     lps, no = np.arange(2), np.zeros(2, dtype=bool)
     for _ in range(state.bland_after - 1):
         state._pivot(lps, np.array([4, 4]), np.zeros(2), np.array([-1, -1]), no)
@@ -521,7 +522,7 @@ def test_optimum_check_keeps_the_verdict_of_the_full_row_scaled_bound(per_lp):
     programs, bases = mixed_batch(rng)
     programs += [rescaled_rows(program, rng) for program in programs]
     bases += bases
-    tol = lp.SolverSettings().feas_tol
+    tol = lp.FEAS_TOL
     verdicts = set()
     for program, basis in zip(programs, bases):
         sol = lp.solve_many(program, bases=[basis])[0]
@@ -534,7 +535,7 @@ def test_optimum_check_keeps_the_verdict_of_the_full_row_scaled_bound(per_lp):
                                  np.repeat(matrix[None], k, axis=0) if per_lp else matrix,
                                  np.tile(program.rhs, (k, 1)), program.lower_bounds,
                                  program.upper_bounds)
-        state = lp._SimplexState(stack, lp.SolverSettings(), [None] * k)
+        state = lp._SimplexState(stack, lp.FEAS_TOL, [None] * k)
         state.live = np.ones(k, dtype=bool)
         x = np.zeros((k, q + p))
         x[:, :q] = sol.primal * (1.0 + shifts[:, None] * rng.uniform(-1.0, 1.0, (k, q)))

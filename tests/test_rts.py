@@ -86,18 +86,13 @@ def test_classes_of_all_eight_units(frontier8):
         assert report.omega_min <= report.omega_max + 1e-9
 
 
-def test_program_shape(frontier8, monkeypatch):
+def test_program_shape(frontier8, kernel_calls):
     # each endpoint is one envelopment LP: an s + m + 1 row basis over
     # theta, alpha, one pi per unit and one slack per output and input
     ds = frontier8
-    programs = []
-
-    def spy(batch, settings=None, bases=None):
-        programs.extend(batch)
-        return lp.solve_many(batch, settings, bases)
-
-    monkeypatch.setattr(rts, "solve_many", spy)
+    calls = kernel_calls(rts)
     rts.intercept_bounds(ds, ([5.0], [8.0]))
+    programs = [program for stack, _, _ in calls for program in stack]
     n, m, s = ds.n_dmus, ds.n_inputs, ds.n_outputs
     assert [program.rhs[-1] for program in programs] == [1.0, -1.0]
     for program in programs:
@@ -116,27 +111,21 @@ def assert_ends_match(got, expected):
             assert end == pytest.approx(reference, rel=1e-6, abs=1e-12)
 
 
-def recorded_solves(monkeypatch):
-    """Route ``rts.solve_many`` through a spy; returns its (basis, solution) list."""
-    calls = []
-
-    def spy(batch, settings=None, bases=None):
-        outcomes = lp.solve_many(batch, settings, bases)
-        calls.extend(zip(bases or [None] * len(batch), outcomes))
-        return outcomes
-
-    monkeypatch.setattr(rts, "solve_many", spy)
-    return calls
+def solved(calls):
+    """The (basis, solution) of every LP of the recorded kernel ``calls``."""
+    return [pair for stack, bases, outcomes in calls
+            for pair in zip(bases or [None] * len(stack), outcomes)]
 
 
-def test_min_end_starts_feasible_for_nonnegative_outputs(monkeypatch):
+def test_min_end_starts_feasible_for_nonnegative_outputs(kernel_calls):
     rng = np.random.default_rng(23)
+    calls = kernel_calls(rts)
     for _ in range(6):
         ds, anchors = random_instance(rng, "plain")
         for anchor in anchors:
-            calls = recorded_solves(monkeypatch)
+            calls.clear()
             got = rts.intercept_bounds(ds, anchor)
-            (min_basis, min_end), (max_basis, _) = calls[:2]
+            (min_basis, min_end), (max_basis, _) = solved(calls)[:2]
             assert min_basis is not None and max_basis is None
             assert min_end.status == lp.OPTIMAL
             assert min_end.phase1_iterations == 0
@@ -144,15 +133,16 @@ def test_min_end_starts_feasible_for_nonnegative_outputs(monkeypatch):
             assert got[0] == pytest.approx(expected[0], rel=1e-6, abs=1e-12)
 
 
-def test_min_end_with_negative_outputs_gets_no_start(monkeypatch):
+def test_min_end_with_negative_outputs_gets_no_start(kernel_calls):
     # at the anchor with a negative output, theta = alpha = -1 would give
     # a negative output slack, so that min end starts from the artificial
     # basis; the other anchors of the same data still get the start
     ds = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 4.0]], [[-1.0, 2.0, 3.0]])
+    calls = kernel_calls(rts)
     for anchor in (([2.0], [2.0]), ([1.0], [-1.0]), ([3.0], [2.5])):
-        calls = recorded_solves(monkeypatch)
+        calls.clear()
         got = rts.intercept_bounds(ds, anchor)
-        assert (calls[0][0] is None) == (anchor[1][0] < 0.0)
+        assert (solved(calls)[0][0] is None) == (anchor[1][0] < 0.0)
         assert_ends_match(got, oracles.intercept_interval_highs(ds, *anchor))
 
 
@@ -216,7 +206,7 @@ def test_ends_crossing_beyond_rounding_are_an_error(frontier8, monkeypatch):
     ds = frontier8
     # the solves claim omega_min = 0.5 and omega_max = 0.4
     objectives = iter([0.5, -0.4])
-    monkeypatch.setattr(rts, "solve_many", lambda batch, settings=None, bases=None:
+    monkeypatch.setattr(rts, "solve_many", lambda batch, *args, **kwargs:
                         [lp.LpSolution(lp.OPTIMAL, objective_value=next(objectives))
                          for _ in batch])
     with pytest.raises(lp.LpError, match="cross"):

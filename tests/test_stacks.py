@@ -33,21 +33,10 @@ def forty():
                        rng.uniform(1.0, 10.0, (2, 40)))
 
 
-def kernel_calls(monkeypatch, module):
-    """The stacks handed to ``module.solve_many`` from now on."""
-    stacks = []
-
-    def spy(stack, settings=None, bases=None, solve_many=module.solve_many):
-        stacks.append(stack)
-        return solve_many(stack, settings, bases)
-
-    monkeypatch.setattr(module, "solve_many", spy)
-    return stacks
-
-
 @pytest.mark.parametrize("regime", dea.REGIMES)
 @pytest.mark.parametrize("scheme", dea.SCHEMES)
-def test_batched_stages_equal_single_unit_calls(forty, scheme, regime, monkeypatch):
+def test_batched_stages_equal_single_unit_calls(forty, scheme, regime, monkeypatch,
+                                                kernel_calls):
     # bam varies the cost and the pinned slacks by unit, so its programs
     # share only their matrix
     units = range(forty.n_dmus)
@@ -56,9 +45,9 @@ def test_batched_stages_equal_single_unit_calls(forty, scheme, regime, monkeypat
         assert_bitwise(result, dea.evaluate(forty, o, scheme, regime))
     with monkeypatch.context() as patch:
         # the GRS programs of every width share one stack
-        stacks = kernel_calls(patch, grs)
+        calls = kernel_calls(grs, patch)
         references = grs.identify_grs_many(forty, results)
-    assert len(stacks) == 1
+    assert len(calls) == 1
     for o, reference in zip(units, references):
         assert_bitwise(reference, grs.identify_grs(forty, o, results[o]))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
@@ -85,7 +74,7 @@ def random_system(rng, p):
     return A, B, d + B @ rng.uniform(0.0, 1.0, B.shape[1])
 
 
-def test_max_support_stacks_each_row_count_once(monkeypatch):
+def test_max_support_stacks_each_row_count_once(kernel_calls):
     rng = np.random.default_rng(71)
     systems = [random_system(rng, 4) for _ in range(40)]
     alone = []
@@ -94,10 +83,10 @@ def test_max_support_stacks_each_row_count_once(monkeypatch):
             alone.append(grs.max_support_solution(A, B, d))
         except lp.RamdeaError as error:
             alone.append(error)
-    stacks = kernel_calls(monkeypatch, grs)
-    got = grs._max_support_many(systems, None, grs.SUPPORT_TOL)
+    calls = kernel_calls(grs)
+    got = grs._max_support_many(systems, lp.FEAS_TOL, grs.SUPPORT_TOL)
     # one stack, its programs padded to its widest
-    (stack,) = stacks
+    ((stack, _, _),) = calls
     assert (len(stack), stack.rows) == (40, 4)
     own = [np.flatnonzero(upper)[-1] + 1 for upper in stack.upper_bounds]
     assert min(own) < max(own) == stack.cols
@@ -156,7 +145,7 @@ def test_bases_are_checked_before_any_stack_runs(monkeypatch):
     assert stacks == []
 
 
-def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
+def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch, kernel_calls):
     results = dea.evaluate_many(forty, range(forty.n_dmus))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
                for reference in grs.identify_grs_many(forty, results)]
@@ -168,7 +157,7 @@ def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
             alone.append(error)
     distinct = len({(x.tobytes(), y.tobytes()) for x, y in anchors})
     assert distinct == 22
-    calls = kernel_calls(monkeypatch, rts)
+    calls = kernel_calls(rts)
     # a stack budget small enough to split the call into several stacks
     stacks = []
     run = lp._SimplexState.run
@@ -178,14 +167,15 @@ def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
     got = rts.intercept_bounds_many(forty, anchors)
     # both ends of every distinct anchor, then at most the zero
     # right-hand-side programs of a few
-    assert len(calls[0]) == 2 * distinct
-    assert len(calls) == 1 or (len(calls) == 2 and len(calls[1]) < distinct)
-    assert len(stacks) > 2 and sum(stacks) == sum(len(call) for call in calls)
+    sizes = [len(stack) for stack, _, _ in calls]
+    assert sizes[0] == 2 * distinct
+    assert len(sizes) == 1 or (len(sizes) == 2 and sizes[1] < distinct)
+    assert len(stacks) > 2 and sum(stacks) == sum(sizes)
     for bounds, expected in zip(got, alone):
         assert_bitwise(bounds, expected)
 
 
-def test_repeated_anchors_get_the_entry_of_their_first(forty, monkeypatch):
+def test_repeated_anchors_get_the_entry_of_their_first(forty, kernel_calls):
     results = dea.evaluate_many(forty, range(6))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
                for reference in grs.identify_grs_many(forty, results)]
@@ -199,11 +189,11 @@ def test_repeated_anchors_get_the_entry_of_their_first(forty, monkeypatch):
             alone.append(rts.intercept_bounds(forty, point))
         except lp.RamdeaError as error:
             alone.append(error)
-    calls = kernel_calls(monkeypatch, rts)
+    calls = kernel_calls(rts)
     got = rts.intercept_bounds_many(forty, points)
     distinct = len({(x.tobytes(), y.tobytes()) for x, y in anchors})
     # both ends of each distinct solvable anchor, once
-    assert len(calls[0]) == 2 * distinct
+    assert len(calls[0][0]) == 2 * distinct
     assert len(got) == len(points)
     for bounds, expected in zip(got, alone):
         assert_bitwise(bounds, expected)
