@@ -278,6 +278,7 @@ def evaluate_many(dataset: Dataset, units, scheme: str = "ram", regime: str = "v
     Returns one entry per unit, in order: what ``evaluate`` returns for
     it, or the ``LpError`` that ``evaluate`` raises.
     """
+    feas_tol = _tolerance("feas_tol", feas_tol)
     eff_tol = _tolerance("eff_tol", eff_tol)
     units = list(units)
     if not units:

@@ -211,7 +211,7 @@ def identify_grs(dataset: dea.Dataset, o: int, ram_result: dea.RamResult,
     to one under "vrs"; members are exactly the units whose weight
     exceeds ``support_tol``.  The interior projection is the matching
     frontier point, strictly inside the minimum face.  ``identify_grs_many``
-    of the one unit, which checks ``support_tol``.
+    of the one unit, which checks both tolerances.
     """
     if ram_result.dmu_index != o:
         raise ValueError(f"ram_result is for unit {ram_result.dmu_index}, not {o}")
@@ -228,6 +228,7 @@ def identify_grs_many(dataset: dea.Dataset, ram_results, feas_tol: float = FEAS_
     Returns one entry per result, in order: its ``GrsResult``, or the
     ``RamdeaError`` that ``identify_grs`` raises for it.
     """
+    feas_tol = _tolerance("feas_tol", feas_tol)
     support_tol = _tolerance("support_tol", support_tol)
     ram_results = list(ram_results)
     models = sorted({(r.scheme, r.regime) for r in ram_results})

@@ -77,16 +77,16 @@ spreads numpy's per-call overhead over the stack.  Every other step
 works on the whole stack as well, with a fixed number of numpy calls:
 starting from the stack's arrays, factoring the crash bases (checked
 for every stack before any runs), the phase-1 verdict, the optimum
-checks and dropping the LPs that are done, whose per-LP state is a few
-blocks of arrays.  A Python loop remains only to build each LP's
-outcome.  A lockstep stack holds as many LPs as fit in
-``_STACK_BYTES``.  Each LP keeps its own basis, phase,
-degenerate run, pivot budget and checks, so it takes the pivots it would
-take alone, and its products are stacks of matrix-vector products, so
-its numbers are bitwise those of a solve on its own; it leaves the stack
-as soon as it concludes or fails, and a failure (a singular basis, an
-exhausted budget, a failed check) ends that LP alone with its typed
-error.  ``solve`` is a stack of one.
+checks and dropping the LPs that are done, whose per-LP state, the
+objective included, is a few blocks of arrays beside the matrix, which
+a stack may share.  A Python loop remains only to build each LP's
+outcome.  A lockstep stack holds as many LPs as fit in ``_STACK_BYTES``.
+Each LP keeps its own basis, phase, degenerate run, pivot budget and
+checks, so it takes the pivots it would take alone, and its products are
+stacks of matrix-vector products, so its numbers are bitwise those of a
+solve on its own; it leaves the stack as soon as it concludes or fails,
+and a failure (a singular basis, an exhausted budget, a failed check)
+ends that LP alone with its typed error.  ``solve`` is a stack of one.
 
 A ``LinearProgram`` owns a read-only copy of every array it is given,
 so it is immutable after construction and safe to share across
@@ -163,6 +163,11 @@ def _frozen(values, ndmin: int) -> np.ndarray:
     return frozen
 
 
+# the arrays of a ``LinearProgram``, each with its dimensions in one program
+_ARRAYS = (("objective", 1), ("leading_columns", 2), ("constraint_matrix", 2), ("rhs", 1),
+           ("lower_bounds", 1), ("upper_bounds", 1))
+
+
 def _checked(sense, objective, leading, constraint_matrix, rhs, lower_bounds, upper_bounds):
     """The arguments of ``LinearProgram`` as read-only float arrays, after
     every check."""
@@ -181,6 +186,9 @@ def _checked(sense, objective, leading, constraint_matrix, rhs, lower_bounds, up
     k = b.shape[0] if b.ndim == 2 else None
     lo = _frozen(np.zeros(q) if lower_bounds is None else lower_bounds, 1)
     hi = _frozen(np.full(q, np.inf) if upper_bounds is None else upper_bounds, 1)
+    for (name, ndim), arr in zip(_ARRAYS, (c, L, A, b, lo, hi)):
+        if arr.ndim == ndim + 1 and k is None:
+            raise ValueError(f"{name} has a leading axis; only a k x {p} rhs makes a stack")
 
     def fits(arr, ndim, length):
         # one array that every program shares, or one per program
@@ -208,11 +216,6 @@ def _checked(sense, objective, leading, constraint_matrix, rhs, lower_bounds, up
     if (lo > hi).any():
         raise ValueError("lower bound exceeds upper bound")
     return c, L, A, b, lo, hi
-
-
-# the arrays of a ``LinearProgram``, each with its dimensions in one program
-_ARRAYS = (("objective", 1), ("leading_columns", 2), ("constraint_matrix", 2), ("rhs", 1),
-           ("lower_bounds", 1), ("upper_bounds", 1))
 
 
 class LinearProgram:
@@ -363,7 +366,7 @@ def unwrap(outcome):
 # width (q + p, p or one): dropping the LPs that are done indexes each
 # block once, and every field stays a contiguous array.
 _STATE = (
-    (np.float64, "w", ("lo", "hi", "x_off", "toward", "cost")),
+    (np.float64, "w", ("lo", "hi", "x_off", "toward", "cost", "objective")),
     (bool, "w", ("free",)),
     (np.float64, "p", ("b",)),
     (np.int64, "p", ("basis",)),
@@ -395,13 +398,13 @@ class _SimplexState:
     resting value of every nonbasic variable and zero for the basics; no
     basic values are kept, since each round solves them afresh.  An LP
     prices by Bland's rule while ``consec_degenerate``, its run of
-    degenerate pivots, is at least ``bland_after``.  ``A`` is the
-    kernel's one stack of the programs' matrices, [leading | constraint
-    matrix | artificials], and ``c`` the objectives: per-LP when either
-    block or the objective has a leading axis, else shared under a
-    leading axis of one.  The start, crash and optimum residuals all come
-    from ``A`` with the artificials at zero, and the optimum check scales
-    each row's bound with that row's largest term.
+    degenerate pivots, is at least ``bland_after``.  ``objective`` is zero
+    on the artificials.  ``A``, the one array outside the blocks, is the
+    stack of the programs' matrices, [leading | constraint matrix |
+    artificials]: per-LP when either block has a leading axis, else
+    shared under a leading axis of one.  The start, crash and optimum
+    residuals all come from ``A`` with the artificials at zero, and the
+    optimum check scales each row's bound with that row's largest term.
     """
 
     def __init__(self, lp: LinearProgram, feas_tol: float, bases):
@@ -416,16 +419,13 @@ class _SimplexState:
                        for dtype, width, names in _STATE]
         self._view()
         self.ids[:] = np.arange(k)
-        L, M, self.c, lo, hi = (
-            array if array.ndim > ndim else array[None]
-            for array, ndim in ((lp.leading_columns, 2), (lp.constraint_matrix, 2),
-                                (lp.objective, 1), (lp.lower_bounds, 1),
-                                (lp.upper_bounds, 1)))
-        self.c = self.c.copy()  # ``_drop`` may move its rows
-        r = L.shape[2]
-        self.A = np.empty((max(len(L), len(M)), p, q + p))
+        L, M = lp.leading_columns, lp.constraint_matrix
+        lo, hi = lp.lower_bounds, lp.upper_bounds
+        r = L.shape[-1]
+        self.A = np.empty((k if max(L.ndim, M.ndim) == 3 else 1, p, q + p))
         self.A[:, :, :r], self.A[:, :, r:q], self.A[:, :, q:] = L, M, np.eye(p)
         self.b[:] = lp.rhs
+        self.objective[:, :q] = lp.objective
         self.sign = 1.0 if lp.sense == "minimize" else -1.0
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         self.x_off[:, :q] = x0
@@ -486,7 +486,7 @@ class _SimplexState:
         self.lo[rows, q:] = 0.0
         self.hi[rows, q:] = 0.0
         self.toward[rows, q:] = 0.0
-        self.cost[rows, :q] = self.sign * _lps_of(self.c, rows)
+        self.cost[rows, :q] = self.sign * self.objective[rows, :q]
         self.cost[rows, q:] = 0.0
         self.phase1[rows] = False
 
@@ -663,7 +663,7 @@ class _SimplexState:
             ((x >= self.lo[rows, :q] - tol) & (x <= self.hi[rows, :q] + tol)).all(axis=1),
             held])
         failed = np.where(passed.all(axis=0), -1, passed.argmin(axis=0)).tolist()
-        values = _dots(_lps_of(self.c, rows), x).tolist()
+        values = _dots(self.objective[rows, :q], x).tolist()
         duals = self.sign * y
         for i, check, x_i, value, y_i, iterations, phase1_iterations in zip(
                 rows, failed, x, values, duals, self.iterations[rows].tolist(),
@@ -693,18 +693,17 @@ class _SimplexState:
         one is copied in order by ``take``, whose call costs less there."""
         keep = live.nonzero()[0]
         n = keep.size
-        # a shared matrix or objective has one row, which every LP keeps
-        per_lp = [x for x in (self.A, self.c) if len(x) > 1]
+        # a shared matrix has one row, which every LP keeps
+        per_lp = [self.A] if len(self.A) > 1 else []
         if sum(x.nbytes for x in self.blocks + per_lp) < _MOVE_BYTES:
             self.blocks = [block.take(keep, axis=1) for block in self.blocks]
-            self.A, self.c = (x if len(x) == 1 else x.take(keep, axis=0)
-                              for x in (self.A, self.c))
+            self.A = self.A.take(keep, axis=0) if per_lp else self.A
         else:
             holes, moving = (~live[:n]).nonzero()[0], live[n:].nonzero()[0] + n
             for x in [block.swapaxes(0, 1) for block in self.blocks] + per_lp:
                 x[holes] = x[moving]
             self.blocks = [block[:, :n] for block in self.blocks]
-            self.A, self.c = self.A[:n], self.c[:n]
+            self.A = self.A[:n]
         self._view()
 
 

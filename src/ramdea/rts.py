@@ -173,6 +173,7 @@ def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_T
     distinct point is solved once, and a repeat of it, to the bit, gets
     the same entry.
     """
+    feas_tol = _tolerance("feas_tol", feas_tol)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
     # per distinct anchor, by its exact bytes: its point, then its entry
     keys, results = [], {}

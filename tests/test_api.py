@@ -104,3 +104,21 @@ def test_bad_tolerances_give_no_wrong_answer():
         ramdea.max_support_solution([[1.0]], d=[-1.0])
     with pytest.raises(ValueError, match="support_tol"):
         ramdea.max_support_solution([[1.0]], d=[-1.0], support_tol=-1.0)
+
+
+def test_feas_tol_is_checked_even_where_no_lp_is_solved(kernel_calls):
+    # B's GRS is the vertex B itself, an anchor with no positive input
+    # has no interval, and no units means no solve: each call reaches no
+    # kernel, yet rejects the tolerance it was given
+    scored = ramdea.evaluate(ABCD, 1)
+    solves = [kernel_calls(module) for module in (ramdea.dea, ramdea.grs, ramdea.rts)]
+    calls = [lambda tol: ramdea.identify_grs(ABCD, 1, scored, feas_tol=tol),
+             lambda tol: ramdea.intercept_bounds_many(ABCD, [([0.0], [1.0])], feas_tol=tol),
+             lambda tol: ramdea.evaluate_many(ABCD, [], feas_tol=tol),
+             lambda tol: ramdea.identify_grs_many(ABCD, [], feas_tol=tol)]
+    message = "feas_tol must be finite and strictly positive, got nan"
+    for call in calls:
+        call(ramdea.FEAS_TOL)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(math.nan)
+    assert solves == [[], [], []]

@@ -88,6 +88,18 @@ def test_invalid_inputs_rejected():
             lp.solve(program, feas_tol)
 
 
+@pytest.mark.parametrize("name, objective, matrix", [
+    ("constraint_matrix", [1.0, 1.0], np.ones((3, 1, 2))),
+    ("objective", np.ones((3, 2)), [[1.0, 1.0]])])
+def test_a_stacked_array_needs_a_stacked_rhs(name, objective, matrix):
+    # a stack's size comes from its k x p rhs, so a leading axis on any
+    # other array, with a rhs of one row, is named as the fault
+    message = f"{name} has a leading axis; only a k x 1 rhs makes a stack"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lp.LinearProgram("minimize", objective, matrix, [1.0])
+    assert len(lp.LinearProgram("minimize", objective, matrix, [[1.0]] * 3)) == 3
+
+
 def test_iteration_limit_raises(monkeypatch):
     program = lp.LinearProgram("minimize", [0.0, 0.0],
                                [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
@@ -478,26 +490,32 @@ def test_dropping_ended_lps_changes_no_outcome(move_bytes, monkeypatch):
     # more, as every stack does when that is 0, the LPs beyond the kept
     # count move into the places of those dropped; a smaller stack is
     # copied in order.  Either way each outcome is bitwise the one alone,
-    # in the programs' order.
+    # in the programs' order.  An LP that moves while still in phase 1
+    # prices its objective only after the move, so its outcome shows that
+    # the objective moved with it.
     programs, bases = mixed_batch(np.random.default_rng(89))
     alone = [lp.solve_many(program, bases=[basis])[0]
              for program, basis in zip(programs, bases)]
     real_drop = lp._SimplexState._drop
-    first_and_middle, reordered = [], []
+    first_and_middle, reordered, moved_in_phase1 = [], [], []
 
     def drop(state, live):
         ended = np.flatnonzero(~live)
         # the first LP and a middle one end while a later one runs on
         first_and_middle.append(ended[0] == 0 and ended.size > 1
                                 and live[ended[1] + 1:].any())
+        was_at = {i: at for at, i in enumerate(state.ids.tolist())}
         real_drop(state, live)
         reordered.append(bool(np.any(np.diff(state.ids) < 0)))
+        moved_in_phase1.append(any(was_at[i] != at and phase1 for at, (i, phase1) in
+                                   enumerate(zip(state.ids.tolist(), state.phase1))))
 
     monkeypatch.setattr(lp, "_MOVE_BYTES", move_bytes)
     monkeypatch.setattr(lp._SimplexState, "_drop", drop)
     outcomes = solve_in_stacks(programs, bases)
     assert any(first_and_middle)
     assert any(reordered) == (move_bytes == 0)
+    assert any(moved_in_phase1)
     for got, expected in zip(outcomes, alone):
         assert_same_result(got, expected)
 

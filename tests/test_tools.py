@@ -30,6 +30,28 @@ def test_census_matches_itself(tmp_path):
     assert "same: 27, different: 0" in again.stdout
 
 
+def test_census_records_every_calling_form():
+    # one argument, then ``bases`` by keyword: both are recorded, the
+    # second with its basis
+    script = """if True:
+        import json, census
+        from ramdea import grs, lp
+        records, kernel = [], {stage: [0, 0, 0] for stage in census.STAGES}
+        census.install(records, kernel)
+        program = lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0])
+        grs.solve_many(program)
+        grs.solve_many(program, bases=[[0]])
+        print(json.dumps([records, kernel]))
+    """
+    recorded = run(["-c", script],
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
+    assert recorded.returncode == 0, recorded.stderr
+    records, kernel = json.loads(recorded.stdout)
+    assert [(stage, status) for stage, _, status, *_ in records] == [("grs", "optimal")] * 2
+    assert records[0][1] != records[1][1]  # the digest holds the basis
+    assert kernel["grs"][0] == 2
+
+
 def test_stages_counts_every_stage():
     measured = run(["-c", "import json, stages; print(json.dumps(stages.measure(70, 1)))"],
                    PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))

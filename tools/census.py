@@ -115,19 +115,22 @@ def record(stage: str, program, basis, outcome) -> list:
 def install(records: list, kernel: dict) -> None:
     """Wrap each stage's ``solve_many`` so that its LPs land in ``records``,
     and the kernel so that each stage's stacks, rounds and one-LP rounds
-    add up in ``kernel[stage]``."""
+    add up in ``kernel[stage]``.  A wrapper passes every argument on and
+    reads ``bases`` as ``lp.solve_many``'s signature binds it."""
     import importlib
+    import inspect
 
     from ramdea import lp
 
+    signature = inspect.signature(lp.solve_many)
     calling = [None]  # the stage whose ``solve_many`` call ran last
     for stage in STAGES:
         module = importlib.import_module(f"ramdea.{stage}")
 
-        def recorded(programs, settings=None, bases=None, stage=stage,
-                     solve_many=module.solve_many):
+        def recorded(programs, *args, stage=stage, solve_many=module.solve_many, **kwargs):
             calling[0] = stage
-            outcomes = solve_many(programs, settings, bases)
+            outcomes = solve_many(programs, *args, **kwargs)
+            bases = signature.bind(programs, *args, **kwargs).arguments.get("bases")
             for program, basis, outcome in zip(programs, bases or [None] * len(outcomes),
                                                outcomes):
                 records.append(record(stage, program, basis, outcome))
