@@ -64,8 +64,8 @@ backward-error bound that follows the row's own scale (Higham 2002,
 "Accuracy and Stability of Numerical Algorithms", ch. 7).
 
 A ``LinearProgram`` is one program, or a stack of k programs of one
-shape and sense: a k x p right-hand side, and each other array either
-shared by all k or given per program along a leading axis.  Its columns
+shape and sense.  Each array has one program's shape, or that shape under
+a leading axis of k when, and only when, the rhs is k x p.  Its columns
 come in two blocks, optional leading columns and the constraint matrix,
 so programs that differ in a few columns can share all the others.  It
 checks its arguments once when it is built.  The kernel takes every
@@ -137,7 +137,7 @@ _MOVE_BYTES = 1 << 19
 
 
 class RamdeaError(Exception):
-    """Base of every error the package raises about its data or its solves."""
+    """Base of every error of a solve or a stage, and of ``DataFormatError``."""
 
 
 class LpError(RamdeaError):
@@ -163,49 +163,38 @@ def _frozen(values, ndmin: int) -> np.ndarray:
     return frozen
 
 
-# the arrays of a ``LinearProgram``, each with its dimensions in one program
-_ARRAYS = (("objective", 1), ("leading_columns", 2), ("constraint_matrix", 2), ("rhs", 1),
+# the arrays of a ``LinearProgram``, each with its dimensions in one program;
+# the rhs comes first, since its leading axis sets the size of a stack
+_ARRAYS = (("rhs", 1), ("objective", 1), ("leading_columns", 2), ("constraint_matrix", 2),
            ("lower_bounds", 1), ("upper_bounds", 1))
 
 
-def _checked(sense, objective, leading, constraint_matrix, rhs, lower_bounds, upper_bounds):
-    """The arguments of ``LinearProgram`` as read-only float arrays, after
-    every check."""
+def _checked(sense, rhs, objective, leading, constraint_matrix, lower_bounds, upper_bounds):
+    """The arguments of ``LinearProgram`` as read-only float arrays, in the
+    order of ``_ARRAYS``, after every check."""
     if sense not in ("maximize", "minimize"):
         raise ValueError(f"sense must be 'maximize' or 'minimize', got {sense!r}")
     A = _frozen(constraint_matrix, 2)
-    c = _frozen(objective, 1)
-    b = _frozen(rhs, 1)
-    if A.ndim not in (2, 3):
-        raise ValueError("constraint_matrix must be one matrix or a stack of them")
     p, q = A.shape[-2:]
     if p < 1 or q < 1:
         raise ValueError("constraint matrix needs at least one row and one column")
     L = _frozen(np.zeros((p, 0)) if leading is None else leading, 2)
     q += L.shape[-1]
-    k = b.shape[0] if b.ndim == 2 else None
+    b, c = _frozen(rhs, 1), _frozen(objective, 1)
     lo = _frozen(np.zeros(q) if lower_bounds is None else lower_bounds, 1)
     hi = _frozen(np.full(q, np.inf) if upper_bounds is None else upper_bounds, 1)
-    for (name, ndim), arr in zip(_ARRAYS, (c, L, A, b, lo, hi)):
-        if arr.ndim == ndim + 1 and k is None:
-            raise ValueError(f"{name} has a leading axis; only a k x {p} rhs makes a stack")
-
-    def fits(arr, ndim, length):
-        # one array that every program shares, or one per program
-        return (arr.shape[-1] == length and (arr.ndim == ndim or (
-            k is not None and arr.ndim == ndim + 1 and arr.shape[0] == k)))
-
-    for name, M in (("constraint_matrix", A), ("leading_columns", L)):
-        if not (fits(M, 2, M.shape[-1]) and M.shape[-2] == p):
-            raise ValueError(f"expected one {name} or {k} of them, each of {p} rows")
-    if not fits(c, 1, q):
-        raise ValueError(f"objective has length {c.shape[-1]}, expected {q}")
-    if b.ndim > 2 or b.shape[-1] != p:
-        raise ValueError(f"rhs has length {b.shape[-1]}, expected {p}")
-    if not (fits(lo, 1, q) and fits(hi, 1, q)):
-        raise ValueError(f"bound vectors must have length {q}")
-    for name, arr in (("objective", c), ("leading_columns", L), ("constraint_matrix", A),
-                      ("rhs", b)):
+    # each array has one program's shape, or (k,) + that shape beside a k x p rhs
+    stack = b.shape[:1] if b.ndim == 2 else ()
+    shapes = ((p,), (q,), (p, L.shape[-1]), A.shape[-2:], (q,), (q,))
+    for (name, _), arr, shape in zip(_ARRAYS, (b, c, L, A, lo, hi), shapes):
+        if arr.shape not in (shape, stack + shape):
+            stacked = [f"(k, {p})"] if arr is b else [stack + shape] if stack else []
+            message = f"{name} has shape {arr.shape}, expected " + " or ".join(
+                map(str, [shape] + stacked))
+            if b.ndim == 1 and arr.ndim == len(shape) + 1:
+                message += f"; only a k x {p} rhs makes a stack"
+            raise ValueError(message)
+    for (name, _), arr in zip(_ARRAYS, (b, c, L, A)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} contains non-finite entries")
     if np.isnan(lo).any() or np.isnan(hi).any():
@@ -215,7 +204,7 @@ def _checked(sense, objective, leading, constraint_matrix, rhs, lower_bounds, up
                          "admits no value")
     if (lo > hi).any():
         raise ValueError("lower bound exceeds upper bound")
-    return c, L, A, b, lo, hi
+    return b, c, L, A, lo, hi
 
 
 class LinearProgram:
@@ -244,9 +233,9 @@ class LinearProgram:
     def __init__(self, sense, objective, constraint_matrix, rhs,
                  lower_bounds=None, upper_bounds=None, leading_columns=None):
         self.sense = sense
-        (self.objective, self.leading_columns, self.constraint_matrix, self.rhs,
+        (self.rhs, self.objective, self.leading_columns, self.constraint_matrix,
          self.lower_bounds, self.upper_bounds) = _checked(
-            sense, objective, leading_columns, constraint_matrix, rhs, lower_bounds,
+            sense, rhs, objective, leading_columns, constraint_matrix, lower_bounds,
             upper_bounds)
 
     def __len__(self) -> int:
@@ -255,7 +244,8 @@ class LinearProgram:
     def __getitem__(self, index) -> LinearProgram:
         program = LinearProgram.__new__(LinearProgram)
         program.sense = self.sense
-        for name, ndim in _ARRAYS:
+        program.rhs = np.atleast_2d(self.rhs)[index]  # one program is a stack of one
+        for name, ndim in _ARRAYS[1:]:
             array = getattr(self, name)
             setattr(program, name, array[index] if array.ndim > ndim else array)
         return program

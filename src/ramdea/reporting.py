@@ -160,15 +160,13 @@ def _numbers(lineno: int, cells: list[str]) -> list[float]:
 
 
 def _validate_config(config: AnalysisConfig, dataset: dea.Dataset) -> None:
-    if config.scheme not in dea.SCHEMES:
-        raise DataFormatError(f"unknown scheme {config.scheme!r}")
-    if config.regime not in dea.REGIMES:
-        raise DataFormatError(f"unknown regime {config.regime!r}")
-    for field in ("feas_tol", "eff_tol", "support_tol", "rts_tol"):
-        try:
+    try:
+        dea._check_scheme(config.scheme)
+        dea._check_regime(config.regime)
+        for field in ("feas_tol", "eff_tol", "support_tol", "rts_tol"):
             _tolerance(field, getattr(config, field))
-        except ValueError as exc:
-            raise DataFormatError(str(exc)) from exc
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from exc
     if config.dmu_filter:
         unknown = [name for name in config.dmu_filter if name not in dataset.names]
         if unknown:

@@ -1,10 +1,15 @@
 import inspect
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 import oracles
 import ramdea
+from ramdea import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def exported():
@@ -122,3 +127,22 @@ def test_feas_tol_is_checked_even_where_no_lp_is_solved(kernel_calls):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(math.nan)
     assert solves == [[], [], []]
+
+
+def readme_blocks(section: str, language: str) -> list[str]:
+    """The ``language`` code blocks under the README's ``## section``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"^```{language}\n(.*?)^```$", body, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_examples_run_as_shown(monkeypatch, capsys):
+    namespace: dict = {}
+    for block in readme_blocks("Library", "python"):
+        exec(block, namespace)
+    assert namespace["verdict"] == "increasing"
+    assert [outcome.status for outcome in namespace["outcomes"]] == ["optimal"] * 2
+    (shown,) = readme_blocks("CLI", "text")
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["report", "--data", "data/demo8.csv", "--dmu", "DMU8"]) == 0
+    assert capsys.readouterr().out == shown

@@ -167,6 +167,10 @@ def test_stage_control(frontier8_csv):
 def test_bad_config_rejected(frontier8_csv):
     with pytest.raises(reporting.DataFormatError):
         analyse(frontier8_csv, scheme="sbm")
+    # the scheme and regime are checked by the stages' own checks
+    with pytest.raises(reporting.DataFormatError) as raised:
+        analyse(frontier8_csv, regime="xrs")
+    assert str(raised.value) == "unknown regime 'xrs'; expected one of ('vrs', 'crs')"
     with pytest.raises(reporting.DataFormatError):
         analyse(frontier8_csv, eff_tol=0.0)
     with pytest.raises(reporting.DataFormatError):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,10 +95,57 @@ def test_invalid_inputs_rejected():
 def test_a_stacked_array_needs_a_stacked_rhs(name, objective, matrix):
     # a stack's size comes from its k x p rhs, so a leading axis on any
     # other array, with a rhs of one row, is named as the fault
-    message = f"{name} has a leading axis; only a k x 1 rhs makes a stack"
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    shapes = {"constraint_matrix": "(3, 1, 2), expected (1, 2)",
+              "objective": "(3, 2), expected (2,)"}[name]
+    message = f"{name} has shape {shapes}; only a k x 1 rhs makes a stack"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lp.LinearProgram("minimize", objective, matrix, [1.0])
     assert len(lp.LinearProgram("minimize", objective, matrix, [[1.0]] * 3)) == 3
+
+
+# one program has p = 1 row and q = 2 columns: one leading, one of the matrix
+@pytest.mark.parametrize("name, shape, rhs, expected", [
+    # the rhs sets a stack's size, so only its row length and its axes count
+    ("rhs", (2,), (1,), "(1,) or (k, 1)"),
+    ("rhs", (2, 2), (1,), "(1,) or (k, 1)"),
+    ("rhs", (2, 1, 1), (1,), "(1,) or (k, 1)"),
+    ("objective", (3,), (2, 1), "(2,) or (2, 2)"),
+    ("objective", (3, 2), (2, 1), "(2,) or (2, 2)"),
+    ("objective", (3, 2), (1,), "(2,); only a k x 1 rhs makes a stack"),
+    ("leading_columns", (2, 1), (2, 1), "(1, 1) or (2, 1, 1)"),
+    ("leading_columns", (3, 1, 1), (2, 1), "(1, 1) or (2, 1, 1)"),
+    ("leading_columns", (3, 1, 1), (1,), "(1, 1); only a k x 1 rhs makes a stack"),
+    # the matrix sets p and its own width, so only its axes can be wrong
+    ("constraint_matrix", (2, 2, 1, 1), (2, 1), "(1, 1) or (2, 1, 1)"),
+    ("constraint_matrix", (3, 1, 1), (2, 1), "(1, 1) or (2, 1, 1)"),
+    ("constraint_matrix", (3, 1, 1), (1,), "(1, 1); only a k x 1 rhs makes a stack"),
+    ("lower_bounds", (3,), (2, 1), "(2,) or (2, 2)"),
+    ("lower_bounds", (3, 2), (2, 1), "(2,) or (2, 2)"),
+    ("lower_bounds", (3, 2), (1,), "(2,); only a k x 1 rhs makes a stack"),
+    ("upper_bounds", (3,), (2, 1), "(2,) or (2, 2)"),
+    ("upper_bounds", (3, 2), (2, 1), "(2,) or (2, 2)"),
+    ("upper_bounds", (3, 2), (1,), "(2,); only a k x 1 rhs makes a stack")])
+def test_each_array_has_one_programs_shape_or_one_per_program(name, shape, rhs, expected):
+    arrays = dict(objective=np.ones(2), leading_columns=np.ones((1, 1)),
+                  constraint_matrix=np.ones((1, 1)), rhs=np.ones(rhs),
+                  lower_bounds=np.zeros(2), upper_bounds=np.ones(2))
+    assert len(lp.LinearProgram("minimize", **arrays)) == rhs[0]
+    arrays[name] = np.ones(shape)
+    with pytest.raises(ValueError) as raised:
+        lp.LinearProgram("minimize", **arrays)
+    assert str(raised.value) == f"{name} has shape {shape}, expected {expected}"
+
+
+def test_one_program_is_a_stack_of_one():
+    one = lp.LinearProgram("maximize", [1.0, 2.0], [[1.0, 1.0]], [3.0],
+                           upper_bounds=[2.0, 2.0])
+    with pytest.raises(IndexError):
+        one[1]
+    assert len(one) == len(list(one)) == 1 and len(one[0:0]) == 0
+    for name, _ in lp._ARRAYS:
+        assert np.array_equal(getattr(one[0], name), getattr(one[-1], name))
+        assert np.array_equal(getattr(one[0], name), getattr(one, name))
+    assert lp.solve(one[0]).primal.tolist() == lp.solve(one).primal.tolist()
 
 
 def test_iteration_limit_raises(monkeypatch):
