@@ -96,6 +96,7 @@ mutable state.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +228,8 @@ class LinearProgram:
     arguments are copied, so writing to them later changes no program.
     ``len`` is the number of programs; indexing with an integer gives one
     program, with a slice a smaller stack, and iterating gives each
-    program in turn, all sharing this stack's arrays.
+    program in turn, all sharing this stack's arrays; any other index
+    raises ``TypeError``.
     """
 
     def __init__(self, sense, objective, constraint_matrix, rhs,
@@ -242,6 +244,12 @@ class LinearProgram:
         return len(self.rhs) if self.rhs.ndim == 2 else 1
 
     def __getitem__(self, index) -> LinearProgram:
+        if not isinstance(index, slice):
+            try:
+                index = operator.index(index)
+            except TypeError:
+                raise TypeError("a LinearProgram is indexed by an integer or a slice, "
+                                f"not {type(index).__name__}") from None
         program = LinearProgram.__new__(LinearProgram)
         program.sense = self.sense
         program.rhs = np.atleast_2d(self.rhs)[index]  # one program is a stack of one

@@ -1,8 +1,7 @@
-import inspect
-
 import pytest
 
-from ramdea import dea, lp
+from ramdea import dea
+from recorder import recorded
 
 EIGHT_NAMES = tuple(f"DMU{k}" for k in range(1, 9))
 EIGHT_INPUTS = (1.0, 2.0, 3.0, 5.0, 8.0, 2.0, 3.0, 6.0)
@@ -25,23 +24,17 @@ def frontier8_csv():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """``kernel_calls(module)`` routes ``module.solve_many`` through a
-    recorder, which passes every argument on, and returns the list that
-    gains one ``(stack, bases, outcomes)`` per call; ``patch``, by
-    default this test's ``monkeypatch``, undoes it."""
-    signature = inspect.signature(lp.solve_many)
+    """``kernel_calls(module)`` routes ``module.solve_many`` through
+    ``recorder.recorded`` and returns the list that gains one ``(stack,
+    bases, outcomes)`` per call, the outcomes copied since callers may
+    reuse theirs; ``patch``, by default this test's ``monkeypatch``,
+    undoes it."""
 
     def record(module, patch=monkeypatch):
         calls = []
-        solve_many = module.solve_many
-
-        def recorder(stack, *args, **kwargs):
-            outcomes = solve_many(stack, *args, **kwargs)
-            bases = signature.bind(stack, *args, **kwargs).arguments.get("bases")
-            calls.append((stack, bases, list(outcomes)))  # callers may reuse theirs
-            return outcomes
-
-        patch.setattr(module, "solve_many", recorder)
+        patch.setattr(module, "solve_many", recorded(
+            module.__name__.rpartition(".")[2], module.solve_many,
+            lambda stage, stack, bases, outcomes: calls.append((stack, bases, list(outcomes)))))
         return calls
 
     return record

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ramdea import cli, dea, grs, lp, reporting, rts
+from recorder import recorded
 
 
 def analyse(csv_text, stages="all", **config_kwargs):
@@ -324,17 +325,17 @@ def test_dmu_flag_scores_only_the_reported_unit(data_file, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out) == [unfiltered[7]]
 
 
-def fail_in_kernel(monkeypatch, module, failing):
+def fail_in_kernel(patch, module, failing):
     """Make the kernel, as ``module`` calls it, fail the programs for which
-    ``failing(program)`` holds, and solve every other as before."""
-    solve_many = module.solve_many
+    ``failing(program)`` holds, and solve every other as before; ``patch``
+    undoes it."""
 
-    def injected(programs, *args, **kwargs):
-        outcomes = solve_many(programs, *args, **kwargs)
-        return [lp.LpError("injected") if failing(program) else outcome
-                for program, outcome in zip(programs, outcomes)]
+    def injected(stage, stack, bases, outcomes):
+        outcomes[:] = [lp.LpError("injected") if failing(program) else outcome
+                       for program, outcome in zip(stack, outcomes)]
 
-    monkeypatch.setattr(module, "solve_many", injected)
+    patch.setattr(module, "solve_many", recorded(module.__name__.rpartition(".")[2],
+                                                 module.solve_many, injected))
 
 
 def test_first_failing_unit_is_reported(data_file, capsys, monkeypatch):
@@ -344,13 +345,13 @@ def test_first_failing_unit_is_reported(data_file, capsys, monkeypatch):
     x, y = ds.inputs[0], ds.outputs[0]
     fail_in_kernel(monkeypatch, dea,
                    lambda program: np.array_equal(program.rhs, [x[5], y[5], 1.0]))
-    # unit 2's GRS program holds its negated data as the normalising column
-    fail_in_kernel(monkeypatch, grs, lambda program: np.any(np.all(
-        program.constraint_matrix[:3].T == [-x[2], -y[2], -1.0], axis=1)))
-    assert cli.main(["report", "--data", data_file]) == 2
-    assert capsys.readouterr().err == "solver error: DMU3 [grs]: injected\n"
+    with monkeypatch.context() as patch:
+        # unit 2's GRS program holds its negated data as the normalising column
+        fail_in_kernel(patch, grs, lambda program: np.any(np.all(
+            program.constraint_matrix[:3].T == [-x[2], -y[2], -1.0], axis=1)))
+        assert cli.main(["report", "--data", data_file]) == 2
+        assert capsys.readouterr().err == "solver error: DMU3 [grs]: injected\n"
     # with the GRS failure at unit 6 instead, unit 5's scoring comes first
-    monkeypatch.setattr(grs, "solve_many", lp.solve_many)
     fail_in_kernel(monkeypatch, grs, lambda program: np.any(np.all(
         program.constraint_matrix[:3].T == [-x[6], -y[6], -1.0], axis=1)))
     assert cli.main(["report", "--data", data_file]) == 2

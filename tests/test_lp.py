@@ -148,6 +148,20 @@ def test_one_program_is_a_stack_of_one():
     assert lp.solve(one[0]).primal.tolist() == lp.solve(one).primal.tolist()
 
 
+def test_a_stack_is_indexed_only_by_an_integer_or_a_slice():
+    stack = lp.LinearProgram("maximize", [1.0, 2.0], [[1.0, 1.0]], [[1.0], [2.0], [3.0]],
+                             upper_bounds=[[2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
+    # fancy indexing would copy, so the program it gave could be written to
+    for index in ([0, 2], np.array([0, 2]), np.array([True, False, True])):
+        with pytest.raises(TypeError, match="^a LinearProgram is indexed by an integer "
+                                            "or a slice, not (list|ndarray)$"):
+            stack[index]
+    for part, rhs in ((stack[np.int64(1)], [2.0]), (stack[1:], [[2.0], [3.0]])):
+        assert part.rhs.tolist() == rhs
+        for name, _ in lp._ARRAYS:
+            assert not getattr(part, name).flags.writeable, name
+
+
 def test_iteration_limit_raises(monkeypatch):
     program = lp.LinearProgram("minimize", [0.0, 0.0],
                                [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])

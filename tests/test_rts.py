@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ramdea import dea, grs, lp, reporting, rts
+from recorder import recorded
 
 # classes for the 8-unit example, in dataset order
 EIGHT_CLASSES = (
@@ -205,10 +206,10 @@ def test_single_point_interval_stays_ordered():
 def test_ends_crossing_beyond_rounding_are_an_error(frontier8, monkeypatch):
     ds = frontier8
     # the solves claim omega_min = 0.5 and omega_max = 0.4
-    objectives = iter([0.5, -0.4])
-    monkeypatch.setattr(rts, "solve_many", lambda batch, *args, **kwargs:
-                        [lp.LpSolution(lp.OPTIMAL, objective_value=next(objectives))
-                         for _ in batch])
+    def claimed(stage, stack, bases, outcomes):
+        outcomes[:] = [lp.LpSolution(lp.OPTIMAL, objective_value=value) for value in (0.5, -0.4)]
+
+    monkeypatch.setattr(rts, "solve_many", recorded("rts", rts.solve_many, claimed))
     with pytest.raises(lp.LpError, match="cross"):
         rts.intercept_bounds(ds, ([3.0], [6.0]))
 

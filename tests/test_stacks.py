@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ramdea import dea, grs, lp, rts
+from recorder import recording
 
 
 def assert_bitwise(got, expected):
@@ -145,7 +146,7 @@ def test_bases_are_checked_before_any_stack_runs(monkeypatch):
     assert stacks == []
 
 
-def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch, kernel_calls):
+def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
     results = dea.evaluate_many(forty, range(forty.n_dmus))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
                for reference in grs.identify_grs_many(forty, results)]
@@ -157,19 +158,16 @@ def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch, ker
             alone.append(error)
     distinct = len({(x.tobytes(), y.tobytes()) for x, y in anchors})
     assert distinct == 22
-    calls = kernel_calls(rts)
     # a stack budget small enough to split the call into several stacks
-    stacks = []
-    run = lp._SimplexState.run
-    monkeypatch.setattr(lp._SimplexState, "run",
-                        lambda state: stacks.append(state.ids.size) or run(state))
     monkeypatch.setattr(lp, "_STACK_BYTES", 50_000)
-    got = rts.intercept_bounds_many(forty, anchors)
+    sizes = []
+    with recording(lambda stage, stack, bases, outcomes: sizes.append(len(stack))) as kernel:
+        got = rts.intercept_bounds_many(forty, anchors)
     # both ends of every distinct anchor, then at most the zero
     # right-hand-side programs of a few
-    sizes = [len(stack) for stack, _, _ in calls]
     assert sizes[0] == 2 * distinct
     assert len(sizes) == 1 or (len(sizes) == 2 and sizes[1] < distinct)
+    stacks = [lps for lps, _, _ in kernel["rts"]]
     assert len(stacks) > 2 and sum(stacks) == sum(sizes)
     for bounds, expected in zip(got, alone):
         assert_bitwise(bounds, expected)

@@ -1,16 +1,26 @@
 """The measuring tools under ``tools/`` still run against the program.
 
-``tools/census.py`` and ``tools/stages.py`` wrap the stages' ``solve_many``
-bindings and ``lp._SimplexState.run`` and ``_round``; each runs here in a
-process of its own, so its wrappers stay out of the other tests, and so
-does ``tools/sweep.py``."""
+``tools/recorder.py`` is the one seam through which ``tools/census.py``
+and ``tools/stages.py`` read the kernel; it restores every binding it
+wraps, so it and the census's records run here in process.  Each tool's
+command line runs in a process of its own, as from the repository root,
+and so does ``stages.measure``, which wraps the stages' entry points
+for good."""
 
 import json
+import operator
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import census
+from ramdea import dea, grs, lp, rts
+from recorder import recording
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,23 +43,54 @@ def test_census_matches_itself(tmp_path):
 def test_census_records_every_calling_form():
     # one argument, then ``bases`` by keyword: both are recorded, the
     # second with its basis
-    script = """if True:
-        import json, census
-        from ramdea import grs, lp
-        records, kernel = [], {stage: [0, 0, 0] for stage in census.STAGES}
-        census.install(records, kernel)
+    records = []
+    with recording(lambda *call: records.extend(census.records(*call))) as kernel:
         program = lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0])
         grs.solve_many(program)
         grs.solve_many(program, bases=[[0]])
-        print(json.dumps([records, kernel]))
-    """
-    recorded = run(["-c", script],
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
-    assert recorded.returncode == 0, recorded.stderr
-    records, kernel = json.loads(recorded.stdout)
     assert [(stage, status) for stage, _, status, *_ in records] == [("grs", "optimal")] * 2
     assert records[0][1] != records[1][1]  # the digest holds the basis
-    assert kernel["grs"][0] == 2
+    assert len(kernel["grs"]) == 2
+
+
+def test_recording_restores_every_binding():
+    def bound():
+        return [dea.solve_many, grs.solve_many, rts.solve_many, lp._SimplexState.run,
+                lp._SimplexState._round]
+
+    originals = bound()
+    with recording():
+        assert not any(map(operator.is_, bound(), originals))
+    assert all(map(operator.is_, bound(), originals))
+    with pytest.raises(ZeroDivisionError), recording():
+        1 / 0
+    assert all(map(operator.is_, bound(), originals))
+
+
+def test_a_kernel_call_outside_every_stage_counts_for_none():
+    # after a stage's call, a direct one adds to no stage's calls or stacks
+    one = lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0])
+    with recording() as alone:
+        grs.solve_many(one)
+    calls = []
+    with recording(lambda *call: calls.append(call)) as kernel:
+        grs.solve_many(one)
+        outcomes = lp.solve_many(lp.LinearProgram("minimize", [1.0], [[1.0]], [[1.0], [2.0]]))
+    assert [outcome.status for outcome in outcomes] == ["optimal"] * 2
+    assert [stage for stage, *_ in calls] == ["grs"]
+    assert kernel == alone and len(alone["grs"]) == 1
+
+
+def test_stacks_of_one_lp_take_only_one_lp_rounds(monkeypatch):
+    rng = np.random.default_rng(67)
+    stack = lp.LinearProgram("maximize", np.ones(4), rng.uniform(-1.0, 1.0, (2, 4)),
+                             rng.uniform(0.0, 1.0, (6, 2)), np.zeros(4), np.full(4, 3.0))
+    monkeypatch.setattr(lp, "_STACK_BYTES", 1)
+    with recording() as kernel:
+        assert len(grs.solve_many(stack)) == 6
+    assert [lps for lps, _, _ in kernel["grs"]] == [1] * 6
+    assert all(rounds == one_lp > 0 for _, rounds, one_lp in kernel["grs"])
+    assert kernel["dea"] == kernel["rts"] == []
 
 
 def test_stages_counts_every_stage():

@@ -9,22 +9,19 @@ The data is the five-input, three-output report of acceptance criterion
 9: unit k's row is ``uniform(1, 10)`` from ``numpy.random.default_rng(103)``,
 eight values a unit, written with four decimals, so the first 70 units
 of every size are the same.  The sizes are 70, 200 and 500 units, those
-of the north star.  ``ramdea.reporting.run_analysis`` runs on it with
-the default configuration (ram, vrs), in process: once untimed, then
-three timed times.  Each stage's entry point is timed:
-scoring (``dea.evaluate_many``), GRS (``grs.identify_grs_many``) and RTS
-(``rts.intercept_bounds_many``), and so is the whole ``run_analysis``.
-Each stage's calls of ``solve_many`` (kernel calls), the lockstep stacks
-they make (``lp._SimplexState.run``) and those stacks' rounds
-(``lp._SimplexState._round``) are counted; the counts are those of one
-run, since every run makes the same.  Each size runs in a process of
-its own, so the peak RSS of its run (``ru_maxrss``, after the timed
-runs) is its own.  ``--src`` imports ``ramdea`` from another checkout,
-so two versions of the program can be measured with the same script.
+of the north star.  ``ramdea.reporting.run_analysis`` runs on it in
+process with the default configuration (ram, vrs): once to warm up,
+while ``tools/recorder.py`` counts each stage's kernel calls, stacks and
+rounds, then three times, timing the report and each stage's entry
+point: scoring (``dea.evaluate_many``), GRS (``grs.identify_grs_many``)
+and RTS (``rts.intercept_bounds_many``).  Each size runs in a process of
+its own, so the peak RSS (``ru_maxrss``) is its own.  ``--src`` imports
+``ramdea`` from another checkout, so two versions can be measured with
+the same script.
 
-Prints one row per size: for the report and each stage, the fastest and
-slowest of the timed runs in ms, and for each stage its kernel calls,
-stacks and rounds, then the peak RSS in MB.
+Prints one row per size: the fastest and slowest timed run of the report
+and of each stage in ms, each stage's kernel calls, stacks and rounds,
+and the peak RSS in MB.
 """
 
 from __future__ import annotations
@@ -61,50 +58,38 @@ def report_csv(n: int) -> str:
 
 def measure(n: int, runs: int) -> dict:
     """Times (seconds, per run) and counts of the ``n``-unit report."""
-    from ramdea import lp, reporting
+    from ramdea import reporting
+    from recorder import recording
 
     times = {name: [] for name in ["report", *STAGES]}
-    counts = {name: [0, 0, 0] for name in STAGES}  # kernel calls, stacks, rounds
-    running = [None]  # the stage whose entry point runs
+    calls = []  # the stage of each kernel call
 
     def timed(name, entry):
         def wrapper(*args, **kwargs):
-            running[0] = name
             start = time.perf_counter()
             try:
                 return entry(*args, **kwargs)
             finally:
                 times[name].append(time.perf_counter() - start)
-                running[0] = None
         return wrapper
-
-    def counted(method, at):
-        def wrapper(*args, **kwargs):
-            if running[0] is not None:
-                counts[running[0]][at] += 1
-            return method(*args, **kwargs)
-        return wrapper
-
-    for name, (module_name, entry) in STAGES.items():
-        module = importlib.import_module(f"ramdea.{module_name}")
-        setattr(module, entry, timed(name, getattr(module, entry)))
-        module.solve_many = counted(module.solve_many, 0)
-    lp._SimplexState.run = counted(lp._SimplexState.run, 1)
-    lp._SimplexState._round = counted(lp._SimplexState._round, 2)
 
     dataset = reporting.parse_dataset(report_csv(n))
     config = reporting.AnalysisConfig()
-    for run in range(runs + 1):
-        if run == 1:
-            # the first run warms up; the counts are the last run's
-            for values in times.values():
-                values.clear()
-        for values in counts.values():
-            values[:] = [0, 0, 0]
+    # an untimed run warms up and is counted, since every run makes the same counts
+    with recording(lambda stage, *_: calls.append(stage)) as kernel:
+        reporting.run_analysis(config, dataset)
+    for name, (module_name, entry) in STAGES.items():
+        module = importlib.import_module(f"ramdea.{module_name}")
+        setattr(module, entry, timed(name, getattr(module, entry)))
+    for _ in range(runs):
         start = time.perf_counter()
         reports = reporting.run_analysis(config, dataset)
         times["report"].append(time.perf_counter() - start)
         assert len(reports) == n and all(report.rts_class for report in reports)
+    # kernel calls, stacks and rounds
+    counts = {name: [calls.count(module), len(kernel[module]),
+                     sum(rounds for _, rounds, _ in kernel[module])]
+              for name, (module, _) in STAGES.items()}
     return {"n": n, "times": times, "counts": counts,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
