@@ -38,15 +38,16 @@ information, and hence the classification, is preserved.
 ``intercept_bounds_many`` solves each distinct anchor once, telling
 anchors apart by their exact bytes, and a repeat gets the first's entry.
 It solves both ends at every distinct anchor with one call of the
-kernel, and the rare zero right-hand-side programs with one more.
-The pi and slack columns are the data's own, so all programs share one
-block of them, built once per call, and each holds only its anchor's
-theta and alpha columns, as its leading columns.  Each multiplier row
-is divided by the data's largest magnitude on it, which for an anchor
-within the data's range, such as an interior projection, is the row's
-largest entry over theta, alpha and pi.  An anchor whose solve fails
-gets its error in place of its interval, and the other anchors'
-intervals come back as if each had been solved alone;
+kernel, and the rare zero right-hand-side programs with one more.  One
+function, ``_envelopment_programs``, lays out every program of a call:
+the pi and slack columns are the data's own, so all programs share one
+block of them, built once per kernel call, and each holds only its
+anchor's theta and alpha columns, as its leading columns.  Each
+multiplier row is divided by the data's largest magnitude on it, which
+for an anchor within the data's range, such as an interior projection,
+is the row's largest entry over theta, alpha and pi.  An anchor whose
+solve fails gets its error in place of its interval, and the other
+anchors' intervals come back as if each had been solved alone;
 ``intercept_bounds`` is the call for one anchor, and raises that error.
 """
 
@@ -92,10 +93,11 @@ class NormalizationUnattainableError(RamdeaError):
     """The anchor's inputs admit no v >= 0 with v . x = 1 (all non-positive)."""
 
 
-def _envelopment_columns(dataset, x_hat, y_hat):
-    """The columns of the LP duals of the intercept program at the anchors
-    (x_hat[i], y_hat[i]), where ``x_hat`` is K x m and ``y_hat`` K x s:
-    the block every anchor shares, and each anchor's own block.
+def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs):
+    """The stack of LP duals of the intercept program at the anchors
+    (x_hat[i], y_hat[i]), where ``x_hat`` is K x m and ``y_hat`` K x s,
+    with ``omega_rhs[i]`` on the intercept row, and each dual's starting
+    basis or None.
 
     Each dual maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
     subject to
@@ -107,10 +109,10 @@ def _envelopment_columns(dataset, x_hat, y_hat):
     with theta and alpha free and pi_j <= 0.  A right-hand side of +1 is
     the dual of min w, -1 the dual of max w, and 0 the dual of the bare
     feasibility question.  Only the theta and alpha columns hold the
-    anchor; the pi and slack columns make the shared block.  Each
-    multiplier row is divided by the data's largest magnitude on it, an
-    exact change of variables that keeps the pi of translated data at the
-    scale of the rows.
+    anchor, as each dual's leading columns; the pi and slack columns make
+    the block every dual shares.  Each multiplier row is divided by the
+    data's largest magnitude on it, an exact change of variables that
+    keeps the pi of translated data at the scale of the rows.
     """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
     data = np.vstack([dataset.outputs, -dataset.inputs])
@@ -120,26 +122,24 @@ def _envelopment_columns(dataset, x_hat, y_hat):
     shared[:-1, :n] = data / row_scale[:, None]
     shared[:-1, n:] = np.eye(s + m)
     shared[-1, :n] = -1.0
-    anchored = np.zeros((x_hat.shape[0], s + m + 1, 2))
+    k = x_hat.shape[0]
+    anchored = np.zeros((k, s + m + 1, 2))
     anchored[:, s:-1, 0] = x_hat / row_scale[s:]
     anchored[:, :-1, 1] = np.hstack([y_hat, -x_hat]) / row_scale
     anchored[:, -1, 1] = -1.0
-    return shared, anchored
-
-
-def _envelopment_programs(shared, anchored, omega_rhs) -> LinearProgram:
-    """The stack of duals over the blocks of ``_envelopment_columns``, one
-    per row of ``anchored``, with ``omega_rhs`` (one value, or one per
-    dual) on the intercept row."""
-    k, p, _ = anchored.shape
-    # theta and alpha free, every pi_j <= 0 and every slack >= 0
-    cols = np.arange(2 + shared.shape[1])
-    pi = (cols >= 2) & (cols < cols.size - p + 1)
-    rhs = np.zeros((k, p))
+    rhs = np.zeros((k, s + m + 1))
     rhs[:, -1] = omega_rhs
-    return LinearProgram("maximize", np.where(cols == 0, 1.0, 0.0), shared, rhs,
-                         lower_bounds=np.where(pi | (cols < 2), -np.inf, 0.0),
-                         upper_bounds=np.where(pi, 0.0, np.inf), leading_columns=anchored)
+    # theta and alpha free, every pi_j <= 0 and every slack >= 0
+    lower = np.r_[np.full(n + 2, -np.inf), np.zeros(s + m)]
+    upper = np.r_[np.inf, np.inf, np.zeros(n), np.full(s + m, np.inf)]
+    program = LinearProgram("maximize", np.r_[1.0, np.zeros(n + s + m + 1)], shared, rhs,
+                            lower, upper, leading_columns=anchored)
+    # the min end's feasible start (see the module docstring)
+    slacks = np.broadcast_to(np.arange(n + 2, n + 2 + s + m), (k, s + m))
+    kept = np.arange(s + m) != s + np.argmax(x_hat, axis=1)[:, None]
+    starts = np.hstack([np.broadcast_to([0, 1], (k, 2)), slacks[kept].reshape(k, -1)])
+    started = (rhs[:, -1] > 0.0) & (y_hat.min(axis=1) >= 0.0)
+    return program, [start if ok else None for start, ok in zip(starts, started.tolist())]
 
 
 def _off_frontier() -> NotOnFrontierError:
@@ -174,9 +174,10 @@ def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_T
     the same entry.
     """
     feas_tol = _tolerance("feas_tol", feas_tol)
-    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    # per distinct anchor, by its exact bytes: its point, then its entry
-    keys, results = [], {}
+    m, s = dataset.n_inputs, dataset.n_outputs
+    # by each anchor's exact bytes: the distinct anchors to solve, and
+    # every anchor's entry
+    keys, anchors, results = [], {}, {}
     for point in points:
         x_hat = np.atleast_1d(np.asarray(point[0], dtype=float))
         y_hat = np.atleast_1d(np.asarray(point[1], dtype=float))
@@ -191,30 +192,26 @@ def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_T
                 "v . x = 1 is unattainable and the scale class is undefined here"
             )
         else:
-            results.setdefault(keys[-1], (x_hat, y_hat))
-    solvable = [key for key, entry in results.items() if isinstance(entry, tuple)]
-    if not solvable:
-        return [results[key] for key in keys]
-    x_hat = np.array([results[key][0] for key in solvable])
-    y_hat = np.array([results[key][1] for key in solvable])
-    shared, anchored = _envelopment_columns(dataset, x_hat, y_hat)
-    # the min end's feasible start (see the module docstring)
-    k = len(solvable)
-    slacks = np.broadcast_to(np.arange(n + 2, n + 2 + s + m), (k, s + m))
-    kept = np.arange(s + m) != s + np.argmax(x_hat, axis=1)[:, None]
-    starts = np.hstack([np.broadcast_to([0, 1], (k, 2)), slacks[kept].reshape(k, -1)])
-    bases = [start if ok else None
-             for start, ok in zip(starts, (y_hat.min(axis=1) >= 0.0).tolist())]
+            anchors.setdefault(keys[-1], (x_hat, y_hat))
+    if anchors:
+        x_hat, y_hat = (np.array(side) for side in zip(*anchors.values()))
+        results.update(zip(anchors, _intervals(dataset, x_hat, y_hat, feas_tol)))
+    return [results[key] for key in keys]
+
+
+def _intervals(dataset, x_hat, y_hat, feas_tol) -> list:
+    """The ``_interval`` at each anchor (x_hat[i], y_hat[i]), or the error
+    its solve gives."""
+    k = x_hat.shape[0]
     # the min ends (+1 on the intercept row) of every anchor, then the max
     # ends (-1)
-    programs = _envelopment_programs(shared, np.concatenate([anchored, anchored]),
-                                     np.concatenate([np.ones(k), -np.ones(k)]))
-    ends = solve_many(programs, feas_tol, bases + [None] * k)
-
-    unsettled = []
-    for g, key in enumerate(solvable):
+    programs, bases = _envelopment_programs(dataset, np.vstack([x_hat, x_hat]),
+                                            np.vstack([y_hat, y_hat]), np.repeat([1.0, -1.0], k))
+    ends = solve_many(programs, feas_tol, bases)
+    results = []
+    for min_end, max_end in zip(ends[:k], ends[k:]):
         bounds = []
-        for omega_rhs, sol in ((1.0, ends[g]), (-1.0, ends[k + g])):
+        for omega_rhs, sol in ((1.0, min_end), (-1.0, max_end)):
             if isinstance(sol, LpError):
                 bounds = sol
                 break
@@ -224,23 +221,21 @@ def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_T
             # an infeasible dual leaves this endpoint of the intercept unbounded
             bounds.append(None if sol.status == INFEASIBLE
                           else omega_rhs * float(sol.objective_value))
-        if bounds == [None, None]:
-            # both ends unbounded, or no supporting hyperplane at all: the
-            # dual with a zero right-hand side is feasible at the origin
-            # and unbounded exactly in the second case
-            unsettled.append(g)
-        results[key] = bounds
-
+        results.append(bounds)
+    # both ends unbounded, or no supporting hyperplane at all: the dual with
+    # a zero right-hand side is feasible at the origin and unbounded exactly
+    # in the second case
+    unsettled = [g for g, bounds in enumerate(results) if bounds == [None, None]]
     if unsettled:
-        zero_rhs = _envelopment_programs(shared, anchored[unsettled], 0.0)
-        for g, sol in zip(unsettled, solve_many(zero_rhs, feas_tol)):
+        zero_rhs, bases = _envelopment_programs(dataset, x_hat[unsettled], y_hat[unsettled],
+                                                np.zeros(len(unsettled)))
+        for g, sol in zip(unsettled, solve_many(zero_rhs, feas_tol, bases)):
             if isinstance(sol, LpError):
-                results[solvable[g]] = sol
+                results[g] = sol
             elif sol.status == UNBOUNDED:
-                results[solvable[g]] = _off_frontier()
-    results = {key: bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, feas_tol)
-               for key, bounds in results.items()}
-    return [results[key] for key in keys]
+                results[g] = _off_frontier()
+    return [bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, feas_tol)
+            for bounds in results]
 
 
 def _interval(omega_min, omega_max, tol):

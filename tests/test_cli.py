@@ -57,6 +57,11 @@ def test_parse_rejects_wrong_first_column():
         reporting.parse_dataset("name,in:x,out:y\nu1,1,2\n")
 
 
+def test_parse_rejects_comments_only():
+    with pytest.raises(reporting.DataFormatError, match="^no header row found$"):
+        reporting.parse_dataset("# a comment\n\n# another\n")
+
+
 def test_parse_rejects_header_only():
     with pytest.raises(reporting.DataFormatError, match="no data rows"):
         reporting.parse_dataset("dmu,in:x,out:y\n")
@@ -163,6 +168,8 @@ def test_stage_control(frontier8_csv):
     assert all(r.grs_members is None and r.rts_class is None for r in reports)
     reports = analyse(frontier8_csv, stages="grs")
     assert all(r.grs_members is not None and r.rts_class is None for r in reports)
+    with pytest.raises(ValueError, match="^unknown stages 'bogus'$"):
+        analyse(frontier8_csv, stages="bogus")
 
 
 def test_bad_config_rejected(frontier8_csv):
@@ -365,7 +372,8 @@ def test_shared_anchor_failure_is_reported_at_its_first_unit(tmp_path, capsys,
     path.write_text(CORNER_CSV, encoding="utf-8")
     ds = reporting.parse_dataset(CORNER_CSV)
     # the anchor's programs are the ones holding its theta and alpha columns
-    _, (vertex,) = rts._envelopment_columns(ds, np.array([[2.0]]), np.array([[4.0]]))
+    program, _ = rts._envelopment_programs(ds, np.array([[2.0]]), np.array([[4.0]]), [1.0])
+    (vertex,) = program.leading_columns
     fail_in_kernel(monkeypatch, rts,
                    lambda program: np.array_equal(program.leading_columns, vertex))
     assert cli.main(["report", "--data", str(path)]) == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,23 @@ def test_dataset_validation():
         dea.Dataset(["a"], [[np.inf]], [[1.0]])
     with pytest.raises(ValueError):
         dea.Dataset([], [[]], [[]])
+
+
+@pytest.mark.parametrize("arguments, message", [
+    (dict(inputs=np.ones((1, 1, 2))), "inputs and outputs must be two-dimensional"),
+    (dict(inputs=np.ones((0, 2))), "need at least one input row and one output row"),
+    (dict(input_labels=["x", "z"]), "expected 1 labels, got 2"),
+])
+def test_dataset_names_each_bad_shape(arguments, message):
+    given = {"names": ["a", "b"], "inputs": [[1.0, 2.0]], "outputs": [[1.0, 2.0]], **arguments}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dea.Dataset(**given)
+
+
+def test_unknown_unit_name_is_a_key_error(frontier8):
+    with pytest.raises(KeyError) as raised:
+        frontier8.index("zz")
+    assert raised.value.args == ("unknown unit name: 'zz'",)
 
 
 def test_dataset_rejects_a_label_repeated_within_a_role():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -660,6 +661,26 @@ def test_shifted_crs_grs_program_concludes():
     expected = oracles.oracle_grs(SHIFTED, 0, result)
     assert [name for name, _ in reports[0].grs_members] == \
         [SHIFTED.names[j] for j in expected]
+
+
+@pytest.mark.xfail(strict=True, raises=lp.LpError,
+                   reason="U000's GRS LP concludes outside a variable bound once the "
+                          "units of a shifted additive/crs dataset are reordered")
+def test_grs_does_not_depend_on_unit_order(monkeypatch):
+    # robustness seed 2 small-007 (16 units, m = 2, s = 3, shifted by 1e4):
+    # in its generated order U000's GRS is {U010, U013}; reordered, the
+    # kernel's optimum check rejects U000's GRS optimum ("variable bound
+    # violated at claimed optimum"), as it does for 101 of the orders of
+    # permutation seeds 0-199
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    data = workloads.dataset(workloads.WORKLOADS["robustness"], 2, 7)
+    for order in (np.arange(data.n), np.random.default_rng(4).permutation(data.n)):
+        ds = dea.Dataset([data.units()[j] for j in order], data.inputs[:, order],
+                         data.outputs[:, order])
+        o = ds.index("U000")
+        reference = grs.identify_grs(ds, o, dea.evaluate(ds, o, data.scheme, data.regime))
+        assert {ds.names[j] for j in reference.members} == {"U010", "U013"}
 
 
 # -- vertex faces ------------------------------------------------------

@@ -89,6 +89,16 @@ def test_invalid_inputs_rejected():
             lp.solve(program, feas_tol)
 
 
+@pytest.mark.parametrize("arguments, message", [
+    (dict(constraint_matrix=np.ones((1, 0))),
+     "constraint matrix needs at least one row and one column"),
+    (dict(lower_bounds=[np.nan]), "bounds must not contain NaN")])
+def test_empty_matrix_and_nan_bound_are_named(arguments, message):
+    given = {"objective": [1.0], "constraint_matrix": [[1.0]], "rhs": [1.0], **arguments}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lp.LinearProgram("minimize", **given)
+
+
 @pytest.mark.parametrize("name, objective, matrix", [
     ("constraint_matrix", [1.0, 1.0], np.ones((3, 1, 2))),
     ("objective", np.ones((3, 2)), [[1.0, 1.0]])])
@@ -851,6 +861,6 @@ def test_import_does_not_load_scipy():
     done = subprocess.run(
         [sys.executable, "-c", "import sys, ramdea; print('scipy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60, check=True,
+        capture_output=True, text=True, encoding="utf-8", timeout=60, check=True,
     )
     assert done.stdout.strip() == "False"

@@ -56,6 +56,12 @@ def test_nonpositive_inputs_are_rejected(frontier8):
         rts.intercept_bounds(ds, ([0.0], [2.0]))
 
 
+@pytest.mark.parametrize("point", [([1.0, 1.0], [2.0]), ([1.0], [2.0, 2.0]), ([], [2.0])])
+def test_anchor_of_the_wrong_length_is_rejected(frontier8, point):
+    with pytest.raises(ValueError, match="^anchor point does not match the dataset's dimensions$"):
+        rts.intercept_bounds_many(frontier8, [([1.0], [2.0]), point])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("side", ["inputs", "outputs"])
 def test_non_finite_anchors_are_rejected(frontier8, side, value):

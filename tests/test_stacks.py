@@ -130,6 +130,13 @@ def test_solve_many_checks_every_basis():
     for bad in ([0, 1, 2], [1, 1], [0, 4], [0.5, 1.0], [True, False]):
         with pytest.raises(ValueError, match="basis"):
             lp.solve_many(programs, bases=[good, None, bad, good, None])
+    with pytest.raises(ValueError, match="^got 1 bases for 5 programs$"):
+        lp.solve_many(programs, bases=[good])
+
+
+def test_an_empty_stack_solves_to_nothing():
+    empty = lp.LinearProgram("minimize", [1.0], [[1.0]], np.zeros((0, 1)))
+    assert len(empty) == 0 and lp.solve_many(empty) == []
 
 
 def test_bases_are_checked_before_any_stack_runs(monkeypatch):

@@ -1,11 +1,9 @@
 """The measuring tools under ``tools/`` still run against the program.
 
-``tools/recorder.py`` is the one seam through which ``tools/census.py``
-and ``tools/stages.py`` read the kernel; it restores every binding it
-wraps, so it and the census's records run here in process.  Each tool's
-command line runs in a process of its own, as from the repository root,
-and so does ``stages.measure``, which wraps the stages' entry points
-for good."""
+``tools/recorder.py``, the tools' one seam to the kernel, and
+``stages.measure`` restore every binding they wrap, so they run here in
+process; each tool's command line, and a fresh import, runs in a
+process of its own, as from the repository root."""
 
 import json
 import operator
@@ -19,6 +17,7 @@ import numpy as np
 import pytest
 
 import census
+import stages
 from ramdea import dea, grs, lp, rts
 from recorder import recording
 
@@ -27,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run(args, **env):
     return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
-                          env=dict(os.environ, **env), timeout=600)
+                          encoding="utf-8", env=dict(os.environ, **env), timeout=600)
 
 
 def test_census_matches_itself(tmp_path):
@@ -94,14 +93,20 @@ def test_stacks_of_one_lp_take_only_one_lp_rounds(monkeypatch):
 
 
 def test_stages_counts_every_stage():
-    measured = run(["-c", "import json, stages; print(json.dumps(stages.measure(70, 1)))"],
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
-    assert measured.returncode == 0, measured.stderr
-    result = json.loads(measured.stdout)
+    entries = [dea.evaluate_many, grs.identify_grs_many, rts.intercept_bounds_many]
+    result = stages.measure(70, 1)
     assert result["n"] == 70 and set(result["counts"]) == {"scoring", "GRS", "RTS"}
-    # kernel calls, stacks and rounds
+    # kernel calls, stacks and rounds; then each timed entry point is its own again
     for stage, counts in result["counts"].items():
         assert len(counts) == 3 and all(count > 0 for count in counts), stage
+    assert entries == [dea.evaluate_many, grs.identify_grs_many, rts.intercept_bounds_many]
+
+
+def test_importing_the_tools_keeps_the_path_in_front():
+    kept = run(["-c", "import sys; before = list(sys.path); import census; "
+                "assert sys.path[:len(before)] == before, sys.path"],
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
+    assert kept.returncode == 0, kept.stderr
 
 
 def test_sweep_sorts_identical_close_and_different(tmp_path):

@@ -30,7 +30,6 @@ only one side holds.  The exit status is 1 when any dataset differs, and
 
 from __future__ import annotations
 
-import argparse
 import collections
 import hashlib
 import json
@@ -40,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from recorder import STAGES, recording
-from sweep import ROOT, WORKLOADS, runs, seed_range
+from sweep import arguments, runs
 
 
 def _digest(*parts) -> str:
@@ -54,12 +53,10 @@ def _digest(*parts) -> str:
 
 
 def full_matrix(program):
-    """The whole matrix of one program: its leading columns, which versions
-    of ``ramdea`` before them lack, then its constraint matrix, so a
-    program split in two blocks is recorded as the one it stands for."""
-    leading = getattr(program, "leading_columns", None)
-    return program.constraint_matrix if leading is None else np.hstack(
-        [leading, program.constraint_matrix])
+    """The whole matrix of one program: its leading columns, then its
+    constraint matrix, so a program split in two blocks is recorded as the
+    one it stands for."""
+    return np.hstack([program.leading_columns, program.constraint_matrix])
 
 
 def own_columns(program, matrix) -> int:
@@ -109,13 +106,11 @@ def census(workloads, seeds) -> dict:
 
 def kernel_totals(entries: dict, names) -> str:
     """Each stage's stacks, rounds and one-LP rounds, summed over the
-    datasets ``names``; a census of an earlier version of this script
-    holds no one-LP rounds."""
-    totals = {stage: [0, 0, 0] for stage in STAGES}
+    datasets ``names``."""
+    totals = {stage: np.zeros(3, dtype=int) for stage in STAGES}
     for name in names:
         for stage, counts in entries[name]["kernel"].items():
-            for at, count in enumerate(counts):
-                totals[stage][at] += count
+            totals[stage] += counts
     return ", ".join(f"{stage} {stacks} / {rounds} / {tail}"
                      for stage, (stacks, rounds, tail) in totals.items())
 
@@ -140,16 +135,7 @@ def differences(old: dict, new: dict) -> dict[str, list[str]]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append", required=True,
-                        choices=sorted(WORKLOADS), help="repeatable")
-    parser.add_argument("--seeds", type=seed_range, required=True,
-                        help='e.g. "11", "0-99" or "1,3,5-7"')
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the ramdea package to run")
-    parser.add_argument("--out", required=True, help="where to write the census JSON")
-    parser.add_argument("--against", help="an earlier census to compare with")
-    args = parser.parse_args(argv)
+    args = arguments(__doc__, "census").parse_args(argv)
 
     sys.path.insert(0, args.src)
     entries = census(args.workload, args.seeds)

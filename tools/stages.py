@@ -14,10 +14,10 @@ process with the default configuration (ram, vrs): once to warm up,
 while ``tools/recorder.py`` counts each stage's kernel calls, stacks and
 rounds, then three times, timing the report and each stage's entry
 point: scoring (``dea.evaluate_many``), GRS (``grs.identify_grs_many``)
-and RTS (``rts.intercept_bounds_many``).  Each size runs in a process of
-its own, so the peak RSS (``ru_maxrss``) is its own.  ``--src`` imports
-``ramdea`` from another checkout, so two versions can be measured with
-the same script.
+and RTS (``rts.intercept_bounds_many``), each put back as it was when
+``measure`` returns.  Each size runs in a process of its own, so the
+peak RSS (``ru_maxrss``) is its own.  ``--src`` imports ``ramdea`` from
+another checkout, so two versions can be measured with the same script.
 
 Prints one row per size: the fastest and slowest timed run of the report
 and of each stage in ms, each stage's kernel calls, stacks and rounds,
@@ -27,6 +27,7 @@ and the peak RSS in MB.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
@@ -67,10 +68,9 @@ def measure(n: int, runs: int) -> dict:
     def timed(name, entry):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
-            try:
-                return entry(*args, **kwargs)
-            finally:
-                times[name].append(time.perf_counter() - start)
+            result = entry(*args, **kwargs)
+            times[name].append(time.perf_counter() - start)
+            return result
         return wrapper
 
     dataset = reporting.parse_dataset(report_csv(n))
@@ -78,14 +78,16 @@ def measure(n: int, runs: int) -> dict:
     # an untimed run warms up and is counted, since every run makes the same counts
     with recording(lambda stage, *_: calls.append(stage)) as kernel:
         reporting.run_analysis(config, dataset)
-    for name, (module_name, entry) in STAGES.items():
-        module = importlib.import_module(f"ramdea.{module_name}")
-        setattr(module, entry, timed(name, getattr(module, entry)))
-    for _ in range(runs):
-        start = time.perf_counter()
-        reports = reporting.run_analysis(config, dataset)
-        times["report"].append(time.perf_counter() - start)
-        assert len(reports) == n and all(report.rts_class for report in reports)
+    with contextlib.ExitStack() as timing:
+        for name, (module_name, entry) in STAGES.items():
+            module = importlib.import_module(f"ramdea.{module_name}")
+            timing.callback(setattr, module, entry, getattr(module, entry))
+            setattr(module, entry, timed(name, getattr(module, entry)))
+        for _ in range(runs):
+            start = time.perf_counter()
+            reports = reporting.run_analysis(config, dataset)
+            times["report"].append(time.perf_counter() - start)
+            assert len(reports) == n and all(report.rts_class for report in reports)
     # kernel calls, stacks and rounds
     counts = {name: [calls.count(module), len(kernel[module]),
                      sum(rounds for _, rounds, _ in kernel[module])]
@@ -118,7 +120,7 @@ def main(argv=None) -> int:
         child = subprocess.run(
             [sys.executable, "-c",
              f"import json, stages; print(json.dumps(stages.measure({n}, {RUNS})))"],
-            env=env, capture_output=True, text=True, check=True)
+            env=env, capture_output=True, text=True, encoding="utf-8", check=True)
         print(row(json.loads(child.stdout)), flush=True)
     return 0
 

@@ -51,7 +51,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
+# last, so the bench's bare module names shadow no entry already there
+sys.path.append(str(ROOT / "bench"))
 
 from workloads import WORKLOADS, dataset  # noqa: E402
 
@@ -226,18 +227,24 @@ def abort_report(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def arguments(doc: str, what: str) -> argparse.ArgumentParser:
+    """The command line this script shares with ``census.py``."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("--workload", action="append", required=True,
                         choices=sorted(WORKLOADS), help="repeatable")
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help='e.g. "11", "0-99" or "1,3,5-7"')
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the ramdea package to run")
+    parser.add_argument("--out", required=True, help=f"where to write the {what} JSON")
+    parser.add_argument("--against", help=f"an earlier {what} to compare with")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = arguments(__doc__, "sweep")
     parser.add_argument("--format", choices=("table", "csv", "json"), default=None,
                         dest="output_format")
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the ramdea package to sweep")
-    parser.add_argument("--out", required=True, help="where to write the sweep JSON")
-    parser.add_argument("--against", help="an earlier sweep to compare with")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, args.src)
@@ -263,8 +270,7 @@ def main(argv=None) -> int:
             for name in groups[group]:
                 line = f"  {group}: {name}"
                 if group in aborted_in:
-                    cause = aborted_in[group][name][2].partition("\n")[0]
-                    line += f"  ({cause})"
+                    line += f"  ({_first_line(aborted_in[group][name])})"
                 if name in checked:
                     line += "  [reference: {} wrong, {} inconclusive]".format(*checked[name])
                 print(line)
