@@ -8,6 +8,7 @@ errors, 2 solver errors; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ _HIDDEN = {"grs": ("rho", "efficient"),
                    "projection_outputs", "minimum_face_dimension")}
 
 
+# argparse leaves a parser as it was when it parses, so one serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data", required=True, metavar="PATH",

@@ -16,9 +16,9 @@ Weight schemes:
             under evaluation
 
 Whenever a weight's divisor is zero the weight is defined as zero and
-the corresponding slack is pinned to zero.  ``scoring_program`` is the
-one place that lays the slack model out; the GRS step builds its
-system from it.
+the corresponding slack is pinned to zero.  ``_scoring_programs`` is the
+one place that lays the slack model out, with each program's starting
+basis; the GRS step reads its system off the programs it builds.
 
 The scoring LP starts from a feasible basis, so the kernel never runs
 phase 1 on it: the unit under evaluation alone is a feasible
@@ -204,16 +204,17 @@ def scoring_program(dataset: Dataset, o: int, scheme: str = "ram",
     is the slack weights; a zero-weight slack is pinned by an upper
     bound of 0.
     """
-    (program,) = LinearProgram("maximize", *_scoring_layout(dataset, [o], scheme, regime))
-    return program
+    programs, _ = _scoring_programs(dataset, [o], scheme, regime)
+    return programs[0]
 
 
-def _scoring_layout(dataset: Dataset, units, scheme: str, regime: str):
-    """(cost, matrix, rhs, lower, upper) of ``scoring_program`` for every
-    unit of ``units``, with one right-hand side per unit.
+def _scoring_programs(dataset: Dataset, units, scheme: str, regime: str):
+    """The stack of ``scoring_program`` of every unit of ``units``, and
+    each program's starting basis: lambda_o and the slacks (see the
+    module docstring).
 
     Only the right-hand side, and under bam the cost and the pinned
-    slacks, depend on the unit, so every unit shares one constraint
+    slacks, depend on the unit, so every program shares one constraint
     matrix, and under ram and additive one cost and one bound vector.
     """
     _check_scheme(scheme)
@@ -239,22 +240,17 @@ def _scoring_layout(dataset: Dataset, units, scheme: str, regime: str):
     cost = np.concatenate([np.zeros(w_in.shape[:-1] + (n,)), w_in, w_out], axis=-1)
     upper = np.where(cost == 0.0, 0.0, np.inf)
     upper[..., :n] = np.inf
-    return cost, A, rhs, np.zeros(q), upper
-
-
-def _scoring_bases(rhs: np.ndarray, units, n: int, regime: str) -> np.ndarray:
-    """lambda_o and the slacks, one row per unit (see the module docstring)."""
+    programs = LinearProgram("maximize", cost, A, rhs, np.zeros(q), upper)
+    own = units.astype(np.int64)[:, None]
+    slacks = np.broadcast_to(np.arange(n, q), (units.size, m + s))
+    if convexity:
+        return programs, list(np.hstack([own, slacks]))
     # under "crs" lambda_o takes the place of the slack of the row where
     # the unit is largest, and an all-zero unit keeps the slack basis
     # alone (b = 0)
-    k, p = rhs.shape
-    units = np.array(units, dtype=np.int64).reshape(k, 1)
-    if regime == "vrs":
-        return np.hstack([units, np.broadcast_to(np.arange(n, n + p - 1), (k, p - 1))])
-    slacks = np.broadcast_to(np.arange(n, n + p), (k, p))
     largest = np.argmax(np.abs(rhs), axis=1)
-    rest = slacks[np.arange(p) != largest[:, None]].reshape(k, p - 1)
-    return np.where(np.any(rhs, axis=1)[:, None], np.hstack([units, rest]), slacks)
+    rest = slacks[np.arange(m + s) != largest[:, None]].reshape(units.size, m + s - 1)
+    return programs, list(np.where(np.any(rhs, axis=1)[:, None], np.hstack([own, rest]), slacks))
 
 
 def evaluate(dataset: Dataset, o: int, scheme: str = "ram", regime: str = "vrs",
@@ -283,10 +279,8 @@ def evaluate_many(dataset: Dataset, units, scheme: str = "ram", regime: str = "v
     units = list(units)
     if not units:
         return []
-    layout = _scoring_layout(dataset, units, scheme, regime)
-    rhs = layout[2]
-    bases = _scoring_bases(rhs, units, dataset.n_dmus, regime)
-    results = solve_many(LinearProgram("maximize", *layout), feas_tol, list(bases))
+    programs, bases = _scoring_programs(dataset, units, scheme, regime)
+    results = solve_many(programs, feas_tol, bases)
     optimal = []
     for i, (o, sol) in enumerate(zip(units, results)):
         if isinstance(sol, LpError):
@@ -297,7 +291,7 @@ def evaluate_many(dataset: Dataset, units, scheme: str = "ram", regime: str = "v
             optimal.append(i)
     if optimal:
         for i, result in zip(optimal, _ram_results(
-                [units[i] for i in optimal], rhs[optimal], [results[i] for i in optimal],
+                [units[i] for i in optimal], programs.rhs[optimal], [results[i] for i in optimal],
                 scheme, regime, dataset.n_inputs, dataset.n_outputs, eff_tol)):
             results[i] = result
     return results

@@ -23,7 +23,7 @@ zero is already feasible and the kernel skips phase 1.
 
 ``identify_grs`` states unit o's optimal slack patterns as such a
 system and makes one call.  The system is the scoring program that
-``dea.scoring_program`` lays out, with one more row, the budget row,
+``dea._scoring_programs`` lays out, with one more row, the budget row,
 that holds its objective at the optimum: the weighted slack total
 equals the ``slack_sum`` of the scoring result.  The u-block holds
 every unit's column, the v-block the slack columns whose budget weight
@@ -60,9 +60,10 @@ above is solved.
 
 ``identify_grs_many`` does this for a list of scoring results of one
 scheme and regime, whose programs therefore share one row count, with
-one call of the kernel.  It lays the scoring program out once, screens
-every unit and tests the vertex case with array operations over the
-units, and makes the programs one ``LinearProgram`` stack.  Each
+one call of the kernel.  It reads the matrix, the right-hand sides and
+the objective off the scoring stack of ``dea._scoring_programs``,
+screens every unit and tests the vertex case with array operations over
+the units, and makes the programs one ``LinearProgram`` stack.  Each
 program is padded at its end to the widest one's columns with zero
 columns pinned at zero and priced at zero, which never enter the basis.
 A unit whose solve fails gets its error in place of its result, and the
@@ -239,11 +240,12 @@ def identify_grs_many(dataset: dea.Dataset, ram_results, feas_tol: float = FEAS_
         return []
     ((scheme, regime),) = models
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    cost, A, rhs, _, _ = dea._scoring_layout(
+    scoring, _ = dea._scoring_programs(
         dataset, [r.dmu_index for r in ram_results], scheme, regime)
+    A, rhs = scoring.constraint_matrix, scoring.rhs
     # the budget row holds the objective at its optimum (scaled by m+s, as
     # slack_sum is); the units' columns have no budget entry
-    budget = np.broadcast_to((m + s) * cost, (len(ram_results), cost.shape[-1]))
+    budget = np.broadcast_to((m + s) * scoring.objective, (len(ram_results), scoring.cols))
     # B: the slack columns whose budget weight is non-zero, the others
     # being pinned at zero
     free = budget[:, n:] != 0.0

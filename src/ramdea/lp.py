@@ -129,8 +129,8 @@ _PIVOT_TOL = 1e-10
 _OPT_TOL = 1e-9
 # Pivot budget of one solve, per row and column of its program.
 _PIVOTS_PER_DIMENSION = 50
-# Most bytes of per-LP state in one lockstep stack: the LPs' state blocks,
-# and their columns unless they share both blocks of them.
+# Most bytes of per-LP state in one lockstep stack: the LPs' state blocks and,
+# unless they share both blocks of columns, their p x (q + p) matrices.
 _STACK_BYTES = 1 << 23
 # Fewest bytes of state in a stack whose dropped LPs ``_drop`` fills by moving
 # others: below it, ``take`` of every LP kept is faster than fancy assignment.
@@ -327,7 +327,7 @@ def solve_many(stack: LinearProgram, feas_tol: float = FEAS_TOL,
     if not k:
         return []
     shared = stack.leading_columns.ndim == stack.constraint_matrix.ndim == 2
-    per_lp = _state_bytes(p, q) + (0 if shared else 8 * p * q)
+    per_lp = _state_bytes(p, q) + (0 if shared else 8 * p * (q + p))
     size = -(-k // -(-k * per_lp // _STACK_BYTES))
     outcomes: list = []
     for start in range(0, k, size):

@@ -1,25 +1,76 @@
+import dataclasses
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from ramdea import dea
+from ramdea import dea, grs, reporting
 from recorder import recorded
 
-EIGHT_NAMES = tuple(f"DMU{k}" for k in range(1, 9))
-EIGHT_INPUTS = (1.0, 2.0, 3.0, 5.0, 8.0, 2.0, 3.0, 6.0)
-EIGHT_OUTPUTS = (2.0, 5.0, 6.0, 8.0, 8.0, 1.0, 3.0, 4.0)
-
-
-@pytest.fixture(scope="session")
-def frontier8():
-    """Single-input single-output example with four efficient units."""
-    return dea.Dataset(EIGHT_NAMES, [EIGHT_INPUTS], [EIGHT_OUTPUTS])
+DEMO8 = Path(__file__).resolve().parents[1] / "data" / "demo8.csv"
 
 
 @pytest.fixture(scope="session")
 def frontier8_csv():
-    lines = ["# eight units, one input, one output", "dmu,in:x,out:y"]
-    for name, x, y in zip(EIGHT_NAMES, EIGHT_INPUTS, EIGHT_OUTPUTS):
-        lines.append(f"{name},{x:g},{y:g}")
-    return "\n".join(lines) + "\n"
+    """The CSV text of ``data/demo8.csv``, the eight-unit example."""
+    return DEMO8.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
+def frontier8(frontier8_csv):
+    """Single-input single-output example with four efficient units."""
+    return reporting.parse_dataset(frontier8_csv)
+
+
+@pytest.fixture(scope="session")
+def eight(frontier8):
+    """(dataset, results, references) of the eight-unit example: each
+    unit's default scoring result and its global reference set."""
+    results = [dea.evaluate(frontier8, o) for o in range(frontier8.n_dmus)]
+    references = [grs.identify_grs(frontier8, o, result) for o, result in enumerate(results)]
+    return frontier8, results, references
+
+
+@pytest.fixture(scope="session")
+def random_dataset():
+    """``random_dataset(rng, n, m, s, low, high)`` draws a dataset of n
+    units (2-9 by default), m inputs and s outputs (1-3 each), every
+    entry ``uniform(low, high)``."""
+
+    def draw(rng, n=None, m=None, s=None, low=1.0, high=10.0):
+        n = n or int(rng.integers(2, 10))
+        m = m or int(rng.integers(1, 4))
+        s = s or int(rng.integers(1, 4))
+        return dea.Dataset(
+            [f"u{k}" for k in range(n)],
+            rng.uniform(low, high, (m, n)),
+            rng.uniform(low, high, (s, n)),
+        )
+
+    return draw
+
+
+@pytest.fixture(scope="session")
+def assert_bitwise():
+    """``assert_bitwise(got, expected)``: the same type and fields, every
+    float and array bit for bit, or an error of the same type and text."""
+
+    def check(got, expected):
+        assert type(got) is type(expected)
+        if isinstance(expected, Exception):
+            assert str(got) == str(expected)
+            return
+        pairs = (zip(dataclasses.astuple(got), dataclasses.astuple(expected))
+                 if dataclasses.is_dataclass(expected) else zip(got, expected))
+        for a, b in pairs:
+            if isinstance(b, (np.ndarray, float)):
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+
+    return check
 
 
 @pytest.fixture

@@ -413,6 +413,31 @@ def test_tolerance_flags_default_to_the_config():
     assert defaults.feas_tol == lp.FEAS_TOL
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["efficiency", "--help"], ["grs", "--help"], ["rts", "--help"],
+    ["report", "--help"], [], ["report"], ["report", "--data", "d.csv", "--scheme", "sbm"],
+])
+def test_cached_parser_prints_what_a_fresh_one_prints(argv, capsys):
+    # the one parser of the process, already used once, against a new build
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser().parse_args(["report", "--data", "d.csv", "--dmu", "A"])
+    printed = []
+    for parse in (cli.main, cli.build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exit:
+            parse(argv)
+        printed.append((exit.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][1 if argv[-1:] == ["--help"] else 2] != ""
+
+
+def test_dmu_lists_do_not_leak_between_calls(data_file, capsys):
+    for dmus, expected in [(["DMU8", "DMU1"], ["DMU1", "DMU8"]), (["DMU2"], ["DMU2"]),
+                           ([], [f"DMU{k}" for k in range(1, 9)])]:
+        flags = [arg for name in dmus for arg in ("--dmu", name)]
+        assert cli.main(["efficiency", "--data", data_file, "--format", "json", *flags]) == 0
+        assert [obj["name"] for obj in json.loads(capsys.readouterr().out)] == expected
+
+
 def test_missing_file_exits_1(capsys):
     assert cli.main(["report", "--data", "/nonexistent.csv"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -11,17 +11,6 @@ from ramdea import dea, lp, reporting
 EIGHT_SCORES = (1.0, 1.0, 1.0, 1.0, 11 / 14, 5 / 7, 11 / 14, 9 / 14)
 
 
-def random_dataset(rng, n=None, m=None, s=None, low=1.0, high=10.0):
-    n = n or int(rng.integers(2, 10))
-    m = m or int(rng.integers(1, 4))
-    s = s or int(rng.integers(1, 4))
-    return dea.Dataset(
-        [f"u{k}" for k in range(n)],
-        rng.uniform(low, high, (m, n)),
-        rng.uniform(low, high, (s, n)),
-    )
-
-
 def test_dataset_validation():
     with pytest.raises(ValueError):
         dea.Dataset(["a", "a"], [[1.0, 2.0]], [[1.0, 2.0]])
@@ -178,7 +167,7 @@ def test_crs_regime_drops_convexity(frontier8):
     )
 
 
-def test_scores_match_reference_solver_on_random_data():
+def test_scores_match_reference_solver_on_random_data(random_dataset):
     rng = np.random.default_rng(23)
     for _ in range(12):
         ds = random_dataset(rng)
@@ -187,7 +176,7 @@ def test_scores_match_reference_solver_on_random_data():
         assert mine == pytest.approx(oracles.ram_score_linprog(ds, o), abs=1e-7)
 
 
-def test_score_stays_in_unit_interval_on_positive_spreads():
+def test_score_stays_in_unit_interval_on_positive_spreads(random_dataset):
     rng = np.random.default_rng(29)
     for _ in range(15):
         ds = random_dataset(rng, n=int(rng.integers(3, 10)))

@@ -15,29 +15,6 @@ EIGHT_MEMBERS = (
 )
 
 
-@pytest.fixture(scope="module")
-def eight(frontier8):
-    results = [dea.evaluate(frontier8, o) for o in range(frontier8.n_dmus)]
-    return frontier8, results
-
-
-@pytest.fixture(scope="module")
-def demo8():
-    demo = Path(__file__).resolve().parents[1] / "data" / "demo8.csv"
-    return reporting.parse_dataset(demo.read_text(encoding="utf-8"))
-
-
-def random_dataset(rng, low=1.0, high=10.0):
-    n = int(rng.integers(2, 10))
-    m = int(rng.integers(1, 4))
-    s = int(rng.integers(1, 4))
-    return dea.Dataset(
-        [f"u{k}" for k in range(n)],
-        rng.uniform(low, high, (m, n)),
-        rng.uniform(low, high, (s, n)),
-    )
-
-
 # -- maximal-support primitive ---------------------------------------
 
 
@@ -134,7 +111,7 @@ def captured_program(kernel_calls, *args, **kwargs):
 
 
 def test_program_shape(eight, kernel_calls):
-    ds, results = eight
+    ds, results, _ = eight
     program, reference = captured_program(kernel_calls, ds, 6, results[6])
     units = screened_units(ds, results[6])
     k = len(units)
@@ -152,7 +129,7 @@ def test_program_shape(eight, kernel_calls):
 
 
 def test_program_shape_without_convexity(eight, kernel_calls):
-    ds, _ = eight
+    ds, _, _ = eight
     result = dea.evaluate(ds, 6, regime="crs")
     program, _ = captured_program(kernel_calls, ds, 6, result)
     assert program.rows == 3  # input, output, budget
@@ -161,7 +138,7 @@ def test_program_shape_without_convexity(eight, kernel_calls):
 def test_pinned_slack_has_no_column(eight, kernel_calls):
     # under bam, DMU5 has the largest output, so its output slack has
     # zero budget weight and is left out of the program
-    ds, _ = eight
+    ds, _, _ = eight
     result = dea.evaluate(ds, 4, scheme="bam")
     program, reference = captured_program(kernel_calls, ds, 4, result)
     t = len(screened_units(ds, result))
@@ -188,7 +165,7 @@ def test_all_zero_unit_under_crs_takes_the_homogeneous_branch():
 def test_grs_program_starts_feasible(eight, kernel_calls):
     # the program's right-hand side is zero, so its resting point x = 0
     # is feasible and phase 1 never runs
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         program, _ = captured_program(kernel_calls, ds, o, results[o])
         sol = lp.solve(program)
@@ -197,7 +174,7 @@ def test_grs_program_starts_feasible(eight, kernel_calls):
 
 
 def test_efficient_unit_budget_pins_slacks(eight):
-    ds, results = eight
+    ds, results, _ = eight
     reference = grs.identify_grs(ds, 1, results[1])
     assert np.all(np.abs(reference.input_slacks) <= 1e-10)
     assert np.all(np.abs(reference.output_slacks) <= 1e-10)
@@ -207,7 +184,7 @@ def test_efficient_unit_budget_pins_slacks(eight):
 
 
 def test_members_match_known_sets_and_oracle(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o])
         assert reference.members == EIGHT_MEMBERS[o]
@@ -215,7 +192,7 @@ def test_members_match_known_sets_and_oracle(eight):
 
 
 def test_weights_are_a_strict_convex_combination(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o])
         assert reference.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -228,7 +205,7 @@ def test_weights_are_a_strict_convex_combination(eight):
 
 
 def test_optimal_pattern_rows_hold(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o])
         resid = oracles.optimal_pattern_residuals(ds, results[o], reference)
@@ -236,7 +213,7 @@ def test_optimal_pattern_rows_hold(eight):
 
 
 def test_interior_projection_of_units_with_unique_projection(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o, expected_x, expected_y in ((0, 1.0, 2.0), (4, 5.0, 8.0)):
         reference = grs.identify_grs(ds, o, results[o])
         assert reference.interior_projection_inputs == pytest.approx(
@@ -248,7 +225,7 @@ def test_interior_projection_of_units_with_unique_projection(eight):
 
 
 def test_interior_projection_strictly_inside_segment(eight):
-    ds, results = eight
+    ds, results, _ = eight
     reference = grs.identify_grs(ds, 7, results[7])
     x_hat = reference.interior_projection_inputs[0]
     y_hat = reference.interior_projection_outputs[0]
@@ -261,7 +238,7 @@ def test_interior_projection_strictly_inside_segment(eight):
 
 
 def test_stage_one_support_is_dominated(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o])
         support = {j for j in range(ds.n_dmus)
@@ -270,7 +247,7 @@ def test_stage_one_support_is_dominated(eight):
 
 
 def test_stage_one_projection_lies_in_member_hull(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o])
         members = list(reference.members)
@@ -287,7 +264,7 @@ def test_stage_one_projection_lies_in_member_hull(eight):
 
 
 def test_budget_row_exactness(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         reference = grs.identify_grs(ds, o, results[o])
         total = (reference.input_slacks / np.ptp(ds.inputs, axis=1)).sum() \
@@ -297,7 +274,7 @@ def test_budget_row_exactness(eight):
 
 
 def test_identification_under_crs(eight):
-    ds, _ = eight
+    ds, _, _ = eight
     result = dea.evaluate(ds, 2, regime="crs")
     reference = grs.identify_grs(ds, 2, result)
     assert reference.members == (1,)
@@ -306,7 +283,7 @@ def test_identification_under_crs(eight):
     assert reference.weights[1] == pytest.approx(1.5, abs=1e-9)
 
 
-def test_identify_equals_oracle_on_random_data():
+def test_identify_equals_oracle_on_random_data(random_dataset):
     rng = np.random.default_rng(37)
     for trial in range(20):
         low = -5.0 if trial % 4 == 0 else 1.0
@@ -320,7 +297,7 @@ def test_identify_equals_oracle_on_random_data():
 
 
 def test_identify_equals_oracle_for_other_schemes(eight):
-    ds, _ = eight
+    ds, _, _ = eight
     for scheme in ("additive", "bam"):
         for o in range(ds.n_dmus):
             result = dea.evaluate(ds, o, scheme=scheme)
@@ -330,20 +307,20 @@ def test_identify_equals_oracle_for_other_schemes(eight):
 
 @pytest.mark.parametrize("regime", dea.REGIMES)
 @pytest.mark.parametrize("scheme", dea.SCHEMES)
-def test_result_fixes_the_scheme_and_regime(demo8, scheme, regime):
+def test_result_fixes_the_scheme_and_regime(frontier8, scheme, regime):
     # the scoring result carries its scheme and regime, so its GRS needs
     # neither restated
-    for o in range(demo8.n_dmus):
-        result = dea.evaluate(demo8, o, scheme, regime)
-        reference = grs.identify_grs(demo8, o, result)
-        assert reference.members == oracles.oracle_grs(demo8, o, result)
+    for o in range(frontier8.n_dmus):
+        result = dea.evaluate(frontier8, o, scheme, regime)
+        reference = grs.identify_grs(frontier8, o, result)
+        assert reference.members == oracles.oracle_grs(frontier8, o, result)
 
 
 def test_screen_keeps_every_optimal_projection(eight, kernel_calls):
     # DMU7 (3, 3) reaches the facet y = x + 3 through DMU2 (2, 5) alone and
     # through DMU3 (3, 6) alone, each at the optimal slack total: two
     # optimal projections with different members, so both must stay
-    ds, results = eight
+    ds, results, _ = eight
     result = results[6]
     w_in, w_out = dea.slack_weights(ds)
     for j in (1, 2):
@@ -604,7 +581,7 @@ def members_and_classes(ds, scheme, regime):
 
 
 @pytest.mark.parametrize("scheme, regime", PAIRS)
-def test_permuting_units_permutes_members_and_classes(scheme, regime):
+def test_permuting_units_permutes_members_and_classes(scheme, regime, random_dataset):
     rng = np.random.default_rng([61, PAIRS.index((scheme, regime))])
     for _ in range(6):
         ds = random_dataset(rng)
@@ -616,7 +593,7 @@ def test_permuting_units_permutes_members_and_classes(scheme, regime):
 
 
 @pytest.mark.parametrize("scheme, regime", PAIRS)
-def test_duplicate_joins_exactly_the_sets_of_its_original(scheme, regime):
+def test_duplicate_joins_exactly_the_sets_of_its_original(scheme, regime, random_dataset):
     rng = np.random.default_rng([67, PAIRS.index((scheme, regime))])
     for _ in range(6):
         ds = random_dataset(rng)
@@ -721,7 +698,7 @@ def test_vertex_face_takes_no_solve(eight, kernel_calls, scheme, units):
 def test_one_kept_unit_under_crs_still_solves(eight, kernel_calls):
     # the crs frontier is DMU2 alone, which scores itself at intensity 1,
     # yet without a convexity row its GRS weight is not fixed at 1
-    ds, _ = eight
+    ds, _, _ = eight
     results = [dea.evaluate(ds, o, regime="crs") for o in range(ds.n_dmus)]
     assert [o for o, result in enumerate(results) if result.efficient] == [1]
     assert results[1].lambdas[1] == pytest.approx(1.0, abs=1e-12)
@@ -733,7 +710,7 @@ def test_one_kept_unit_under_crs_still_solves(eight, kernel_calls):
 def test_two_kept_units_still_solve(eight, kernel_calls):
     # under ram every unit of the 8-unit example keeps two or more units,
     # also DMU5, whose GRS is the vertex DMU4
-    ds, results = eight
+    ds, results, _ = eight
     for o in range(ds.n_dmus):
         assert len(screened_units(ds, results[o])) >= 2
         _, reference = captured_program(kernel_calls, ds, o, results[o])
@@ -759,7 +736,7 @@ def test_disagreeing_intensities_still_solve(kernel_calls, lambdas):
 
 
 def test_mismatched_result_rejected(eight):
-    ds, results = eight
+    ds, results, _ = eight
     with pytest.raises(ValueError):
         grs.identify_grs(ds, 3, results[2])
 
@@ -768,7 +745,7 @@ def test_mismatched_result_rejected(eight):
 
 
 def test_face_of_collinear_members_is_a_segment(eight):
-    ds, results = eight
+    ds, results, _ = eight
     for o in (6, 7):
         reference = grs.identify_grs(ds, o, results[o])
         assert reference.members == (1, 2, 3)
@@ -776,7 +753,7 @@ def test_face_of_collinear_members_is_a_segment(eight):
 
 
 def test_face_of_singleton_is_a_point(eight):
-    ds, results = eight
+    ds, results, _ = eight
     reference = grs.identify_grs(ds, 4, results[4])
     assert reference.members == (3,)
     assert grs.minimum_face(ds, reference) == 0

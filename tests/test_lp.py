@@ -488,25 +488,14 @@ def solve_in_stacks(programs, bases):
     return outcomes
 
 
-def assert_same_outcome(got, alone):
-    assert type(got) is type(alone)
-    assert (got.status, got.iterations, got.phase1_iterations) \
-        == (alone.status, alone.iterations, alone.phase1_iterations)
-    if alone.status == lp.OPTIMAL:
-        # the kernel's numbers are those of a solve on its own, whatever the stack
-        assert got.objective_value == alone.objective_value
-        assert np.array_equal(got.primal, alone.primal)
-        assert np.array_equal(got.duals, alone.duals)
-
-
-def test_batch_matches_solving_alone():
+def test_batch_matches_solving_alone(assert_bitwise):
     rng = np.random.default_rng(43)
     programs, bases = mixed_batch(rng)
     outcomes = solve_in_stacks(programs, bases)
     statuses = set()
     for program, basis, got in zip(programs, bases, outcomes):
         alone = lp.solve(program, basis=basis)
-        assert_same_outcome(got, alone)
+        assert_bitwise(got, alone)
         statuses.add(alone.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
     # a crash basis that is used skips phase 1, an unusable one does not
@@ -557,7 +546,7 @@ def test_pinned_zero_columns_change_no_optimum():
 
 
 @pytest.mark.parametrize("move_bytes", [0, lp._MOVE_BYTES])
-def test_dropping_ended_lps_changes_no_outcome(move_bytes, monkeypatch):
+def test_dropping_ended_lps_changes_no_outcome(move_bytes, monkeypatch, assert_bitwise):
     # LPs that end leave their stack: on a stack holding ``_MOVE_BYTES`` or
     # more, as every stack does when that is 0, the LPs beyond the kept
     # count move into the places of those dropped; a smaller stack is
@@ -589,7 +578,7 @@ def test_dropping_ended_lps_changes_no_outcome(move_bytes, monkeypatch):
     assert any(reordered) == (move_bytes == 0)
     assert any(moved_in_phase1)
     for got, expected in zip(outcomes, alone):
-        assert_same_result(got, expected)
+        assert_bitwise(got, expected)
 
 
 def rescaled_rows(program, rng):
@@ -650,7 +639,7 @@ def test_optimum_check_keeps_the_verdict_of_the_full_row_scaled_bound(per_lp):
 
 
 @pytest.mark.parametrize("seed", [43, 47, 53, 59, 61])
-def test_array_layout_changes_no_bit(seed):
+def test_array_layout_changes_no_bit(seed, assert_bitwise):
     # the kernel pivots and checks with its own copy of each matrix, so a
     # Fortran-ordered, read-only matrix, which a program copies as it does
     # every array, gives the same pivots and bits as the program's own
@@ -662,21 +651,10 @@ def test_array_layout_changes_no_bit(seed):
                                       program.lower_bounds, program.upper_bounds)
         assert transposed.constraint_matrix is not matrix
         (own,), (got,) = (lp.solve_many(one, bases=[basis]) for one in (program, transposed))
-        if isinstance(own, lp.LpError):
-            assert (type(got), str(got)) == (type(own), str(own))
-        else:
-            assert_same_outcome(got, own)
+        assert_bitwise(got, own)
 
 
-def assert_same_result(got, expected):
-    """The same error, or the same outcome to the bit."""
-    if isinstance(expected, lp.LpError):
-        assert (type(got), str(got)) == (type(expected), str(expected))
-    else:
-        assert_same_outcome(got, expected)
-
-
-def test_writing_to_inputs_changes_no_outcome():
+def test_writing_to_inputs_changes_no_outcome(assert_bitwise):
     # a program copies its arrays, so its caller may reuse them at once
     programs, bases = mixed_batch(np.random.default_rng(67))
     for program, basis in zip(programs, bases):
@@ -689,11 +667,11 @@ def test_writing_to_inputs_changes_no_outcome():
         for array in arrays:
             array[...] = 7.0
         (got,) = lp.solve_many(built, bases=[basis])
-        assert_same_result(got, expected)
+        assert_bitwise(got, expected)
 
 
 @pytest.mark.parametrize("shared", ["leading", "matrix", "neither"])
-def test_leading_columns_change_no_bit(shared):
+def test_leading_columns_change_no_bit(shared, assert_bitwise):
     # each group of ``mixed_batch`` programs of one shape and sense, its
     # columns split in two blocks, one of which its programs may share
     programs, bases = mixed_batch(np.random.default_rng(73))
@@ -719,10 +697,10 @@ def test_leading_columns_change_no_bit(shared):
         starts = [bases[i] for i in members]
         expected = lp.solve_many(whole, bases=starts)
         for got, outcome in zip(lp.solve_many(split, bases=starts), expected):
-            assert_same_result(got, outcome)
+            assert_bitwise(got, outcome)
         # one program of the split stack keeps its own columns
         (alone,) = lp.solve_many(split[-1], bases=starts[-1:])
-        assert_same_result(alone, expected[-1])
+        assert_bitwise(alone, expected[-1])
 
 
 def test_leading_columns_are_checked():
@@ -752,7 +730,7 @@ def test_leading_columns_are_checked():
 SINGULAR_MARK = 2.75 + 1e-7
 
 
-def test_failures_end_only_their_own_lp(monkeypatch):
+def test_failures_end_only_their_own_lp(monkeypatch, assert_bitwise):
     rng = np.random.default_rng(47)
     programs, bases = mixed_batch(rng)
     alone = [lp.solve(program, basis=basis) for program, basis in zip(programs, bases)]
@@ -788,12 +766,12 @@ def test_failures_end_only_their_own_lp(monkeypatch):
             lp.solve(programs[i], basis=bases[i])
     for i, (got, expected) in enumerate(zip(outcomes, alone)):
         if i not in (7, exhausted):
-            assert_same_outcome(got, expected)
+            assert_bitwise(got, expected)
 
 
 
 @pytest.mark.parametrize("solve", ["improving", "ending phase 1", "concluding"])
-def test_a_solve_failing_mid_round_ends_only_its_lp(solve, monkeypatch):
+def test_a_solve_failing_mid_round_ends_only_its_lp(solve, monkeypatch, assert_bitwise):
     # one LP of a stack fails, as on a singular basis, at the solve of its
     # basic values with the entering column in phase 2, or at the solve
     # that ends its phase 1 or concludes it
@@ -852,7 +830,7 @@ def test_a_solve_failing_mid_round_ends_only_its_lp(solve, monkeypatch):
     assert str(outcomes[chosen]) == "injected failure"
     for i, (got, expected) in enumerate(zip(outcomes, alone)):
         if i != chosen:
-            assert_same_outcome(got, expected)
+            assert_bitwise(got, expected)
 
 
 def test_import_does_not_load_scipy():

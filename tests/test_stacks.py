@@ -1,30 +1,11 @@
 """Batched entry points against their single-unit forms, and the checks
 that a stack of programs must still make one program at a time."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from ramdea import dea, grs, lp, rts
 from recorder import recording
-
-
-def assert_bitwise(got, expected):
-    """The same type and fields, every float and array bit for bit."""
-    assert type(got) is type(expected)
-    if isinstance(expected, Exception):
-        assert str(got) == str(expected)
-        return
-    pairs = (zip(dataclasses.astuple(got), dataclasses.astuple(expected))
-             if dataclasses.is_dataclass(expected) else zip(got, expected))
-    for a, b in pairs:
-        if isinstance(b, (np.ndarray, float)):
-            a, b = np.asarray(a), np.asarray(b)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-        else:
-            assert a == b
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +18,7 @@ def forty():
 @pytest.mark.parametrize("regime", dea.REGIMES)
 @pytest.mark.parametrize("scheme", dea.SCHEMES)
 def test_batched_stages_equal_single_unit_calls(forty, scheme, regime, monkeypatch,
-                                                kernel_calls):
+                                                kernel_calls, assert_bitwise):
     # bam varies the cost and the pinned slacks by unit, so its programs
     # share only their matrix
     units = range(forty.n_dmus)
@@ -75,7 +56,7 @@ def random_system(rng, p):
     return A, B, d + B @ rng.uniform(0.0, 1.0, B.shape[1])
 
 
-def test_max_support_stacks_each_row_count_once(kernel_calls):
+def test_max_support_stacks_each_row_count_once(kernel_calls, assert_bitwise):
     rng = np.random.default_rng(71)
     systems = [random_system(rng, 4) for _ in range(40)]
     alone = []
@@ -153,7 +134,21 @@ def test_bases_are_checked_before_any_stack_runs(monkeypatch):
     assert stacks == []
 
 
-def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
+def test_stack_budget_counts_each_matrix_with_its_artificials(monkeypatch):
+    # a stack of per-LP matrices holds each as p x (q + p) for the kernel;
+    # one byte short of room for k of them takes two stacks
+    cost, A, rhs, lower, upper = stack_layout(k=6)
+    (k, p), q = rhs.shape, A.shape[1]
+    programs = lp.LinearProgram("maximize", cost, np.stack([A] * k), rhs, lower, upper)
+    stacks = []
+    run = lp._SimplexState.run
+    monkeypatch.setattr(lp._SimplexState, "run", lambda state: stacks.append(state) or run(state))
+    monkeypatch.setattr(lp, "_STACK_BYTES", k * (lp._state_bytes(p, q) + 8 * p * (q + p)) - 1)
+    lp.solve_many(programs)
+    assert [len(state.outcomes) for state in stacks] == [3, 3]
+
+
+def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch, assert_bitwise):
     results = dea.evaluate_many(forty, range(forty.n_dmus))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
                for reference in grs.identify_grs_many(forty, results)]
@@ -180,7 +175,7 @@ def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch):
         assert_bitwise(bounds, expected)
 
 
-def test_repeated_anchors_get_the_entry_of_their_first(forty, kernel_calls):
+def test_repeated_anchors_get_the_entry_of_their_first(forty, kernel_calls, assert_bitwise):
     results = dea.evaluate_many(forty, range(6))
     anchors = [(reference.interior_projection_inputs, reference.interior_projection_outputs)
                for reference in grs.identify_grs_many(forty, results)]

@@ -94,7 +94,7 @@ def census(workloads, seeds) -> dict:
     lps: list = []
     entries = {}
     with recording(lambda *call: lps.extend(records(*call))) as kernel:
-        for name, (code, _, _) in runs(workloads, seeds, "json"):
+        for name, (code, _, _) in runs(workloads, seeds):
             entries[name] = {"exit": code, "lps": sorted(lps, key=json.dumps), "kernel": {
                 stage: [len(stacks), sum(e[1] for e in stacks), sum(e[2] for e in stacks)]
                 for stage, stacks in kernel.items()}}

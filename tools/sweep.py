@@ -3,17 +3,17 @@
 Usage (from the repository root):
 
     python3 tools/sweep.py --workload many-small --seeds 0-99 --out new.json
-    python3 tools/sweep.py --workload robustness --seeds 1-3 --format json \\
+    python3 tools/sweep.py --workload robustness --seeds 1-3 \\
         --src OTHER_CHECKOUT/src --out old.json
     python3 tools/sweep.py --workload many-small --seeds 0-99 --out new.json \\
         --against old.json
 
 Datasets come from the generators in ``bench/workloads.py``, each run with
 its own scheme, regime and command through ``ramdea.cli.main`` in this
-process.  ``--format`` overrides the output format (default: each
-dataset's own).  ``--src`` imports ``ramdea`` from another checkout, so
-two versions of the program can be swept with the same script.  The
-result is a JSON object ``{dataset: [exit code, stdout, stderr]}``.
+process; every run prints json.  ``--src`` imports ``ramdea`` from
+another checkout, so two versions of the program can be swept with the
+same script.  The result is a JSON object ``{dataset: [exit code,
+stdout, stderr]}``.
 With ``--against`` the new sweep is compared with an earlier one on the
 datasets both hold, and the counts of identical outputs (same exit code
 and stdout), outputs equal within 1e-6 (same text apart from numbers
@@ -79,7 +79,7 @@ def datasets(workloads, seeds):
                 yield f"{name} s{seed} {data.name}", data
 
 
-def runs(workloads, seeds, output_format=None):
+def runs(workloads, seeds):
     """(dataset, [exit code, stdout, stderr]) of each dataset, run in turn."""
     import ramdea.cli as cli
 
@@ -87,12 +87,9 @@ def runs(workloads, seeds, output_format=None):
         path = Path(folder) / "data.csv"
         for name, data in datasets(workloads, seeds):
             path.write_text(data.csv_text(), encoding="utf-8")
-            argv = data.argv(path)
-            if output_format is not None:
-                argv[argv.index("--format") + 1] = output_format
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+                code = cli.main(data.argv(path))
             yield name, [code, out.getvalue(), err.getvalue()]
 
 
@@ -242,13 +239,10 @@ def arguments(doc: str, what: str) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = arguments(__doc__, "sweep")
-    parser.add_argument("--format", choices=("table", "csv", "json"), default=None,
-                        dest="output_format")
-    args = parser.parse_args(argv)
+    args = arguments(__doc__, "sweep").parse_args(argv)
 
     sys.path.insert(0, args.src)
-    results = dict(runs(args.workload, args.seeds, args.output_format))
+    results = dict(runs(args.workload, args.seeds))
     Path(args.out).write_text(json.dumps(results, indent=0), encoding="utf-8")
     aborted = sum(code != 0 for code, _, _ in results.values())
     print(f"{len(results)} datasets, {aborted} aborted")
