@@ -1,10 +1,11 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ramdea import dea, grs, reporting
+from ramdea import dea, grs, reporting, rts
 from recorder import recorded
 
 DEMO8 = Path(__file__).resolve().parents[1] / "data" / "demo8.csv"
@@ -29,6 +30,21 @@ def eight(frontier8):
     results = [dea.evaluate(frontier8, o) for o in range(frontier8.n_dmus)]
     references = [grs.identify_grs(frontier8, o, result) for o, result in enumerate(results)]
     return frontier8, results, references
+
+
+@pytest.fixture(scope="session")
+def eight_answers():
+    """The answers of the eight-unit example under ram and vrs, one per
+    unit in dataset order: its exact score, its GRS members (0-based),
+    the dimension of its minimum face and its returns-to-scale class.
+    Each answer is written here and nowhere else under ``tests/``."""
+    return SimpleNamespace(
+        scores=(1.0, 1.0, 1.0, 1.0, 11 / 14, 5 / 7, 11 / 14, 9 / 14),
+        members=((0,), (1,), (1, 2, 3), (3,), (3,), (1,), (1, 2, 3), (1, 2, 3)),
+        faces=(0, 0, 1, 0, 0, 0, 1, 1),
+        classes=(rts.INCREASING, rts.CONSTANT, rts.DECREASING, rts.DECREASING,
+                 rts.DECREASING, rts.CONSTANT, rts.DECREASING, rts.DECREASING),
+    )
 
 
 @pytest.fixture(scope="session")

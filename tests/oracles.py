@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own simplex kernel:
 scores and global reference sets come from scipy's HiGHS solver, optima
 of small box-constrained LPs from exhaustive basic-solution enumeration,
 and maximal support sizes from feasibility tests over explicit support
-patterns.  The supporting-intercept program is built here in its primal,
+patterns.  The slack weights are written here from each scheme's
+definition, so a wrong weight in the package shows up against them.
+The supporting-intercept program is built here in its primal,
 multiplier form, one row per unit, as the cross-check of the package's
 envelopment form.
 """
@@ -16,7 +18,6 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from ramdea import dea
 from ramdea.grs import SUPPORT_TOL
 from ramdea.lp import LinearProgram
 
@@ -131,13 +132,31 @@ def intercept_interval_highs(dataset, x_hat, y_hat):
     return ends[0], ends[1]
 
 
+def weights_from_definition(dataset, scheme, o):
+    """The objective weights (w_in, w_out) of unit ``o``'s slacks.
+
+    With m inputs and s outputs, ram divides 1 by m + s times each row's
+    range, bam by m + s times the distance from unit ``o`` to the row's
+    smallest input or largest output, and additive weighs every slack 1.
+    A zero divisor gives a zero weight.
+    """
+    m, s = dataset.n_inputs, dataset.n_outputs
+    X, Y = dataset.inputs, dataset.outputs
+    if scheme == "additive":
+        return np.ones(m), np.ones(s)
+    if scheme == "ram":
+        spread_in, spread_out = X.max(axis=1) - X.min(axis=1), Y.max(axis=1) - Y.min(axis=1)
+    else:
+        assert scheme == "bam", scheme
+        spread_in, spread_out = X[:, o] - X.min(axis=1), Y.max(axis=1) - Y[:, o]
+    return tuple(np.array([1.0 / ((m + s) * d) if d > 0 else 0.0 for d in spread])
+                 for spread in (spread_in, spread_out))
+
+
 def ram_score_linprog(dataset, o, regime="vrs"):
     """Range-adjusted efficiency of unit ``o`` via scipy's HiGHS solver."""
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    spread_in = np.ptp(dataset.inputs, axis=1)
-    spread_out = np.ptp(dataset.outputs, axis=1)
-    w_in = np.where(spread_in > 0, 1.0 / ((m + s) * np.where(spread_in > 0, spread_in, 1.0)), 0.0)
-    w_out = np.where(spread_out > 0, 1.0 / ((m + s) * np.where(spread_out > 0, spread_out, 1.0)), 0.0)
+    w_in, w_out = weights_from_definition(dataset, "ram", o)
 
     q = n + m + s
     cost = np.concatenate([np.zeros(n), -w_in, -w_out])  # linprog minimises
@@ -174,7 +193,7 @@ def oracle_grs(dataset, o, ram_result, support_tol=SUPPORT_TOL):
     fast path.
     """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    w_in, w_out = dea.slack_weights(dataset, ram_result.scheme, o)
+    w_in, w_out = weights_from_definition(dataset, ram_result.scheme, o)
     rows = [
         np.hstack([dataset.inputs, np.eye(m), np.zeros((m, s))]),
         np.hstack([dataset.outputs, np.zeros((s, m)), -np.eye(s)]),
@@ -245,10 +264,10 @@ def max_support_size_bruteforce(A, B, d):
 def optimal_pattern_residuals(dataset, ram_result, grs_result):
     """Row residuals of the optimal-pattern system at an identified GRS.
 
-    Re-derives every row from the raw data (range-adjusted weighting):
-    input rows, output rows, the convexity row when ``ram_result`` was
-    scored under "vrs", and the budget row pinning the weighted slack
-    total at the stage-1 optimum.
+    Re-derives every row from the raw data under the scheme and regime
+    of ``ram_result``: input rows, output rows, the convexity row under
+    "vrs", and the budget row pinning the weighted slack total at the
+    stage-1 optimum.
     """
     o = grs_result.o
     lam = grs_result.weights
@@ -257,10 +276,8 @@ def optimal_pattern_residuals(dataset, ram_result, grs_result):
     rows = [r_in, r_out]
     if ram_result.regime == "vrs":
         rows.append(np.array([lam.sum() - 1.0]))
-    spread_in = np.ptp(dataset.inputs, axis=1)
-    spread_out = np.ptp(dataset.outputs, axis=1)
-    coeff_in = np.where(spread_in > 0, 1.0 / np.where(spread_in > 0, spread_in, 1.0), 0.0)
-    coeff_out = np.where(spread_out > 0, 1.0 / np.where(spread_out > 0, spread_out, 1.0), 0.0)
-    budget = coeff_in @ grs_result.input_slacks + coeff_out @ grs_result.output_slacks
+    w_in, w_out = weights_from_definition(dataset, ram_result.scheme, o)
+    budget = (dataset.n_inputs + dataset.n_outputs) \
+        * (w_in @ grs_result.input_slacks + w_out @ grs_result.output_slacks)
     rows.append(np.array([budget - ram_result.slack_sum]))
     return np.concatenate(rows)

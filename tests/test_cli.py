@@ -126,28 +126,28 @@ def test_parse_reports_the_first_error_in_line_order():
 # -- analysis ----------------------------------------------------------
 
 
-def test_full_run_matches_known_results(frontier8_csv):
+def member_names(eight_answers, o):
+    """The names of unit ``o``'s GRS members in the eight-unit example."""
+    return [f"DMU{j + 1}" for j in eight_answers.members[o]]
+
+
+def test_full_run_matches_known_results(frontier8_csv, eight_answers):
     reports = analyse(frontier8_csv)
     assert [r.name for r in reports] == [f"DMU{k}" for k in range(1, 9)]
-    rhos = [round(r.rho, 3) for r in reports]
-    assert rhos == [1.0, 1.0, 1.0, 1.0, 0.786, 0.714, 0.786, 0.643]
-    members = [sorted(name for name, _ in r.grs_members) for r in reports]
-    assert members[7] == ["DMU2", "DMU3", "DMU4"]
-    assert members[4] == ["DMU4"]
-    assert [r.rts_class for r in reports] == [
-        "increasing", "constant", "decreasing", "decreasing",
-        "decreasing", "constant", "decreasing", "decreasing",
-    ]
+    assert [r.rho for r in reports] == pytest.approx(eight_answers.scores, abs=1e-9)
+    assert [[name for name, _ in r.grs_members] for r in reports] \
+        == [member_names(eight_answers, o) for o in range(8)]
+    assert tuple(r.rts_class for r in reports) == eight_answers.classes
     for r in reports:
         total = sum(weight for _, weight in r.grs_members)
         assert total == pytest.approx(1.0, abs=1e-9)
         assert all(weight > 1e-7 for _, weight in r.grs_members)
 
 
-def test_filter_restricts_reports(frontier8_csv):
+def test_filter_restricts_reports(frontier8_csv, eight_answers):
     reports = analyse(frontier8_csv, dmu_filter=("DMU8",))
     assert len(reports) == 1
-    assert sorted(n for n, _ in reports[0].grs_members) == ["DMU2", "DMU3", "DMU4"]
+    assert [n for n, _ in reports[0].grs_members] == member_names(eight_answers, 7)
 
 
 def test_filter_with_unknown_name_is_a_data_error(frontier8_csv):
@@ -201,7 +201,7 @@ def test_json_round_trip(frontier8_csv):
         assert obj["projection"]["inputs"] == report.projection_inputs
 
 
-def test_csv_grs_cell_format(frontier8_csv):
+def test_csv_grs_cell_format(frontier8_csv, eight_answers):
     reports = analyse(frontier8_csv)
     lines = reporting.render_report(reports, "csv").splitlines()
     header = lines[0].split(",")
@@ -209,21 +209,20 @@ def test_csv_grs_cell_format(frontier8_csv):
     assert "proj_in:x" in header and "proj_out:y" in header
     assert header[-3:] == ["rts", "omega_min", "omega_max"]
     row8 = lines[8].split(",")
-    assert row8[0] == "DMU8" and row8[1] == "0.643"
+    assert row8[0] == "DMU8" and row8[1] == f"{eight_answers.scores[7]:.3f}"
     cell = row8[3]
     assert re.fullmatch(r"(DMU\d+:\d+\.\d{3};)*DMU\d+:\d+\.\d{3}", cell)
-    assert sorted(part.split(":")[0] for part in cell.split(";")) \
-        == ["DMU2", "DMU3", "DMU4"]
+    assert [part.split(":")[0] for part in cell.split(";")] == member_names(eight_answers, 7)
     assert row8[-3] == "DRS"
 
 
-def test_table_layout(frontier8_csv):
+def test_table_layout(frontier8_csv, eight_answers):
     reports = analyse(frontier8_csv)
     text = reporting.render_report(reports, "table")
     lines = text.splitlines()
     assert lines[0].startswith("dmu")
     assert len(lines) == 9
-    assert "DRS" in lines[8] and "0.643" in lines[8]
+    assert "DRS" in lines[8] and f"{eight_answers.scores[7]:.3f}" in lines[8]
 
 
 def test_empty_reports_render_header_only():
@@ -286,11 +285,11 @@ def data_file(tmp_path, frontier8_csv):
     return str(path)
 
 
-def test_report_command(data_file, capsys):
+def test_report_command(data_file, capsys, eight_answers):
     assert cli.main(["report", "--data", data_file, "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("dmu,rho")
-    assert "DMU8,0.643" in out
+    assert f"DMU8,{eight_answers.scores[7]:.3f}" in out
 
 
 def test_subcommands_select_their_fields(data_file, capsys):
@@ -484,6 +483,15 @@ def test_undefined_scale_class_exits_2(tmp_path, capsys):
     assert re.search(r"\b[ab] \[rts\]: ", err)
     # the same data is fine when the scale stage is not requested
     assert cli.main(["grs", "--data", str(path)]) == 0
+
+
+def test_unbounded_scoring_exits_2(tmp_path, capsys):
+    # under crs unit a's output for no input leaves every scoring LP unbounded
+    path = tmp_path / "free.csv"
+    path.write_text("dmu,in:x,out:y\na,0,1\nb,1,2\n", encoding="utf-8")
+    assert cli.main(["efficiency", "--data", str(path), "--regime", "crs"]) == 2
+    assert capsys.readouterr().err \
+        == "solver error: a [scoring]: slack model for unit 0 ended unbounded\n"
 
 
 # a 14-unit ram/vrs dataset with rows rescaled by up to 10^+-5; the
