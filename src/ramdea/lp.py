@@ -41,15 +41,16 @@ unit vector of that row, with every structural variable resting on a
 bound; the artificial of a row whose residual ``b - A x0`` at that
 resting point is negative is bounded by ``(-inf, 0]``, the others by
 ``[0, inf)``, so the start is feasible when that residual is all zero,
-as for a zero right-hand side.  A caller that knows a feasible point
-may pass ``basis``, one structural column index per row (a crash
-basis).  The kernel factors it once and takes the basic values with
+as for a zero right-hand side.  A caller may pass ``basis``, one
+column index per row (a crash basis), where index q + i names row i's
+artificial.  The kernel factors it once and takes the basic values with
 every other variable at its resting bound; if the basis is non-singular
-and those values lie within their bounds to ``feas_tol``, the
-artificials are pinned at zero and the solve goes straight to phase 2.
-Otherwise the hint is dropped for the artificial start.  Phase 1 is a
-subproblem over the artificial columns (no big-M terms).  Phase 2 pins
-every artificial at zero, so one still basic there leaves through the
+and those values lie within their bounds to ``feas_tol`` (an
+artificial's being the ones above), the solve starts there, and runs
+phase 1 only when an artificial of that basis is non-zero.  Otherwise
+the hint is dropped for the artificial start.  Phase 1 is a subproblem
+over the artificial columns (no big-M terms).  Phase 2 pins every
+artificial at zero, so one still basic there leaves through the
 ratio test, by a degenerate pivot, once an entering column would move
 it; one on a redundant row stays basic at zero.
 
@@ -293,9 +294,10 @@ def solve(lp: LinearProgram, feas_tol: float = FEAS_TOL, basis=None) -> LpSoluti
 
     ``feas_tol`` bounds every feasibility test of the solve; it must be
     finite and strictly positive (``ValueError`` otherwise).  ``basis``,
-    if given, is a starting basis of ``lp.rows`` distinct structural
-    column indices (``ValueError`` otherwise); it is used only when it
-    is non-singular and feasible, and otherwise ignored.
+    if given, is a starting basis of ``lp.rows`` distinct column indices
+    below ``lp.cols + lp.rows``, where ``lp.cols + i`` is row i's
+    artificial (``ValueError`` otherwise); it is used only when it is
+    non-singular and feasible, and otherwise ignored.
 
     Returns an ``LpSolution`` whose status is one of ``optimal``,
     ``infeasible`` or ``unbounded``.  ``iterations`` counts every pivot
@@ -347,9 +349,9 @@ def _checked_bases(bases, k: int, p: int, q: int) -> list:
     valid = all(hint.shape == (p,) and hint.dtype.kind in "iu" for hint in hints)
     if valid and hints:
         ordered = np.sort(hints, axis=1)
-        valid = ordered.min() >= 0 and ordered.max() < q and np.all(np.diff(ordered, axis=1))
+        valid = ordered.min() >= 0 and ordered.max() < q + p and np.all(np.diff(ordered, axis=1))
     if not valid:
-        raise ValueError(f"basis must hold {p} distinct column indices below {q}")
+        raise ValueError(f"basis must hold {p} distinct column indices below {q + p}")
     return bases
 
 
@@ -440,10 +442,9 @@ class _SimplexState:
                                       np.where(np.isfinite(lo), -1.0, 1.0))
         self.basis[:] = np.arange(q, q + p)
         self.any_bland = False
-        self._crash(bases)
-        # phase 1 runs only where the start leaves an artificial non-zero
-        # (a crash basis holds none); its cost is the artificials' total
-        # magnitude
+        self._crash(bases, start)
+        # phase 1 runs only where the start leaves a basic artificial
+        # non-zero; its cost is the artificials' total magnitude
         self.phase1[:] = np.any((self.basis >= q) & (start != 0.0), axis=1)
         self.cost[:, q:] = np.where(below, -1.0, 1.0)
         self._start_phase2(np.flatnonzero(~self.phase1))
@@ -455,8 +456,9 @@ class _SimplexState:
 
     # -- start ---------------------------------------------------------
 
-    def _crash(self, bases) -> None:
-        """Start each LP from its caller's checked basis, if any and feasible."""
+    def _crash(self, bases, start: np.ndarray) -> None:
+        """Start each LP from its caller's checked basis, if any and feasible,
+        and put its basic values, in basis order, in its row of ``start``."""
         rows = [i for i, basis in enumerate(bases) if basis is not None]
         if not rows:
             return
@@ -472,11 +474,11 @@ class _SimplexState:
         usable = np.all((x_basic >= lo - tol) & (x_basic <= hi + tol), axis=1)
         usable[list(failed)] = False
         rows, hints = rows[usable], hints[usable]
+        start[rows] = x_basic[usable]
         self.basis[rows] = hints
         self.x_off[rows[:, None], hints] = 0.0
         self.toward[rows[:, None], hints] = 0.0
         self.free[rows[:, None], hints] = False
-        # every artificial is nonbasic now, and pinned in phase 2
 
     def _start_phase2(self, rows: np.ndarray) -> None:
         """Pin the artificials of the LPs ``rows`` at zero and price their objective."""

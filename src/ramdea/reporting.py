@@ -191,7 +191,7 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
     ``grs.identify_grs_many`` over the scored ones and
     ``rts.intercept_bounds_many`` over their interior projections, which
     solves each distinct anchor once (every unit whose GRS is the single
-    vertex k anchors at k's own data).
+    vertex k anchors at k's own data), over the frame.
 
     A run raises the error of the first unit, in dataset order, whose
     scoring, GRS or RTS stage fails, as a loop running every stage for a
@@ -232,9 +232,12 @@ def run_analysis(config: AnalysisConfig, dataset: dea.Dataset,
             report.minimum_face_dimension = grs.minimum_face(dataset, reference)
 
     if stages == "all" and config.regime == "vrs":
+        # the frame: every known GRS member, and every unit whose GRS is not known
+        known, members = set(units[:count]), {k for r in references[:count] for k in r.members}
+        frame = [j in members or j not in known for j in range(dataset.n_dmus)]
         intervals = rts.intercept_bounds_many(dataset, [
             (reference.interior_projection_inputs, reference.interior_projection_outputs)
-            for reference in references[:count]], config.feas_tol)
+            for reference in references[:count]], config.feas_tol, frame)
         if _first_error(intervals) < count:
             count = _first_error(intervals)
             failure = (count, "rts", intervals[count])

@@ -25,10 +25,20 @@ The min-end dual starts from a known feasible basis whenever y_hat >= 0:
 theta = alpha = -1 with every pi_j = 0 leaves the output slacks at the
 row-scaled y_hat and every input slack at zero.  Its basis holds theta,
 alpha, the s output slacks and every input slack but the one on the row
-where x_hat is largest, so that solve runs no phase 1.  A negative
-output would make its slack negative, so then no basis is passed.  The
-max-end dual may be infeasible, which is its answer, and starts from
-the artificial basis.
+where x_hat is largest, so that solve runs no phase 1.  Every other dual
+(a max end, which may be infeasible, which is its answer; a zero
+right-hand side; a min end with a negative output) starts from the
+slack basis, the s + m slacks and the intercept row's artificial, so
+its phase 1 runs on that one row.
+
+A unit is dominated by its interior projection, a convex combination
+of its GRS members, so its row of the intercept program is implied by
+theirs.  A run passes a ``frame``, the GRS members of every unit and
+every unit whose GRS is not known (Dula & Thrall 2001), and the
+programs get pi columns for those units only, under the full data's
+row scales.  The row duals of each optimal end price every unit left
+out, and an anchor where one would enter is solved again over every
+unit (sifting; Bixby, Gregory, Lustig, Marsten & Shanno 1992).
 
 Finite endpoints are reported exactly and may fall outside [-1, 1];
 an unbounded endpoint is substituted by -1 or +1, pushed just far
@@ -59,8 +69,8 @@ from . import dea
 # ``solve`` stays bound here, as in ``dea`` and ``grs``, for wrappers that
 # trace the kernel per calling module (bench/tracing.py)
 from .lp import (  # noqa: F401
-    FEAS_TOL, INFEASIBLE, UNBOUNDED, LinearProgram, LpError, RamdeaError, _tolerance, solve,
-    solve_many, unwrap,
+    FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpError, RamdeaError, _tolerance,
+    solve, solve_many, unwrap,
 )
 
 __all__ = [
@@ -93,11 +103,22 @@ class NormalizationUnattainableError(RamdeaError):
     """The anchor's inputs admit no v >= 0 with v . x = 1 (all non-positive)."""
 
 
-def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs):
+def _unit_columns(dataset):
+    """Every unit's pi column of the envelopment programs, [y_j; -x_j; -1]
+    with each multiplier row divided by the data's largest magnitude on
+    it, and those magnitudes."""
+    data = np.vstack([dataset.outputs, -dataset.inputs])
+    row_scale = np.abs(data).max(axis=1)
+    row_scale[row_scale == 0.0] = 1.0
+    return np.vstack([data / row_scale[:, None], np.full(dataset.n_dmus, -1.0)]), row_scale
+
+
+def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs, frame=slice(None)):
     """The stack of LP duals of the intercept program at the anchors
     (x_hat[i], y_hat[i]), where ``x_hat`` is K x m and ``y_hat`` K x s,
-    with ``omega_rhs[i]`` on the intercept row, and each dual's starting
-    basis or None.
+    with ``omega_rhs[i]`` on the intercept row and a pi column for each
+    unit that ``frame`` picks (default every unit), and each dual's
+    starting basis.
 
     Each dual maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
     subject to
@@ -114,14 +135,13 @@ def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs):
     data's largest magnitude on it, an exact change of variables that
     keeps the pi of translated data at the scale of the rows.
     """
-    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    data = np.vstack([dataset.outputs, -dataset.inputs])
-    row_scale = np.abs(data).max(axis=1)
-    row_scale[row_scale == 0.0] = 1.0
+    m, s = dataset.n_inputs, dataset.n_outputs
+    units, row_scale = _unit_columns(dataset)
+    units = units[:, frame]
+    n = units.shape[1]
     shared = np.zeros((s + m + 1, n + s + m))
-    shared[:-1, :n] = data / row_scale[:, None]
+    shared[:, :n] = units
     shared[:-1, n:] = np.eye(s + m)
-    shared[-1, :n] = -1.0
     k = x_hat.shape[0]
     anchored = np.zeros((k, s + m + 1, 2))
     anchored[:, s:-1, 0] = x_hat / row_scale[s:]
@@ -134,12 +154,28 @@ def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs):
     upper = np.r_[np.inf, np.inf, np.zeros(n), np.full(s + m, np.inf)]
     program = LinearProgram("maximize", np.r_[1.0, np.zeros(n + s + m + 1)], shared, rhs,
                             lower, upper, leading_columns=anchored)
-    # the min end's feasible start (see the module docstring)
-    slacks = np.broadcast_to(np.arange(n + 2, n + 2 + s + m), (k, s + m))
+    # the min end's feasible start, else the slack basis (see the module docstring)
+    q = n + 2 + s + m
+    slacks = np.broadcast_to(np.arange(n + 2, q), (k, s + m))
     kept = np.arange(s + m) != s + np.argmax(x_hat, axis=1)[:, None]
     starts = np.hstack([np.broadcast_to([0, 1], (k, 2)), slacks[kept].reshape(k, -1)])
     started = (rhs[:, -1] > 0.0) & (y_hat.min(axis=1) >= 0.0)
-    return program, [start if ok else None for start, ok in zip(starts, started.tolist())]
+    slack_basis = np.r_[n + 2:q, q + s + m]
+    return program, [start if ok else slack_basis for start, ok in zip(starts, started.tolist())]
+
+
+def _priced_in(duals, left_out, feas_tol):
+    """Whether each row of ``duals``, an optimal end's row duals, prices
+    some column of ``left_out`` above zero, so that unit would enter: its
+    price beyond ``feas_tol`` times 1 plus the price's largest term."""
+    # a stack of vector-matrix products, as in the kernel: one matrix
+    # product this size would wake BLAS threads that slow every stage after
+    price = (duals[:, None, :] @ left_out)[:, 0, :]
+    ends, units = np.nonzero(price > feas_tol)  # the scaled bound is only larger
+    scale = np.abs(duals[ends] * left_out[:, units].T).max(axis=1)
+    over = np.zeros(price.shape, dtype=bool)
+    over[ends, units] = price[ends, units] > feas_tol * (1.0 + scale)
+    return over.any(axis=1)
 
 
 def _off_frontier() -> NotOnFrontierError:
@@ -165,16 +201,21 @@ def intercept_bounds(dataset: dea.Dataset, point,
     return unwrap(bounds)
 
 
-def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_TOL) -> list:
+def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_TOL,
+                          frame=None) -> list:
     """``intercept_bounds`` at each of ``points``.
 
     Returns one entry per point, in order: its (omega_min, omega_max),
     or the ``RamdeaError`` that ``intercept_bounds`` raises for it.  Each
     distinct point is solved once, and a repeat of it, to the bit, gets
-    the same entry.
+    the same entry.  ``frame``, a boolean mask over the units (default
+    every unit), is the units the programs hold (see the module docstring).
     """
     feas_tol = _tolerance("feas_tol", feas_tol)
-    m, s = dataset.n_inputs, dataset.n_outputs
+    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
+    frame = np.ones(n, dtype=bool) if frame is None else np.asarray(frame, dtype=bool)
+    if frame.shape != (n,):
+        raise ValueError(f"frame must be a mask of {n} units")
     # by each anchor's exact bytes: the distinct anchors to solve, and
     # every anchor's entry
     keys, anchors, results = [], {}, {}
@@ -195,19 +236,28 @@ def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_T
             anchors.setdefault(keys[-1], (x_hat, y_hat))
     if anchors:
         x_hat, y_hat = (np.array(side) for side in zip(*anchors.values()))
-        results.update(zip(anchors, _intervals(dataset, x_hat, y_hat, feas_tol)))
+        results.update(zip(anchors, _intervals(dataset, x_hat, y_hat, feas_tol, frame)))
     return [results[key] for key in keys]
 
 
-def _intervals(dataset, x_hat, y_hat, feas_tol) -> list:
+def _intervals(dataset, x_hat, y_hat, feas_tol, frame) -> list:
     """The ``_interval`` at each anchor (x_hat[i], y_hat[i]), or the error
-    its solve gives."""
+    its solve gives, over the units of ``frame``: an anchor with an
+    optimal end that a unit left out would better is solved again over
+    every unit."""
     k = x_hat.shape[0]
     # the min ends (+1 on the intercept row) of every anchor, then the max
     # ends (-1)
     programs, bases = _envelopment_programs(dataset, np.vstack([x_hat, x_hat]),
-                                            np.vstack([y_hat, y_hat]), np.repeat([1.0, -1.0], k))
+                                            np.vstack([y_hat, y_hat]), np.repeat([1.0, -1.0], k),
+                                            frame)
     ends = solve_many(programs, feas_tol, bases)
+    optimal = [i for i, sol in enumerate(ends) if getattr(sol, "status", None) == OPTIMAL]
+    again = []
+    if optimal and not frame.all():
+        priced = _priced_in(np.array([ends[i].duals for i in optimal]),
+                            _unit_columns(dataset)[0][:, ~frame], feas_tol)
+        again = sorted({optimal[i] % k for i in np.flatnonzero(priced)})
     results = []
     for min_end, max_end in zip(ends[:k], ends[k:]):
         bounds = []
@@ -228,14 +278,19 @@ def _intervals(dataset, x_hat, y_hat, feas_tol) -> list:
     unsettled = [g for g, bounds in enumerate(results) if bounds == [None, None]]
     if unsettled:
         zero_rhs, bases = _envelopment_programs(dataset, x_hat[unsettled], y_hat[unsettled],
-                                                np.zeros(len(unsettled)))
+                                                np.zeros(len(unsettled)), frame)
         for g, sol in zip(unsettled, solve_many(zero_rhs, feas_tol, bases)):
             if isinstance(sol, LpError):
                 results[g] = sol
             elif sol.status == UNBOUNDED:
                 results[g] = _off_frontier()
-    return [bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, feas_tol)
-            for bounds in results]
+    results = [bounds if isinstance(bounds, RamdeaError) else _interval(*bounds, feas_tol)
+               for bounds in results]
+    if again:
+        for g, bounds in zip(again, _intervals(dataset, x_hat[again], y_hat[again], feas_tol,
+                                               np.ones_like(frame))):
+            results[g] = bounds
+    return results
 
 
 def _interval(omega_min, omega_max, tol):

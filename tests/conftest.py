@@ -36,14 +36,16 @@ def eight(frontier8):
 def eight_answers():
     """The answers of the eight-unit example under ram and vrs, one per
     unit in dataset order: its exact score, its GRS members (0-based),
-    the dimension of its minimum face and its returns-to-scale class.
-    Each answer is written here and nowhere else under ``tests/``."""
+    the dimension of its minimum face and its returns-to-scale class;
+    and under ram and crs, the efficient units (0-based).  Each answer
+    is written here and nowhere else under ``tests/``."""
     return SimpleNamespace(
         scores=(1.0, 1.0, 1.0, 1.0, 11 / 14, 5 / 7, 11 / 14, 9 / 14),
         members=((0,), (1,), (1, 2, 3), (3,), (3,), (1,), (1, 2, 3), (1, 2, 3)),
         faces=(0, 0, 1, 0, 0, 0, 1, 1),
         classes=(rts.INCREASING, rts.CONSTANT, rts.DECREASING, rts.DECREASING,
                  rts.DECREASING, rts.CONSTANT, rts.DECREASING, rts.DECREASING),
+        crs_efficient=(1,),
     )
 
 

@@ -76,12 +76,6 @@ def test_ranges_negative_data():
     assert w_in == pytest.approx([1 / (2 * 4.0)])
 
 
-def test_ram_weights(frontier8):
-    w_in, w_out = dea.slack_weights(frontier8, "ram", 0)
-    assert w_in == pytest.approx([1 / 14])
-    assert w_out == pytest.approx([1 / 14])
-
-
 def test_additive_weights(frontier8):
     w_in, w_out = dea.slack_weights(frontier8, "additive", 0)
     assert np.all(w_in == 1.0) and np.all(w_out == 1.0)
@@ -140,8 +134,8 @@ def test_duplicated_unit_scores_like_the_original(frontier8, eight_answers):
     assert not twin.efficient
 
 
-def test_crs_regime_drops_convexity(frontier8):
-    assert efficient_units(frontier8, regime="crs") == [1]
+def test_crs_regime_drops_convexity(frontier8, eight_answers):
+    assert efficient_units(frontier8, regime="crs") == list(eight_answers.crs_efficient)
     result = dea.evaluate(frontier8, 2, regime="crs")
     assert result.rho == pytest.approx(1.0 - 1.5 / 14.0, abs=1e-9)
     assert result.rho == pytest.approx(

@@ -377,10 +377,40 @@ def test_unusable_basis_falls_back_to_phase_one():
         sol = lp.solve(program, basis=basis)
         assert sol.phase1_iterations > 0
         assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
-    # indices must be integers: 0.7 would truncate to 0, True read as 1
-    for basis in ([0], [0, 0], [0, 4], [-1, 2], [0.7, 1.7], [True, False]):
+    # indices must be integers: 0.7 would truncate to 0, True read as 1;
+    # q + p = 6 names no column
+    for basis in ([0], [0, 0], [0, 6], [-1, 2], [0.7, 1.7], [True, False]):
         with pytest.raises(ValueError):
             lp.solve(program, basis=basis)
+
+
+def test_basis_with_an_artificial_runs_phase_one_on_its_row():
+    # the program above, where q + i = 4 + i names row i's artificial: at
+    # x = 0 both rows' residuals are positive, so both artificials are
+    # bounded by [0, inf)
+    A = [[1.0, 1.0, 2.0, 0.0], [1.0, -1.0, 2.0, 1.0]]
+    program = lp.LinearProgram("maximize", [1.0, 2.0, 1.0, -1.0], A, [1.0, 3.0],
+                               upper_bounds=[4.0, 4.0, 4.0, 4.0])
+    cold = lp.solve(program)
+    # {x4, a0} puts x4 at 3 and a0 at 1: phase 1 on row 0 alone
+    state = lp._SimplexState(program, lp.FEAS_TOL, [np.array([3, 4])])
+    assert state.basis[0].tolist() == [3, 4] and state.phase1[0]
+    sol = lp.solve(program, basis=[3, 4])
+    assert 0 < sol.phase1_iterations < cold.phase1_iterations
+    assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+    assert sol.primal == pytest.approx(cold.primal, abs=1e-9)
+    # {x1, a0} puts a0 at 1 - 3 = -2, below its bound: the artificial start
+    state = lp._SimplexState(program, lp.FEAS_TOL, [np.array([0, 4])])
+    assert state.basis[0].tolist() == [4, 5]
+    assert lp.solve(program, basis=[0, 4]).phase1_iterations == cold.phase1_iterations
+    # the artificial basis itself is the cold start, and a zero artificial
+    # needs no phase 1
+    assert lp.solve(program, basis=[4, 5]).iterations == cold.iterations
+    zero = lp.LinearProgram("maximize", [1.0, 2.0, 1.0, -1.0], A, [0.0, 3.0],
+                            upper_bounds=[4.0, 4.0, 4.0, 4.0])
+    sol = lp.solve(zero, basis=[3, 4])
+    assert sol.status == lp.OPTIMAL and sol.phase1_iterations == 0
+    assert sol.objective_value == pytest.approx(lp.solve(zero).objective_value, abs=1e-9)
 
 
 def test_zero_right_hand_side_skips_phase_one():

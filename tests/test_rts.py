@@ -88,6 +88,13 @@ def solved(calls):
             for pair in zip(bases or [None] * len(stack), outcomes)]
 
 
+def slack_basis(ds):
+    """The slack basis of a program over every unit of ``ds``: its s + m
+    slack columns and the intercept row's artificial, column q + s + m."""
+    q = ds.n_dmus + 2 + ds.n_inputs + ds.n_outputs
+    return np.r_[ds.n_dmus + 2:q, q + ds.n_inputs + ds.n_outputs].tolist()
+
+
 def test_min_end_starts_feasible_for_nonnegative_outputs(kernel_calls):
     rng = np.random.default_rng(23)
     calls = kernel_calls(rts)
@@ -97,7 +104,8 @@ def test_min_end_starts_feasible_for_nonnegative_outputs(kernel_calls):
             calls.clear()
             got = rts.intercept_bounds(ds, anchor)
             (min_basis, min_end), (max_basis, _) = solved(calls)[:2]
-            assert min_basis is not None and max_basis is None
+            assert min_basis[:2].tolist() == [0, 1]
+            assert max_basis.tolist() == slack_basis(ds)
             assert min_end.status == lp.OPTIMAL
             assert min_end.phase1_iterations == 0
             expected = oracles.intercept_interval_highs(ds, *anchor)
@@ -106,15 +114,35 @@ def test_min_end_starts_feasible_for_nonnegative_outputs(kernel_calls):
 
 def test_min_end_with_negative_outputs_gets_no_start(kernel_calls):
     # at the anchor with a negative output, theta = alpha = -1 would give
-    # a negative output slack, so that min end starts from the artificial
-    # basis; the other anchors of the same data still get the start
+    # a negative output slack, so that min end gets no feasible start and
+    # starts from the slack basis; the other anchors of the same data
+    # still get the start
     ds = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 4.0]], [[-1.0, 2.0, 3.0]])
     calls = kernel_calls(rts)
     for anchor in (([2.0], [2.0]), ([1.0], [-1.0]), ([3.0], [2.5])):
         calls.clear()
         got = rts.intercept_bounds(ds, anchor)
-        assert (solved(calls)[0][0] is None) == (anchor[1][0] < 0.0)
+        assert (solved(calls)[0][0].tolist() == slack_basis(ds)) == (anchor[1][0] < 0.0)
         assert_ends_match(got, oracles.intercept_interval_highs(ds, *anchor))
+
+
+@pytest.mark.parametrize("variant", ["plain", "negative", "rescaled"])
+def test_programs_without_the_min_end_start_begin_at_the_slacks(kernel_calls, variant):
+    # every max end, zero right-hand side and min end with a negative
+    # output starts from its s + m slacks and the intercept row's
+    # artificial, so its phase 1 runs on that one row
+    rng = np.random.default_rng([29, VARIANTS.index(variant)])
+    calls = kernel_calls(rts)
+    for _ in range(6):
+        ds, anchors = random_instance(rng, variant)
+        for anchor in anchors:
+            calls.clear()
+            got = rts.intercept_bounds(ds, anchor)
+            programs = [program for stack, _, _ in calls for program in stack]
+            started = [program.rhs[-1] > 0.0 and min(anchor[1]) >= 0.0 for program in programs]
+            for start, (basis, _) in zip(started, solved(calls)):
+                assert (basis.tolist() == slack_basis(ds)) != start
+            assert_ends_match(got, oracles.intercept_interval_highs(ds, *anchor))
 
 
 def test_nan_bounds_are_rejected():
@@ -355,3 +383,68 @@ def test_interval_is_invariant_to_unit_order_and_row_scale(data):
     after = rts.intercept_bounds(moved, (x_hat * scale_in, y_hat * scale_out))
     assert after == pytest.approx(before, rel=1e-6, abs=1e-9)
     assert rts.classify_rts(after) == rts.classify_rts(before)
+
+
+def test_hyperplane_above_a_left_out_unit_by_more_than_tol_is_rejected(frontier8):
+    # the min end at DMU4 = (5, 8) is the hyperplane through DMU2, DMU3
+    # and DMU4 (row duals 1.6, 1.6 and w = 0.6); lowering w by delta
+    # leaves those three units above it by delta
+    units = rts._unit_columns(frontier8)[0]
+    tol = lp.FEAS_TOL
+    for delta, rejected in ((0.0, False), (0.5 * tol, False), (10.0 * tol, True)):
+        duals = np.array([[1.6, 1.6, 0.6 - delta]])
+        assert rts._priced_in(duals, units, tol).tolist() == [rejected]
+        assert rts._priced_in(duals, units[:, [0, 4, 5, 6, 7]], tol).tolist() == [False]
+
+
+def test_frame_leaving_out_a_binding_unit_is_caught_and_repaired(frontier8, kernel_calls):
+    # the min end at DMU4 binds at DMU2 and DMU3: over a frame without
+    # them it is a wrong optimum, which prices them in, so the anchor is
+    # solved again over every unit and gets the full answer
+    anchor = ([5.0], [8.0])
+    full = rts.intercept_bounds(frontier8, anchor)
+    calls = kernel_calls(rts)
+    frame = np.ones(8, dtype=bool)
+    frame[[1, 2]] = False
+    (got,) = rts.intercept_bounds_many(frontier8, [anchor], frame=frame)
+    assert got == full == pytest.approx((0.6, 1.0), abs=1e-12)
+    (framed, _, (min_end, _)), (again, _, _) = calls
+    assert min_end.objective_value == pytest.approx(1.0 / 15.0, abs=1e-12)
+    assert [stack.cols for stack in (framed, again)] == [10, 12]
+    with pytest.raises(ValueError, match="^frame must be a mask of 8 units$"):
+        rts.intercept_bounds_many(frontier8, [anchor], frame=frame[:7])
+
+
+def test_dmu_filter_keeps_the_units_it_leaves_out_in_the_frame(frontier8, eight_answers,
+                                                                monkeypatch):
+    # DMU5 and DMU6 are reported, with GRS {DMU4} and {DMU2}: the frame is
+    # those members and every unit left out, whose GRS is not known
+    frames = []
+    bounds_many = rts.intercept_bounds_many
+    monkeypatch.setattr(rts, "intercept_bounds_many",
+                        lambda *args: frames.append(args[3]) or bounds_many(*args))
+    config = reporting.AnalysisConfig(dmu_filter=("DMU5", "DMU6"))
+    reports = reporting.run_analysis(config, frontier8)
+    (frame,) = frames
+    assert np.flatnonzero(frame).tolist() == [0, 1, 2, 3, 6, 7]
+    assert [report.rts_class for report in reports] == list(eight_answers.classes[4:6])
+    assert [(r.omega_min, r.omega_max) for r in reports] == pytest.approx(
+        bounds_many(frontier8, report_anchors(reports)), abs=1e-12)
+
+
+def report_anchors(reports):
+    """The interior projection of each report, the anchor of its interval."""
+    return [(list(r.projection_inputs.values()), list(r.projection_outputs.values()))
+            for r in reports]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 14))
+def test_frame_gives_the_full_answer(random_dataset, seed, n):
+    # run_analysis solves over the frame; every unit's interval over all
+    # units is the same to 1e-9, and so is its class
+    ds = random_dataset(np.random.default_rng(seed), n)
+    reports = reporting.run_analysis(reporting.AnalysisConfig(), ds)
+    for report, full in zip(reports, rts.intercept_bounds_many(ds, report_anchors(reports))):
+        assert (report.omega_min, report.omega_max) == pytest.approx(full, rel=0.0, abs=1e-9)
+        assert report.rts_class == rts.classify_rts(full)

@@ -108,7 +108,8 @@ def test_stack_checks_every_program():
 def test_solve_many_checks_every_basis():
     programs = lp.LinearProgram("maximize", *stack_layout())
     good = [0, 1]
-    for bad in ([0, 1, 2], [1, 1], [0, 4], [0.5, 1.0], [True, False]):
+    # [0, 4] names row 0's artificial, and q + p = 6 no column
+    for bad in ([0, 1, 2], [1, 1], [0, 6], [0.5, 1.0], [True, False]):
         with pytest.raises(ValueError, match="basis"):
             lp.solve_many(programs, bases=[good, None, bad, good, None])
     with pytest.raises(ValueError, match="^got 1 bases for 5 programs$"):

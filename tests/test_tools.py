@@ -96,9 +96,12 @@ def test_stages_counts_every_stage():
     entries = [dea.evaluate_many, grs.identify_grs_many, rts.intercept_bounds_many]
     result = stages.measure(70, 1)
     assert result["n"] == 70 and set(result["counts"]) == {"scoring", "GRS", "RTS"}
-    # kernel calls, stacks and rounds; then each timed entry point is its own again
+    # kernel calls, stacks, rounds and phase-1 pivots: scoring starts every
+    # LP feasible, and RTS's max ends start from the slack basis; then each
+    # timed entry point is its own again
     for stage, counts in result["counts"].items():
-        assert len(counts) == 3 and all(count > 0 for count in counts), stage
+        assert len(counts) == 4 and all(count > 0 for count in counts[:3]), stage
+    assert result["counts"]["scoring"][3] == 0 and result["counts"]["RTS"][3] > 0
     assert entries == [dea.evaluate_many, grs.identify_grs_many, rts.intercept_bounds_many]
 
 

@@ -12,7 +12,8 @@ of every size are the same.  The sizes are 70, 200 and 500 units, those
 of the north star.  ``ramdea.reporting.run_analysis`` runs on it in
 process with the default configuration (ram, vrs): once to warm up,
 while ``tools/recorder.py`` counts each stage's kernel calls, stacks and
-rounds, then three times, timing the report and each stage's entry
+rounds, and the phase-1 pivots of the outcomes it hands over, then three
+times, timing the report and each stage's entry
 point: scoring (``dea.evaluate_many``), GRS (``grs.identify_grs_many``)
 and RTS (``rts.intercept_bounds_many``), each put back as it was when
 ``measure`` returns.  Each size runs in a process of its own, so the
@@ -20,8 +21,8 @@ peak RSS (``ru_maxrss``) is its own.  ``--src`` imports ``ramdea`` from
 another checkout, so two versions can be measured with the same script.
 
 Prints one row per size: the fastest and slowest timed run of the report
-and of each stage in ms, each stage's kernel calls, stacks and rounds,
-and the peak RSS in MB.
+and of each stage in ms, each stage's kernel calls, stacks, rounds and
+phase-1 pivots, and the peak RSS in MB.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ def measure(n: int, runs: int) -> dict:
 
     times = {name: [] for name in ["report", *STAGES]}
     calls = []  # the stage of each kernel call
+    phase1 = {module: 0 for module, _ in STAGES.values()}
+
+    def counted(stage, stack, bases, outcomes):
+        calls.append(stage)
+        phase1[stage] += sum(getattr(outcome, "phase1_iterations", 0) for outcome in outcomes)
 
     def timed(name, entry):
         def wrapper(*args, **kwargs):
@@ -76,7 +82,7 @@ def measure(n: int, runs: int) -> dict:
     dataset = reporting.parse_dataset(report_csv(n))
     config = reporting.AnalysisConfig()
     # an untimed run warms up and is counted, since every run makes the same counts
-    with recording(lambda stage, *_: calls.append(stage)) as kernel:
+    with recording(counted) as kernel:
         reporting.run_analysis(config, dataset)
     with contextlib.ExitStack() as timing:
         for name, (module_name, entry) in STAGES.items():
@@ -88,9 +94,9 @@ def measure(n: int, runs: int) -> dict:
             reports = reporting.run_analysis(config, dataset)
             times["report"].append(time.perf_counter() - start)
             assert len(reports) == n and all(report.rts_class for report in reports)
-    # kernel calls, stacks and rounds
+    # kernel calls, stacks, rounds and phase-1 pivots
     counts = {name: [calls.count(module), len(kernel[module]),
-                     sum(rounds for _, rounds, _ in kernel[module])]
+                     sum(rounds for _, rounds, _ in kernel[module]), phase1[module]]
               for name, (module, _) in STAGES.items()}
     return {"n": n, "times": times, "counts": counts,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -102,9 +108,10 @@ def row(result: dict) -> str:
 
     cells = [f"n = {result['n']}", f"report {span(result['times']['report'])}"]
     for name in STAGES:
-        calls, stacks, rounds = result["counts"][name]
+        calls, stacks, rounds, phase1 = result["counts"][name]
         cells.append(f"{name} {span(result['times'][name])}, "
-                     f"{calls} calls / {stacks} stacks / {rounds} rounds")
+                     f"{calls} calls / {stacks} stacks / {rounds} rounds / "
+                     f"{phase1} phase-1 pivots")
     cells.append(f"peak RSS {result['peak_rss_mb']:.1f} MB")
     return " | ".join(cells)
 
