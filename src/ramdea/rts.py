@@ -113,12 +113,12 @@ def _unit_columns(dataset):
     return np.vstack([data / row_scale[:, None], np.full(dataset.n_dmus, -1.0)]), row_scale
 
 
-def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs, frame=slice(None)):
+def _envelopment_programs(dataset, x_hat, y_hat, omega_rhs, frame):
     """The stack of LP duals of the intercept program at the anchors
     (x_hat[i], y_hat[i]), where ``x_hat`` is K x m and ``y_hat`` K x s,
     with ``omega_rhs[i]`` on the intercept row and a pi column for each
-    unit that ``frame`` picks (default every unit), and each dual's
-    starting basis.
+    unit that the boolean mask ``frame`` picks, and each dual's starting
+    basis.
 
     Each dual maximises theta over [theta | alpha | pi_1..pi_n | s+m slacks]
     subject to

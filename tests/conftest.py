@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +9,12 @@ import pytest
 from ramdea import dea, grs, reporting, rts
 from recorder import recorded
 
-DEMO8 = Path(__file__).resolve().parents[1] / "data" / "demo8.csv"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO8 = ROOT / "data" / "demo8.csv"
+# last, so the bench's bare module names shadow no entry already there
+sys.path.append(str(ROOT / "bench"))
+
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +53,19 @@ def eight_answers():
                  rts.DECREASING, rts.CONSTANT, rts.DECREASING, rts.DECREASING),
         crs_efficient=(1,),
     )
+
+
+@pytest.fixture(scope="session")
+def bench_dataset():
+    """``bench_dataset(workload, seed, index)`` is the ``index``-th dataset
+    of the ``bench/workloads.py`` workload named ``workload`` under
+    ``seed``: its arrays, ``csv_text()``, scheme, regime and variant.
+    Each benchmark dataset a test pins is read here, not written out."""
+
+    def generate(workload, seed, index):
+        return workloads.dataset(workloads.WORKLOADS[workload], seed, index)
+
+    return generate
 
 
 @pytest.fixture(scope="session")

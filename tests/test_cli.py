@@ -371,7 +371,8 @@ def test_shared_anchor_failure_is_reported_at_its_first_unit(tmp_path, capsys,
     path.write_text(CORNER_CSV, encoding="utf-8")
     ds = reporting.parse_dataset(CORNER_CSV)
     # the anchor's programs are the ones holding its theta and alpha columns
-    program, _ = rts._envelopment_programs(ds, np.array([[2.0]]), np.array([[4.0]]), [1.0])
+    program, _ = rts._envelopment_programs(ds, np.array([[2.0]]), np.array([[4.0]]), [1.0],
+                                           np.ones(ds.n_dmus, dtype=bool))
     (vertex,) = program.leading_columns
     fail_in_kernel(monkeypatch, rts,
                    lambda program: np.array_equal(program.leading_columns, vertex))
@@ -494,33 +495,16 @@ def test_unbounded_scoring_exits_2(tmp_path, capsys):
         == "solver error: a [scoring]: slack model for unit 0 ended unbounded\n"
 
 
-# a 14-unit ram/vrs dataset with rows rescaled by up to 10^+-5; the
-# intercept LPs of U000 once produced omega_max NaN and class increasing
-RESCALED_ROWS = """dmu,in:x1,out:y1,out:y2,out:y3
-U000,0.00040219225638468036,40542.78779946456,9.450722394992283,0.0004671367340646701
-U001,0.0002243209184900597,47519.572913957025,6.038071920738691,0.001141276631852379
-U002,0.00041650638741536956,67069.57891546414,6.004378997348122,0.0015651325569261496
-U003,0.0005902809212277715,55382.09800699452,7.972445779010882,0.001477802703135802
-U004,7.722879650228393e-05,18641.65301029469,4.319604415306453,0.001067297147258016
-U005,0.000378031502871029,18041.92861441434,8.024136443927699,0.0016725139498949514
-U006,0.00015619991173672403,8156.597885369145,1.459022387472419,0.002048491822135475
-U007,6.553876533330614e-05,76948.4673562651,10.379157916627586,0.0007729454804650877
-U008,0.0005870144650140954,21266.633667857175,9.953950714442845,0.001403882922325556
-U009,0.00048363109784898265,14324.874488115429,1.698470340457442,0.0005747683632350005
-U010,0.0004022406405981229,71408.22583040122,2.1698461455600504,0.0011230915084222413
-U011,0.00025360694306821876,44062.9005000638,7.06342229822996,0.0007557556537087601
-U012,0.00013038941545273045,62345.3412388039,2.5670397949212904,0.0013774579336733902
-U013,0.0004279054974680185,63276.89802717507,2.2962395050507296,0.0010126971784654001
-"""
-
-
 def _reject_constant(token):
     raise ValueError(f"non-finite number {token} in the JSON report")
 
 
-def test_ill_conditioned_run_never_reports_nan(tmp_path, capsys):
+# a 14-unit ram/vrs dataset with rows rescaled by up to 10^+-5
+# (``robustness`` seed 8, small-117); the intercept LPs of U000 once
+# produced omega_max NaN and class increasing
+def test_ill_conditioned_run_never_reports_nan(tmp_path, capsys, bench_dataset):
     path = tmp_path / "rescaled.csv"
-    path.write_text(RESCALED_ROWS, encoding="utf-8")
+    path.write_text(bench_dataset("robustness", 8, 117).csv_text(), encoding="utf-8")
     code = cli.main(["report", "--data", str(path), "--format", "json"])
     captured = capsys.readouterr()
     # either a finite report or a typed solver error, never NaN
@@ -533,25 +517,15 @@ def test_ill_conditioned_run_never_reports_nan(tmp_path, capsys):
             assert report["rts"]["class"] in ("increasing", "constant", "decreasing")
 
 
-# bam/crs data with non-positive outputs: for U006 and U008 the origin is
-# an optimal projection, so their global reference sets are empty
-NONPOSITIVE_OUTPUTS = """dmu,in:x1,out:y1,out:y2
-U000,6.6291596882221855,-4.709693258969881,6.203974544813109
-U001,5.649678227499261,-4.630315846080825,7.647118358324715
-U002,6.4469426126556595,8.443897244264132,1.865589864122164
-U003,5.96075926870348,2.5271662589845336,4.050137875938752
-U004,3.7782354752862455,2.0964665685154724,5.759158683545657
-U005,5.637881257915321,-4.3116680524864055,6.927182052623479
-U006,7.145248665790025,-4.688780675687273,-2.0386887652377887
-U007,2.1709556420198224,-4.191162626430668,1.8560532518860118
-U008,5.642821433160983,-2.7095835547145897,-3.253617871119631
-U009,2.29629782860267,4.726433218696084,-3.615646358484976
-"""
+# bam/crs data with non-positive outputs (``robustness`` seed 1,
+# small-011): for U006 and U008 the origin is an optimal projection, so
+# their global reference sets are empty
+NONPOSITIVE_OUTPUTS = ("robustness", 1, 11)
 
 
-def test_empty_reference_set_has_the_apex_as_its_face(tmp_path, capsys):
+def test_empty_reference_set_has_the_apex_as_its_face(tmp_path, capsys, bench_dataset):
     path = tmp_path / "apex.csv"
-    path.write_text(NONPOSITIVE_OUTPUTS, encoding="utf-8")
+    path.write_text(bench_dataset(*NONPOSITIVE_OUTPUTS).csv_text(), encoding="utf-8")
     argv = ["report", "--data", str(path), "--format", "json",
             "--scheme", "bam", "--regime", "crs"]
     assert cli.main(argv) == 0
@@ -564,11 +538,11 @@ def test_empty_reference_set_has_the_apex_as_its_face(tmp_path, capsys):
             assert value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_values_that_round_to_zero_print_unsigned(tmp_path, capsys):
+def test_values_that_round_to_zero_print_unsigned(tmp_path, capsys, bench_dataset):
     # on this data U004's rho and the apex projections of U006 and U008
     # come out as -0.0 or a few ulps below zero
     path = tmp_path / "apex.csv"
-    path.write_text(NONPOSITIVE_OUTPUTS, encoding="utf-8")
+    path.write_text(bench_dataset(*NONPOSITIVE_OUTPUTS).csv_text(), encoding="utf-8")
     for output_format in ("table", "csv"):
         argv = ["report", "--data", str(path), "--format", output_format,
                 "--scheme", "bam", "--regime", "crs"]

@@ -268,15 +268,12 @@ def test_evaluate_solves_the_scoring_program(frontier8, kernel_calls, scheme, re
     assert (result.scheme, result.regime) == (scheme, regime)
 
 
-def test_degenerate_cycle_ends_early_on_an_efficient_unit(kernel_calls):
+def test_degenerate_cycle_ends_early_on_an_efficient_unit(kernel_calls, bench_dataset):
     # ``score-large`` seed 11, score250-003: U247's scoring LP (p = 8 rows,
     # q = 258 columns) cycles on degenerate pivots under Dantzig's rule;
     # turning to Bland's after p + q = 266 of them took 286 pivots, after
     # 6p = 48 it takes 78
-    rng = np.random.default_rng([11, 7, 3])
-    inputs = rng.uniform(1.0, 10.0, (5, 250))
-    ds = dea.Dataset([f"U{k:03d}" for k in range(250)], inputs,
-                     rng.uniform(1.0, 10.0, (3, 250)))
+    ds = reporting.parse_dataset(bench_dataset("score-large", 11, 3).csv_text())
     calls = kernel_calls(dea)
     result = dea.evaluate(ds, 247, "ram", "crs")
     ((_, _, (sol,)),) = calls
@@ -322,33 +319,13 @@ def test_scoring_starts_feasible(frontier8, kernel_calls, scheme, regime):
 
 # ram/crs data with rows rescaled by up to 10^5 (``robustness`` seed 3,
 # small-015)
-RESCALED_CRS = """dmu,in:x1,in:x2,in:x3,out:y1,out:y2,out:y3
-U000,282.1816158993165,71135.94048427494,3.4438253646653524e-05,877.7199993620442,0.0007046529864704906,174481.0810785436
-U001,781.9857033721551,150219.04245656249,8.702331400739754e-05,359.6265445988003,0.0009697255282780221,254290.12156873924
-U002,739.3610148955496,633655.2189387347,8.34859000024455e-05,1217.9615380590878,0.000555449530843952,244405.8579505358
-U003,1084.941822551287,353546.6378139163,5.888773957509471e-05,1623.241366636747,0.0007758716391575096,318333.12523018423
-U004,261.62213037007143,207829.31145025356,6.609783382596718e-05,2276.955135447223,0.0002707897072497895,55095.67754247551
-U005,633.0051619688152,257343.12335960218,9.707499975818349e-05,724.6119504542827,0.0005568094467884263,277276.77462468593
-U006,817.0392965775063,238947.995786832,0.00010867459005283824,2590.1894188442784,0.00042525684076129353,207074.2629082586
-U007,552.9546125934626,405688.1215105003,7.320571811259158e-05,1516.1933682402857,0.0012413049182415498,79569.92554773529
-U008,711.1771404452355,466238.66246242175,0.00011888835652615028,1664.0794096062912,0.0012420235520742727,136706.58553960637
-U009,672.7074430486708,228892.0538362532,5.253636768709411e-05,1563.960005093968,0.0001410063365275326,272859.5475203969
-U010,809.5480836663405,123266.22895332903,9.140462130588331e-05,2041.9510651689038,0.000883642384068711,200219.37339976817
-U011,384.29883796237925,97588.17181571506,4.4812717086731856e-05,1582.4557313913995,0.0003061458596487391,161242.39882218422
-U012,545.7729340454175,182014.00685129125,8.876363082004638e-05,1984.2052575164053,0.0001812995417454804,280944.4505495212
-U013,477.6241688632412,196244.53947338674,6.060538406664224e-05,1990.5630174012172,0.0001553728357678383,231716.48216427318
-U014,899.5249135874884,392847.75628405745,5.442609550170326e-05,2606.0098047239503,0.0011354514606106627,271264.86145601346
-U015,787.720630810547,606139.222603641,7.711959036258547e-05,2160.1859583642135,0.0004001379642625879,116336.65252290471
-"""
-
-
 @pytest.mark.xfail(strict=True, raises=lp.LpError,
                    reason="U009's scoring LP concludes with an output slack far below "
                           "its lower bound on rows rescaled by 10^5")
-def test_scoring_succeeds_on_rescaled_rows():
+def test_scoring_succeeds_on_rescaled_rows(bench_dataset):
     # the kernel's optimum check catches the wrong optimum ("variable bound
     # violated at claimed optimum"), so the scoring stage raises
-    ds = reporting.parse_dataset(RESCALED_CRS)
+    ds = reporting.parse_dataset(bench_dataset("robustness", 3, 15).csv_text())
     o = ds.index("U009")
     result = dea.evaluate(ds, o, "ram", "crs")
     assert result.rho == pytest.approx(oracles.ram_score_linprog(ds, o, regime="crs"),

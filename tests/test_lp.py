@@ -756,8 +756,10 @@ def test_leading_columns_are_checked():
                          leading_columns=np.ones((2, 2)))
 
 
-# an entry no generator above produces; a basis holding it is made singular
+# entries no generator above produces; a basis holding the first is made
+# singular, and its solve with the second gives NaN
 SINGULAR_MARK = 2.75 + 1e-7
+NAN_MARK = 3.25 + 1e-7
 
 
 def test_failures_end_only_their_own_lp(monkeypatch, assert_bitwise):
@@ -771,31 +773,34 @@ def test_failures_end_only_their_own_lp(monkeypatch, assert_bitwise):
     exhausted = int(np.argmax(ratios))
     budget = max(r for i, r in enumerate(ratios) if i != exhausted)
     assert ratios[exhausted] > budget
-    # x1 enters at the first pivot, and its basis then fails to factor
-    singular = lp.LinearProgram("maximize", [1.0, 0.0], [[SINGULAR_MARK, 1.0]], [1.0])
-    programs.insert(7, singular)
-    bases.insert(7, None)
-    alone.insert(7, None)
-    exhausted += exhausted >= 7
+    # x1 enters at the first pivot, and its basis then fails to factor,
+    # or its solve gives NaN
+    programs[7:7] = [lp.LinearProgram("maximize", [1.0, 0.0], [[mark, 1.0]], [1.0])
+                     for mark in (SINGULAR_MARK, NAN_MARK)]
+    bases[7:7] = alone[7:7] = [None, None]
+    exhausted += 2 * (exhausted >= 7)
     real_solve = np.linalg.solve
 
-    def marked_singular(a, b):
+    def marked(a, b):
         if np.any(a == SINGULAR_MARK):
             raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(a, b)
+        poisoned = np.any(a == NAN_MARK, axis=(-2, -1))[..., None, None]
+        return np.where(poisoned, np.nan, real_solve(a, b))
 
-    monkeypatch.setattr(np.linalg, "solve", marked_singular)
+    monkeypatch.setattr(np.linalg, "solve", marked)
     monkeypatch.setattr(lp, "_PIVOTS_PER_DIMENSION", budget)
     outcomes = solve_in_stacks(programs, bases)
     assert type(outcomes[7]) is lp.LpError
     assert str(outcomes[7]) == "singular basis matrix"
+    assert type(outcomes[8]) is lp.LpError
+    assert str(outcomes[8]) == "basis solve gave non-finite values"
     assert type(outcomes[exhausted]) is lp.IterationLimitError
-    for i in (7, exhausted):
+    for i in (7, 8, exhausted):
         # the same error as when solved alone
         with pytest.raises(type(outcomes[i]), match=str(outcomes[i])):
             lp.solve(programs[i], basis=bases[i])
     for i, (got, expected) in enumerate(zip(outcomes, alone)):
-        if i not in (7, exhausted):
+        if i not in (7, 8, exhausted):
             assert_bitwise(got, expected)
 
 

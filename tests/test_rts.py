@@ -238,29 +238,11 @@ def test_anchor_off_frontier_with_both_endpoint_duals_infeasible_is_rejected():
         rts.intercept_bounds(ds, ([2.0], [-1.0, 1.0]))
 
 
-# additive/vrs data translated by 1e4; the multiplier-form program solved
-# by the package's kernel put U002's smallest intercept at -0.800042
-TRANSLATED = """dmu,in:x1,in:x2,out:y1
-U000,10007.331895981572,10003.60690761211,10008.61814197711
-U001,10001.84100399179,10005.738120640866,10007.960143879805
-U002,10009.541787495175,10003.153475422554,10007.137171618277
-U003,10004.86354087389,10002.127221600289,10004.077215054449
-U004,10007.354493680972,10002.19624295908,10006.898923612023
-U005,10002.726801364914,10009.475290598712,10004.486603235857
-U006,10004.89396127779,10006.151274433969,10005.83462723695
-U007,10004.219408415105,10007.558958684209,10005.271497995422
-U008,10008.363374769106,10004.872792177002,10006.039525808528
-U009,10006.143457737724,10008.28451239492,10007.218460321
-U010,10004.882817113983,10003.228725608307,10008.656525973098
-U011,10003.922479689798,10002.488262859632,10002.787438191484
-U012,10001.425839004358,10007.49078590445,10002.32661259787
-U013,10002.622241776548,10008.19376511625,10009.697590097854
-U014,10004.65095798538,10005.787131830592,10002.033864044013
-"""
-
-
-def test_translated_data_endpoints_match_highs():
-    ds = reporting.parse_dataset(TRANSLATED)
+# additive/vrs data translated by 1e4 (``robustness`` seed 1, small-049);
+# the multiplier-form program solved by the package's kernel put U002's
+# smallest intercept at -0.800042
+def test_translated_data_endpoints_match_highs(bench_dataset):
+    ds = reporting.parse_dataset(bench_dataset("robustness", 1, 49).csv_text())
     o = ds.index("U002")
     result = dea.evaluate(ds, o, "additive")
     reference = grs.identify_grs(ds, o, result)
@@ -272,21 +254,11 @@ def test_translated_data_endpoints_match_highs():
 
 
 # additive/vrs data shifted by 1e4 (``robustness`` seed 1, small-001)
-SHIFTED = """dmu,in:x1,out:y1,out:y2
-U000,10009.397119292364,10001.021015159182,10009.807465443739
-U001,10007.363973577707,10005.633655372832,10001.323764062727
-U002,10006.391650460326,10001.0714927376,10009.329969068338
-U003,10009.631841971526,10002.970768495159,10006.793813328854
-U004,10007.793070064805,10001.18154589058,10007.489313826762
-U005,10007.366073694042,10009.022608310805,10008.633459463965
-"""
-
-
-def test_anchors_a_rounding_apart_give_the_same_interval():
+def test_anchors_a_rounding_apart_give_the_same_interval(bench_dataset):
     # two interior projections of U001 with the same members, 1e-11
     # apart; a bound blind to the rows' scale failed the optimum check
     # at the first one and not at the second
-    ds = reporting.parse_dataset(SHIFTED)
+    ds = reporting.parse_dataset(bench_dataset("robustness", 1, 1).csv_text())
     first, second = (rts.intercept_bounds(ds, ([10007.363973577707], outputs)) for outputs in (
         [10009.005471745171, 10008.634960609614], [10009.005471745182, 10008.634960609605]))
     assert rts.classify_rts(first) == rts.classify_rts(second)

@@ -9,10 +9,8 @@ from recorder import recording
 
 
 @pytest.fixture(scope="module")
-def forty():
-    rng = np.random.default_rng(61)
-    return dea.Dataset([f"u{j}" for j in range(40)], rng.uniform(1.0, 10.0, (2, 40)),
-                       rng.uniform(1.0, 10.0, (2, 40)))
+def forty(random_dataset):
+    return random_dataset(np.random.default_rng(61), 40, 2, 2)
 
 
 @pytest.mark.parametrize("regime", dea.REGIMES)

@@ -6,20 +6,18 @@ dataset under those wrappers and is judged incorrect if the output
 changes.  This runs the same wrappers around the CLI.
 """
 
-import importlib
 from pathlib import Path
 
 import pytest
 
+import tracing
 from ramdea import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("command", ["efficiency", "grs", "rts", "report"])
-def test_traced_run_prints_the_same_output(command, capsys, monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    tracing = importlib.import_module("tracing")
+def test_traced_run_prints_the_same_output(command, capsys):
     argv = [command, "--data", str(ROOT / "data" / "demo8.csv"), "--format", "json"]
     assert cli.main(argv) == 0
     untraced = capsys.readouterr().out
