@@ -1,14 +1,15 @@
-"""Independent reference computations used to cross-check the package.
+"""Independent reference computations that only the tests need.
 
 Everything here deliberately avoids the package's own simplex kernel:
-scores and global reference sets come from scipy's HiGHS solver, optima
-of small box-constrained LPs from exhaustive basic-solution enumeration,
-and maximal support sizes from feasibility tests over explicit support
-patterns.  The slack weights are written here from each scheme's
-definition, so a wrong weight in the package shows up against them.
-The supporting-intercept program is built here in its primal,
-multiplier form, one row per unit, as the cross-check of the package's
-envelopment form.
+optima and duals of a ``LinearProgram`` and global reference sets come
+from scipy's HiGHS solver, optima of small box-constrained LPs from
+exhaustive basic-solution enumeration, and maximal support sizes from
+feasibility tests over explicit support patterns.  The supporting-intercept
+program is built here as a ``LinearProgram`` in its primal, multiplier
+form, one row per unit, for the package's kernel to solve beside its
+envelopment form.  The slack weights, scoring optima and intercept
+intervals come from ``bench/reference.py``, the one re-derivation of
+each model outside the package.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy.optimize import linprog
 
 from ramdea.grs import SUPPORT_TOL
 from ramdea.lp import LinearProgram
+from reference import slack_weights
 
 
 def best_vertex_objective(program):
@@ -108,76 +110,6 @@ def hyperplane_program(dataset, x_hat, y_hat, sense):
     return LinearProgram(sense, cost, A, rhs, lower_bounds=lower)
 
 
-def intercept_interval_highs(dataset, x_hat, y_hat):
-    """(min omega, max omega) of ``hyperplane_program`` via HiGHS.
-
-    An unbounded endpoint is returned as -inf / +inf; None when no
-    supporting hyperplane passes through the anchor.
-    """
-    ends = []
-    for sense in ("minimize", "maximize"):
-        program = hyperplane_program(dataset, x_hat, y_hat, sense)
-        sign = -1.0 if sense == "maximize" else 1.0
-        problem = dict(A_eq=program.constraint_matrix, b_eq=program.rhs,
-                       bounds=list(zip(program.lower_bounds, program.upper_bounds)),
-                       method="highs")
-        res = linprog(sign * program.objective, **problem)
-        if res.status == 2:
-            # presolve may call an unbounded problem infeasible
-            res = linprog(sign * program.objective, options={"presolve": False}, **problem)
-        if res.status == 2:
-            return None
-        assert res.status in (0, 3), f"reference solver failed with status {res.status}"
-        ends.append(-sign * np.inf if res.status == 3 else sign * res.fun)
-    return ends[0], ends[1]
-
-
-def weights_from_definition(dataset, scheme, o):
-    """The objective weights (w_in, w_out) of unit ``o``'s slacks.
-
-    With m inputs and s outputs, ram divides 1 by m + s times each row's
-    range, bam by m + s times the distance from unit ``o`` to the row's
-    smallest input or largest output, and additive weighs every slack 1.
-    A zero divisor gives a zero weight.
-    """
-    m, s = dataset.n_inputs, dataset.n_outputs
-    X, Y = dataset.inputs, dataset.outputs
-    if scheme == "additive":
-        return np.ones(m), np.ones(s)
-    if scheme == "ram":
-        spread_in, spread_out = X.max(axis=1) - X.min(axis=1), Y.max(axis=1) - Y.min(axis=1)
-    else:
-        assert scheme == "bam", scheme
-        spread_in, spread_out = X[:, o] - X.min(axis=1), Y.max(axis=1) - Y[:, o]
-    return tuple(np.array([1.0 / ((m + s) * d) if d > 0 else 0.0 for d in spread])
-                 for spread in (spread_in, spread_out))
-
-
-def ram_score_linprog(dataset, o, regime="vrs"):
-    """Range-adjusted efficiency of unit ``o`` via scipy's HiGHS solver."""
-    n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    w_in, w_out = weights_from_definition(dataset, "ram", o)
-
-    q = n + m + s
-    cost = np.concatenate([np.zeros(n), -w_in, -w_out])  # linprog minimises
-    rows = m + s + (1 if regime == "vrs" else 0)
-    A_eq = np.zeros((rows, q))
-    A_eq[:m, :n] = dataset.inputs
-    A_eq[:m, n:n + m] = np.eye(m)
-    A_eq[m:m + s, :n] = dataset.outputs
-    A_eq[m:m + s, n + m:] = -np.eye(s)
-    b_eq = np.concatenate([dataset.inputs[:, o], dataset.outputs[:, o]])
-    if regime == "vrs":
-        A_eq[-1, :n] = 1.0
-        b_eq = np.concatenate([b_eq, [1.0]])
-    bounds = [(0, None)] * n
-    bounds += [(0, 0) if w == 0 else (0, None) for w in w_in]
-    bounds += [(0, 0) if w == 0 else (0, None) for w in w_out]
-    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    assert res.status == 0, f"reference solver failed with status {res.status}"
-    return 1.0 + res.fun
-
-
 def oracle_grs(dataset, o, ram_result, support_tol=SUPPORT_TOL):
     """Global reference set of unit ``o``, one HiGHS solve per unit.
 
@@ -193,7 +125,7 @@ def oracle_grs(dataset, o, ram_result, support_tol=SUPPORT_TOL):
     fast path.
     """
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    w_in, w_out = weights_from_definition(dataset, ram_result.scheme, o)
+    w_in, w_out = slack_weights(dataset.inputs, dataset.outputs, ram_result.scheme, o)
     rows = [
         np.hstack([dataset.inputs, np.eye(m), np.zeros((m, s))]),
         np.hstack([dataset.outputs, np.zeros((s, m)), -np.eye(s)]),
@@ -276,7 +208,7 @@ def optimal_pattern_residuals(dataset, ram_result, grs_result):
     rows = [r_in, r_out]
     if ram_result.regime == "vrs":
         rows.append(np.array([lam.sum() - 1.0]))
-    w_in, w_out = weights_from_definition(dataset, ram_result.scheme, o)
+    w_in, w_out = slack_weights(dataset.inputs, dataset.outputs, ram_result.scheme, o)
     budget = (dataset.n_inputs + dataset.n_outputs) \
         * (w_in @ grs_result.input_slacks + w_out @ grs_result.output_slacks)
     rows.append(np.array([budget - ram_result.slack_sum]))

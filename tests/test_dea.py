@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from ramdea import dea, lp, reporting
+from reference import weighted_optimum
 
 
 def test_dataset_validation():
@@ -130,7 +131,8 @@ def test_duplicated_unit_scores_like_the_original(frontier8, eight_answers):
     extended = dea.Dataset(names, inputs, outputs)
     twin = dea.evaluate(extended, 8)
     assert twin.rho == pytest.approx(eight_answers.scores[5], abs=1e-9)
-    assert twin.rho == pytest.approx(oracles.ram_score_linprog(extended, 8), abs=1e-9)
+    assert twin.rho == pytest.approx(
+        1.0 - weighted_optimum(extended.inputs, extended.outputs, 8, "ram", "vrs"), abs=1e-9)
     assert not twin.efficient
 
 
@@ -139,7 +141,7 @@ def test_crs_regime_drops_convexity(frontier8, eight_answers):
     result = dea.evaluate(frontier8, 2, regime="crs")
     assert result.rho == pytest.approx(1.0 - 1.5 / 14.0, abs=1e-9)
     assert result.rho == pytest.approx(
-        oracles.ram_score_linprog(frontier8, 2, regime="crs"), abs=1e-9
+        1.0 - weighted_optimum(frontier8.inputs, frontier8.outputs, 2, "ram", "crs"), abs=1e-9
     )
 
 
@@ -149,7 +151,8 @@ def test_scores_match_reference_solver_on_random_data(random_dataset):
         ds = random_dataset(rng)
         o = int(rng.integers(ds.n_dmus))
         mine = dea.evaluate(ds, o).rho
-        assert mine == pytest.approx(oracles.ram_score_linprog(ds, o), abs=1e-7)
+        assert mine == pytest.approx(
+            1.0 - weighted_optimum(ds.inputs, ds.outputs, o, "ram", "vrs"), abs=1e-7)
 
 
 def test_score_stays_in_unit_interval_on_positive_spreads(random_dataset):
@@ -278,8 +281,8 @@ def test_degenerate_cycle_ends_early_on_an_efficient_unit(kernel_calls, bench_da
     result = dea.evaluate(ds, 247, "ram", "crs")
     ((_, _, (sol,)),) = calls
     assert sol.iterations < 120
-    assert result.rho == pytest.approx(oracles.ram_score_linprog(ds, 247, regime="crs"),
-                                       abs=1e-9)
+    assert result.rho == pytest.approx(
+        1.0 - weighted_optimum(ds.inputs, ds.outputs, 247, "ram", "crs"), abs=1e-9)
     assert result.efficient
 
 
@@ -314,7 +317,7 @@ def test_scoring_starts_feasible(frontier8, kernel_calls, scheme, regime):
             assert sol.objective_value == pytest.approx(best, abs=1e-9)
             if scheme == "ram":
                 assert result.rho == pytest.approx(
-                    oracles.ram_score_linprog(ds, o, regime=regime), abs=1e-9)
+                    1.0 - weighted_optimum(ds.inputs, ds.outputs, o, "ram", regime), abs=1e-9)
 
 
 # ram/crs data with rows rescaled by up to 10^5 (``robustness`` seed 3,
@@ -328,5 +331,5 @@ def test_scoring_succeeds_on_rescaled_rows(bench_dataset):
     ds = reporting.parse_dataset(bench_dataset("robustness", 3, 15).csv_text())
     o = ds.index("U009")
     result = dea.evaluate(ds, o, "ram", "crs")
-    assert result.rho == pytest.approx(oracles.ram_score_linprog(ds, o, regime="crs"),
-                                       abs=1e-7)
+    assert result.rho == pytest.approx(
+        1.0 - weighted_optimum(ds.inputs, ds.outputs, o, "ram", "crs"), abs=1e-7)

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from ramdea import dea, grs, lp, reporting
 from recorder import recorded
+from reference import slack_weights
 
 
 # -- maximal-support primitive ---------------------------------------
@@ -231,7 +232,7 @@ def test_screen_keeps_every_optimal_projection(eight, kernel_calls):
     # optimal projections with different members, so both must stay
     ds, results, _ = eight
     result = results[6]
-    w_in, w_out = oracles.weights_from_definition(ds, "ram", 6)
+    w_in, w_out = slack_weights(ds.inputs, ds.outputs, "ram", 6)
     for j in (1, 2):
         s_in = ds.inputs[0, 6] - ds.inputs[0, j]
         s_out = ds.outputs[0, j] - ds.outputs[0, 6]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ramdea import dea, grs, lp, reporting, rts
 from recorder import recorded
+from reference import Inconclusive, intercept_interval
 
 
 def test_intercepts_at_non_vertex_frontier_point(frontier8):
@@ -108,7 +109,7 @@ def test_min_end_starts_feasible_for_nonnegative_outputs(kernel_calls):
             assert max_basis.tolist() == slack_basis(ds)
             assert min_end.status == lp.OPTIMAL
             assert min_end.phase1_iterations == 0
-            expected = oracles.intercept_interval_highs(ds, *anchor)
+            expected = intercept_interval(ds.inputs, ds.outputs, *anchor)
             assert got[0] == pytest.approx(expected[0], rel=1e-6, abs=1e-12)
 
 
@@ -119,11 +120,11 @@ def test_min_end_with_negative_outputs_gets_no_start(kernel_calls):
     # still get the start
     ds = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 4.0]], [[-1.0, 2.0, 3.0]])
     calls = kernel_calls(rts)
-    for anchor in (([2.0], [2.0]), ([1.0], [-1.0]), ([3.0], [2.5])):
+    for x_hat, y_hat in np.array([[[2.0], [2.0]], [[1.0], [-1.0]], [[3.0], [2.5]]]):
         calls.clear()
-        got = rts.intercept_bounds(ds, anchor)
-        assert (solved(calls)[0][0].tolist() == slack_basis(ds)) == (anchor[1][0] < 0.0)
-        assert_ends_match(got, oracles.intercept_interval_highs(ds, *anchor))
+        got = rts.intercept_bounds(ds, (x_hat, y_hat))
+        assert (solved(calls)[0][0].tolist() == slack_basis(ds)) == (y_hat[0] < 0.0)
+        assert_ends_match(got, intercept_interval(ds.inputs, ds.outputs, x_hat, y_hat))
 
 
 @pytest.mark.parametrize("variant", ["plain", "negative", "rescaled"])
@@ -142,7 +143,7 @@ def test_programs_without_the_min_end_start_begin_at_the_slacks(kernel_calls, va
             started = [program.rhs[-1] > 0.0 and min(anchor[1]) >= 0.0 for program in programs]
             for start, (basis, _) in zip(started, solved(calls)):
                 assert (basis.tolist() == slack_basis(ds)) != start
-            assert_ends_match(got, oracles.intercept_interval_highs(ds, *anchor))
+            assert_ends_match(got, intercept_interval(ds.inputs, ds.outputs, *anchor))
 
 
 def test_nan_bounds_are_rejected():
@@ -206,7 +207,8 @@ def test_intercepts_unbounded_both_ways_clamp_both_ends():
     # the first output is negative: with v = 1 the intercept at unit a is
     # -u1 + u2 - 1, and unit b stays below every such hyperplane
     ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[-1.0, -2.0], [1.0, 0.5]])
-    assert oracles.intercept_interval_highs(ds, [1.0], [-1.0, 1.0]) == (-np.inf, np.inf)
+    assert intercept_interval(ds.inputs, ds.outputs, np.array([1.0]),
+                              np.array([-1.0, 1.0])) == (-np.inf, np.inf)
     assert rts.intercept_bounds(ds, ([1.0], [-1.0, 1.0])) == (-1.0, 1.0)
 
 
@@ -233,7 +235,8 @@ def test_anchor_off_frontier_with_both_endpoint_duals_infeasible_is_rejected():
     # infeasible rather than unbounded: only the zero right-hand side
     # tells this case from the one above
     ds = dea.Dataset(["a", "b"], [[1.0, 2.0]], [[-1.0, -2.0], [1.0, 0.5]])
-    assert oracles.intercept_interval_highs(ds, [2.0], [-1.0, 1.0]) is None
+    with pytest.raises(Inconclusive, match="status 2"):
+        intercept_interval(ds.inputs, ds.outputs, np.array([2.0]), np.array([-1.0, 1.0]))
     with pytest.raises(rts.NotOnFrontierError):
         rts.intercept_bounds(ds, ([2.0], [-1.0, 1.0]))
 
@@ -248,7 +251,7 @@ def test_translated_data_endpoints_match_highs(bench_dataset):
     reference = grs.identify_grs(ds, o, result)
     anchor = (reference.interior_projection_inputs,
               reference.interior_projection_outputs)
-    expected = oracles.intercept_interval_highs(ds, *anchor)
+    expected = intercept_interval(ds.inputs, ds.outputs, *anchor)
     assert expected[0] == pytest.approx(-0.806014, abs=1e-6)
     assert rts.intercept_bounds(ds, anchor) == pytest.approx(expected, abs=1e-6)
 
@@ -299,7 +302,7 @@ def test_intercepts_match_the_primal_program(variant):
     for _ in range(8):
         ds, anchors = random_instance(rng, variant)
         for anchor in anchors:
-            expected = oracles.intercept_interval_highs(ds, *anchor)
+            expected = intercept_interval(ds.inputs, ds.outputs, *anchor)
             got = rts.intercept_bounds(ds, anchor)
             assert_ends_match(got, expected)
             if variant in ("plain", "negative"):
@@ -322,7 +325,7 @@ def test_kernel_verdict_on_rescaled_intercept_programs():
     rng = np.random.default_rng([3, 99])
     instances = [random_instance(rng, "rescaled") for _ in range(14)]
     for (ds, anchors), o, value in ((instances[5], 0, 439.9546), (instances[13], 6, 5.0275)):
-        expected = oracles.intercept_interval_highs(ds, *anchors[o])[1]
+        expected = intercept_interval(ds.inputs, ds.outputs, *anchors[o])[1]
         assert expected == pytest.approx(value, abs=1e-4)
         try:
             sol = lp.solve(oracles.hyperplane_program(ds, *anchors[o], "maximize"))

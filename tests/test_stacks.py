@@ -122,15 +122,12 @@ def test_an_empty_stack_solves_to_nothing():
 def test_bases_are_checked_before_any_stack_runs(monkeypatch):
     # one program a stack, and a bad basis on the last of six
     programs = lp.LinearProgram("maximize", *stack_layout(k=6))
-    stacks = []
-    run = lp._SimplexState.run
-    monkeypatch.setattr(lp._SimplexState, "run", lambda state: stacks.append(state) or run(state))
     monkeypatch.setattr(lp, "_STACK_BYTES", 1)
-    assert len(lp.solve_many(programs, bases=[[0, 1]] * 6)) == len(stacks) == 6
-    stacks.clear()
-    with pytest.raises(ValueError, match="basis"):
-        lp.solve_many(programs, bases=[[0, 1]] * 5 + [[0, 0]])
-    assert stacks == []
+    with recording() as kernel:
+        assert len(grs.solve_many(programs, bases=[[0, 1]] * 6)) == len(kernel["grs"]) == 6
+    with recording() as kernel, pytest.raises(ValueError, match="basis"):
+        grs.solve_many(programs, bases=[[0, 1]] * 5 + [[0, 0]])
+    assert kernel["grs"] == []
 
 
 def test_stack_budget_counts_each_matrix_with_its_artificials(monkeypatch):
@@ -139,12 +136,10 @@ def test_stack_budget_counts_each_matrix_with_its_artificials(monkeypatch):
     cost, A, rhs, lower, upper = stack_layout(k=6)
     (k, p), q = rhs.shape, A.shape[1]
     programs = lp.LinearProgram("maximize", cost, np.stack([A] * k), rhs, lower, upper)
-    stacks = []
-    run = lp._SimplexState.run
-    monkeypatch.setattr(lp._SimplexState, "run", lambda state: stacks.append(state) or run(state))
     monkeypatch.setattr(lp, "_STACK_BYTES", k * (lp._state_bytes(p, q) + 8 * p * (q + p)) - 1)
-    lp.solve_many(programs)
-    assert [len(state.outcomes) for state in stacks] == [3, 3]
+    with recording() as kernel:
+        grs.solve_many(programs)
+    assert [lps for lps, _, _ in kernel["grs"]] == [3, 3]
 
 
 def test_intercepts_of_every_anchor_make_one_kernel_call(forty, monkeypatch, assert_bitwise):
