@@ -209,13 +209,15 @@ def intercept_bounds_many(dataset: dea.Dataset, points, feas_tol: float = FEAS_T
     or the ``RamdeaError`` that ``intercept_bounds`` raises for it.  Each
     distinct point is solved once, and a repeat of it, to the bit, gets
     the same entry.  ``frame``, a boolean mask over the units (default
-    every unit), is the units the programs hold (see the module docstring).
+    every unit), is the units the programs hold (see the module docstring);
+    any other frame raises ``ValueError``.
     """
     feas_tol = _tolerance("feas_tol", feas_tol)
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
-    frame = np.ones(n, dtype=bool) if frame is None else np.asarray(frame, dtype=bool)
-    if frame.shape != (n,):
-        raise ValueError(f"frame must be a mask of {n} units")
+    frame = np.ones(n, dtype=bool) if frame is None else np.asarray(frame)
+    # a boolean dtype only: indices such as [2, 1, 0] would read as a mask
+    if frame.dtype != bool or frame.shape != (n,):
+        raise ValueError(f"frame must be a boolean mask of {n} units")
     # by each anchor's exact bytes: the distinct anchors to solve, and
     # every anchor's entry
     keys, anchors, results = [], {}, {}

@@ -110,6 +110,21 @@ def assert_bitwise():
     return check
 
 
+@pytest.fixture(scope="session")
+def assert_rejects():
+    """``assert_rejects(call, error, message)``: ``call()`` raises
+    ``error`` itself, not a subclass, whose one argument is ``message``
+    word for word.  Each module's rejection table checks its rows with
+    it."""
+
+    def check(call, error, message):
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error and raised.value.args == (message,)
+
+    return check
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """``kernel_calls(module)`` routes ``module.solve_many`` through

@@ -110,20 +110,13 @@ def hyperplane_program(dataset, x_hat, y_hat, sense):
     return LinearProgram(sense, cost, A, rhs, lower_bounds=lower)
 
 
-def oracle_grs(dataset, o, ram_result, support_tol=SUPPORT_TOL):
-    """Global reference set of unit ``o``, one HiGHS solve per unit.
-
-    Maximises each unit's intensity separately over the optimal-pattern
-    system, built here from the raw data under the scheme and regime of
-    ``ram_result``: input and output rows, the convexity row under
-    "vrs", and the budget row pinning the weighted slack total at
-    ``ram_result.slack_sum``, with zero-weight slacks pinned at zero.
-    Every unit is a candidate, as the GRS is the union of the supports
-    of all optimal solutions.  A unit belongs to the GRS iff its maximum
-    exceeds ``support_tol`` (or is unbounded).  One solve per unit
-    instead of one solve total, so this is the cross-check, not the
-    fast path.
-    """
+def optimal_pattern_system(dataset, o, ram_result):
+    """(A, b, bounds) of unit ``o``'s optimal-pattern system over
+    [lambda | input slacks | output slacks], built from the raw data under
+    the scheme and regime of ``ram_result``: input and output rows, the
+    convexity row under "vrs", and the budget row pinning the weighted
+    slack total at ``ram_result.slack_sum``, with zero-weight slacks
+    pinned at zero."""
     n, m, s = dataset.n_dmus, dataset.n_inputs, dataset.n_outputs
     w_in, w_out = slack_weights(dataset.inputs, dataset.outputs, ram_result.scheme, o)
     rows = [
@@ -136,14 +129,25 @@ def oracle_grs(dataset, o, ram_result, support_tol=SUPPORT_TOL):
         rhs.append([1.0])
     rows.append(np.concatenate([np.zeros(n), (m + s) * w_in, (m + s) * w_out])[None, :])
     rhs.append([ram_result.slack_sum])
-    problem = dict(A_eq=np.vstack(rows), b_eq=np.concatenate(rhs),
-                   bounds=[(0, None)] * n
-                   + [(0, 0 if w == 0 else None) for w in np.concatenate([w_in, w_out])],
-                   method="highs")
+    bounds = [(0, None)] * n + [(0, 0 if w == 0 else None) for w in np.concatenate([w_in, w_out])]
+    return np.vstack(rows), np.concatenate(rhs), bounds
 
+
+def oracle_grs(dataset, o, ram_result, support_tol=SUPPORT_TOL):
+    """Global reference set of unit ``o``, one HiGHS solve per unit.
+
+    Maximises each unit's intensity separately over the optimal-pattern
+    system.  Every unit is a candidate, as the GRS is the union of the
+    supports of all optimal solutions.  A unit belongs to the GRS iff its
+    maximum exceeds ``support_tol`` (or is unbounded).  One solve per
+    unit instead of one solve total, so this is the cross-check, not the
+    fast path.
+    """
+    A, b, bounds = optimal_pattern_system(dataset, o, ram_result)
+    problem = dict(A_eq=A, b_eq=b, bounds=bounds, method="highs")
     members = []
-    for j in range(n):
-        cost = np.zeros(n + m + s)
+    for j in range(dataset.n_dmus):
+        cost = np.zeros(A.shape[1])
         cost[j] = -1.0  # linprog minimises
         res = linprog(cost, **problem)
         if res.status == 2:
@@ -194,22 +198,7 @@ def max_support_size_bruteforce(A, B, d):
 
 
 def optimal_pattern_residuals(dataset, ram_result, grs_result):
-    """Row residuals of the optimal-pattern system at an identified GRS.
-
-    Re-derives every row from the raw data under the scheme and regime
-    of ``ram_result``: input rows, output rows, the convexity row under
-    "vrs", and the budget row pinning the weighted slack total at the
-    stage-1 optimum.
-    """
-    o = grs_result.o
-    lam = grs_result.weights
-    r_in = dataset.inputs @ lam + grs_result.input_slacks - dataset.inputs[:, o]
-    r_out = dataset.outputs @ lam - grs_result.output_slacks - dataset.outputs[:, o]
-    rows = [r_in, r_out]
-    if ram_result.regime == "vrs":
-        rows.append(np.array([lam.sum() - 1.0]))
-    w_in, w_out = slack_weights(dataset.inputs, dataset.outputs, ram_result.scheme, o)
-    budget = (dataset.n_inputs + dataset.n_outputs) \
-        * (w_in @ grs_result.input_slacks + w_out @ grs_result.output_slacks)
-    rows.append(np.array([budget - ram_result.slack_sum]))
-    return np.concatenate(rows)
+    """Row residuals of the optimal-pattern system at an identified GRS."""
+    A, b, _ = optimal_pattern_system(dataset, grs_result.o, ram_result)
+    z = np.concatenate([grs_result.weights, grs_result.input_slacks, grs_result.output_slacks])
+    return A @ z - b

@@ -42,6 +42,9 @@ def test_package_exports_every_module_export():
 ABCD = ramdea.Dataset("ABCD", [[2.0, 4.0, 3.0, 5.0]], [[2.0, 5.0, 3.5, 4.0]])
 
 
+POSITIVE = "must be finite and strictly positive"
+
+
 def tolerance_calls():
     """(entry, tolerance, call) for each tolerance of every public entry;
     ``call(value)`` runs the entry with that tolerance at ``value``, on
@@ -85,7 +88,7 @@ def test_every_tolerance_is_checked_where_it_enters():
             try:
                 call(value)
             except ValueError as error:
-                if str(error) == f"{name} must be finite and strictly positive, got {value}":
+                if str(error) == f"{name} {POSITIVE}, got {value}":
                     continue
             unchecked.append((entry, name, value))
     assert unchecked == []
@@ -98,16 +101,16 @@ def test_bad_tolerances_give_no_wrong_answer():
     # unchecked, NaN would leave B out of the members at a weight of 1,
     # and -1 would make members of the three units of weight 0
     for support_tol in (math.nan, -1.0):
-        with pytest.raises(ValueError, match="support_tol"):
+        with pytest.raises(ValueError, match=rf"^support_tol {POSITIVE}, got {support_tol}$"):
             ramdea.identify_grs(ABCD, 3, scored, support_tol=support_tol)
     # unchecked, NaN would call C inefficient at a slack sum of about 1e-16
     assert ramdea.evaluate(ABCD, 2).efficient
-    with pytest.raises(ValueError, match="eff_tol"):
+    with pytest.raises(ValueError, match=f"^eff_tol {POSITIVE}, got nan$"):
         ramdea.evaluate(ABCD, 2, eff_tol=math.nan)
     # unchecked, -1 would accept a zero normaliser and divide by it
     with pytest.raises(ramdea.DegenerateNormalizerError):
         ramdea.max_support_solution([[1.0]], d=[-1.0])
-    with pytest.raises(ValueError, match="support_tol"):
+    with pytest.raises(ValueError, match=rf"^support_tol {POSITIVE}, got -1\.0$"):
         ramdea.max_support_solution([[1.0]], d=[-1.0], support_tol=-1.0)
 
 
@@ -121,7 +124,7 @@ def test_feas_tol_is_checked_even_where_no_lp_is_solved(kernel_calls):
              lambda tol: ramdea.intercept_bounds_many(ABCD, [([0.0], [1.0])], feas_tol=tol),
              lambda tol: ramdea.evaluate_many(ABCD, [], feas_tol=tol),
              lambda tol: ramdea.identify_grs_many(ABCD, [], feas_tol=tol)]
-    message = "feas_tol must be finite and strictly positive, got nan"
+    message = f"feas_tol {POSITIVE}, got nan"
     for call in calls:
         call(ramdea.FEAS_TOL)
         with pytest.raises(ValueError, match=f"^{message}$"):

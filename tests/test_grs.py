@@ -46,13 +46,28 @@ def test_omitted_d_is_the_zero_normaliser():
     assert np.sum(omitted[0] > grs.SUPPORT_TOL) == 3
 
 
-@pytest.mark.parametrize("B, d, message", [
-    (np.ones((3, 1)), None, "B has 3 rows, expected 2"),
-    (None, np.ones(3), "d has length 3, expected 2"),
-], ids=["B", "d"])
-def test_system_of_wrong_shape_is_rejected(B, d, message):
-    with pytest.raises(ValueError, match=message):
-        grs.max_support_solution(np.eye(2), B, d)
+# three units of one input and one output
+ABC = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 3.0]], [[1.0, 3.0, 2.0]])
+
+
+REJECTIONS = [
+    (lambda: grs.max_support_solution(np.eye(2), np.ones((3, 1))), ValueError,
+     "B has 3 rows, expected 2"),
+    (lambda: grs.max_support_solution(np.eye(2), d=np.ones(3)), ValueError,
+     "d has length 3, expected 2"),
+    (lambda: grs.identify_grs(ABC, 1, dea.evaluate(ABC, 0)), ValueError,
+     "ram_result is for unit 0, not 1"),
+    (lambda: grs.identify_grs_many(ABC, [
+        dea.evaluate(ABC, 0, "ram", "vrs"), dea.evaluate(ABC, 1, "bam", "vrs"),
+        dea.evaluate(ABC, 2, "ram", "crs")]), ValueError,
+     "results of one scheme and regime expected, got bam/vrs, ram/crs, ram/vrs"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS,
+                         ids=[message for _, _, message in REJECTIONS])
+def test_each_rejection_names_its_fault(call, error, message, assert_rejects):
+    assert_rejects(call, error, message)
 
 
 def test_nonhomogeneous_solution_is_feasible():
@@ -537,12 +552,6 @@ def test_unbounded_support_program_is_an_error(eight, monkeypatch):
     monkeypatch.setattr(grs, "solve_many", recorded("grs", grs.solve_many, unbounded))
     with pytest.raises(lp.LpError, match="^maximal-support program ended unbounded$"):
         grs.identify_grs(ds, 7, results[7])
-
-
-def test_mismatched_result_rejected(eight):
-    ds, results, _ = eight
-    with pytest.raises(ValueError):
-        grs.identify_grs(ds, 3, results[2])
 
 
 # -- minimum face ------------------------------------------------------

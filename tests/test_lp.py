@@ -1,5 +1,4 @@
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,56 +60,84 @@ def test_redundant_rows_are_tolerated():
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        lp.LinearProgram("minimize", [1.0, 2.0], [[1.0]], [1.0])
-    with pytest.raises(ValueError):
-        lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0], lower_bounds=[0.0, 0.0])
+# one program of one row and one column
+ONE = dict(objective=[1.0], constraint_matrix=[[1.0]], rhs=[1.0])
+# a stack of four programs of two rows, two leading columns and three others
+FOUR = dict(objective=np.ones(5), constraint_matrix=np.ones((2, 3)), rhs=np.ones((4, 2)),
+            leading_columns=np.ones((4, 2, 2)))
+# a stack of five programs of two rows and four columns
+FIVE = lp.LinearProgram("maximize", [1.0, 2.0, 1.0, -1.0],
+                        [[1.0, 1.0, 2.0, 0.0], [1.0, -1.0, 2.0, 1.0]], np.ones((5, 2)),
+                        upper_bounds=np.full(4, 4.0))
+NO_VALUE = "a lower bound of +inf or an upper bound of -inf admits no value"
+BASIS = "basis must hold 2 distinct column indices below 6"
+INDEX = "a LinearProgram is indexed by an integer or a slice, not "
 
 
-def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
-        lp.LinearProgram("argmax", [1.0], [[1.0]], [1.0])
-    with pytest.raises(ValueError):
-        lp.LinearProgram("minimize", [np.nan], [[1.0]], [1.0])
-    with pytest.raises(ValueError):
-        lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0],
-                         lower_bounds=[2.0], upper_bounds=[1.0])
-    # no value lies in [+inf, u] or [l, -inf]
-    with pytest.raises(ValueError):
-        lp.LinearProgram("maximize", [1, 0], [[1, 1]], [1], lower_bounds=[np.inf, 0])
-    with pytest.raises(ValueError):
-        lp.LinearProgram("maximize", [1, 0], [[1, 1]], [1], upper_bounds=[-np.inf, np.inf])
-    program = lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0])
-    for feas_tol in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            lp.solve(program, feas_tol)
+def built(base=ONE, sense="minimize", **changed):
+    """A call building the program ``base`` with the arrays ``changed``."""
+    return lambda: lp.LinearProgram(sense, **{**base, **changed})
 
 
-@pytest.mark.parametrize("arguments, message", [
-    (dict(constraint_matrix=np.ones((1, 0))),
+def started(basis):
+    """A call solving ``FIVE`` with ``basis`` as its third program's start."""
+    return lambda: lp.solve_many(FIVE, bases=[[0, 1], None, basis, [0, 1], None])
+
+
+# each rejection of the kernel's arguments but the shape of each array
+# for each stack size, which the next test sweeps
+REJECTIONS = [
+    (built(sense="argmax"), ValueError, "sense must be 'maximize' or 'minimize', got 'argmax'"),
+    (built(constraint_matrix=np.ones((1, 0))), ValueError,
      "constraint matrix needs at least one row and one column"),
-    (dict(lower_bounds=[np.nan]), "bounds must not contain NaN")])
-def test_empty_matrix_and_nan_bound_are_named(arguments, message):
-    given = {"objective": [1.0], "constraint_matrix": [[1.0]], "rhs": [1.0], **arguments}
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        lp.LinearProgram("minimize", **given)
+    (built(objective=[1.0, 2.0]), ValueError, "objective has shape (2,), expected (1,)"),
+    (built(rhs=[1.0, 2.0]), ValueError, "rhs has shape (2,), expected (1,) or (k, 1)"),
+    (built(lower_bounds=[0.0, 0.0]), ValueError, "lower_bounds has shape (2,), expected (1,)"),
+    # leading columns whose rows do not match the matrix's, three blocks
+    # of them for four programs, and costs that leave them out or whose
+    # count does not match the programs'
+    (built(FOUR, leading_columns=np.ones((3, 2))), ValueError,
+     "leading_columns has shape (3, 2), expected (2, 2) or (4, 2, 2)"),
+    (built(FOUR, leading_columns=np.ones((3, 2, 2))), ValueError,
+     "leading_columns has shape (3, 2, 2), expected (2, 2) or (4, 2, 2)"),
+    (built(FOUR, objective=np.ones(3)), ValueError,
+     "objective has shape (3,), expected (5,) or (4, 5)"),
+    (built(FOUR, objective=np.ones((3, 5))), ValueError,
+     "objective has shape (3, 5), expected (5,) or (4, 5)"),
+    (built(objective=[np.nan]), ValueError, "objective contains non-finite entries"),
+    (built(FOUR, leading_columns=[[1.0, np.nan], [1.0, 1.0]]), ValueError,
+     "leading_columns contains non-finite entries"),
+    (built(FOUR, rhs=[[1.0, 1.0]] * 3 + [[1.0, np.inf]]), ValueError,
+     "rhs contains non-finite entries"),
+    (built(lower_bounds=[np.nan]), ValueError, "bounds must not contain NaN"),
+    # no value lies in [+inf, u] or [l, -inf], for one program or one of a stack
+    (built(lower_bounds=[np.inf]), ValueError, NO_VALUE),
+    (built(upper_bounds=[-np.inf]), ValueError, NO_VALUE),
+    (built(FOUR, lower_bounds=[[0.0] * 5] * 2 + [[np.inf] + [0.0] * 4] + [[0.0] * 5]),
+     ValueError, NO_VALUE),
+    (built(lower_bounds=[2.0], upper_bounds=[1.0]), ValueError, "lower bound exceeds upper bound"),
+    # integer indices only: 0.7 would truncate to 0, and True read as 1;
+    # q + p = 6 names no column, and every basis of a stack is checked
+    (started([0]), ValueError, BASIS),
+    (started([0, 1, 2]), ValueError, BASIS),
+    (started([0, 0]), ValueError, BASIS),
+    (started([0, 6]), ValueError, BASIS),
+    (started([-1, 2]), ValueError, BASIS),
+    (started([0.7, 1.7]), ValueError, BASIS),
+    (started([True, False]), ValueError, BASIS),
+    (lambda: lp.solve(FIVE[0], basis=[0, 6]), ValueError, BASIS),
+    (lambda: lp.solve_many(FIVE, bases=[[0, 1]]), ValueError, "got 1 bases for 5 programs"),
+    # fancy indexing would copy, so the program it gave could be written to
+    (lambda: FIVE[[0, 2]], TypeError, INDEX + "list"),
+    (lambda: FIVE[np.array([0, 2])], TypeError, INDEX + "ndarray"),
+    (lambda: FIVE[np.arange(5) < 2], TypeError, INDEX + "ndarray"),
+]
 
 
-@pytest.mark.parametrize("name, objective, matrix", [
-    ("constraint_matrix", [1.0, 1.0], np.ones((3, 1, 2))),
-    ("objective", np.ones((3, 2)), [[1.0, 1.0]])])
-def test_a_stacked_array_needs_a_stacked_rhs(name, objective, matrix):
-    # a stack's size comes from its k x p rhs, so a leading axis on any
-    # other array, with a rhs of one row, is named as the fault
-    shapes = {"constraint_matrix": "(3, 1, 2), expected (1, 2)",
-              "objective": "(3, 2), expected (2,)"}[name]
-    message = f"{name} has shape {shapes}; only a k x 1 rhs makes a stack"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        lp.LinearProgram("minimize", objective, matrix, [1.0])
-    assert len(lp.LinearProgram("minimize", objective, matrix, [[1.0]] * 3)) == 3
+@pytest.mark.parametrize("call, error, message", REJECTIONS,
+                         ids=[message for _, _, message in REJECTIONS])
+def test_each_rejection_names_its_fault(call, error, message, assert_rejects):
+    assert_rejects(call, error, message)
 
 
 # one program has p = 1 row and q = 2 columns: one leading, one of the matrix
@@ -135,21 +162,20 @@ def test_a_stacked_array_needs_a_stacked_rhs(name, objective, matrix):
     ("upper_bounds", (3,), (2, 1), "(2,) or (2, 2)"),
     ("upper_bounds", (3, 2), (2, 1), "(2,) or (2, 2)"),
     ("upper_bounds", (3, 2), (1,), "(2,); only a k x 1 rhs makes a stack")])
-def test_each_array_has_one_programs_shape_or_one_per_program(name, shape, rhs, expected):
+def test_each_array_has_one_programs_shape_or_one_per_program(name, shape, rhs, expected,
+                                                              assert_rejects):
     arrays = dict(objective=np.ones(2), leading_columns=np.ones((1, 1)),
                   constraint_matrix=np.ones((1, 1)), rhs=np.ones(rhs),
                   lower_bounds=np.zeros(2), upper_bounds=np.ones(2))
     assert len(lp.LinearProgram("minimize", **arrays)) == rhs[0]
     arrays[name] = np.ones(shape)
-    with pytest.raises(ValueError) as raised:
-        lp.LinearProgram("minimize", **arrays)
-    assert str(raised.value) == f"{name} has shape {shape}, expected {expected}"
+    assert_rejects(built(arrays), ValueError, f"{name} has shape {shape}, expected {expected}")
 
 
 def test_one_program_is_a_stack_of_one():
     one = lp.LinearProgram("maximize", [1.0, 2.0], [[1.0, 1.0]], [3.0],
                            upper_bounds=[2.0, 2.0])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="^index 1 is out of bounds for axis 0 with size 1$"):
         one[1]
     assert len(one) == len(list(one)) == 1 and len(one[0:0]) == 0
     for name, _ in lp._ARRAYS:
@@ -159,13 +185,9 @@ def test_one_program_is_a_stack_of_one():
 
 
 def test_a_stack_is_indexed_only_by_an_integer_or_a_slice():
+    # any other index is a row of the rejection table
     stack = lp.LinearProgram("maximize", [1.0, 2.0], [[1.0, 1.0]], [[1.0], [2.0], [3.0]],
                              upper_bounds=[[2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-    # fancy indexing would copy, so the program it gave could be written to
-    for index in ([0, 2], np.array([0, 2]), np.array([True, False, True])):
-        with pytest.raises(TypeError, match="^a LinearProgram is indexed by an integer "
-                                            "or a slice, not (list|ndarray)$"):
-            stack[index]
     for part, rhs in ((stack[np.int64(1)], [2.0]), (stack[1:], [[2.0], [3.0]])):
         assert part.rhs.tolist() == rhs
         for name, _ in lp._ARRAYS:
@@ -377,11 +399,6 @@ def test_unusable_basis_falls_back_to_phase_one():
         sol = lp.solve(program, basis=basis)
         assert sol.phase1_iterations > 0
         assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
-    # indices must be integers: 0.7 would truncate to 0, True read as 1;
-    # q + p = 6 names no column
-    for basis in ([0], [0, 0], [0, 6], [-1, 2], [0.7, 1.7], [True, False]):
-        with pytest.raises(ValueError):
-            lp.solve(program, basis=basis)
 
 
 def test_basis_with_an_artificial_runs_phase_one_on_its_row():
@@ -734,32 +751,31 @@ def test_leading_columns_change_no_bit(shared, assert_bitwise):
 
 
 def test_leading_columns_are_checked():
-    rhs = np.ones((4, 2))
-    program = lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
-                               leading_columns=np.ones((4, 2, 2)))
+    # the table's stack, whose leading columns each rejection row spoils
+    program = lp.LinearProgram("maximize", **FOUR)
     assert (program.rows, program.cols, program[1].leading_columns.shape) == (2, 5, (2, 2))
-    # rows that do not match the matrix's
-    with pytest.raises(ValueError, match="leading_columns"):
-        lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
-                         leading_columns=np.ones((3, 2)))
-    # a non-finite entry
-    with pytest.raises(ValueError, match="leading_columns contains non-finite"):
-        lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
-                         leading_columns=[[1.0, np.nan], [1.0, 1.0]])
-    # three blocks for a stack of four programs
-    with pytest.raises(ValueError, match="leading_columns"):
-        lp.LinearProgram("maximize", np.ones(5), np.ones((2, 3)), rhs,
-                         leading_columns=np.ones((3, 2, 2)))
-    # a cost vector that leaves out the leading columns
-    with pytest.raises(ValueError, match="objective"):
-        lp.LinearProgram("maximize", np.ones(3), np.ones((2, 3)), rhs,
-                         leading_columns=np.ones((2, 2)))
 
 
-# entries no generator above produces; a basis holding the first is made
-# singular, and its solve with the second gives NaN
-SINGULAR_MARK = 2.75 + 1e-7
-NAN_MARK = 3.25 + 1e-7
+def test_a_failed_system_fails_alone():
+    # a singular matrix fails numpy's solve of the whole stack, so each
+    # system is solved alone; a solve that overflows fails the check of
+    # the stack's sum; either way the other system is solved exactly
+    regular, rhs = [[2.0, 0.0], [0.0, 4.0]], [1.0, 2.0]
+    for matrix, column, reason in (
+            ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], "singular basis matrix"),
+            ([[1e-300, 0.0], [0.0, 1.0]], [1e300, 1.0], "basis solve gave non-finite values")):
+        matrices, columns = np.array([matrix, regular]), np.array([column, rhs])
+        for given in (columns, columns[:, :, None]):
+            solved, failed = lp._solve_stack(matrices, given)
+            assert failed == {0: reason}
+            assert solved.shape == given.shape
+            assert solved.ravel().tolist() == [0.0, 0.0, 0.5, 0.5]
+
+
+# entries no generator above produces: the basis solve of a program
+# holding the first fails as singular, and that of one holding the second
+# as non-finite
+MARKS = {2.75 + 1e-7: "singular basis matrix", 3.25 + 1e-7: "basis solve gave non-finite values"}
 
 
 def test_failures_end_only_their_own_lp(monkeypatch, assert_bitwise):
@@ -776,18 +792,20 @@ def test_failures_end_only_their_own_lp(monkeypatch, assert_bitwise):
     # x1 enters at the first pivot, and its basis then fails to factor,
     # or its solve gives NaN
     programs[7:7] = [lp.LinearProgram("maximize", [1.0, 0.0], [[mark, 1.0]], [1.0])
-                     for mark in (SINGULAR_MARK, NAN_MARK)]
+                     for mark in MARKS]
     bases[7:7] = alone[7:7] = [None, None]
     exhausted += 2 * (exhausted >= 7)
-    real_solve = np.linalg.solve
+    real_solve = lp._solve_stack
 
-    def marked(a, b):
-        if np.any(a == SINGULAR_MARK):
-            raise np.linalg.LinAlgError("Singular matrix")
-        poisoned = np.any(a == NAN_MARK, axis=(-2, -1))[..., None, None]
-        return np.where(poisoned, np.nan, real_solve(a, b))
+    def marked(matrices, rhs):
+        solved, failed = real_solve(matrices, rhs)
+        for mark, reason in MARKS.items():
+            for i in np.flatnonzero(np.any(matrices == mark, axis=(1, 2))):
+                failed[i] = reason
+                solved[i] = 0.0
+        return solved, failed
 
-    monkeypatch.setattr(np.linalg, "solve", marked)
+    monkeypatch.setattr(lp, "_solve_stack", marked)
     monkeypatch.setattr(lp, "_PIVOTS_PER_DIMENSION", budget)
     outcomes = solve_in_stacks(programs, bases)
     assert type(outcomes[7]) is lp.LpError

@@ -29,22 +29,47 @@ def test_nonpositive_inputs_are_rejected(frontier8):
         rts.intercept_bounds(ds, ([0.0], [2.0]))
 
 
-@pytest.mark.parametrize("point", [([1.0, 1.0], [2.0]), ([1.0], [2.0, 2.0]), ([], [2.0])])
-def test_anchor_of_the_wrong_length_is_rejected(frontier8, point):
-    with pytest.raises(ValueError, match="^anchor point does not match the dataset's dimensions$"):
-        rts.intercept_bounds_many(frontier8, [([1.0], [2.0]), point])
+# three units of one input and one output, and the frontier vertex b
+ABC = dea.Dataset(["a", "b", "c"], [[1.0, 2.0, 3.0]], [[1.0, 3.0, 3.5]])
+AT_B = ([2.0], [3.0])
+SHAPE = "anchor point does not match the dataset's dimensions"
+FINITE = "anchor point must be finite"
+FRAME = "frame must be a boolean mask of 3 units"
+NAN = "intercept bounds must not be NaN"
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("side", ["inputs", "outputs"])
-def test_non_finite_anchors_are_rejected(frontier8, side, value):
+def anchored(point, frame=None):
+    """A call of ``intercept_bounds_many`` of ``ABC`` at ``AT_B``, then ``point``."""
+    return lambda: rts.intercept_bounds_many(ABC, [AT_B, point], frame=frame)
+
+
+REJECTIONS = [
+    (anchored(([1.0, 1.0], [2.0])), ValueError, SHAPE),
+    (anchored(([1.0], [2.0, 2.0])), ValueError, SHAPE),
+    (anchored(([], [2.0])), ValueError, SHAPE),
     # a bad argument, not a verdict about the data such as an unattainable
     # normalisation, and one that names no argument of the kernel
-    bad = ([value], [2.0]) if side == "inputs" else ([1.0], [value])
-    with pytest.raises(ValueError, match="^anchor point must be finite$"):
-        rts.intercept_bounds(frontier8, bad)
-    with pytest.raises(ValueError, match="^anchor point must be finite$"):
-        rts.intercept_bounds_many(frontier8, [([1.0], [2.0]), bad])
+    (anchored(([np.nan], [2.0])), ValueError, FINITE),
+    (anchored(([np.inf], [2.0])), ValueError, FINITE),
+    (anchored(([-np.inf], [2.0])), ValueError, FINITE),
+    (anchored(([1.0], [np.nan])), ValueError, FINITE),
+    (anchored(([1.0], [np.inf])), ValueError, FINITE),
+    (anchored(([1.0], [-np.inf])), ValueError, FINITE),
+    (lambda: rts.intercept_bounds(ABC, ([np.nan], [2.0])), ValueError, FINITE),
+    (anchored(AT_B, frame=[True, True]), ValueError, FRAME),
+    # the indices of every unit, which would read as the mask of a and b:
+    # without c the max end at b is 1, where over every unit it is 2
+    (anchored(AT_B, frame=[2, 1, 0]), ValueError, FRAME),
+    (lambda: rts.classify_rts((np.nan, np.nan)), ValueError, NAN),
+    (lambda: rts.classify_rts((np.nan, 1.0)), ValueError, NAN),
+    (lambda: rts.classify_rts((0.5, np.nan)), ValueError, NAN),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS,
+                         ids=[message for _, _, message in REJECTIONS])
+def test_each_rejection_names_its_fault(call, error, message, assert_rejects):
+    assert_rejects(call, error, message)
 
 
 def test_classification_rule():
@@ -144,18 +169,6 @@ def test_programs_without_the_min_end_start_begin_at_the_slacks(kernel_calls, va
             for start, (basis, _) in zip(started, solved(calls)):
                 assert (basis.tolist() == slack_basis(ds)) != start
             assert_ends_match(got, intercept_interval(ds.inputs, ds.outputs, *anchor))
-
-
-def test_nan_bounds_are_rejected():
-    for bounds in ((np.nan, np.nan), (np.nan, 1.0), (0.5, np.nan)):
-        with pytest.raises(ValueError, match="NaN"):
-            rts.classify_rts(bounds)
-
-
-def test_non_finite_tolerance_is_rejected():
-    for rts_tol in (np.nan, np.inf, 0.0, -1e-6):
-        with pytest.raises(ValueError, match="rts_tol"):
-            rts.classify_rts((0.6, 1.0), rts_tol)
 
 
 def test_clamp_substitute_never_crosses_a_finite_endpoint():
@@ -386,8 +399,6 @@ def test_frame_leaving_out_a_binding_unit_is_caught_and_repaired(frontier8, kern
     (framed, _, (min_end, _)), (again, _, _) = calls
     assert min_end.objective_value == pytest.approx(1.0 / 15.0, abs=1e-12)
     assert [stack.cols for stack in (framed, again)] == [10, 12]
-    with pytest.raises(ValueError, match="^frame must be a mask of 8 units$"):
-        rts.intercept_bounds_many(frontier8, [anchor], frame=frame[:7])
 
 
 def test_dmu_filter_keeps_the_units_it_leaves_out_in_the_frame(frontier8, eight_answers,
