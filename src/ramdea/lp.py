@@ -14,11 +14,14 @@ The kernel's one tolerance, ``feas_tol``, is a keyword float defaulting
 to ``FEAS_TOL``; ``_tolerance``, the package's one test that a tolerance
 is finite and strictly positive, checks it on entry to ``solve_many``.
 
-Pricing is Dantzig's rule with an automatic and reversible fallback to
-Bland's rule: an LP of p rows and q columns prices by Bland's rule while
-its run of degenerate pivots in a row is at least min(p + q, 6p), and by
-Dantzig's again from its first pivot that is not degenerate; DEA-style
-instances are routinely degenerate.
+Pricing is Dantzig's rule.  DEA-style instances are routinely degenerate,
+so an LP in phase 2 whose run of degenerate pivots reaches
+``_PERTURB_AFTER`` has its rhs, unless zero, shifted once (``_perturb``,
+after Wolfe 1963); at its optimum the checks below judge the basic values
+of the true rhs, and an LP that fails after a shift is solved again,
+unshifted.  An LP of p rows and q columns prices by Bland's rule while
+its run is at least min(p + q, 6p), and by Dantzig's again from its
+first pivot that is not degenerate.
 
 The ratio test is Harris's two-pass test (Harris 1973, "Pivot selection
 methods of the Devex LP code").  Pass 1 finds the longest step along
@@ -82,12 +85,13 @@ checks and dropping the LPs that are done, whose per-LP state, the
 objective included, is a few blocks of arrays beside the matrix, which
 a stack may share.  A Python loop remains only to build each LP's
 outcome.  A lockstep stack holds as many LPs as fit in ``_STACK_BYTES``.
-Each LP keeps its own basis, phase, degenerate run, pivot budget and
-checks, so it takes the pivots it would take alone, and its products are
-stacks of matrix-vector products, so its numbers are bitwise those of a
-solve on its own; it leaves the stack as soon as it concludes or fails,
-and a failure (a singular basis, an exhausted budget, a failed check)
-ends that LP alone with its typed error.  ``solve`` is a stack of one.
+Each LP keeps its own basis, phase, degenerate run, shift of its rhs,
+pivot budget and checks, so it takes the pivots it would take alone, and
+its products are stacks of matrix-vector products, so its numbers are
+bitwise those of a solve on its own; it leaves the stack as soon as it
+concludes or fails, and a failure (a singular basis, an exhausted
+budget, a failed check) ends that LP alone with its typed error.
+``solve`` is a stack of one.
 
 A ``LinearProgram`` owns a read-only copy of every array it is given,
 so it is immutable after construction and safe to share across
@@ -136,6 +140,8 @@ _STACK_BYTES = 1 << 23
 # Fewest bytes of state in a stack whose dropped LPs ``_drop`` fills by moving
 # others: below it, ``take`` of every LP kept is faster than fancy assignment.
 _MOVE_BYTES = 1 << 19
+# The degenerate run after which a phase-2 LP's rhs is shifted, and its size.
+_PERTURB_AFTER, _PERTURB_SIZE = 4, 1e-6
 
 
 class RamdeaError(Exception):
@@ -287,6 +293,7 @@ class LpSolution:
     iterations: int = 0
     duals: np.ndarray | None = None
     phase1_iterations: int = 0
+    perturbed: bool = False
 
 
 def solve(lp: LinearProgram, feas_tol: float = FEAS_TOL, basis=None) -> LpSolution:
@@ -371,7 +378,7 @@ _STATE = (
     (np.float64, "p", ("b",)),
     (np.int64, "p", ("basis",)),
     (np.int64, "", ("ids", "iterations", "phase1_iterations", "consec_degenerate")),
-    (bool, "", ("phase1",)),
+    (bool, "", ("phase1", "perturbed")),
 )
 
 
@@ -398,7 +405,8 @@ class _SimplexState:
     resting value of every nonbasic variable and zero for the basics; no
     basic values are kept, since each round solves them afresh.  An LP
     prices by Bland's rule while ``consec_degenerate``, its run of
-    degenerate pivots, is at least ``bland_after``.  ``objective`` is zero
+    degenerate pivots, is at least ``bland_after``; ``perturbed`` marks one
+    whose ``b`` holds the shift of ``_perturb``.  ``objective`` is zero
     on the artificials.  ``A``, the one array outside the blocks, is the
     stack of the programs' matrices, [leading | constraint matrix |
     artificials]: per-LP when either block has a leading axis, else
@@ -407,12 +415,14 @@ class _SimplexState:
     optimum check scales each row's bound with that row's largest term.
     """
 
-    def __init__(self, lp: LinearProgram, feas_tol: float, bases):
+    def __init__(self, lp: LinearProgram, feas_tol: float, bases, perturb: bool = True):
         k, p, q = len(lp), lp.rows, lp.cols
         self.feas_tol = feas_tol
         self.p, self.q = p, q
         self.max_iter = _PIVOTS_PER_DIMENSION * (p + q)
         self.bland_after = min(p + q, 6 * p)  # degenerate pivots before Bland's rule
+        self.perturb_after = _PERTURB_AFTER if perturb and lp.rhs.any() else np.inf
+        self.lp, self.bases, self.retry, self.any_perturbed = lp, bases, [], False
         self.outcomes: list = [None] * k
         widths = {"w": (q + p,), "p": (p,), "": ()}
         self.blocks = [np.zeros((len(names), k) + widths[width], dtype)
@@ -441,7 +451,7 @@ class _SimplexState:
         self.toward[:, :q] = np.where(free | (hi == lo), 0.0,
                                       np.where(np.isfinite(lo), -1.0, 1.0))
         self.basis[:] = np.arange(q, q + p)
-        self.any_bland = False
+        self.any_bland = self.any_stall = False
         self._crash(bases, start)
         # phase 1 runs only where the start leaves a basic artificial
         # non-zero; its cost is the artificials' total magnitude
@@ -495,6 +505,9 @@ class _SimplexState:
     def run(self) -> list:
         while self.ids.size:
             self._round()
+        for i in self.retry:  # solved again, unperturbed, from its caller's start
+            (self.outcomes[i],) = _SimplexState(self.lp[i], self.feas_tol, self.bases[i:i + 1],
+                                                perturb=False).run()
         return self.outcomes
 
     def _round(self) -> None:
@@ -510,6 +523,9 @@ class _SimplexState:
             for i in self._running(improving & (self.iterations >= self.max_iter)):
                 self._record(i, IterationLimitError(
                     f"no conclusion within {self.max_iter} pivots"))
+        if self.any_perturbed:  # an LP that concludes gets its true rhs back
+            back = np.flatnonzero(self.perturbed & ~improving)
+            self.b[back] = np.atleast_2d(self.lp.rhs)[self.ids[back]]
         resid = self.b - _times(A, self.x_off)
 
         rows = self._running(improving)
@@ -520,6 +536,8 @@ class _SimplexState:
             rhs[:, :, 1] = _gather(A, j[rows, None], rows)[:, :, 0]
             solved, failed = _solve_stack(basic_cols[rows], rhs)
             self._fail(rows, failed)
+            if self.any_stall:
+                self._perturb(rows, basic_cols[rows], solved[:, :, 0])
             step, pos, hits_upper = self._ratio_test(rows, j[rows], sigma[rows],
                                                      solved[:, :, 1], solved[:, :, 0])
             for i in rows[(step == np.inf) & self.live[rows]]:
@@ -598,6 +616,28 @@ class _SimplexState:
         step = np.where(flip, own_range, np.maximum(exact[rows, pos], 0.0))
         return step, np.where(flip, -1, pos), move[rows, pos] < 0.0
 
+    def _perturb(self, lps, B, xb) -> None:
+        """Add B r to the rhs of each LP of ``lps`` that stalls (``B`` its basis
+        matrix) and r to its basic values ``xb``, so that each basic value
+        within ``feas_tol`` of a bound moves inside it by r_i =
+        ``_PERTURB_SIZE`` u_i min_k (1 + |b_k|) / |B_ki|, u_i in (0.5, 1]
+        drawn from the LP's basis and pivot count (Huangfu & Hall 2018).
+        Pricing does not read the rhs, so only the ratio tests see the shift."""
+        pick = ((self.consec_degenerate[lps] >= self.perturb_after) & self.live[lps]
+                & ~self.phase1[lps] & ~self.perturbed[lps] & self.b[lps].any(axis=1))
+        if not pick.any():  # a stalled LP that was shifted, is in phase 1 or has b = 0
+            return
+        lps, B, x = lps[pick], B[pick], xb[pick]
+        at, tol = (lps[:, None], self.basis[lps]), self.feas_tol
+        inward = (x - self.lo[at] <= tol) * 1.0 - (self.hi[at] - x <= tol)
+        u = 1.0 - 0.5 * np.modf(0.6180339887498949 * (at[1] + self.iterations[lps, None]))[0]
+        crowding = (np.abs(B) / (1.0 + np.abs(self.b[lps]))[:, :, None]).max(axis=1)
+        r = _PERTURB_SIZE * u * inward / crowding
+        xb[pick] = x + r
+        self.b[lps] += _times(B, r)
+        self.perturbed[lps] = inward.any(axis=1)
+        self.any_perturbed |= bool(inward.any())
+
     def _pivot(self, lps, j, step, pos, hits_upper) -> None:
         """Apply the pivots or bound flips of the LPs ``lps``."""
         # basic values come afresh from the next solve with the basis,
@@ -605,7 +645,8 @@ class _SimplexState:
         degenerate = step <= self.feas_tol
         run = np.where(degenerate, self.consec_degenerate[lps] + 1, 0)
         self.consec_degenerate[lps] = run
-        self.any_bland = bool(self.consec_degenerate.max() >= self.bland_after)
+        longest = self.consec_degenerate.max()
+        self.any_bland, self.any_stall = longest >= self.bland_after, longest >= self.perturb_after
         self.iterations[lps] += 1
         flips = pos < 0
         if flips.any():
@@ -665,16 +706,17 @@ class _SimplexState:
         failed = np.where(passed.all(axis=0), -1, passed.argmin(axis=0)).tolist()
         values = _dots(self.objective[rows, :q], x).tolist()
         duals = self.sign * y
-        for i, check, x_i, value, y_i, iterations, phase1_iterations in zip(
+        for i, check, x_i, value, y_i, iterations, phase1_iterations, perturbed in zip(
                 rows, failed, x, values, duals, self.iterations[rows].tolist(),
-                self.phase1_iterations[rows].tolist()):
+                self.phase1_iterations[rows].tolist(), self.perturbed[rows].tolist()):
             self._record(i, LpError(_FAILED_CHECKS[check]) if check >= 0 else LpSolution(
                 OPTIMAL, primal=x_i, objective_value=value, iterations=iterations,
-                duals=y_i, phase1_iterations=phase1_iterations))
+                duals=y_i, phase1_iterations=phase1_iterations, perturbed=perturbed))
 
     def _ending(self, i: int, status: str) -> LpSolution:
         return LpSolution(status, iterations=int(self.iterations[i]),
-                          phase1_iterations=int(self.phase1_iterations[i]))
+                          phase1_iterations=int(self.phase1_iterations[i]),
+                          perturbed=bool(self.perturbed[i]))
 
     def _fail(self, lps, failed: dict) -> None:
         """End the LPs ``lps[i]`` whose basis solve failed, by ``_solve_stack``."""
@@ -683,6 +725,8 @@ class _SimplexState:
 
     def _record(self, i: int, outcome) -> None:
         """Give LP ``i`` its outcome; it leaves the stack after this round."""
+        if self.perturbed[i] and isinstance(outcome, LpError):  # ``run`` solves it again
+            self.retry.append(int(self.ids[i]))
         self.outcomes[self.ids[i]] = outcome
         self.live[i] = False
 

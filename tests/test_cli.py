@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +368,22 @@ def test_cli_is_byte_identical_across_runs(data_file, capsys):
     first = capsys.readouterr().out
     cli.main(["report", "--data", data_file, "--format", "json"])
     assert capsys.readouterr().out == first
+
+
+def test_report_with_perturbed_lps_is_byte_identical_across_processes(tmp_path, bench_dataset):
+    # ``score-large`` seed 13, score250-002: the kernel perturbs many of its
+    # scoring LPs, U137's among them, from each LP's own state, so two
+    # processes print the same bytes
+    data = bench_dataset("score-large", 13, 2)
+    path = tmp_path / "score250.csv"
+    path.write_text(data.csv_text(), encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    main = "import sys; from ramdea import cli; sys.exit(cli.main(sys.argv[1:]))"
+    outputs = [subprocess.run(
+        [sys.executable, "-c", main, "report", "--data", str(path), "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        capture_output=True, timeout=300, check=True).stdout for seed in ("1", "2")]
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])
 
 
 def test_tolerance_flags_default_to_the_config():

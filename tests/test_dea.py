@@ -267,15 +267,37 @@ def test_degenerate_cycle_ends_early_on_an_efficient_unit(kernel_calls, bench_da
     # ``score-large`` seed 11, score250-003: U247's scoring LP (p = 8 rows,
     # q = 258 columns) cycles on degenerate pivots under Dantzig's rule;
     # turning to Bland's after p + q = 266 of them took 286 pivots, after
-    # 6p = 48 it takes 78
+    # 6p = 48 it took 78, and perturbing its rhs after 4 it takes 15
     ds = reporting.parse_dataset(bench_dataset("score-large", 11, 3).csv_text())
     calls = kernel_calls(dea)
     result = dea.evaluate(ds, 247, "ram", "crs")
     ((_, _, (sol,)),) = calls
-    assert sol.iterations < 120
+    assert sol.perturbed and sol.iterations < 25
     assert result.rho == pytest.approx(
         1.0 - weighted_optimum(ds.inputs, ds.outputs, 247, "ram", "crs"), abs=1e-9)
     assert result.efficient
+
+
+def test_a_stalled_scoring_lp_is_perturbed_out_of_its_stall(kernel_calls, bench_dataset,
+                                                           assert_bitwise):
+    # ``score-large`` seed 13, score250-002 (ram/vrs): U137 is efficient, so
+    # its scoring LP (p = 9, q = 258) starts at an optimal vertex, and took
+    # 191 pivots, every one degenerate, to prove it unperturbed
+    data = bench_dataset("score-large", 13, 2)
+    ds = reporting.parse_dataset(data.csv_text())
+    calls = kernel_calls(dea)
+    result = dea.evaluate(ds, 137, data.scheme, data.regime)
+    ((_, _, (sol,)),) = calls
+    assert sol.perturbed and sol.iterations <= 30
+    assert result.efficient and result.rho == pytest.approx(
+        1.0 - weighted_optimum(ds.inputs, ds.outputs, 137, data.scheme, data.regime), abs=1e-9)
+    # in a stack of 30 scoring LPs, several of them perturbed, each takes
+    # the pivots and gets the bits it does alone
+    programs, bases = dea._scoring_programs(ds, range(120, 150), data.scheme, data.regime)
+    stacked = lp.solve_many(programs, bases=bases)
+    assert sum(outcome.perturbed for outcome in stacked) > 1
+    for program, basis, outcome in zip(programs, bases, stacked):
+        assert_bitwise(outcome, lp.solve(program, basis=basis))
 
 
 def crash_start_datasets(frontier8):

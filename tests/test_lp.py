@@ -548,6 +548,34 @@ def test_batch_matches_solving_alone(assert_bitwise):
     # a crash basis that is used skips phase 1, an unusable one does not
     assert {outcome.phase1_iterations > 0 for outcome, basis in zip(outcomes, bases)
             if basis is not None} == {True, False}
+    # the kernel perturbs some of these LPs in their stacks, each as alone
+    assert any(outcome.perturbed for outcome in outcomes)
+
+
+def test_a_perturbed_lp_failing_its_checks_is_solved_again_unperturbed(monkeypatch,
+                                                                      assert_bitwise):
+    # program 24 of this batch stalls in phase 2 and is perturbed; a shift
+    # of 10 times its rows' scale leaves its final basis outside a bound
+    # once the true rhs is back, so that optimum fails its check and the
+    # LP is solved again from its start, unperturbed
+    programs, bases = mixed_batch(np.random.default_rng(43))
+    program, basis = programs[24], bases[24]
+    (unperturbed,) = lp._SimplexState(program, lp.FEAS_TOL, [basis], perturb=False).run()
+    assert lp.solve(program, basis=basis).perturbed and not unperturbed.perturbed
+    recorded = []
+    record = lp._SimplexState._record
+
+    def spied(state, i, outcome):
+        recorded.append((bool(state.perturbed[i]), str(outcome)
+                         if isinstance(outcome, lp.LpError) else outcome.status))
+        record(state, i, outcome)
+
+    monkeypatch.setattr(lp._SimplexState, "_record", spied)
+    monkeypatch.setattr(lp, "_PERTURB_SIZE", 10.0)
+    (outcome,) = lp.solve_many(program, bases=[basis])
+    assert recorded == [(True, "variable bound violated at claimed optimum"),
+                        (False, lp.OPTIMAL)]
+    assert_bitwise(outcome, unperturbed)
 
 
 def test_pinned_zero_columns_change_no_optimum():

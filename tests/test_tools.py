@@ -39,17 +39,42 @@ def test_census_matches_itself(tmp_path):
     assert "same: 27, different: 0" in again.stdout
 
 
-def test_census_records_every_calling_form():
+def test_census_records_every_calling_form(bench_dataset):
     # one argument, then ``bases`` by keyword: both are recorded, the
-    # second with its basis
+    # second with its basis; last, a scoring LP that the kernel perturbs
+    # (``score-large`` seed 13, score250-002, U137), whose record says so
+    data = bench_dataset("score-large", 13, 2)
+    stalled, bases = dea._scoring_programs(dea.Dataset(data.units(), data.inputs, data.outputs),
+                                           [137], data.scheme, data.regime)
     records = []
     with recording(lambda *call: records.extend(census.records(*call))) as kernel:
         program = lp.LinearProgram("minimize", [1.0], [[1.0]], [1.0])
         grs.solve_many(program)
         grs.solve_many(program, bases=[[0]])
-    assert [(stage, status) for stage, _, status, *_ in records] == [("grs", "optimal")] * 2
+        dea.solve_many(stalled, lp.FEAS_TOL, bases)
+    assert [(stage, status, perturbed) for stage, _, status, *_, perturbed in records] == [
+        ("grs", "optimal", False)] * 2 + [("dea", "optimal", True)]
     assert records[0][1] != records[1][1]  # the digest holds the basis
     assert len(kernel["grs"]) == 2
+
+
+def test_census_sets_perturbed_programs_apart():
+    # an earlier census, whose records lack the perturbed flag, against a
+    # later one: a perturbed program must keep its status, and a program
+    # one side alone solves is set apart in a dataset holding one; every
+    # other record must stay the same
+    def record(program, iterations, *perturbed):
+        return ["dea", program, "optimal", iterations, 0, "0x1p+0", "x", "y", *perturbed]
+
+    earlier = {name: {"exit": 0, "lps": [record("p", 9), record("q", 2)]} for name in "ab"}
+    later = {"a": {"exit": 0, "lps": [record("p", 3, True), record("r", 2, False)]},
+             "b": {"exit": 0, "lps": [record("p", 9, False), record("q", 3, False)]}}
+    found, apart = census.differences(earlier, later)
+    assert list(found) == ["b"] and apart == {"perturbed": 1, "one-sided": 1}
+    later["a"]["lps"][0][2] = "unbounded"
+    later["b"]["lps"][1] = record("s", 2, False)
+    found, apart = census.differences(earlier, later)
+    assert list(found) == ["a", "b"] and len(found["b"]) == 2
 
 
 def test_recording_restores_every_binding():
@@ -102,6 +127,10 @@ def test_stages_counts_every_stage():
     for stage, counts in result["counts"].items():
         assert len(counts) == 4 and all(count > 0 for count in counts[:3]), stage
     assert result["counts"]["scoring"][3] == 0 and result["counts"]["RTS"][3] > 0
+    # lockstep rounds: scoring perturbs its stalled LPs (32 rounds before),
+    # and GRS and RTS take no more than before
+    rounds = {stage: counts[2] for stage, counts in result["counts"].items()}
+    assert rounds["scoring"] <= 16 and rounds["GRS"] <= 21 and rounds["RTS"] <= 25
     assert entries == [dea.evaluate_many, grs.identify_grs_many, rts.intercept_bounds_many]
 
 

@@ -13,8 +13,9 @@ LP the stages hand the kernel, as ``tools/recorder.py`` passes it on, is
 recorded: its stage, a digest of the program it stands for (see
 ``full_matrix`` and ``own_columns``) and of its starting basis, its
 status or the error's class and text, its pivot and phase-1 pivot
-counts, and the bytes of its objective value, primal and duals
-(digested).  The result is a JSON object ``{dataset: {"exit": exit
+counts, the bytes of its objective value, primal and duals (digested),
+and last whether the kernel perturbed its right-hand side (false for an
+error).  The result is a JSON object ``{dataset: {"exit": exit
 code, "lps": [record, ...], "kernel": {stage: [stacks, rounds, one-LP
 rounds]}}}``, the records sorted, since the order in which a stage hands
 its LPs over is not compared.  Each stage's total stacks, rounds and
@@ -24,8 +25,15 @@ With ``--against`` the new census is compared with an earlier one on the
 datasets both hold.  The earlier census's total stacks, rounds and one-LP
 rounds over them are printed, then the count of datasets whose exit code
 and LP records are all the same, then each other dataset's records that
-only one side holds.  The exit status is 1 when any dataset differs, and
-0 otherwise, so a gate of bit-identical solves is the exit status.
+only one side holds.  A program perturbed on either side may take other
+pivots to another optimal basis, so its records are set apart and
+compared by program, starting basis and status alone, and so are, in a
+dataset holding one, the records of a program that one side alone solves
+(a later stage builds its programs from earlier results); the counts of
+both are printed.  Every other record must match bit for bit, apart from
+the perturbed flag, which an earlier census may lack.  The exit status
+is 1 when any dataset differs, and 0 otherwise, so a gate of
+bit-identical solves is the exit status.
 """
 
 from __future__ import annotations
@@ -80,13 +88,15 @@ def records(stage: str, stack, bases, outcomes):
                                 program.rhs, program.lower_bounds[:q], program.upper_bounds[:q],
                                 None if basis is None else np.asarray(basis, dtype=np.int64))]
         if isinstance(outcome, Exception):
-            entry += [f"{type(outcome).__name__}: {outcome}", None, None, None, None, None]
+            entry += [f"{type(outcome).__name__}: {outcome}", None, None, None, None, None,
+                      False]
         else:
             value = outcome.objective_value
             entry += [outcome.status, outcome.iterations, outcome.phase1_iterations,
                       None if value is None else float(value).hex(),
                       None if outcome.primal is None else _digest(outcome.primal[:q]),
-                      None if outcome.duals is None else _digest(outcome.duals)]
+                      None if outcome.duals is None else _digest(outcome.duals),
+                      getattr(outcome, "perturbed", False)]  # an older kernel never perturbs
         yield entry
 
 
@@ -115,23 +125,53 @@ def kernel_totals(entries: dict, names) -> str:
                      for stage, (stacks, rounds, tail) in totals.items())
 
 
-def differences(old: dict, new: dict) -> dict[str, list[str]]:
-    """For each dataset of both censuses that differs, the lines telling how."""
-    found = {}
+# the fields of a record before its perturbed flag, which a census made
+# before the kernel could perturb does not hold
+_COMPARED = 8
+
+
+def compared(before: list, after: list):
+    """What must match of one dataset's records on each side, as JSON text,
+    and how many records of the new side are set apart: those of a program
+    perturbed on either side, of which only the stage, program and status
+    must match, and, if the dataset holds such a program, those of a program
+    that one side alone solves, since a later stage builds its programs from
+    the results of an earlier one."""
+    perturbed = {tuple(entry[:2]) for entry in before + after
+                 if entry[_COMPARED:] == [True]}
+    solved = [{tuple(entry[:2]) for entry in lps} for lps in (before, after)]
+    one_sided = solved[0] ^ solved[1] if perturbed else set()
+
+    def kept(lps):
+        return [json.dumps(entry[:3] if tuple(entry[:2]) in perturbed else entry[:_COMPARED])
+                for entry in lps if tuple(entry[:2]) not in one_sided]
+
+    apart = collections.Counter("perturbed" if tuple(entry[:2]) in perturbed else "one-sided"
+                                for entry in after
+                                if tuple(entry[:2]) in perturbed | one_sided)
+    return kept(before), kept(after), apart
+
+
+def differences(old: dict, new: dict):
+    """For each dataset of both censuses that differs, the lines telling how,
+    and the counts of the new records set apart by ``compared``."""
+    found, apart = {}, collections.Counter()
     for name in sorted(old.keys() & new.keys()):
         before, after = old[name], new[name]
         lines = []
         if before["exit"] != after["exit"]:
             lines.append(f"exit code {before['exit']} -> {after['exit']}")
-        counts = collections.Counter(json.dumps(entry) for entry in before["lps"])
-        counts.subtract(json.dumps(entry) for entry in after["lps"])
+        earlier, later, set_apart = compared(before["lps"], after["lps"])
+        apart += set_apart
+        counts = collections.Counter(earlier)
+        counts.subtract(later)
         for entry, count in sorted(counts.items()):
             if count:
                 side = "only earlier" if count > 0 else "only new"
                 lines.append(f"{side} x{abs(count)}: {entry}")
         if lines:
             found[name] = lines
-    return found
+    return found, apart
 
 
 def main(argv=None) -> int:
@@ -150,7 +190,9 @@ def main(argv=None) -> int:
         old = json.loads(Path(args.against).read_text(encoding="utf-8"))
         print("earlier stacks / rounds / one-LP rounds: "
               f"{kernel_totals(old, old.keys() & entries.keys())}")
-        found = differences(old, entries)
+        found, apart = differences(old, entries)
+        print(f"set apart: {apart['perturbed']} LPs of perturbed programs, "
+              f"{apart['one-sided']} of programs one side alone solves")
         print(f"same: {len(old.keys() & entries.keys()) - len(found)}, "
               f"different: {len(found)}")
         for name, lines in found.items():
